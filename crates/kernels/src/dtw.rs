@@ -5,6 +5,7 @@ use kaas_accel::{DeviceClass, WorkUnits};
 use kaas_simtime::rng::DetRng;
 
 use crate::kernel::{Kernel, KernelError};
+use crate::memo::DescriptorMemo;
 use crate::value::Value;
 
 /// The paper batches 200 groups of ten sequences per task.
@@ -19,7 +20,17 @@ fn soft_min(a: f64, b: f64, c: f64, gamma: f64) -> f64 {
         return a.min(b).min(c);
     }
     let m = a.min(b).min(c);
-    let sum = (-(a - m) / gamma).exp() + (-(b - m) / gamma).exp() + (-(c - m) / gamma).exp();
+    // The minimum's own term is exp(-0 / gamma) = 1 exactly, so skipping
+    // its `exp` keeps the result bit-identical. A non-finite minimum
+    // still takes the `exp` path (inf - inf is NaN there, as before).
+    let term = |x: f64| {
+        if x == m && m.is_finite() {
+            1.0
+        } else {
+            (-(x - m) / gamma).exp()
+        }
+    };
+    let sum = term(a) + term(b) + term(c);
     m - gamma * sum.ln()
 }
 
@@ -59,11 +70,13 @@ pub fn soft_dtw(a: &[f64], b: &[f64], gamma: f64) -> f64 {
 ///
 /// * `Value::U64(n)` — descriptor mode (sequence length `n`); `execute`
 ///   scores one representative batch at `min(n, 256)` and returns the
-///   mean discrepancy.
+///   mean discrepancy, memoized per instance by `n` (which also seeds
+///   the sequences).
 /// * `Value::List([a, b])` of two `F64s` — one real soft-DTW evaluation.
 #[derive(Debug, Clone)]
 pub struct SoftDtw {
     gamma: f64,
+    memo: DescriptorMemo,
 }
 
 impl Default for SoftDtw {
@@ -76,7 +89,10 @@ impl SoftDtw {
     /// Creates the kernel with smoothing `gamma`.
     pub fn new(gamma: f64) -> Self {
         assert!(gamma >= 0.0, "gamma must be non-negative");
-        SoftDtw { gamma }
+        SoftDtw {
+            gamma,
+            memo: DescriptorMemo::default(),
+        }
     }
 }
 
@@ -127,7 +143,7 @@ impl Kernel for SoftDtw {
 
     fn execute(&self, input: &Value) -> Result<Value, KernelError> {
         match input {
-            Value::U64(n) => {
+            Value::U64(n) => self.memo.get_or_compute(*n, || {
                 let len = (*n as usize).clamp(2, EXEC_CAP);
                 let mut rng = DetRng::seed_from_u64(7 ^ *n);
                 let query: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -137,7 +153,7 @@ impl Kernel for SoftDtw {
                     total += soft_dtw(&query, &seq, self.gamma);
                 }
                 Ok(Value::F64(total / SEQS_PER_BATCH as f64))
-            }
+            }),
             Value::List(items) if items.len() == 2 => {
                 let a = items[0]
                     .as_f64s()
@@ -222,6 +238,107 @@ mod tests {
         let direct = k.execute(&pair).unwrap();
         assert!(matches!(direct, Value::F64(v) if v <= 1e-9));
         let _ = require_n("dtw", &Value::U64(1)).unwrap();
+    }
+
+    /// The soft-minimum with an `exp` for every term, as first written.
+    fn soft_min_reference(a: f64, b: f64, c: f64, gamma: f64) -> f64 {
+        if gamma <= 0.0 {
+            return a.min(b).min(c);
+        }
+        let m = a.min(b).min(c);
+        let sum = (-(a - m) / gamma).exp() + (-(b - m) / gamma).exp() + (-(c - m) / gamma).exp();
+        m - gamma * sum.ln()
+    }
+
+    /// [`soft_dtw`] over [`soft_min_reference`].
+    fn soft_dtw_reference(a: &[f64], b: &[f64], gamma: f64) -> f64 {
+        let m = b.len();
+        let mut prev = vec![f64::INFINITY; m + 1];
+        let mut curr = vec![f64::INFINITY; m + 1];
+        prev[0] = 0.0;
+        for &x in a {
+            curr[0] = f64::INFINITY;
+            for j in 1..=m {
+                let cost = (x - b[j - 1]).powi(2);
+                curr[j] = cost + soft_min_reference(prev[j - 1], prev[j], curr[j - 1], gamma);
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        prev[m]
+    }
+
+    const GAMMAS: [f64; 5] = [1e-6, 0.1, 0.5, 1.0, 7.0];
+
+    /// Bit equality, except that any two NaNs match: Rust leaves the sign
+    /// and payload of a NaN result unspecified, so they may differ
+    /// between two compilations of the same arithmetic.
+    fn same(x: f64, y: f64) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    #[test]
+    fn soft_min_matches_the_reference_bit_for_bit() {
+        let xs = [
+            0.0,
+            -0.0,
+            1.0,
+            -3.5,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for gamma in GAMMAS {
+            for a in xs {
+                for b in xs {
+                    for c in xs {
+                        assert!(
+                            same(soft_min(a, b, c, gamma), soft_min_reference(a, b, c, gamma)),
+                            "soft_min({a}, {b}, {c}, {gamma})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn soft_dtw_matches_the_reference_bit_for_bit() {
+        let mut rng = DetRng::seed_from_u64(0xD7);
+        let mut seqs: Vec<Vec<f64>> = vec![
+            vec![0.0, f64::INFINITY, 1.0],
+            vec![f64::NEG_INFINITY, 0.5, -0.5],
+            vec![f64::NAN, 0.2, 0.3],
+            vec![0.1, -0.2, f64::INFINITY, f64::NAN, f64::NEG_INFINITY],
+        ];
+        let specials = seqs.len();
+        for len in 1..=200 {
+            seqs.push((0..len).map(|_| rng.gen_range(-1.0..1.0)).collect());
+        }
+        for gamma in GAMMAS {
+            // Every length 1–200 against a shorter partner, both ways.
+            for (i, a) in seqs[specials..].iter().enumerate() {
+                let b = &seqs[specials + (i * 7) % 50];
+                for (x, y) in [(a, b), (b, a)] {
+                    assert_eq!(
+                        soft_dtw(x, y, gamma).to_bits(),
+                        soft_dtw_reference(x, y, gamma).to_bits(),
+                        "lengths {}×{}, gamma {gamma}",
+                        x.len(),
+                        y.len()
+                    );
+                }
+            }
+            // Infinite and NaN samples against each other and a random one.
+            for x in &seqs[..=specials] {
+                for y in &seqs[..=specials] {
+                    assert!(
+                        same(soft_dtw(x, y, gamma), soft_dtw_reference(x, y, gamma)),
+                        "{x:?} vs {y:?}, gamma {gamma}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,6 +102,13 @@ pub trait Kernel {
 
     /// Runs the computation.
     ///
+    /// An implementation may memoize its output per instance for
+    /// descriptor inputs (`Value::U64(n)`) when that output is a pure
+    /// function of the input, as `MatMul` and `SoftDtw` do: timing
+    /// comes from [`Kernel::work`], so a memo changes host time only.
+    /// A kernel whose output depends on state that evolves across calls
+    /// (an RNG stream, as in `MonteCarlo`) must not memoize.
+    ///
     /// # Errors
     ///
     /// Returns [`KernelError::BadInput`] if `input` has the wrong shape.

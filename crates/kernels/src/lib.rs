@@ -39,6 +39,7 @@ mod image;
 mod kernel;
 mod matmul;
 mod mci;
+mod memo;
 mod qc;
 mod resnet;
 mod value;

@@ -4,6 +4,7 @@ use kaas_accel::{DeviceClass, WorkUnits};
 use kaas_simtime::rng::DetRng;
 
 use crate::kernel::{Kernel, KernelError};
+use crate::memo::DescriptorMemo;
 use crate::value::Value;
 
 /// Largest dimension `execute` computes for real when given a descriptor
@@ -17,7 +18,8 @@ const EXEC_CAP: usize = 128;
 /// * `Value::U64(n)` — descriptor mode, as in the paper's experiments
 ///   (the client controls task granularity through `n`). `execute`
 ///   multiplies a deterministic `min(n, 128)²` instance and returns a
-///   checksum; `work` describes the full `n` cost.
+///   checksum, memoized per instance by the clamped size; `work`
+///   describes the full `n` cost.
 /// * `Value::List([a, b])` of two matrices — computes the real product.
 ///
 /// # Examples
@@ -32,12 +34,14 @@ const EXEC_CAP: usize = 128;
 /// assert_eq!(c, Value::matrix(vec![19.0, 22.0, 43.0, 50.0], 2, 2));
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct MatMul;
+pub struct MatMul {
+    memo: DescriptorMemo,
+}
 
 impl MatMul {
     /// Creates the kernel.
     pub fn new() -> Self {
-        MatMul
+        Self::default()
     }
 }
 
@@ -116,11 +120,13 @@ impl Kernel for MatMul {
         match input {
             Value::U64(n) => {
                 let n = (*n as usize).clamp(1, EXEC_CAP);
-                let mut rng = DetRng::seed_from_u64(42 ^ n as u64);
-                let a: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let b: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let c = matmul(&a, &b, n, n, n);
-                Ok(Value::F64(c.iter().sum()))
+                self.memo.get_or_compute(n as u64, || {
+                    let mut rng = DetRng::seed_from_u64(42 ^ n as u64);
+                    let a: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let b: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let c = matmul(&a, &b, n, n, n);
+                    Ok(Value::F64(c.iter().sum()))
+                })
             }
             Value::List(items) if items.len() == 2 => match (&items[0], &items[1]) {
                 (

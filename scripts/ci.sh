@@ -116,6 +116,19 @@ if [[ "$vf_a" != "$vf_b" ]]; then
     exit 1
 fi
 
+echo "==> trace stage: diurnal replay matches the committed archive"
+# Archive-vs-fresh: the replay must reproduce results/trace.csv byte for
+# byte, so a change that moves its numbers must refresh the archive.
+if ! diff <(cargo run -q --release -p kaas-bench --bin trace) results/trace.csv >&2; then
+    echo "results/trace.csv no longer matches --bin trace" >&2
+    exit 1
+fi
+
+echo "==> perfbench stage: benchmark same-seed and correctness tests"
+# The benchmark is its own Cargo workspace; its tests check that outputs
+# match fresh kernel instances and that same-seed passes replay exactly.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo build --features trace --examples"
 cargo build --release --features trace --examples
 
