@@ -162,9 +162,7 @@ impl SharedProcessor {
     /// accumulated since construction.
     pub fn busy_seconds(&self) -> f64 {
         let mut s = self.state.borrow_mut();
-        let t = kaas_simtime::Handle::try_current()
-            .map(|h| h.now())
-            .unwrap_or(s.last_settle);
+        let t = kaas_simtime::try_now().unwrap_or(s.last_settle);
         s.settle(t);
         s.busy_seconds
     }

@@ -1063,7 +1063,17 @@ fn string_literals(stripped_text: &str, original: &str, start: usize, end: usize
 // R2: metric inventory
 // ---------------------------------------------------------------------------
 
-const EMIT_METHODS: [&str; 4] = ["inc", "add", "observe", "set_gauge"];
+/// Registry methods whose first argument is a metric name: the string
+/// emitters plus the handle constructors hot paths resolve once.
+const EMIT_METHODS: [&str; 7] = [
+    "inc",
+    "add",
+    "observe",
+    "set_gauge",
+    "counter_handle",
+    "gauge_handle",
+    "histogram_handle",
+];
 
 /// One declared metric name pattern from `metrics/INVENTORY`.
 #[derive(Debug, Clone)]
@@ -1103,8 +1113,10 @@ pub fn parse_inventory(src: &str) -> Vec<InventoryEntry> {
 }
 
 /// Collects every metric name pattern emitted through the registry in
-/// `src` (literal first arguments of `.inc/.add/.observe/.set_gauge`,
-/// including `&format!("...")` patterns, verbatim), skipping
+/// `src` (literal first arguments of `.inc/.add/.observe/.set_gauge`
+/// and of the `.counter_handle/.gauge_handle/.histogram_handle`
+/// constructors, including `&format!("...")` patterns, verbatim),
+/// skipping
 /// `#[cfg(test)] mod` blocks. Returns (pattern, line).
 pub fn emitted_metrics(src: &str) -> Vec<(String, usize)> {
     let stripped = strip_source(src);
@@ -1632,6 +1644,29 @@ mod tests {
             &[(PathBuf::from("x.rs"), src.to_string())],
         );
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn r2_counts_handle_constructor_literals_as_emitted() {
+        let inv = "invocations\ndataplane.{dev}.bytes_resident\nlatency.server\n";
+        let src = "fn f(r: &R, dev: D) { let _ = r.counter_handle(\"invocations\"); \
+                   let _ = r.gauge_handle(&format!(\"dataplane.{dev}.bytes_resident\")); \
+                   let _ = r.histogram_handle(\"latency.server\"); }";
+        let d = check_metric_inventory(
+            Path::new("INVENTORY"),
+            inv,
+            &[(PathBuf::from("x.rs"), src.to_string())],
+        );
+        assert!(d.is_empty(), "{d:?}");
+        // ...and an undeclared handle name is still flagged.
+        let typo = "fn f(r: &R) { let _ = r.counter_handle(\"invocatons\"); }";
+        let d = check_metric_inventory(
+            Path::new("INVENTORY"),
+            "invocations\n",
+            &[(PathBuf::from("x.rs"), typo.to_string())],
+        );
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d.iter().any(|d| d.message.contains("invocatons")));
     }
 
     #[test]

@@ -292,13 +292,10 @@ async fn shard_worker(
         // `sum(depths) == queued` at every executor step boundary.
         depth.set(depth.get() - 1);
         queued.set(queued.get() - 1);
-        server
-            .inner()
-            .metrics_registry
-            .set_gauge(&format!("dispatch.shard.{shard}.depth"), depth.get() as f64);
         {
             let inner = server.inner();
-            let m = &inner.metrics_registry;
+            let m = &inner.handles;
+            m.shards[shard].depth.set(depth.get() as f64);
             // Lazy deadline ejection (bounded-queue mode only): the
             // deadline passed while the job sat in the queue, so it is
             // dead on arrival — reply now and never pay the routing
@@ -309,8 +306,8 @@ async fn shard_worker(
             if eject_expired && job.req.deadline.is_some_and(|d| now() > d) {
                 ejected.set(ejected.get() + 1);
                 ejected_total.set(ejected_total.get() + 1);
-                m.inc("dispatch.ejected");
-                m.inc(&format!("dispatch.shard.{shard}.ejected"));
+                m.dispatch_ejected.inc();
+                m.shards[shard].ejected.inc();
                 let _ = reply.send(Err(InvokeError::DeadlineExceeded));
                 continue;
             }
@@ -318,7 +315,7 @@ async fn shard_worker(
             // limiter's control signal.
             inner.admission.observe_queue_wait(now() - enqueued);
             if let Some(limit) = inner.admission.current_limit() {
-                m.set_gauge("admission.limit", limit as f64);
+                m.admission_limit.set(limit as f64);
             }
         }
         // This worker is one task, so jobs on one shard pay the routing
@@ -326,8 +323,9 @@ async fn shard_worker(
         sleep(overhead).await;
         let inner = server.inner();
         inner
-            .metrics_registry
-            .observe("dispatch.shard_ns", (now() - enqueued).as_nanos() as f64);
+            .handles
+            .dispatch_shard_ns
+            .observe((now() - enqueued).as_nanos() as f64);
         if let Some(t) = &inner.config.tracer {
             t.record(
                 "server",
@@ -354,11 +352,13 @@ impl KaasServer {
         // Reserved flow endpoints: register a workflow DAG / trigger a
         // server-side dataflow run. These shape their own response
         // (they carry a per-step report alongside the result).
+        // Control branches are boxed (here and below) so their state
+        // stays out of this future, which every batch member holds.
         if req.kernel.starts_with(crate::flow::FLOW_KERNEL_PREFIX) {
-            return self.flow_frame(req).await;
+            return Box::pin(self.flow_frame(req)).await;
         }
         let id = req.id;
-        let kernel = req.kernel.clone();
+        let discovery = req.kernel == DISCOVERY_KERNEL;
         match self.handle_inner(req).await {
             Ok((data, report)) => Response {
                 id,
@@ -367,10 +367,8 @@ impl KaasServer {
                 flow: None,
             },
             Err(e) => {
-                if kernel != DISCOVERY_KERNEL {
-                    let m = &self.inner().metrics_registry;
-                    m.inc("errors");
-                    m.inc(&format!("errors.{}", e.kind()));
+                if !discovery {
+                    self.inner().handles.error(e.kind());
                 }
                 Response {
                     id,
@@ -394,12 +392,12 @@ impl KaasServer {
         // Reserved data-plane endpoints: put/get/seal/pin against the
         // content-addressed object store.
         if req.kernel.starts_with(DATA_KERNEL_PREFIX) {
-            return self.dataplane_op(req).await;
+            return Box::pin(self.dataplane_op(req)).await;
         }
         // Reserved guest-code endpoints: register/list/remove against
         // the tenant kernel registry.
         if req.kernel.starts_with(CODE_KERNEL_PREFIX) {
-            return self.code_op(req).await;
+            return Box::pin(self.code_op(req)).await;
         }
         let inner = self.inner();
         let tracer = inner.config.tracer.clone();
@@ -425,9 +423,7 @@ impl KaasServer {
             Err(e) => return Err(e),
         };
         if let Some(limit) = inner.admission.current_limit() {
-            inner
-                .metrics_registry
-                .set_gauge("admission.limit", limit as f64);
+            inner.handles.admission_limit.set(limit as f64);
         }
         span("admission", submitted, now());
         // Request parsing stays on the front door: resolve the kernel
@@ -443,9 +439,7 @@ impl KaasServer {
                     // predicted cost of this invocation — recorded so
                     // admission policy can be tuned against it.
                     if let Some(fuel) = g.predicted_fuel() {
-                        inner
-                            .metrics_registry
-                            .observe("guest.predicted_fuel", fuel as f64);
+                        inner.handles.guest_predicted_fuel.observe(fuel as f64);
                     }
                     g as Rc<dyn Kernel>
                 }
@@ -473,7 +467,9 @@ impl KaasServer {
                     sleep(inner.config.dispatch_overhead).await;
                 }
                 span("dispatch", t_dispatch, now());
-                self.execute(job).await
+                // Boxed to keep `execute`'s state out of this future
+                // too; the baseline pays one allocation per request.
+                Box::pin(self.execute(job)).await
             }
             // Sharded: the front door only classifies + enqueues;
             // placement, the cache step, retry, and the runner handoff
@@ -490,11 +486,9 @@ impl KaasServer {
                     let _front = front_lock.acquire(1).await;
                     sleep(config.front_door_overhead).await;
                 }
-                let m = &inner.metrics_registry;
-                m.observe(
-                    "dispatch.front_door_ns",
-                    (now() - t_dispatch).as_nanos() as f64,
-                );
+                let m = &inner.handles;
+                m.dispatch_front_door_ns
+                    .observe((now() - t_dispatch).as_nanos() as f64);
                 let shard = inner.dispatch.pick_shard(&job.req.kernel);
                 let q = &shards[shard];
                 // Enqueue-time shedding: dead or over-cap work never
@@ -504,8 +498,8 @@ impl KaasServer {
                 let eject = |err: InvokeError| {
                     q.ejected.set(q.ejected.get() + 1);
                     ejected_total.set(ejected_total.get() + 1);
-                    m.inc("dispatch.ejected");
-                    m.inc(&format!("dispatch.shard.{shard}.ejected"));
+                    m.dispatch_ejected.inc();
+                    m.shards[shard].ejected.inc();
                     err
                 };
                 if job.req.deadline.is_some_and(|d| now() > d) {
@@ -522,10 +516,7 @@ impl KaasServer {
                 // executor step.
                 q.depth.set(q.depth.get() + 1);
                 queued.set(queued.get() + 1);
-                m.set_gauge(
-                    &format!("dispatch.shard.{shard}.depth"),
-                    q.depth.get() as f64,
-                );
+                m.shards[shard].depth.set(q.depth.get() as f64);
                 let (reply_tx, reply_rx) = channel::oneshot();
                 let dj = DispatchJob {
                     server: self.clone(),
@@ -627,13 +618,13 @@ impl KaasServer {
         // (`ServerConfig::retry`); failures feed the per-device circuit
         // breaker and the slot's eviction accounting.
         let retry = &inner.config.retry;
-        let m = &inner.metrics_registry;
+        let m = &inner.handles;
         let mut attempts = 0u32;
         let mut backoff_spent = Duration::ZERO;
         let (output, timings, runner_id, device_id, started, degraded) = loop {
             attempts += 1;
             if attempts > 1 {
-                m.inc("retries.attempted");
+                m.retries_attempted.inc();
             }
             let t_wait = now();
             // Runners are keyed by the *resolved* kernel identity, not
@@ -654,13 +645,13 @@ impl KaasServer {
                 if let Some(mgr) = inner.dataplane.manager(slot.device()) {
                     hit = mgr.touch(r.hash);
                     if hit {
-                        m.inc("dataplane.hits");
+                        m.dataplane_hits.inc();
                     } else {
-                        m.inc("dataplane.misses");
+                        m.dataplane_misses.inc();
                         match inner.dataplane.admit(slot.device(), r) {
                             Ok(evicted) => {
                                 admitted = true;
-                                m.add("dataplane.evictions", evicted.len() as u64);
+                                m.dataplane_evictions.add(evicted.len() as u64);
                                 if let Some(t) = &tracer {
                                     for h in evicted {
                                         t.record(
@@ -770,7 +761,7 @@ impl KaasServer {
                     self.note_breaker(slot.device(), false);
                     if slot.record_failure(inner.config.eviction.failure_threshold) {
                         inner.pool.quarantine(&slot);
-                        m.inc("evictions");
+                        m.evictions.inc();
                     }
                     if let Some(t) = &tracer {
                         t.record(
@@ -835,12 +826,10 @@ impl KaasServer {
             inner.guests.account(kernel.name(), m);
         }
         if object.is_some() {
-            m.set_gauge(
-                "dataplane.bytes_resident",
-                inner.dataplane.bytes_resident() as f64,
-            );
+            m.dataplane_bytes_resident
+                .set(inner.dataplane.bytes_resident() as f64);
             for (dev, bytes) in inner.dataplane.residency() {
-                m.set_gauge(&format!("dataplane.{dev}.bytes_resident"), bytes as f64);
+                m.device(dev).bytes_resident.set(bytes as f64);
             }
         }
 
@@ -880,35 +869,36 @@ impl KaasServer {
     /// and current-level gauges.
     fn record_registry(&self, report: &InvocationReport) {
         let inner = self.inner();
-        let m = &inner.metrics_registry;
-        let k = &report.kernel;
-        m.inc("invocations");
-        m.inc(&format!("invocations.{k}"));
+        let m = &inner.handles;
+        let per_kernel = m.kernel(&report.kernel);
+        m.invocations.inc();
+        per_kernel.invocations.inc();
         if report.cold_start {
-            m.inc("cold_starts");
+            m.cold_starts.inc();
         }
         if report.degraded {
-            m.inc("degraded.served");
+            m.degraded_served.inc();
         }
-        for (name, v) in [
-            ("latency.server", report.server_latency()),
-            ("latency.queue", report.queue_time()),
-            ("copy_in", report.copy_in),
-            ("kernel_exec", report.kernel_exec),
-            ("copy_out", report.copy_out),
-        ] {
-            m.observe(name, v.as_secs_f64());
-            m.observe(&format!("{name}.{k}"), v.as_secs_f64());
+        // In `STAGES` order.
+        let values = [
+            report.server_latency(),
+            report.queue_time(),
+            report.copy_in,
+            report.kernel_exec,
+            report.copy_out,
+        ];
+        for ((global, kernel), v) in m.stages.iter().zip(&per_kernel.stages).zip(values) {
+            global.observe(v.as_secs_f64());
+            kernel.observe(v.as_secs_f64());
         }
-        m.set_gauge("in_flight", inner.pool.total_in_flight() as f64);
-        m.set_gauge("runners", inner.pool.total_runners() as f64);
+        m.in_flight.set(inner.pool.total_in_flight() as f64);
+        m.runners.set(inner.pool.total_runners() as f64);
         let elapsed = now().as_secs_f64();
         if elapsed > 0.0 {
             for d in inner.pool.devices() {
-                m.set_gauge(
-                    &format!("{}.utilization", d.id()),
-                    (d.busy_seconds() / elapsed).min(1.0),
-                );
+                m.device(d.id())
+                    .utilization
+                    .set((d.busy_seconds() / elapsed).min(1.0));
             }
         }
     }
@@ -930,9 +920,7 @@ impl KaasServer {
                 BreakerState::HalfOpen => 1.0,
                 BreakerState::Open => 2.0,
             };
-            inner
-                .metrics_registry
-                .set_gauge(&format!("breaker.{device}.state"), level);
+            inner.handles.device(device).breaker_state.set(level);
         }
     }
 
@@ -1114,7 +1102,7 @@ impl KaasServer {
             DataRef::Object(r) => inner.dataplane.resolve(&r).ok_or(InvokeError::BadHandle)?,
         };
         let dp = &inner.dataplane;
-        let m = &inner.metrics_registry;
+        let m = &inner.handles;
         let parse_ref = |v: &Value| {
             ObjectRef::from_value(v)
                 .ok_or_else(|| InvokeError::BadInput("expected an object ref".into()))
@@ -1123,9 +1111,10 @@ impl KaasServer {
         let output = match op {
             "put" => {
                 let r = dp.put(input);
-                m.inc("dataplane.puts");
-                m.set_gauge("dataplane.objects", dp.store().len() as f64);
-                m.set_gauge("dataplane.bytes_stored", dp.store().bytes_stored() as f64);
+                m.dataplane_puts.inc();
+                m.dataplane_objects.set(dp.store().len() as f64);
+                m.dataplane_bytes_stored
+                    .set(dp.store().bytes_stored() as f64);
                 r.to_value()
             }
             "get" => {
@@ -1157,5 +1146,37 @@ impl KaasServer {
             DataRef::InBand(output)
         };
         Ok((data, report))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use kaas_net::SharedMemory;
+
+    use super::*;
+    use crate::registry::KernelRegistry;
+
+    /// Under a wide batch every member's `handle()` future is live at
+    /// once, so the cold control-plane branches are boxed out of it.
+    #[test]
+    fn handle_future_stays_small() {
+        let server = KaasServer::new(
+            Vec::new(),
+            KernelRegistry::new(),
+            SharedMemory::host(),
+            ServerConfig::default(),
+        );
+        let req = Request {
+            id: 0,
+            kernel: "mci".into(),
+            data: DataRef::InBand(Value::Unit),
+            tenant: None,
+            deadline: None,
+            span: None,
+            reply_out_of_band: false,
+            reply_to_store: false,
+        };
+        let size = std::mem::size_of_val(&server.handle(req));
+        assert!(size <= 1_600, "handle() future is {size} B");
     }
 }

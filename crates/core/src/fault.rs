@@ -396,7 +396,7 @@ fn apply(
         }
     };
     let kind = fault.kind();
-    let m = &inner.metrics_registry;
+    let m = inner.handles.registry();
     m.inc("faults.injected");
     m.inc(&format!("faults.{kind}"));
     if let Some(tracer) = &inner.config.tracer {

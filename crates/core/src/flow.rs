@@ -163,9 +163,7 @@ impl KaasServer {
                 flow,
             },
             Err((e, flow)) => {
-                let m = &self.inner().metrics_registry;
-                m.inc("errors");
-                m.inc(&format!("errors.{}", e.kind()));
+                self.inner().handles.error(e.kind());
                 Response {
                     id,
                     result: Err(e),
@@ -200,7 +198,7 @@ impl KaasServer {
                 .resolve(&r)
                 .ok_or((InvokeError::BadHandle, None))?,
         };
-        let m = &inner.metrics_registry;
+        let m = &inner.handles;
         let op = req.kernel.strip_prefix(FLOW_KERNEL_PREFIX).unwrap_or("");
         match op {
             "register" => {
@@ -216,7 +214,7 @@ impl KaasServer {
                     }
                 }
                 let flow_id = inner.flows.register(wf);
-                m.inc("workflow.registered");
+                m.registry().inc("workflow.registered");
                 let output = Value::U64(flow_id);
                 let data = self.shape_flow_reply(output, oob).await;
                 Ok((data, self.control_report(FLOW_REGISTER_KERNEL), None))
@@ -236,10 +234,10 @@ impl KaasServer {
                     .await
                 {
                     Ok((final_ref, report)) => {
-                        m.inc("workflow.runs");
-                        m.add("workflow.steps", report.steps.len() as u64);
-                        m.add("workflow.chained_hits", report.chained_hits() as u64);
-                        m.observe("workflow.latency", (now() - t0).as_secs_f64());
+                        m.workflow_runs.inc();
+                        m.workflow_steps.add(report.steps.len() as u64);
+                        m.workflow_chained_hits.add(report.chained_hits() as u64);
+                        m.workflow_latency.observe((now() - t0).as_secs_f64());
                         let data = if flags & FLOW_REPLY_REF != 0 {
                             // Segment handoff: only the 24-byte address
                             // travels; the value stays server-side.
@@ -254,7 +252,7 @@ impl KaasServer {
                         Ok((data, self.control_report(FLOW_RUN_KERNEL), Some(report)))
                     }
                     Err((e, report)) => {
-                        m.inc("workflow.failures");
+                        m.workflow_failures.inc();
                         Err((e, Some(report)))
                     }
                 }
@@ -293,11 +291,11 @@ impl KaasServer {
         let inner = self.inner();
         let flows = &inner.flows;
         let dp = &inner.dataplane;
-        let m = &inner.metrics_registry;
+        let m = &inner.handles;
         let run_no = flows.next_run.get();
         flows.next_run.set(run_no + 1);
         flows.active.set(flows.active.get() + 1);
-        m.set_gauge("workflow.active", flows.active.get() as f64);
+        m.workflow_active.set(flows.active.get() as f64);
         let tracer = inner.config.tracer.clone();
         let track = format!("flow{run_no}");
         let root = tracer.as_ref().map(|t| {
@@ -327,7 +325,7 @@ impl KaasServer {
             Some(r) => {
                 if dp.resolve(&r).is_none() {
                     flows.active.set(flows.active.get() - 1);
-                    m.set_gauge("workflow.active", flows.active.get() as f64);
+                    m.workflow_active.set(flows.active.get() as f64);
                     if let Some(root) = root {
                         root.finish();
                     }
@@ -353,10 +351,8 @@ impl KaasServer {
         dp.flow_pin(input_ref.hash);
         tracked.push((staged.0.hash, staged.1));
         flows.intermediates.set(flows.intermediates.get() + 1);
-        m.set_gauge(
-            "workflow.intermediates_live",
-            flows.intermediates.get() as f64,
-        );
+        m.workflow_intermediates_live
+            .set(flows.intermediates.get() as f64);
 
         let steps = wf.steps();
         let n = steps.len();
@@ -425,10 +421,8 @@ impl KaasServer {
                                 dp.flow_pin(r.hash);
                                 tracked.push((r.hash, created));
                                 flows.intermediates.set(flows.intermediates.get() + 1);
-                                m.set_gauge(
-                                    "workflow.intermediates_live",
-                                    flows.intermediates.get() as f64,
-                                );
+                                m.workflow_intermediates_live
+                                    .set(flows.intermediates.get() as f64);
                                 Ok(StepInput::Obj(r))
                             }
                         }
@@ -499,17 +493,15 @@ impl KaasServer {
                     dp.flow_pin(r.hash);
                     tracked.push((r.hash, created));
                     flows.intermediates.set(flows.intermediates.get() + 1);
-                    m.set_gauge(
-                        "workflow.intermediates_live",
-                        flows.intermediates.get() as f64,
-                    );
+                    m.workflow_intermediates_live
+                        .set(flows.intermediates.get() as f64);
                     // The output was born in the producing device's
                     // memory: record the residency (no upload happens —
                     // this is bookkeeping, not a copy). A full device
                     // simply skips the record; consumers re-upload.
                     if !dp.is_resident(report.device, r.hash) {
                         if let Ok(evicted) = dp.admit(report.device, &r) {
-                            m.add("dataplane.evictions", evicted.len() as u64);
+                            m.dataplane_evictions.add(evicted.len() as u64);
                         }
                     }
                     refs[i] = Some(r);
@@ -575,12 +567,10 @@ impl KaasServer {
                 dp.remove(hash);
             }
         }
-        m.set_gauge(
-            "workflow.intermediates_live",
-            flows.intermediates.get() as f64,
-        );
+        m.workflow_intermediates_live
+            .set(flows.intermediates.get() as f64);
         flows.active.set(flows.active.get() - 1);
-        m.set_gauge("workflow.active", flows.active.get() as f64);
+        m.workflow_active.set(flows.active.get() as f64);
         if let Some(root) = root {
             root.finish();
         }
@@ -666,10 +656,7 @@ impl KaasServer {
                             // retry budget caps that amplification.
                             if let Some(b) = &server.inner().retry_budget {
                                 if !b.try_spend() {
-                                    server
-                                        .inner()
-                                        .metrics_registry
-                                        .inc("retries.budget_exhausted");
+                                    server.inner().handles.retries_budget_exhausted.inc();
                                     break Err(e);
                                 }
                             }

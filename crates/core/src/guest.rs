@@ -23,7 +23,7 @@ use kaas_guest::{GuestKernel, GuestMeter, GuestProgram, Trap};
 use kaas_kernels::Value;
 use kaas_simtime::sleep;
 
-use crate::metrics::registry::MetricsRegistry;
+use crate::metrics::handles::ServerMetrics;
 use crate::metrics::InvocationReport;
 use crate::protocol::{DataRef, InvokeError, Request};
 use crate::server::KaasServer;
@@ -213,7 +213,7 @@ impl GuestState {
     /// the `guest.*` counters. Cumulative-meter deltas make this safe to
     /// call after every invocation regardless of interleaving: usage is
     /// counted exactly once. No-op for tombstoned or unknown names.
-    pub(crate) fn account(&self, full_name: &str, m: &MetricsRegistry) {
+    pub(crate) fn account(&self, full_name: &str, m: &ServerMetrics) {
         let map = self.kernels.borrow();
         let Some((base, v)) = full_name.rsplit_once("@v") else {
             return;
@@ -234,11 +234,11 @@ impl GuestState {
             return;
         }
         entry.billed.set(cur);
-        m.add("guest.invocations", cur.invocations - prev.invocations);
-        m.add("guest.fuel_used", cur.fuel - prev.fuel);
-        m.add("guest.bytes", cur.bytes - prev.bytes);
+        m.guest_invocations.add(cur.invocations - prev.invocations);
+        m.guest_fuel_used.add(cur.fuel - prev.fuel);
+        m.guest_bytes.add(cur.bytes - prev.bytes);
         let tenant = base.split('/').next().unwrap_or(base);
-        m.add(&format!("guest.tenant.{tenant}.fuel"), cur.fuel - prev.fuel);
+        m.tenant_fuel(tenant).add(cur.fuel - prev.fuel);
     }
 }
 
@@ -271,7 +271,7 @@ impl KaasServer {
             DataRef::OutOfBand(h) => inner.shm.take(h).await.ok_or(InvokeError::BadHandle)?,
             DataRef::Object(r) => inner.dataplane.resolve(&r).ok_or(InvokeError::BadHandle)?,
         };
-        let m = &inner.metrics_registry;
+        let m = inner.handles.registry();
         let text = |v: &Value, what: &str| match v.payload() {
             Value::Text(t) => Ok(t.clone()),
             _ => Err(InvokeError::BadInput(format!("expected {what} as text"))),
@@ -321,6 +321,7 @@ impl KaasServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::registry::MetricsRegistry;
     use kaas_accel::DeviceClass;
     use kaas_guest::Op;
     use kaas_kernels::Kernel;
@@ -424,18 +425,19 @@ mod tests {
         let k = state.resolve(&full).unwrap();
         k.execute(&Value::U64(1)).unwrap();
         k.execute(&Value::U64(2)).unwrap();
-        let m = MetricsRegistry::new();
-        state.account(&full, &m);
+        let handles = ServerMetrics::new(MetricsRegistry::new(), &[], 0);
+        let m = handles.registry();
+        state.account(&full, &handles);
         assert_eq!(m.counter("guest.invocations"), 2);
         assert_eq!(
             m.counter("guest.tenant.acme.fuel"),
             m.counter("guest.fuel_used")
         );
         // Re-accounting with no new work adds nothing.
-        state.account(&full, &m);
+        state.account(&full, &handles);
         assert_eq!(m.counter("guest.invocations"), 2);
         k.execute(&Value::U64(3)).unwrap();
-        state.account(&full, &m);
+        state.account(&full, &handles);
         assert_eq!(m.counter("guest.invocations"), 3);
     }
 

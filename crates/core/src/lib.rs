@@ -105,7 +105,7 @@ pub use flow::{FLOW_KERNEL_PREFIX, FLOW_REGISTER_KERNEL, FLOW_RUN_KERNEL};
 pub use fusion::{fuse, FusedKernel, FusionError};
 pub use guest::{CODE_KERNEL_PREFIX, CODE_LIST_KERNEL, CODE_REGISTER_KERNEL, CODE_REMOVE_KERNEL};
 pub use metrics::histogram::{Histogram, HistogramSummary};
-pub use metrics::registry::MetricsRegistry;
+pub use metrics::registry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 pub use metrics::{mean_ci95, percentile, InvocationReport, MeanCi, MetricsSink, RunnerId};
 pub use pool::{RunnerPool, RunnerSlot};
 pub use protocol::{

@@ -3,16 +3,20 @@
 //! Two layers live here:
 //!
 //! * [`InvocationReport`] / [`MetricsSink`] — the raw per-invocation
-//!   record stream, returned with every response.
+//!   record stream, returned with every response (the sink keeps only
+//!   the most recent reports).
 //! * [`MetricsRegistry`](registry::MetricsRegistry) — the structured
 //!   store (counters, gauges, [`Histogram`](histogram::Histogram)
 //!   latency distributions) the server feeds on every invocation and
-//!   the experiment figures read from.
+//!   the experiment figures read from. The server's per-request sites
+//!   update it through pre-resolved handles (`handles::ServerMetrics`).
 
+pub(crate) mod handles;
 pub mod histogram;
 pub mod registry;
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -75,16 +79,34 @@ impl InvocationReport {
     }
 }
 
-/// Shared sink collecting every invocation report of a server.
+/// How many of the most recent reports a [`MetricsSink`] keeps for
+/// [`MetricsSink::snapshot`].
+const SNAPSHOT_CAP: usize = 4096;
+
+/// Shared sink of a server's invocation reports.
+///
+/// Memory stays bounded however many invocations run:
+/// [`len`](MetricsSink::len) and [`cold_starts`](MetricsSink::cold_starts)
+/// count every report over the sink's lifetime, but only the most
+/// recent 4 096 reports are kept for [`snapshot`](MetricsSink::snapshot).
+/// Long-run aggregates belong in the
+/// [`MetricsRegistry`](registry::MetricsRegistry).
 #[derive(Clone, Default)]
 pub struct MetricsSink {
-    records: Rc<RefCell<Vec<InvocationReport>>>,
+    inner: Rc<RefCell<SinkInner>>,
+}
+
+#[derive(Default)]
+struct SinkInner {
+    recent: VecDeque<InvocationReport>,
+    len: usize,
+    cold_starts: usize,
 }
 
 impl std::fmt::Debug for MetricsSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsSink")
-            .field("records", &self.records.borrow().len())
+            .field("records", &self.len())
             .finish()
     }
 }
@@ -95,14 +117,21 @@ impl MetricsSink {
         Self::default()
     }
 
-    /// Appends a report.
+    /// Appends a report, dropping the oldest kept one once
+    /// [`snapshot`](MetricsSink::snapshot) is full.
     pub fn record(&self, report: InvocationReport) {
-        self.records.borrow_mut().push(report);
+        let mut inner = self.inner.borrow_mut();
+        inner.len += 1;
+        inner.cold_starts += report.cold_start as usize;
+        if inner.recent.len() == SNAPSHOT_CAP {
+            inner.recent.pop_front();
+        }
+        inner.recent.push_back(report);
     }
 
-    /// Number of recorded invocations.
+    /// Number of invocations recorded over the sink's lifetime.
     pub fn len(&self) -> usize {
-        self.records.borrow().len()
+        self.inner.borrow().len
     }
 
     /// Whether nothing has been recorded.
@@ -110,18 +139,15 @@ impl MetricsSink {
         self.len() == 0
     }
 
-    /// Snapshot of all records.
+    /// The most recent reports (up to 4 096), oldest first.
     pub fn snapshot(&self) -> Vec<InvocationReport> {
-        self.records.borrow().clone()
+        self.inner.borrow().recent.iter().cloned().collect()
     }
 
-    /// How many recorded invocations were cold starts.
+    /// How many recorded invocations were cold starts, over the sink's
+    /// lifetime.
     pub fn cold_starts(&self) -> usize {
-        self.records
-            .borrow()
-            .iter()
-            .filter(|r| r.cold_start)
-            .count()
+        self.inner.borrow().cold_starts
     }
 }
 
@@ -207,6 +233,25 @@ mod tests {
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.cold_starts(), 1);
         assert!(!sink.is_empty());
+    }
+
+    #[test]
+    fn sink_keeps_lifetime_counts_but_a_bounded_snapshot() {
+        let sink = MetricsSink::new();
+        let n = SNAPSHOT_CAP + 10;
+        for i in 0..n {
+            sink.record(report(i % 2 == 0, i as f64, i as f64, i as f64));
+        }
+        assert_eq!(sink.len(), n);
+        assert_eq!(sink.cold_starts(), n.div_ceil(2));
+        let kept = sink.snapshot();
+        assert_eq!(kept.len(), SNAPSHOT_CAP);
+        // The oldest reports were dropped, the newest kept in order.
+        assert_eq!(kept[0].submitted, SimTime::from_secs_f64(10.0));
+        assert_eq!(
+            kept[SNAPSHOT_CAP - 1].submitted,
+            SimTime::from_secs_f64((n - 1) as f64)
+        );
     }
 
     #[test]

@@ -12,23 +12,99 @@
 //!
 //! All maps are ordered (`BTreeMap`) and all state is deterministic, so
 //! [`MetricsRegistry::render`] output is byte-identical across
-//! identical runs.
+//! identical runs. Each map value is a shared cell, so a typed handle
+//! ([`Counter`], [`Gauge`], [`HistogramHandle`]) resolved once updates
+//! the metric without a name lookup. A cell counts as a metric only
+//! once it has been written: resolving a handle alone shows nothing.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 use super::histogram::{Histogram, HistogramSummary};
 
+/// A pre-resolved counter: a shared cell in its registry's map.
+/// Updating it costs no name lookup and no allocation. The cell is
+/// `None` until first written, and only then does the counter appear
+/// in [`MetricsRegistry::render`] and [`MetricsRegistry::names`].
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Rc<Cell<Option<u64>>>);
+
+impl Counter {
+    /// Increments by one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Increments by `delta` (zero still marks the counter written).
+    pub fn add(&self, delta: u64) {
+        self.0.set(Some(self.get() + delta));
+    }
+
+    /// Current value (zero if never written).
+    pub fn get(&self) -> u64 {
+        self.0.get().unwrap_or(0)
+    }
+}
+
+/// A pre-resolved gauge; see [`Counter`].
+#[derive(Debug, Clone, Default)]
+pub struct Gauge(Rc<Cell<Option<f64>>>);
+
+impl Gauge {
+    /// Sets the level.
+    pub fn set(&self, value: f64) {
+        self.0.set(Some(value));
+    }
+
+    /// Current level, if ever set.
+    pub fn get(&self) -> Option<f64> {
+        self.0.get()
+    }
+}
+
+/// A pre-resolved histogram; see [`Counter`]. It is written once it
+/// holds an observation.
+#[derive(Debug, Clone, Default)]
+pub struct HistogramHandle(Rc<RefCell<Histogram>>);
+
+impl HistogramHandle {
+    /// Records one observation; see [`Histogram::observe`].
+    pub fn observe(&self, value: f64) {
+        self.0.borrow_mut().observe(value);
+    }
+
+    fn written(&self) -> bool {
+        !self.0.borrow().is_empty()
+    }
+}
+
 #[derive(Debug, Default)]
 struct RegistryInner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: BTreeMap<String, Counter>,
+    gauges: BTreeMap<String, Gauge>,
+    histograms: BTreeMap<String, HistogramHandle>,
+}
+
+/// Returns the cell registered under `name`, creating it on first use.
+fn find_or_create<H: Clone + Default>(map: &mut BTreeMap<String, H>, name: &str) -> H {
+    match map.get(name) {
+        Some(h) => h.clone(),
+        None => map.entry(name.to_owned()).or_default().clone(),
+    }
 }
 
 /// A shared, clonable registry of counters, gauges, and histograms.
+///
+/// Every metric is a shared cell. Hot emission sites resolve a typed
+/// handle ([`Counter`], [`Gauge`], [`HistogramHandle`]) once and update
+/// the cell directly; the string methods ([`inc`](Self::inc),
+/// [`observe`](Self::observe), ...) resolve the same handle on every
+/// call, so both paths land in one set of cells. The readers
+/// ([`render`](Self::render), [`names`](Self::names),
+/// [`gauge`](Self::gauge), ...) skip cells that were never written, so
+/// handles may be resolved ahead of their first emission.
 ///
 /// # Examples
 ///
@@ -43,6 +119,11 @@ struct RegistryInner {
 /// let s = reg.summary("latency.server").unwrap();
 /// assert_eq!(s.count, 1);
 /// assert_eq!(s.p99, 0.042);
+///
+/// // A handle updates the same cell without a name lookup.
+/// let invocations = reg.counter_handle("invocations");
+/// invocations.add(2);
+/// assert_eq!(reg.counter("invocations"), 3);
 /// ```
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
@@ -51,11 +132,11 @@ pub struct MetricsRegistry {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
+        let (counters, gauges, histograms) = self.names();
         f.debug_struct("MetricsRegistry")
-            .field("counters", &inner.counters.len())
-            .field("gauges", &inner.gauges.len())
-            .field("histograms", &inner.histograms.len())
+            .field("counters", &counters.len())
+            .field("gauges", &gauges.len())
+            .field("histograms", &histograms.len())
             .finish()
     }
 }
@@ -66,48 +147,63 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The handle of counter `name`, creating it unwritten.
+    pub fn counter_handle(&self, name: &str) -> Counter {
+        find_or_create(&mut self.inner.borrow_mut().counters, name)
+    }
+
+    /// The handle of gauge `name`, creating it unset.
+    pub fn gauge_handle(&self, name: &str) -> Gauge {
+        find_or_create(&mut self.inner.borrow_mut().gauges, name)
+    }
+
+    /// The handle of histogram `name`, creating it empty.
+    pub fn histogram_handle(&self, name: &str) -> HistogramHandle {
+        find_or_create(&mut self.inner.borrow_mut().histograms, name)
+    }
+
     /// Increments counter `name` by one (creating it at zero).
     pub fn inc(&self, name: &str) {
-        self.add(name, 1);
+        self.counter_handle(name).inc();
     }
 
     /// Increments counter `name` by `delta`.
     pub fn add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.borrow_mut();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += delta;
+        self.counter_handle(name).add(delta);
     }
 
     /// Current value of counter `name` (zero if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.borrow().counters.get(name).copied().unwrap_or(0)
+        self.inner
+            .borrow()
+            .counters
+            .get(name)
+            .map_or(0, Counter::get)
     }
 
     /// Sets gauge `name` to `value`.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        self.inner
-            .borrow_mut()
-            .gauges
-            .insert(name.to_owned(), value);
+        self.gauge_handle(name).set(value);
     }
 
     /// Current value of gauge `name`, if ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner.borrow().gauges.get(name).copied()
+        self.inner.borrow().gauges.get(name).and_then(Gauge::get)
     }
 
     /// Records `value` (seconds, for latencies) into histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
-        self.inner
-            .borrow_mut()
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(value);
+        self.histogram_handle(name).observe(value);
     }
 
-    /// A snapshot of histogram `name`, if it exists.
+    /// A snapshot of histogram `name`, if it holds an observation.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.borrow().histograms.get(name).cloned()
+        self.inner
+            .borrow()
+            .histograms
+            .get(name)
+            .filter(|h| h.written())
+            .map(|h| h.0.borrow().clone())
     }
 
     /// Count/mean/p50/p95/p99 summary of histogram `name` (`None` if
@@ -117,17 +213,23 @@ impl MetricsRegistry {
             .borrow()
             .histograms
             .get(name)
-            .and_then(Histogram::summary)
+            .and_then(|h| h.0.borrow().summary())
     }
 
-    /// Names of all registered counters, gauges, and histograms, each
+    /// Names of all written counters, gauges, and histograms, each
     /// sorted alphabetically.
     pub fn names(&self) -> (Vec<String>, Vec<String>, Vec<String>) {
+        fn written<H>(map: &BTreeMap<String, H>, w: impl Fn(&H) -> bool) -> Vec<String> {
+            map.iter()
+                .filter(|(_, h)| w(h))
+                .map(|(name, _)| name.clone())
+                .collect()
+        }
         let inner = self.inner.borrow();
         (
-            inner.counters.keys().cloned().collect(),
-            inner.gauges.keys().cloned().collect(),
-            inner.histograms.keys().cloned().collect(),
+            written(&inner.counters, |c| c.0.get().is_some()),
+            written(&inner.gauges, |g| g.get().is_some()),
+            written(&inner.histograms, HistogramHandle::written),
         )
     }
 
@@ -138,14 +240,18 @@ impl MetricsRegistry {
     pub fn render(&self) -> String {
         let inner = self.inner.borrow();
         let mut out = String::new();
-        for (name, v) in &inner.counters {
-            let _ = writeln!(out, "{name} {v}");
+        for (name, c) in &inner.counters {
+            if let Some(n) = c.0.get() {
+                let _ = writeln!(out, "{name} {n}");
+            }
         }
-        for (name, v) in &inner.gauges {
-            let _ = writeln!(out, "{name} {v:.9}");
+        for (name, g) in &inner.gauges {
+            if let Some(v) = g.get() {
+                let _ = writeln!(out, "{name} {v:.9}");
+            }
         }
         for (name, h) in &inner.histograms {
-            if let Some(s) = h.summary() {
+            if let Some(s) = h.0.borrow().summary() {
                 let _ = writeln!(out, "{name}{{stat=\"count\"}} {}", s.count);
                 for (stat, v) in [
                     ("mean", s.mean),
@@ -160,12 +266,15 @@ impl MetricsRegistry {
         out
     }
 
-    /// Drops every metric.
+    /// Drops every metric's value. Cells stay in place, unwritten, so
+    /// resolved handles keep updating this registry.
     pub fn clear(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.clear();
-        inner.gauges.clear();
-        inner.histograms.clear();
+        let inner = self.inner.borrow();
+        inner.counters.values().for_each(|c| c.0.set(None));
+        inner.gauges.values().for_each(|g| g.0.set(None));
+        for h in inner.histograms.values() {
+            *h.0.borrow_mut() = Histogram::new();
+        }
     }
 }
 
@@ -220,6 +329,58 @@ mod tests {
         assert!(a < b, "metrics must render in sorted order:\n{text}");
         assert!(text.contains("lat{stat=\"count\"} 10"));
         assert!(text.contains("lat{stat=\"p95\"}"));
+    }
+
+    #[test]
+    fn handles_and_string_methods_share_cells() {
+        let reg = MetricsRegistry::new();
+        let c = reg.counter_handle("c");
+        let g = reg.gauge_handle("g");
+        let h = reg.histogram_handle("h");
+        c.inc();
+        reg.add("c", 2);
+        assert_eq!((c.get(), reg.counter("c")), (3, 3));
+        g.set(1.5);
+        assert_eq!(reg.gauge("g"), Some(1.5));
+        reg.set_gauge("g", 4.0);
+        assert_eq!(g.get(), Some(4.0));
+        h.observe(0.5);
+        reg.observe("h", 1.5);
+        assert_eq!(reg.summary("h").unwrap().count, 2);
+        // Resolving again finds the same cell, not a second one.
+        reg.counter_handle("c").inc();
+        assert_eq!(c.get(), 4);
+        assert_eq!(reg.names().0, vec!["c".to_string()]);
+    }
+
+    #[test]
+    fn a_name_shows_once_its_cell_is_written() {
+        let reg = MetricsRegistry::new();
+        let c = reg.counter_handle("c");
+        let g = reg.gauge_handle("g");
+        let h = reg.histogram_handle("h");
+        assert!(reg.render().is_empty());
+        assert_eq!(reg.names(), (vec![], vec![], vec![]));
+        assert_eq!((reg.gauge("g"), reg.histogram("h")), (None, None));
+        c.add(0);
+        assert_eq!(reg.render(), "c 0\n");
+        g.set(0.0);
+        h.observe(1.0);
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(reg.names(), (names(&["c"]), names(&["g"]), names(&["h"])));
+    }
+
+    #[test]
+    fn clear_keeps_handles_attached() {
+        let reg = MetricsRegistry::new();
+        let c = reg.counter_handle("c");
+        reg.inc("c");
+        reg.set_gauge("g", 1.0);
+        reg.observe("h", 1.0);
+        reg.clear();
+        assert!(reg.render().is_empty());
+        c.inc();
+        assert_eq!(reg.render(), "c 1\n");
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl Auditor {
 
     /// Validates any metric names that appeared since the last sweep.
     fn check_metric_names(&self, inner: &ServerInner) {
-        let (counters, gauges, histograms) = inner.metrics_registry.names();
+        let (counters, gauges, histograms) = inner.handles.registry().names();
         let mut seen = self.seen_metrics.borrow_mut();
         for name in counters.iter().chain(&gauges).chain(&histograms) {
             if seen.contains(name) {
@@ -263,7 +263,7 @@ fn check_dispatch_queue(inner: &ServerInner) {
 fn check_ejection_accounting(inner: &ServerInner) {
     let per_shard: u64 = inner.dispatch.shard_ejected().iter().sum();
     let total = inner.dispatch.ejected();
-    let counter = inner.metrics_registry.counter("dispatch.ejected");
+    let counter = inner.handles.registry().counter("dispatch.ejected");
     if per_shard != total || total != counter {
         violation(
             "ejection-accounting",

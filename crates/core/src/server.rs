@@ -25,6 +25,7 @@ use crate::dataplane::DataPlane;
 use crate::dispatch::DispatchState;
 use crate::flow::FlowState;
 use crate::guest::GuestState;
+use crate::metrics::handles::ServerMetrics;
 use crate::metrics::registry::MetricsRegistry;
 use crate::metrics::MetricsSink;
 use crate::pool::RunnerPool;
@@ -43,7 +44,9 @@ pub(crate) struct ServerInner {
     pub(crate) pool: Rc<RunnerPool>,
     pub(crate) admission: AdmissionController,
     pub(crate) metrics: MetricsSink,
-    pub(crate) metrics_registry: MetricsRegistry,
+    /// The structured registry, behind the per-request emission
+    /// sites' pre-resolved handles.
+    pub(crate) handles: ServerMetrics,
     /// The dispatch engine: sharded front-door + worker queues by
     /// default, or the historical serialized single-lock router (the
     /// Fig. 12b weak-scaling offset of ≈35 µs per invocation) behind
@@ -122,6 +125,8 @@ impl KaasServer {
         // one dispatch shard per device.
         let dispatch = DispatchState::new(&config, devices.len());
         let metrics_registry = MetricsRegistry::new();
+        let handles =
+            ServerMetrics::new(metrics_registry.clone(), &devices, dispatch.shard_count());
         let mut pool = RunnerPool::new(devices);
         if let Some(tracer) = &config.tracer {
             pool.set_tracer(tracer.clone());
@@ -146,7 +151,7 @@ impl KaasServer {
             dataplane,
             admission: AdmissionController::new(config.admission),
             metrics: MetricsSink::new(),
-            metrics_registry,
+            handles,
             dispatch,
             breakers: config
                 .breaker
@@ -183,7 +188,7 @@ impl KaasServer {
     /// (`latency.server`, `latency.queue`, `copy_in`, `kernel_exec`,
     /// `copy_out`, each also per-kernel as `<name>.<kernel>`).
     pub fn metrics_registry(&self) -> MetricsRegistry {
-        self.inner.metrics_registry.clone()
+        self.inner.handles.registry().clone()
     }
 
     /// A consistent point-in-time view of the control plane: per-kernel
@@ -299,9 +304,9 @@ impl KaasServer {
                             }
                             RequestFrame::Batch(reqs) => {
                                 {
-                                    let m = &server.inner.metrics_registry;
-                                    m.inc("dispatch.batches");
-                                    m.add("dispatch.batch_members", reqs.len() as u64);
+                                    let m = &server.inner.handles;
+                                    m.dispatch_batches.inc();
+                                    m.dispatch_batch_members.add(reqs.len() as u64);
                                 }
                                 // Members run concurrently and fail
                                 // independently; `join_all` preserves

@@ -40,8 +40,10 @@ impl WakeQueue {
             .push_back(id);
     }
 
-    fn pop(&self) -> Option<usize> {
-        self.queue.lock().expect("wake queue poisoned").pop_front()
+    /// Moves every queued id, in wake order, to the back of `out`: one
+    /// lock per batch of ready tasks instead of one per task.
+    fn drain_into(&self, out: &mut VecDeque<usize>) {
+        out.extend(self.queue.lock().expect("wake queue poisoned").drain(..));
     }
 }
 
@@ -88,11 +90,19 @@ impl Ord for TimerEntry {
     }
 }
 
+/// One task-table entry. The waker is built once, when the slot is
+/// first allocated, and serves every task that later reuses the slot:
+/// it names only the slot id, which is all a wake carries.
+struct TaskSlot {
+    future: Option<LocalFuture>,
+    waker: Waker,
+}
+
 pub(crate) struct Core {
     now: SimTime,
     timer_seq: u64,
     timers: BinaryHeap<Reverse<TimerEntry>>,
-    tasks: Vec<Option<LocalFuture>>,
+    tasks: Vec<TaskSlot>,
     free: Vec<usize>,
     live: usize,
     /// Sanitizer hooks run after every task poll (an "executor step").
@@ -116,15 +126,22 @@ impl Core {
         }
     }
 
-    fn insert_task(&mut self, fut: LocalFuture) -> usize {
+    fn insert_task(&mut self, fut: LocalFuture, wake: &Arc<WakeQueue>) -> usize {
         self.live += 1;
         if let Some(id) = self.free.pop() {
-            debug_assert!(self.tasks[id].is_none());
-            self.tasks[id] = Some(fut);
+            debug_assert!(self.tasks[id].future.is_none());
+            self.tasks[id].future = Some(fut);
             id
         } else {
-            self.tasks.push(Some(fut));
-            self.tasks.len() - 1
+            let id = self.tasks.len();
+            self.tasks.push(TaskSlot {
+                future: Some(fut),
+                waker: Waker::from(Arc::new(TaskWaker {
+                    id,
+                    queue: Arc::clone(wake),
+                })),
+            });
+            id
         }
     }
 
@@ -174,6 +191,9 @@ thread_local! {
     static CONTEXT: RefCell<Option<Handle>> = const { RefCell::new(None) };
 }
 
+const NO_CONTEXT: &str = "no simulation context: kaas_simtime free functions may only be \
+                          used inside tasks driven by Simulation::run";
+
 struct ContextGuard {
     prev: Option<Handle>,
 }
@@ -199,15 +219,17 @@ impl Handle {
     /// Panics when called outside [`Simulation::run`] /
     /// [`Simulation::block_on`] (there is no ambient simulation).
     pub fn current() -> Handle {
-        Handle::try_current().expect(
-            "no simulation context: kaas_simtime free functions may only be \
-             used inside tasks driven by Simulation::run",
-        )
+        Handle::try_current().expect(NO_CONTEXT)
     }
 
     /// Like [`Handle::current`] but returns `None` instead of panicking.
     pub fn try_current() -> Option<Handle> {
         CONTEXT.with(|c| c.borrow().clone())
+    }
+
+    /// Runs `f` on the ambient handle, borrowed rather than cloned.
+    fn with_current<R>(f: impl FnOnce(&Handle) -> R) -> R {
+        CONTEXT.with(|c| f(c.borrow().as_ref().expect(NO_CONTEXT)))
     }
 
     /// Current virtual time.
@@ -231,7 +253,7 @@ impl Handle {
             let out = fut.await;
             JoinState::complete(&state2, out);
         });
-        let id = self.core.borrow_mut().insert_task(wrapped);
+        let id = self.core.borrow_mut().insert_task(wrapped, &self.wake);
         self.wake.push(id);
         JoinHandle::new(state)
     }
@@ -245,6 +267,12 @@ impl Handle {
     /// Number of tasks that have been spawned and not yet completed.
     pub fn live_tasks(&self) -> usize {
         self.core.borrow().live
+    }
+
+    /// Size of the task table: completed tasks' slots are reused, so
+    /// this is the peak number of simultaneously live tasks so far.
+    pub fn task_slots(&self) -> usize {
+        self.core.borrow().tasks.len()
     }
 
     /// Registers a sanitizer hook run after every executor step (each
@@ -273,6 +301,8 @@ impl Handle {
 /// ```
 pub struct Simulation {
     handle: Handle,
+    /// Woken task ids taken off the wake queue, polled in order.
+    ready: VecDeque<usize>,
 }
 
 impl Default for Simulation {
@@ -298,6 +328,7 @@ impl Simulation {
                 core: Rc::new(RefCell::new(Core::new())),
                 wake: Arc::new(WakeQueue::default()),
             },
+            ready: VecDeque::new(),
         }
     }
 
@@ -397,31 +428,37 @@ impl Simulation {
             .expect("simulation went idle before the root future completed (deadlock)")
     }
 
-    /// Polls every woken task until the wake queue is empty.
+    /// Polls every woken task until the wake queue is empty, in wake
+    /// order: a batch taken off the queue is polled before anything it
+    /// wakes, exactly as if ids were popped one at a time.
     fn drain_runnable(&mut self) {
-        while let Some(id) = self.handle.wake.pop() {
-            self.poll_task(id);
+        let mut ready = std::mem::take(&mut self.ready);
+        loop {
+            self.handle.wake.drain_into(&mut ready);
+            if ready.is_empty() {
+                break;
+            }
+            while let Some(id) = ready.pop_front() {
+                self.poll_task(id);
+            }
         }
+        self.ready = ready;
     }
 
     fn poll_task(&mut self, id: usize) {
         // Take the future out of its slot so the core is not borrowed while
         // the task runs (tasks may spawn, register timers, wake others...).
-        let Some(mut fut) = self
+        let Some((mut fut, waker)) = self
             .handle
             .core
             .borrow_mut()
             .tasks
             .get_mut(id)
-            .and_then(Option::take)
+            .and_then(|slot| Some((slot.future.take()?, slot.waker.clone())))
         else {
             // Stale wake for a completed task.
             return;
         };
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            queue: Arc::clone(&self.handle.wake),
-        }));
         let mut cx = Context::from_waker(&waker);
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
@@ -430,7 +467,7 @@ impl Simulation {
                 core.live -= 1;
             }
             Poll::Pending => {
-                self.handle.core.borrow_mut().tasks[id] = Some(fut);
+                self.handle.core.borrow_mut().tasks[id].future = Some(fut);
             }
         }
         // Every task poll is an executor step: give the sanitizer a
@@ -452,7 +489,19 @@ impl Simulation {
 ///
 /// Panics outside a running simulation; see [`Handle::current`].
 pub fn now() -> SimTime {
-    Handle::current().now()
+    Handle::with_current(Handle::now)
+}
+
+/// Current virtual time of the ambient simulation, or `None` outside
+/// one.
+pub fn try_now() -> Option<SimTime> {
+    CONTEXT.with(|c| c.borrow().as_ref().map(Handle::now))
+}
+
+/// Registers `waker` with the ambient simulation's timer wheel; see
+/// [`Handle::register_timer`].
+pub(crate) fn register_timer(at: SimTime, waker: Waker) -> Rc<Cell<bool>> {
+    Handle::with_current(|h| h.register_timer(at, waker))
 }
 
 /// Spawns a task onto the ambient simulation; see [`Handle::spawn`].
@@ -465,7 +514,7 @@ where
     F: Future + 'static,
     F::Output: 'static,
 {
-    Handle::current().spawn(fut)
+    Handle::with_current(|h| h.spawn(fut))
 }
 
 #[cfg(test)]

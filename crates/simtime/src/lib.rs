@@ -64,7 +64,7 @@ mod time;
 pub mod trace;
 
 pub use combinators::{join_all, race, Either, Race};
-pub use executor::{now, spawn, Handle, Simulation};
+pub use executor::{now, spawn, try_now, Handle, Simulation};
 pub use join::JoinHandle;
 pub use sleep::{sleep, sleep_until, timeout, yield_now, Elapsed, Sleep, Timeout, YieldNow};
 pub use time::SimTime;

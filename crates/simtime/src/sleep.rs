@@ -7,7 +7,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-use crate::executor::Handle;
+use crate::executor::register_timer;
 use crate::time::SimTime;
 
 /// Future returned by [`sleep`] and [`sleep_until`].
@@ -41,8 +41,7 @@ impl Future for Sleep {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let handle = Handle::current();
-        let now = handle.now();
+        let now = crate::now();
         let delay = self.delay;
         let deadline = *self.deadline.get_or_insert(now + delay);
         if now >= deadline {
@@ -50,7 +49,7 @@ impl Future for Sleep {
             Poll::Ready(())
         } else {
             if self.timer.is_none() {
-                self.timer = Some(handle.register_timer(deadline, cx.waker().clone()));
+                self.timer = Some(register_timer(deadline, cx.waker().clone()));
             }
             Poll::Pending
         }

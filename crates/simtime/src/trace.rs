@@ -19,7 +19,6 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::executor::Handle;
 use crate::time::SimTime;
 
 /// One recorded event.
@@ -75,9 +74,7 @@ impl Tracer {
     /// Records an event at the current virtual time (or
     /// [`SimTime::ZERO`] outside a running simulation).
     pub fn record(&self, actor: impl Into<String>, label: impl Into<String>) {
-        let at = Handle::try_current()
-            .map(|h| h.now())
-            .unwrap_or(SimTime::ZERO);
+        let at = crate::try_now().unwrap_or(SimTime::ZERO);
         self.events.borrow_mut().push(TraceEvent {
             at,
             actor: actor.into(),
@@ -254,9 +251,7 @@ impl SpanSink {
         name: impl Into<String>,
         parent: Option<SpanId>,
     ) -> OpenSpan {
-        let start = Handle::try_current()
-            .map(|h| h.now())
-            .unwrap_or(SimTime::ZERO);
+        let start = crate::try_now().unwrap_or(SimTime::ZERO);
         let id = {
             let mut s = self.state.borrow_mut();
             let id = SpanId(s.next_id);
@@ -285,9 +280,7 @@ impl SpanSink {
         name: impl Into<String>,
         parent: Option<SpanId>,
     ) -> SpanId {
-        let at = Handle::try_current()
-            .map(|h| h.now())
-            .unwrap_or(SimTime::ZERO);
+        let at = crate::try_now().unwrap_or(SimTime::ZERO);
         self.record(track, name, at, at, parent, Vec::new())
     }
 
@@ -430,9 +423,7 @@ impl OpenSpan {
     /// Records the span ending at the current virtual time and returns
     /// its id.
     pub fn finish(self) -> SpanId {
-        let end = Handle::try_current()
-            .map(|h| h.now())
-            .unwrap_or(SimTime::ZERO);
+        let end = crate::try_now().unwrap_or(SimTime::ZERO);
         self.finish_at(end)
     }
 

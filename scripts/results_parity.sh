@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# Results parity: runs every kaas-bench binary on the working tree and on
+# a base revision and diffs their standard output byte for byte.
+#
+#   scripts/results_parity.sh <rev>      # e.g. scripts/results_parity.sh HEAD~
+#
+# The base revision is exported with `git archive` into a temporary
+# directory and built there offline; the working tree builds into its
+# usual target directory. Every binary runs in full mode except those
+# whose full run takes over a minute, which run with --quick. Each side
+# runs in an empty scratch directory, so the results/*.json files some
+# binaries write are compared too and the committed ones stay untouched.
+# The exit status is non-zero when anything differs (or a binary fails
+# on one side). Set KEEP_PARITY_DIR=1 to keep the temporary directory
+# with both sides' outputs.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+rev="${1:?usage: scripts/results_parity.sh <rev>}"
+
+# Binary and arguments, one run per line.
+runs=(
+    "ablation"
+    "all_figures --quick"
+    "cluster"
+    "cluster --quick"
+    "coldstart"
+    "dataflow"
+    "dataplane"
+    "dataplane --quick"
+    "fig02"
+    "fig06"
+    "fig07"
+    "fig08"
+    "fig09"
+    "fig10"
+    "fig11"
+    "fig12 --quick"
+    "fig13"
+    "fig14"
+    "fig15"
+    "fig16"
+    "fig17"
+    "overload"
+    "trace"
+    "verify"
+)
+
+work="$(mktemp -d "${TMPDIR:-/tmp}/kaas-parity.XXXXXX")"
+if [[ "${KEEP_PARITY_DIR:-0}" == 1 ]]; then
+    echo "outputs kept in $work"
+else
+    trap 'rm -rf "$work"' EXIT
+fi
+mkdir -p "$work/base" "$work/run_base" "$work/run_tree"
+git archive --format=tar "$rev" | tar -x -C "$work/base"
+
+echo "==> building $rev"
+(cd "$work/base" && CARGO_TARGET_DIR="$work/target" \
+    cargo build --release --offline --quiet -p kaas-bench --bins)
+echo "==> building the working tree"
+cargo build --release --offline --quiet -p kaas-bench --bins
+tree_bin="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
+
+differ=0
+for run in "${runs[@]}"; do
+    read -r bin args <<<"$run"
+    out="${run// /_}.stdout"
+    base_ok=1
+    tree_ok=1
+    # shellcheck disable=SC2086
+    (cd "$work/run_base" && "$work/target/release/$bin" $args >"$out" 2>/dev/null) ||
+        base_ok=0
+    # shellcheck disable=SC2086
+    (cd "$work/run_tree" && "$tree_bin/$bin" $args >"$out" 2>/dev/null) || tree_ok=0
+    if [[ $base_ok == 0 || $tree_ok == 0 ]]; then
+        echo "FAILED     $run (base ok=$base_ok, tree ok=$tree_ok)"
+        differ=1
+    elif cmp -s "$work/run_base/$out" "$work/run_tree/$out"; then
+        echo "identical  $run"
+    else
+        echo "DIFFERS    $run"
+        diff "$work/run_base/$out" "$work/run_tree/$out" | head -n 20 || true
+        differ=1
+    fi
+done
+
+# Files the binaries wrote (results/*.json), as left by the last run.
+if diff -r "$work/run_base/results" "$work/run_tree/results" >/dev/null; then
+    echo "identical  written files: $(cd "$work/run_tree/results" && echo *)"
+else
+    echo "DIFFERS    written files"
+    diff -r "$work/run_base/results" "$work/run_tree/results" | head -n 20 || true
+    differ=1
+fi
+
+if [[ $differ == 0 ]]; then
+    echo "results parity OK: every kaas-bench binary matches $rev"
+else
+    echo "results parity FAILED against $rev" >&2
+    exit 1
+fi

@@ -1,0 +1,156 @@
+//! Integration: the simtime executor's scheduling contract.
+//!
+//! Every seeded result in this repository replays byte for byte only
+//! because the executor orders work deterministically. These tests pin
+//! that order — same-instant tasks run in FIFO wake order, equal
+//! deadlines fire in registration order — plus two resource properties:
+//! a task keeps one waker for its whole life, and completed tasks' slots
+//! are reused, so the task table never outgrows the peak live count.
+
+use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
+use std::time::Duration;
+
+use kaas::simtime::channel::oneshot;
+use kaas::simtime::{sleep, sleep_until, spawn, yield_now, SimTime, Simulation};
+
+type Log = Rc<RefCell<Vec<String>>>;
+
+fn push(log: &Log, entry: String) {
+    log.borrow_mut().push(entry);
+}
+
+/// Tasks woken at one instant are polled in wake order, not spawn
+/// order: here the wake order is reversed, then interleaved by yields.
+#[test]
+fn same_instant_tasks_run_in_fifo_wake_order() {
+    let mut sim = Simulation::new();
+    let log: Log = Rc::default();
+    let l = Rc::clone(&log);
+    sim.block_on(async move {
+        let mut senders = Vec::new();
+        let mut tasks = Vec::new();
+        for name in ["a", "b", "c"] {
+            let (tx, rx) = oneshot::<()>();
+            senders.push(tx);
+            let l = Rc::clone(&l);
+            tasks.push(spawn(async move {
+                push(&l, format!("{name}:start"));
+                rx.await.unwrap();
+                for step in 0..2 {
+                    push(&l, format!("{name}:{step}"));
+                    yield_now().await;
+                }
+            }));
+        }
+        // Let every task park on its channel, then wake c, b, a.
+        yield_now().await;
+        for tx in senders.into_iter().rev() {
+            tx.send(()).unwrap();
+        }
+        for t in tasks {
+            t.await;
+        }
+    });
+    let expected = [
+        "a:start", "b:start", "c:start", "c:0", "b:0", "a:0", "c:1", "b:1", "a:1",
+    ];
+    assert_eq!(*log.borrow(), expected);
+    assert_eq!(sim.now(), SimTime::ZERO, "nothing here advances the clock");
+}
+
+/// Timers with equal deadlines fire in the order they were registered,
+/// whatever order their tasks were spawned in.
+#[test]
+fn equal_deadline_timers_fire_in_registration_order() {
+    let mut sim = Simulation::new();
+    let log: Log = Rc::default();
+    for i in 0..5u64 {
+        let l = Rc::clone(&log);
+        sim.spawn(async move {
+            // Task 4 registers its 1 s timer first, task 0 last.
+            sleep(Duration::from_millis(10 * (5 - i))).await;
+            push(&l, format!("registered {i}"));
+            sleep_until(SimTime::from_secs(1)).await;
+            push(&l, format!("fired {i}"));
+        });
+    }
+    sim.run();
+    let expected: Vec<String> = (0..5)
+        .rev()
+        .map(|i| format!("registered {i}"))
+        .chain((0..5).rev().map(|i| format!("fired {i}")))
+        .collect();
+    assert_eq!(*log.borrow(), expected);
+    assert_eq!(sim.now(), SimTime::from_secs(1));
+}
+
+/// Resolves at once to a clone of the waker it was polled with.
+struct CurrentWaker;
+
+impl Future for CurrentWaker {
+    type Output = Waker;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Waker> {
+        Poll::Ready(cx.waker().clone())
+    }
+}
+
+/// A task is polled with the same waker every time — across a yield, a
+/// timer, and a channel wake — so futures that cache it with
+/// `will_wake` never need to re-register.
+#[test]
+fn a_task_keeps_one_waker_across_polls() {
+    let mut sim = Simulation::new();
+    let (same, other) = sim.block_on(async {
+        let first = CurrentWaker.await;
+        yield_now().await;
+        let after_yield = CurrentWaker.await;
+        sleep(Duration::from_millis(5)).await;
+        let after_timer = CurrentWaker.await;
+        let (tx, rx) = oneshot::<()>();
+        spawn(async move { tx.send(()).unwrap() });
+        rx.await.unwrap();
+        let after_channel = CurrentWaker.await;
+        let other = spawn(CurrentWaker).await;
+        (
+            [after_yield, after_timer, after_channel]
+                .iter()
+                .all(|w| first.will_wake(w)),
+            first.will_wake(&other),
+        )
+    });
+    assert!(same, "a task's waker must be stable across polls");
+    assert!(!other, "distinct live tasks must have distinct wakers");
+}
+
+/// 100 000 spawn/complete cycles reuse completed tasks' slots: the
+/// task table stays at the peak number of simultaneously live tasks.
+#[test]
+fn task_table_is_bounded_by_peak_live_tasks() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        for _ in 0..100_000 {
+            spawn(async {}).await;
+        }
+    });
+    // The root task plus one child at a time.
+    assert_eq!(sim.handle().task_slots(), 2);
+
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        for round in 0..10_000u64 {
+            let wave: Vec<_> = (0..10)
+                .map(|i| spawn(async move { sleep(Duration::from_nanos(round + i)).await }))
+                .collect();
+            for t in wave {
+                t.await;
+            }
+        }
+    });
+    assert_eq!(sim.handle().task_slots(), 11);
+    assert_eq!(sim.live_tasks(), 0);
+}
