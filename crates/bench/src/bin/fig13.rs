@@ -1,11 +1,9 @@
 //! Regenerates Figure 13 of the KaaS paper. Pass `--quick` for a
-//! reduced sweep and `--dispatch=serialized|sharded` to pin the
-//! dispatch engine (default: sharded).
+//! reduced sweep.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let mode = kaas_bench::common::dispatch_mode_from_args().unwrap_or_default();
-    for fig in kaas_bench::fig13::run_with(quick, mode) {
+    for fig in kaas_bench::fig13::run(quick) {
         fig.print();
         println!();
     }

@@ -3,17 +3,19 @@
 //!
 //! This is the router-contention study behind the Fig. 12b caveat: the
 //! paper's prototype saturates its dispatcher near 64 000 dispatches,
-//! and our historical serialized router ([`DispatchMode::Serialized`])
-//! has the same shape — throughput climbs with client count until it
-//! knees at `1 / dispatch_overhead ≈ 28.6 k` invocations/s, then goes
-//! flat. The sharded engine plus client-side wire batching
+//! and our historical serialized router (the one-shard layout of
+//! [`serialized_router`]) has the same shape — throughput climbs with
+//! client count until it knees at `1 / dispatch_overhead ≈ 28.6 k`
+//! invocations/s, then goes flat. The default shard layout plus
+//! client-side wire batching
 //! ([`KaasClient::batch`](kaas_core::KaasClient::batch)) overlaps the
 //! routing cost across per-device shard queues and amortizes the frame
 //! header, moving the knee by ≥4× on the same testbed.
 
 use std::rc::Rc;
+use std::time::Duration;
 
-use kaas_core::{BatchCall, DispatchMode, RoundRobin, RunnerConfig, ServerConfig};
+use kaas_core::{BatchCall, DispatchMode, RoundRobin, RunnerConfig, ServerConfig, ShardConfig};
 use kaas_kernels::{MonteCarlo, Value};
 use kaas_simtime::{now, spawn, Simulation};
 
@@ -44,11 +46,11 @@ pub struct ClusterSample {
 /// capacity (no autoscaler noise), round-robin placement, and a
 /// generous per-runner in-flight cap so the dispatcher — not runner
 /// admission — is the contended resource.
-fn cluster_config(mode: DispatchMode) -> ServerConfig {
+fn cluster_config(layout: ShardConfig) -> ServerConfig {
     experiment_server_config()
         .with_scheduler(RoundRobin::default())
         .with_autoscale(false)
-        .with_dispatch(mode)
+        .with_dispatch(DispatchMode::Sharded(layout))
         .with_runner(RunnerConfig {
             max_inflight: 16,
             ..RunnerConfig::default()
@@ -62,7 +64,7 @@ fn cluster_config(mode: DispatchMode) -> ServerConfig {
 /// protocol); `batch > 1` coalesces that many calls per frame through
 /// [`KaasClient::batch`](kaas_core::KaasClient::batch).
 pub fn run_load(
-    mode: DispatchMode,
+    layout: ShardConfig,
     clients: usize,
     per_client: usize,
     batch: usize,
@@ -73,7 +75,7 @@ pub fn run_load(
         let dep = deploy(
             v100_cluster(GPUS),
             vec![Rc::new(MonteCarlo::default())],
-            cluster_config(mode),
+            cluster_config(layout),
         );
         dep.server
             .prewarm("mci", GPUS as usize)
@@ -139,16 +141,29 @@ pub fn knee(series: &Series) -> (f64, f64) {
     (at, plateau)
 }
 
+/// The historical single-lock router as a shard layout: one shard
+/// behind a zero-cost front door. Its one worker pays the full
+/// [`dispatch_overhead`](ServerConfig::dispatch_overhead) per request
+/// and nothing overlaps it, so throughput saturates near
+/// `1 / dispatch_overhead` — the paper's router-contention knee.
+pub fn serialized_router() -> ShardConfig {
+    ShardConfig {
+        shards: 1,
+        front_door_overhead: Duration::ZERO,
+        ..ShardConfig::default()
+    }
+}
+
 /// The two A/B configurations the sweep compares.
-fn configurations() -> Vec<(&'static str, DispatchMode, usize)> {
+fn configurations() -> Vec<(&'static str, ShardConfig, usize)> {
     vec![
-        ("Serialized (unbatched)", DispatchMode::Serialized, 1),
-        ("Sharded + batched", DispatchMode::default(), BATCH),
+        ("Serialized (unbatched)", serialized_router(), 1),
+        ("Sharded + batched", ShardConfig::default(), BATCH),
     ]
 }
 
 /// Runs the load sweep for one dispatcher configuration.
-fn sweep(label: &str, mode: &DispatchMode, batch: usize, quick: bool) -> (Series, u64) {
+fn sweep(label: &str, layout: &ShardConfig, batch: usize, quick: bool) -> (Series, u64) {
     let (client_counts, per_client): (&[usize], usize) = if quick {
         (&[2, 8, 32], 16)
     } else {
@@ -157,7 +172,7 @@ fn sweep(label: &str, mode: &DispatchMode, batch: usize, quick: bool) -> (Series
     let mut s = Series::new(label);
     let mut total = 0u64;
     for &c in client_counts {
-        let sample = run_load(mode.clone(), c, per_client, batch);
+        let sample = run_load(layout.clone(), c, per_client, batch);
         total += sample.invocations;
         s.push(c as f64, sample.throughput);
     }
@@ -171,8 +186,8 @@ pub fn run(quick: bool) -> Vec<Figure> {
     let mut fig = figure();
     let mut knees = Vec::new();
     let mut grand_total = 0u64;
-    for (label, mode, batch) in configurations() {
-        let (series, total) = sweep(label, &mode, batch, quick);
+    for (label, layout, batch) in configurations() {
+        let (series, total) = sweep(label, &layout, batch, quick);
         grand_total += total;
         knees.push((label, knee(&series)));
         fig.series.push(series);
@@ -186,23 +201,6 @@ pub fn run(quick: bool) -> Vec<Figure> {
         knee_new / knee_old
     ));
     fig.note(format!("{grand_total} invocations total across the sweep"));
-    vec![fig]
-}
-
-/// Runs the sweep for a single dispatcher (the bin's `--dispatch=` A/B
-/// flag): `Serialized` unbatched, anything sharded with wire batching.
-pub fn run_mode(quick: bool, mode: DispatchMode) -> Vec<Figure> {
-    let (label, batch) = match &mode {
-        DispatchMode::Serialized => ("Serialized (unbatched)", 1),
-        DispatchMode::Sharded(_) => ("Sharded + batched", BATCH),
-    };
-    let mut fig = figure();
-    let (series, total) = sweep(label, &mode, batch, quick);
-    let (at, plateau) = knee(&series);
-    fig.note(format!(
-        "{label}: plateau {plateau:.0} inv/s from {at:.0} clients; {total} invocations total"
-    ));
-    fig.series.push(series);
     vec![fig]
 }
 
@@ -259,8 +257,8 @@ mod tests {
 
     #[test]
     fn serialized_knees_near_the_dispatch_ceiling() {
-        let s = run_load(DispatchMode::Serialized, 64, 16, 1);
-        // The router lock admits one 35 µs critical section at a time:
+        let s = run_load(serialized_router(), 64, 16, 1);
+        // The one shard worker pays one 35 µs routing cost at a time:
         // 64 closed-loop clients sit well past the knee.
         assert!(
             (20_000.0..29_000.0).contains(&s.throughput),
@@ -271,8 +269,8 @@ mod tests {
 
     #[test]
     fn sharded_and_batched_breaks_the_knee() {
-        let serialized = run_load(DispatchMode::Serialized, 64, 16, 1);
-        let sharded = run_load(DispatchMode::default(), 64, 16, 8);
+        let serialized = run_load(serialized_router(), 64, 16, 1);
+        let sharded = run_load(ShardConfig::default(), 64, 16, 8);
         let ratio = sharded.throughput / serialized.throughput;
         assert!(
             ratio >= 4.0,
@@ -285,8 +283,8 @@ mod tests {
 
     #[test]
     fn same_seed_reruns_are_bit_identical() {
-        let a = run_load(DispatchMode::default(), 32, 8, 4);
-        let b = run_load(DispatchMode::default(), 32, 8, 4);
+        let a = run_load(ShardConfig::default(), 32, 8, 4);
+        let b = run_load(ShardConfig::default(), 32, 8, 4);
         assert_eq!(a, b, "sharded dispatch must replay identically");
     }
 

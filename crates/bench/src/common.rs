@@ -8,9 +8,7 @@ use kaas_accel::{
     CpuDevice, CpuProfile, Device, DeviceId, FpgaDevice, FpgaProfile, GpuDevice, GpuProfile,
     QpuDevice, QpuProfile, TpuDevice, TpuProfile,
 };
-use kaas_core::{
-    DispatchMode, KaasClient, KaasNetwork, KaasServer, KernelRegistry, ServerConfig, ShardConfig,
-};
+use kaas_core::{KaasClient, KaasNetwork, KaasServer, KernelRegistry, ServerConfig};
 use kaas_kernels::Kernel;
 use kaas_net::{LinkProfile, SerializationProfile, SharedMemory};
 use kaas_simtime::spawn;
@@ -238,19 +236,6 @@ pub fn deploy(
     let listener = net.listen(KAAS_ADDR).expect("fresh network");
     spawn(server.clone().serve(listener));
     Deployment { server, net, shm }
-}
-
-/// Parses the dispatcher A/B flag from the process arguments:
-/// `--dispatch=serialized` selects the historical single-lock router,
-/// `--dispatch=sharded` the default sharded engine. Returns `None` when
-/// the flag is absent so callers keep their own default.
-pub fn dispatch_mode_from_args() -> Option<DispatchMode> {
-    std::env::args().find_map(|a| match a.strip_prefix("--dispatch=") {
-        Some("serialized") => Some(DispatchMode::Serialized),
-        Some("sharded") => Some(DispatchMode::Sharded(ShardConfig::default())),
-        Some(other) => panic!("unknown --dispatch value {other:?} (expected serialized|sharded)"),
-        None => None,
-    })
 }
 
 /// Percentage reduction from `baseline` to `improved`.

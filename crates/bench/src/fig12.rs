@@ -3,7 +3,7 @@
 
 use std::rc::Rc;
 
-use kaas_core::{DispatchMode, RoundRobin, RunnerConfig};
+use kaas_core::{RoundRobin, RunnerConfig};
 use kaas_kernels::{ResNet50, Value};
 use kaas_simtime::{now, spawn, Simulation};
 
@@ -24,30 +24,16 @@ pub enum Scaling {
 }
 
 /// Completion time of the inference workload on `gpus` devices, under
-/// the default (sharded) dispatcher.
+/// the default dispatch shard layout.
 ///
 /// `warm` pre-starts the runners outside the measured window; cold runs
 /// include the (parallel) runner cold starts.
 pub fn run_scaling(scaling: Scaling, gpus: u32, warm: bool, batches: u64) -> f64 {
-    run_scaling_with(scaling, gpus, warm, batches, DispatchMode::default())
-}
-
-/// [`run_scaling`] with an explicit dispatch engine —
-/// [`DispatchMode::Serialized`] reproduces the historical baseline
-/// exactly (the `--dispatch=serialized` CLI flag routes here).
-pub fn run_scaling_with(
-    scaling: Scaling,
-    gpus: u32,
-    warm: bool,
-    batches: u64,
-    mode: DispatchMode,
-) -> f64 {
     let mut sim = Simulation::new();
     sim.block_on(async move {
         let config = experiment_server_config()
             .with_scheduler(RoundRobin::default())
             .with_autoscale(false)
-            .with_dispatch(mode)
             .with_runner(RunnerConfig {
                 max_inflight: 4,
                 ..RunnerConfig::default()
@@ -102,13 +88,6 @@ pub fn run_scaling_with(
 
 /// Reproduces Figures 12a (strong) and 12b (weak).
 pub fn run(quick: bool) -> Vec<Figure> {
-    run_with(quick, DispatchMode::default())
-}
-
-/// [`run`] under an explicit dispatch engine, so the serialized
-/// baseline stays reproducible from the CLI
-/// (`--bin fig12 -- --dispatch=serialized`).
-pub fn run_with(quick: bool, mode: DispatchMode) -> Vec<Figure> {
     let batches = if quick { 400 } else { BATCHES };
     let gpu_counts: &[u32] = if quick {
         &[1, 2, 4, 8]
@@ -128,14 +107,8 @@ pub fn run_with(quick: bool, mode: DispatchMode) -> Vec<Figure> {
         let mut cold = Series::new("Cold");
         let mut warmed = Series::new("Warm");
         for &g in gpu_counts {
-            cold.push(
-                g as f64,
-                run_scaling_with(scaling, g, false, batches, mode.clone()),
-            );
-            warmed.push(
-                g as f64,
-                run_scaling_with(scaling, g, true, batches, mode.clone()),
-            );
+            cold.push(g as f64, run_scaling(scaling, g, false, batches));
+            warmed.push(g as f64, run_scaling(scaling, g, true, batches));
         }
         let speedup = warmed.first_y() / warmed.last_y();
         let delta = cold.first_y() - warmed.first_y();

@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use kaas_core::{DispatchMode, FillFirst, RunnerConfig};
+use kaas_core::{FillFirst, RunnerConfig};
 use kaas_simtime::{now, sleep, spawn, Simulation};
 
 use crate::common::{deploy, experiment_server_config, v100_cluster, Figure, Series};
@@ -30,21 +30,13 @@ pub struct TimelineSample {
 
 /// Runs the autoscaling experiment for `duration_s` of simulated time,
 /// adding a client every `ramp_s` seconds; samples once per second.
-/// Uses the default (sharded) dispatcher.
+/// Uses the default dispatch shard layout.
 pub fn run_timeline(duration_s: u64, ramp_s: u64) -> Vec<TimelineSample> {
-    run_timeline_with(duration_s, ramp_s, DispatchMode::default())
-}
-
-/// [`run_timeline`] with an explicit dispatch engine (the
-/// `--dispatch=serialized` CLI flag keeps the historical baseline
-/// reproducible).
-pub fn run_timeline_with(duration_s: u64, ramp_s: u64, mode: DispatchMode) -> Vec<TimelineSample> {
     let mut sim = Simulation::new();
     sim.block_on(async move {
         let config = experiment_server_config()
             .with_scheduler(FillFirst)
             .with_autoscale(true)
-            .with_dispatch(mode)
             .with_runner(RunnerConfig {
                 max_inflight: 4,
                 ..RunnerConfig::default()
@@ -150,14 +142,8 @@ pub fn run_timeline_with(duration_s: u64, ramp_s: u64, mode: DispatchMode) -> Ve
 
 /// Reproduces Figure 13 (full run: 300 s, one client per 10 s).
 pub fn run(quick: bool) -> Vec<Figure> {
-    run_with(quick, DispatchMode::default())
-}
-
-/// [`run`] under an explicit dispatch engine
-/// (`--bin fig13 -- --dispatch=serialized` for the A/B baseline).
-pub fn run_with(quick: bool, mode: DispatchMode) -> Vec<Figure> {
     let (duration, ramp) = if quick { (120, 10) } else { (300, 10) };
-    let samples = run_timeline_with(duration, ramp, mode);
+    let samples = run_timeline(duration, ramp);
     let mut fig = Figure::new(
         "fig13",
         "Autoscaling task runners under a growing client count",

@@ -28,24 +28,16 @@ use crate::resilience::{
 use crate::runner::RunnerConfig;
 use crate::scheduler::Scheduler;
 
-/// Which dispatch engine the server runs.
+/// The argument of [`ServerConfig::with_dispatch`]: a one-variant
+/// wrapper around [`ShardConfig`].
 ///
-/// [`DispatchMode::Serialized`] is the historical single-lock path: one
-/// router critical section of [`ServerConfig::dispatch_overhead`] per
-/// invocation, which saturates near `1 / dispatch_overhead`
-/// dispatches/s (the paper's router-contention knee). It is kept behind
-/// this flag for A/B experiments — the `cluster` bench reproduces the
-/// knee with it.
-///
-/// [`DispatchMode::Sharded`] (the default) splits dispatch into a thin
-/// front door that only classifies + enqueues, and per-shard worker
-/// tasks that own placement, the cache step, retry, and the runner
-/// handoff. Shard workers are ordinary simtime tasks, so same-seed
-/// replay stays byte-identical.
+/// This is a source-compatibility shim. The server has one dispatch
+/// engine — a thin front door feeding per-shard worker queues — and
+/// [`ServerConfig::dispatch`] holds its [`ShardConfig`] directly.
+/// Callers that still spell `DispatchMode::Sharded(..)` or
+/// `DispatchMode::default()` keep compiling; `with_dispatch` unwraps it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// The historical serialized dispatcher (one global router lock).
-    Serialized,
     /// The sharded dispatcher: front door + per-shard worker queues.
     Sharded(ShardConfig),
 }
@@ -56,18 +48,14 @@ impl Default for DispatchMode {
     }
 }
 
-impl DispatchMode {
-    /// Short stable name, used by benches and logs (`serialized` /
-    /// `sharded`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            DispatchMode::Serialized => "serialized",
-            DispatchMode::Sharded(_) => "sharded",
-        }
-    }
-}
-
-/// Tuning for [`DispatchMode::Sharded`].
+/// The dispatch engine's shard layout and tuning.
+///
+/// The front door only classifies + enqueues; per-shard worker tasks
+/// own placement, the cache step, retry, and the runner handoff. Shard
+/// workers are ordinary simtime tasks, so same-seed replay stays
+/// byte-identical. One shard behind a zero-cost front door is the
+/// historical single-lock router, saturating near
+/// `1 / dispatch_overhead` (the paper's router-contention knee).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of dispatch shards; `0` (the default) means one shard per
@@ -112,7 +100,7 @@ impl ShardConfig {
     }
 }
 
-/// Shard-selection policy for [`DispatchMode::Sharded`].
+/// Shard-selection policy of a [`ShardConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
     /// Rotate through shards in request order (the default: perfectly
@@ -144,14 +132,12 @@ impl ShardPolicy {
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Per-invocation routing cost on the server CPU (calibrated to the
-    /// Fig. 12b weak-scaling offset: ≈ 35 µs/invocation). Under
-    /// [`DispatchMode::Serialized`] this is the global router critical
-    /// section; under [`DispatchMode::Sharded`] each shard worker pays
-    /// it per invocation, so shards overlap it.
+    /// Fig. 12b weak-scaling offset: ≈ 35 µs/invocation). Each shard
+    /// worker pays it per invocation, so shards overlap it.
     pub dispatch_overhead: Duration,
-    /// Dispatch engine selection (default: sharded; see
-    /// [`DispatchMode`] for the A/B story).
-    pub dispatch: DispatchMode,
+    /// Shard layout of the dispatch engine (default: one shard per
+    /// device, round-robin, 2 µs front door).
+    pub dispatch: ShardConfig,
     /// Runner settings.
     pub runner: RunnerConfig,
     /// Placement policy (default: [`FillFirst`](crate::FillFirst)).
@@ -192,7 +178,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             dispatch_overhead: Duration::from_micros(35),
-            dispatch: DispatchMode::default(),
+            dispatch: ShardConfig::default(),
             runner: RunnerConfig::default(),
             scheduler: Box::new(crate::scheduler::FillFirst),
             autoscaler: Box::new(InFlightThreshold),
@@ -216,11 +202,10 @@ impl ServerConfig {
         self
     }
 
-    /// Selects the dispatch engine: [`DispatchMode::Serialized`] for
-    /// the historical single-lock router (the A/B baseline), or
-    /// [`DispatchMode::Sharded`] with explicit [`ShardConfig`] tuning.
+    /// Sets the dispatch engine's shard layout.
     pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
+        let DispatchMode::Sharded(layout) = dispatch;
+        self.dispatch = layout;
         self
     }
 
@@ -349,17 +334,11 @@ mod tests {
         assert_eq!(c.dispatch_overhead, Duration::from_micros(35));
         // Sharded dispatch is the default; one shard per device,
         // round-robin, 2 µs front door.
-        assert_eq!(c.dispatch.name(), "sharded");
-        match &c.dispatch {
-            DispatchMode::Sharded(s) => {
-                assert_eq!(s.shards, 0, "0 = one shard per device");
-                assert_eq!(s.policy, ShardPolicy::RoundRobin);
-                assert_eq!(s.front_door_overhead, Duration::from_micros(2));
-                assert_eq!(s.seed, 0);
-            }
-            DispatchMode::Serialized => unreachable!(),
-        }
-        assert_eq!(DispatchMode::Serialized.name(), "serialized");
+        let s = &c.dispatch;
+        assert_eq!(s.shards, 0, "0 = one shard per device");
+        assert_eq!(s.policy, ShardPolicy::RoundRobin);
+        assert_eq!(s.front_door_overhead, Duration::from_micros(2));
+        assert_eq!(s.seed, 0);
         assert_eq!(c.scheduler.name(), "fill-first");
         assert_eq!(c.autoscaler.name(), "in-flight-threshold");
         assert_eq!(c.admission, AdmissionConfig::default());

@@ -1,24 +1,24 @@
 //! The per-invocation data path: admission → dispatch (front door +
-//! shard queues, or the serialized A/B baseline) → placement
-//! (scheduler + autoscaler) → execution with retry.
+//! shard queues) → placement (scheduler + autoscaler) → execution with
+//! retry.
 //!
 //! Split from [`server`](crate::server) so the orchestration skeleton
 //! (lifecycle, accept loop, accessors) stays separate from the hot
 //! path every request walks.
 //!
-//! ## Dispatch engines
+//! ## Dispatch engine
 //!
-//! Under [`DispatchMode::Sharded`] (the default) the front door only
-//! admits, parses, and enqueues — a short serialized section of
-//! [`ShardConfig::front_door_overhead`] — then hands the job to one of
-//! several per-shard worker tasks. Each worker serializes the full
+//! The front door only admits, parses, and enqueues — a short
+//! serialized section of [`ShardConfig::front_door_overhead`] — then
+//! hands the job to one of several per-shard worker tasks. Each worker
+//! serializes the full
 //! [`dispatch_overhead`](crate::ServerConfig::dispatch_overhead) for
 //! its own queue but overlaps it with every other shard, so aggregate
 //! dispatch throughput scales with the shard count. Workers are
 //! ordinary simtime tasks and every tie-break is seeded, so same-seed
-//! replay stays byte-identical. [`DispatchMode::Serialized`] keeps the
-//! historical single-lock router for A/B experiments (the `cluster`
-//! bench reproduces the paper's router-contention knee with it).
+//! replay stays byte-identical. One shard behind a zero-cost front door
+//! is the historical single-lock router (the `cluster` bench reproduces
+//! the paper's router-contention knee with that layout).
 //!
 //! When a tracer is configured ([`ServerConfig::with_tracer`]
 //! (crate::ServerConfig::with_tracer)) the hot path records a span per
@@ -43,7 +43,7 @@ use kaas_simtime::{now, sleep, spawn, SimTime};
 
 use crate::admission::AdmissionPermit;
 use crate::autoscaler::{ScaleCtx, ScaleDecision};
-use crate::config::{DispatchMode, ServerConfig, ShardConfig, ShardPolicy};
+use crate::config::{ServerConfig, ShardConfig, ShardPolicy};
 use crate::dataplane::{ObjectRef, DATA_KERNEL_PREFIX};
 use crate::guest::CODE_KERNEL_PREFIX;
 use crate::metrics::{InvocationReport, RunnerId};
@@ -54,8 +54,7 @@ use crate::scheduler::SchedCtx;
 use crate::server::{KaasServer, DISCOVERY_KERNEL};
 
 /// An admitted, parsed invocation: everything the execution pipeline
-/// needs, carried from the front door to wherever it runs (inline under
-/// the serialized engine, a shard worker under the sharded one).
+/// needs, carried from the front door to the shard worker that runs it.
 pub(crate) struct ExecJob {
     req: Request,
     kernel: Rc<dyn Kernel>,
@@ -92,173 +91,134 @@ pub(crate) struct ShardQueue {
     ejected: Rc<Cell<u64>>,
 }
 
-/// The server's dispatch engine, built from
+/// The server's dispatch engine — a thin front door plus per-shard
+/// worker queues — built from
 /// [`ServerConfig::dispatch`](crate::ServerConfig) at construction.
-pub(crate) enum DispatchState {
-    /// One global router lock; every invocation pays
-    /// `dispatch_overhead` inside it (the historical A/B baseline).
-    Serialized { lock: Semaphore },
-    /// Thin front door + per-shard worker queues.
-    Sharded {
-        front_lock: Semaphore,
-        config: ShardConfig,
-        shards: Vec<ShardQueue>,
-        /// Jobs currently queued across all shards; the sanitizer
-        /// checks it equals the sum of per-shard depths every step.
-        queued: Rc<Cell<usize>>,
-        /// Round-robin cursor ([`ShardPolicy::RoundRobin`]).
-        rr: Cell<usize>,
-        /// Seeded tie-break stream ([`ShardPolicy::LeastLoaded`]).
-        rng: RefCell<DetRng>,
-        /// Total requests shed or ejected across all shards.
-        ejected_total: Rc<Cell<u64>>,
-    },
+pub(crate) struct DispatchState {
+    front_lock: Semaphore,
+    config: ShardConfig,
+    shards: Vec<ShardQueue>,
+    /// Jobs currently queued across all shards; the sanitizer checks it
+    /// equals the sum of per-shard depths every step.
+    queued: Rc<Cell<usize>>,
+    /// Round-robin cursor ([`ShardPolicy::RoundRobin`]).
+    rr: Cell<usize>,
+    /// Seeded tie-break stream ([`ShardPolicy::LeastLoaded`]).
+    rng: RefCell<DetRng>,
+    /// Total requests shed or ejected across all shards.
+    ejected_total: Rc<Cell<u64>>,
 }
 
 impl DispatchState {
-    /// Builds the engine selected by `config.dispatch` for a fleet of
+    /// Builds the engine laid out by `config.dispatch` for a fleet of
     /// `devices` devices. Shard workers are ordinary simtime tasks,
     /// spawned only when an executor is running (the same guard as the
     /// sanitizer hook in [`KaasServer::new`]); outside a simulation the
     /// queues exist but nothing drains them.
     pub(crate) fn new(config: &ServerConfig, devices: usize) -> Self {
-        match &config.dispatch {
-            DispatchMode::Serialized => DispatchState::Serialized {
-                lock: Semaphore::new(1),
-            },
-            DispatchMode::Sharded(sc) => {
-                let n = if sc.shards == 0 {
-                    devices.max(1)
-                } else {
-                    sc.shards
-                };
-                let queued = Rc::new(Cell::new(0usize));
-                let ejected_total = Rc::new(Cell::new(0u64));
-                let mut shards = Vec::with_capacity(n);
-                for shard in 0..n {
-                    let (tx, rx) = channel::unbounded();
-                    let depth = Rc::new(Cell::new(0usize));
-                    let ejected = Rc::new(Cell::new(0u64));
-                    if kaas_simtime::Handle::try_current().is_some() {
-                        spawn(shard_worker(
-                            shard,
-                            rx,
-                            Rc::clone(&depth),
-                            Rc::clone(&queued),
-                            Rc::clone(&ejected),
-                            Rc::clone(&ejected_total),
-                            config.dispatch_overhead,
-                            sc.queue_cap.is_some(),
-                        ));
-                    }
-                    shards.push(ShardQueue { tx, depth, ejected });
-                }
-                DispatchState::Sharded {
-                    front_lock: Semaphore::new(1),
-                    config: sc.clone(),
-                    shards,
-                    queued,
-                    rr: Cell::new(0),
-                    rng: RefCell::new(DetRng::seed_from_u64(sc.seed)),
-                    ejected_total,
-                }
+        let sc = &config.dispatch;
+        let n = if sc.shards == 0 {
+            devices.max(1)
+        } else {
+            sc.shards
+        };
+        let queued = Rc::new(Cell::new(0usize));
+        let ejected_total = Rc::new(Cell::new(0u64));
+        let mut shards = Vec::with_capacity(n);
+        for shard in 0..n {
+            let (tx, rx) = channel::unbounded();
+            let depth = Rc::new(Cell::new(0usize));
+            let ejected = Rc::new(Cell::new(0u64));
+            if kaas_simtime::Handle::try_current().is_some() {
+                spawn(shard_worker(
+                    shard,
+                    rx,
+                    Rc::clone(&depth),
+                    Rc::clone(&queued),
+                    Rc::clone(&ejected),
+                    Rc::clone(&ejected_total),
+                    config.dispatch_overhead,
+                    sc.queue_cap.is_some(),
+                ));
             }
+            shards.push(ShardQueue { tx, depth, ejected });
+        }
+        DispatchState {
+            front_lock: Semaphore::new(1),
+            config: sc.clone(),
+            shards,
+            queued,
+            rr: Cell::new(0),
+            rng: RefCell::new(DetRng::seed_from_u64(sc.seed)),
+            ejected_total,
         }
     }
 
-    /// Current queue depth of every shard (empty under the serialized
-    /// engine).
+    /// Current queue depth of every shard.
     pub(crate) fn shard_depths(&self) -> Vec<usize> {
-        match self {
-            DispatchState::Serialized { .. } => Vec::new(),
-            DispatchState::Sharded { shards, .. } => shards.iter().map(|s| s.depth.get()).collect(),
-        }
+        self.shards.iter().map(|s| s.depth.get()).collect()
     }
 
     /// Total dispatch jobs queued across all shards.
     pub(crate) fn queued(&self) -> usize {
-        match self {
-            DispatchState::Serialized { .. } => 0,
-            DispatchState::Sharded { queued, .. } => queued.get(),
-        }
+        self.queued.get()
     }
 
-    /// Requests each shard has shed or ejected (empty under the
-    /// serialized engine).
+    /// Requests each shard has shed or ejected.
     pub(crate) fn shard_ejected(&self) -> Vec<u64> {
-        match self {
-            DispatchState::Serialized { .. } => Vec::new(),
-            DispatchState::Sharded { shards, .. } => {
-                shards.iter().map(|s| s.ejected.get()).collect()
-            }
-        }
+        self.shards.iter().map(|s| s.ejected.get()).collect()
     }
 
     /// Total requests shed or ejected across all shards.
     pub(crate) fn ejected(&self) -> u64 {
-        match self {
-            DispatchState::Serialized { .. } => 0,
-            DispatchState::Sharded { ejected_total, .. } => ejected_total.get(),
-        }
+        self.ejected_total.get()
     }
 
-    /// Number of shard queues (1 under the serialized engine).
+    /// Number of shard queues.
     pub(crate) fn shard_count(&self) -> usize {
-        match self {
-            DispatchState::Serialized { .. } => 1,
-            DispatchState::Sharded { shards, .. } => shards.len(),
-        }
+        self.shards.len()
     }
 
     /// Chooses the shard for a request. Every source of choice is
     /// deterministic: the round-robin cursor, an FNV-1a hash, or the
     /// seeded tie-break stream — cross-shard ordering replays exactly.
     fn pick_shard(&self, kernel: &str) -> usize {
-        match self {
-            DispatchState::Serialized { .. } => 0,
-            DispatchState::Sharded {
-                config,
-                shards,
-                rr,
-                rng,
-                ..
-            } => {
-                let n = shards.len();
-                match config.policy {
-                    ShardPolicy::RoundRobin => {
-                        let i = rr.get();
-                        rr.set((i + 1) % n);
-                        i
-                    }
-                    ShardPolicy::KernelAffinity => {
-                        // FNV-1a over the kernel name, seed-mixed into
-                        // the offset basis so deployments can re-map
-                        // kernels to shards without renaming them.
-                        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ config.seed;
-                        for b in kernel.bytes() {
-                            h ^= b as u64;
-                            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                        }
-                        (h % n as u64) as usize
-                    }
-                    ShardPolicy::LeastLoaded => {
-                        let min = shards
-                            .iter()
-                            .map(|s| s.depth.get())
-                            .min()
-                            .expect("at least one shard");
-                        let tied: Vec<usize> = shards
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.depth.get() == min)
-                            .map(|(i, _)| i)
-                            .collect();
-                        if tied.len() == 1 {
-                            tied[0]
-                        } else {
-                            tied[rng.borrow_mut().gen_range(0..tied.len())]
-                        }
-                    }
+        let n = self.shards.len();
+        match self.config.policy {
+            ShardPolicy::RoundRobin => {
+                let i = self.rr.get();
+                self.rr.set((i + 1) % n);
+                i
+            }
+            ShardPolicy::KernelAffinity => {
+                // FNV-1a over the kernel name, seed-mixed into the
+                // offset basis so deployments can re-map kernels to
+                // shards without renaming them.
+                let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.config.seed;
+                for b in kernel.bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                (h % n as u64) as usize
+            }
+            ShardPolicy::LeastLoaded => {
+                let min = self
+                    .shards
+                    .iter()
+                    .map(|s| s.depth.get())
+                    .min()
+                    .expect("at least one shard");
+                let tied: Vec<usize> = self
+                    .shards
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.depth.get() == min)
+                    .map(|(i, _)| i)
+                    .collect();
+                if tied.len() == 1 {
+                    tied[0]
+                } else {
+                    tied[self.rng.borrow_mut().gen_range(0..tied.len())]
                 }
             }
         }
@@ -456,86 +416,60 @@ impl KaasServer {
             submitted,
         };
         let t_dispatch = now();
-        match &inner.dispatch {
-            // The A/B baseline: the router runs on one server thread,
-            // so every invocation pays the full dispatch overhead inside
-            // one global critical section (the Fig. 12b ≈35 µs cost —
-            // saturates near 1/overhead dispatches per second).
-            DispatchState::Serialized { lock } => {
-                {
-                    let _router = lock.acquire(1).await;
-                    sleep(inner.config.dispatch_overhead).await;
-                }
-                span("dispatch", t_dispatch, now());
-                // Boxed to keep `execute`'s state out of this future
-                // too; the baseline pays one allocation per request.
-                Box::pin(self.execute(job)).await
-            }
-            // Sharded: the front door only classifies + enqueues;
-            // placement, the cache step, retry, and the runner handoff
-            // all happen on the chosen shard's worker task.
-            DispatchState::Sharded {
-                front_lock,
-                config,
-                shards,
-                queued,
-                ejected_total,
-                ..
-            } => {
-                {
-                    let _front = front_lock.acquire(1).await;
-                    sleep(config.front_door_overhead).await;
-                }
-                let m = &inner.handles;
-                m.dispatch_front_door_ns
-                    .observe((now() - t_dispatch).as_nanos() as f64);
-                let shard = inner.dispatch.pick_shard(&job.req.kernel);
-                let q = &shards[shard];
-                // Enqueue-time shedding: dead or over-cap work never
-                // enters the queue, so it cannot crowd out live
-                // requests or consume a worker's routing cost. Every
-                // shed is counted — never silent.
-                let eject = |err: InvokeError| {
-                    q.ejected.set(q.ejected.get() + 1);
-                    ejected_total.set(ejected_total.get() + 1);
-                    m.dispatch_ejected.inc();
-                    m.shards[shard].ejected.inc();
-                    err
-                };
-                if job.req.deadline.is_some_and(|d| now() > d) {
-                    return Err(eject(InvokeError::DeadlineExceeded));
-                }
-                if config.queue_cap.is_some_and(|cap| q.depth.get() >= cap) {
-                    let hint = self.retry_after_hint(q.depth.get());
-                    return Err(eject(InvokeError::Overloaded {
-                        retry_after: Some(hint),
-                    }));
-                }
-                // Paired increments with no await in between: the
-                // sanitizer checks `sum(depths) == queued` after every
-                // executor step.
-                q.depth.set(q.depth.get() + 1);
-                queued.set(queued.get() + 1);
-                m.shards[shard].depth.set(q.depth.get() as f64);
-                let (reply_tx, reply_rx) = channel::oneshot();
-                let dj = DispatchJob {
-                    server: self.clone(),
-                    job,
-                    t_dispatch,
-                    enqueued: now(),
-                    reply: reply_tx,
-                };
-                if q.tx.send(dj).await.is_err() {
-                    // No worker drains this queue (the server was built
-                    // outside a running simulation): undo the enqueue
-                    // accounting and report the path unavailable.
-                    q.depth.set(q.depth.get() - 1);
-                    queued.set(queued.get() - 1);
-                    return Err(InvokeError::Disconnected);
-                }
-                reply_rx.await.map_err(|_| InvokeError::Disconnected)?
-            }
+        // The front door only classifies + enqueues; placement, the
+        // cache step, retry, and the runner handoff all happen on the
+        // chosen shard's worker task.
+        let d = &inner.dispatch;
+        {
+            let _front = d.front_lock.acquire(1).await;
+            sleep(d.config.front_door_overhead).await;
         }
+        let m = &inner.handles;
+        m.dispatch_front_door_ns
+            .observe((now() - t_dispatch).as_nanos() as f64);
+        let shard = d.pick_shard(&job.req.kernel);
+        let q = &d.shards[shard];
+        // Enqueue-time shedding: dead or over-cap work never enters the
+        // queue, so it cannot crowd out live requests or consume a
+        // worker's routing cost. Every shed is counted — never silent.
+        let eject = |err: InvokeError| {
+            q.ejected.set(q.ejected.get() + 1);
+            d.ejected_total.set(d.ejected_total.get() + 1);
+            m.dispatch_ejected.inc();
+            m.shards[shard].ejected.inc();
+            err
+        };
+        if job.req.deadline.is_some_and(|at| now() > at) {
+            return Err(eject(InvokeError::DeadlineExceeded));
+        }
+        if d.config.queue_cap.is_some_and(|cap| q.depth.get() >= cap) {
+            let hint = self.retry_after_hint(q.depth.get());
+            return Err(eject(InvokeError::Overloaded {
+                retry_after: Some(hint),
+            }));
+        }
+        // Paired increments with no await in between: the sanitizer
+        // checks `sum(depths) == queued` after every executor step.
+        q.depth.set(q.depth.get() + 1);
+        d.queued.set(d.queued.get() + 1);
+        m.shards[shard].depth.set(q.depth.get() as f64);
+        let (reply_tx, reply_rx) = channel::oneshot();
+        let dj = DispatchJob {
+            server: self.clone(),
+            job,
+            t_dispatch,
+            enqueued: now(),
+            reply: reply_tx,
+        };
+        if q.tx.send(dj).await.is_err() {
+            // No worker drains this queue (the server was built outside
+            // a running simulation): undo the enqueue accounting and
+            // report the path unavailable.
+            q.depth.set(q.depth.get() - 1);
+            d.queued.set(d.queued.get() - 1);
+            return Err(InvokeError::Disconnected);
+        }
+        reply_rx.await.map_err(|_| InvokeError::Disconnected)?
     }
 
     /// The deterministic drain-time estimate attached to `Overloaded`
@@ -552,9 +486,8 @@ impl KaasServer {
 
     /// The execution pipeline one admitted job walks — input
     /// materialization, deadline shedding, placement + cache step +
-    /// retry, report/metrics recording, and reply shaping. Runs inline
-    /// under the serialized engine and on a spawned task per job under
-    /// the sharded one.
+    /// retry, report/metrics recording, and reply shaping. Runs on a
+    /// task the shard worker spawns per job.
     pub(crate) async fn execute(
         &self,
         job: ExecJob,

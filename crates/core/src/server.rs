@@ -3,8 +3,8 @@
 //!
 //! Per invocation the server (1) applies [admission](crate::admission)
 //! control, (2) passes the dispatch engine (a thin front door feeding
-//! per-shard worker queues by default, or the serialized A/B baseline
-//! — see [`DispatchMode`](crate::DispatchMode)), (3) asks the
+//! per-shard worker queues, laid out by
+//! [`ShardConfig`](crate::ShardConfig)), (3) asks the
 //! [`Scheduler`](crate::Scheduler) to place the request on a slot from
 //! the [`RunnerPool`](crate::RunnerPool), consulting the
 //! [`AutoscalePolicy`](crate::AutoscalePolicy) when the fleet is cold
@@ -47,10 +47,10 @@ pub(crate) struct ServerInner {
     /// The structured registry, behind the per-request emission
     /// sites' pre-resolved handles.
     pub(crate) handles: ServerMetrics,
-    /// The dispatch engine: sharded front-door + worker queues by
-    /// default, or the historical serialized single-lock router (the
-    /// Fig. 12b weak-scaling offset of ≈35 µs per invocation) behind
-    /// [`DispatchMode::Serialized`](crate::DispatchMode).
+    /// The dispatch engine: a thin front door + per-shard worker
+    /// queues. One shard behind a zero-cost front door is the historical
+    /// single-lock router (the Fig. 12b weak-scaling offset of ≈35 µs
+    /// per invocation).
     pub(crate) dispatch: DispatchState,
     /// Per-device circuit breakers (disabled unless
     /// [`ServerConfig::breaker`] is set).
@@ -366,8 +366,7 @@ pub struct ServerSnapshot {
     /// Current circuit-breaker state per device (empty when breakers are
     /// disabled or no device has been placed on yet).
     pub breakers: BTreeMap<DeviceId, BreakerState>,
-    /// Per-shard dispatch queue depths (empty under the serialized
-    /// engine). Always sums to
+    /// Per-shard dispatch queue depths. Always sums to
     /// [`dispatch_queued`](ServerSnapshot::dispatch_queued) — an invariant the
     /// sim-sanitizer re-checks after every executor step.
     pub shard_depths: Vec<usize>,

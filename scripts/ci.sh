@@ -34,87 +34,66 @@ if [[ $quick -eq 0 ]]; then
     cargo test -q --release --workspace --all-features
 fi
 
+# replay_twice <label> <cmd...>: runs <cmd> twice and fails the gate if
+# the two outputs differ. Every bench and example here is seeded, so a
+# difference is a determinism bug.
+replay_twice() {
+    local label="$1"
+    shift
+    local a b
+    a="$("$@")"
+    b="$("$@")"
+    if [[ "$a" != "$b" ]]; then
+        echo "$label replay diverged between two same-seed runs" >&2
+        diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
+        exit 1
+    fi
+}
+
 echo "==> chaos stage: seeded fault storm + determinism replay"
 cargo test -q --release --test chaos
-# Replay check: the same seeded storm twice; the example's recovery
-# timeline (and everything else it prints) must be byte-identical.
-chaos_a="$(cargo run -q --release --example chaos)"
-chaos_b="$(cargo run -q --release --example chaos)"
-if [[ "$chaos_a" != "$chaos_b" ]]; then
-    echo "chaos replay diverged between two same-seed runs" >&2
-    diff <(printf '%s\n' "$chaos_a") <(printf '%s\n' "$chaos_b") >&2 || true
-    exit 1
-fi
+# The same seeded storm twice; the example's recovery timeline (and
+# everything else it prints) must be byte-identical.
+replay_twice chaos cargo run -q --release --example chaos
 
 echo "==> dataplane stage: cache/eviction tests + bench determinism"
 cargo test -q --release --test dataplane
-# The data-plane bench must replay byte-identically run to run.
-dp_a="$(cargo run -q --release -p kaas-bench --bin dataplane -- --quick)"
-dp_b="$(cargo run -q --release -p kaas-bench --bin dataplane -- --quick)"
-if [[ "$dp_a" != "$dp_b" ]]; then
-    echo "dataplane bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$dp_a") <(printf '%s\n' "$dp_b") >&2 || true
-    exit 1
-fi
+replay_twice dataplane cargo run -q --release -p kaas-bench --bin dataplane -- --quick
 
 echo "==> dataflow stage: workflow DAG tests + bench determinism"
 cargo test -q --release --test workflow_dataflow
-# The registered-flow bench must replay byte-identically run to run.
-df_a="$(cargo run -q --release -p kaas-bench --bin dataflow -- --quick)"
-df_b="$(cargo run -q --release -p kaas-bench --bin dataflow -- --quick)"
-if [[ "$df_a" != "$df_b" ]]; then
-    echo "dataflow bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$df_a") <(printf '%s\n' "$df_b") >&2 || true
-    exit 1
-fi
+replay_twice dataflow cargo run -q --release -p kaas-bench --bin dataflow -- --quick
 
-echo "==> cluster stage: sharded-dispatch tests + bench determinism"
+echo "==> cluster stage: sharded-dispatch tests + bench determinism + archive"
 cargo test -q --release --test dispatch_shard
-# The dispatch A/B bench (serialized knee vs sharded+batched) must
-# replay byte-identically run to run.
-cl_a="$(cargo run -q --release -p kaas-bench --bin cluster -- --quick)"
-cl_b="$(cargo run -q --release -p kaas-bench --bin cluster -- --quick)"
-if [[ "$cl_a" != "$cl_b" ]]; then
-    echo "cluster bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$cl_a") <(printf '%s\n' "$cl_b") >&2 || true
+# The dispatch A/B bench (serialized-router knee vs sharded+batched).
+replay_twice cluster cargo run -q --release -p kaas-bench --bin cluster -- --quick
+# Archive-vs-fresh: a full run, in a scratch directory so the tree is
+# untouched, must write results/cluster.json byte for byte.
+cl_dir="$(mktemp -d)"
+(cd "$cl_dir" && cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
+    -p kaas-bench --bin cluster >/dev/null)
+if ! diff "$cl_dir/results/cluster.json" results/cluster.json >&2; then
+    echo "results/cluster.json no longer matches --bin cluster" >&2
     exit 1
 fi
+rm -rf "$cl_dir"
 
 echo "==> overload stage: overload-control tests + bench determinism"
 cargo test -q --release --test overload
-# The metastable-failure A/B bench must replay byte-identically run to
-# run (burst timing, sheds, ejections, budget denials included).
-ov_a="$(cargo run -q --release -p kaas-bench --bin overload -- --quick)"
-ov_b="$(cargo run -q --release -p kaas-bench --bin overload -- --quick)"
-if [[ "$ov_a" != "$ov_b" ]]; then
-    echo "overload bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$ov_a") <(printf '%s\n' "$ov_b") >&2 || true
-    exit 1
-fi
+# Burst timing, sheds, ejections and budget denials included.
+replay_twice overload cargo run -q --release -p kaas-bench --bin overload -- --quick
 
 echo "==> guest stage: guest runtime tests + coldstart bench determinism"
 cargo test -q --release -p kaas-guest
 cargo test -q --release --test guest_runtime
-# The two-path cold-start sweep must replay byte-identically run to run.
-gk_a="$(cargo run -q --release -p kaas-bench --bin coldstart -- --quick)"
-gk_b="$(cargo run -q --release -p kaas-bench --bin coldstart -- --quick)"
-if [[ "$gk_a" != "$gk_b" ]]; then
-    echo "coldstart bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$gk_a") <(printf '%s\n' "$gk_b") >&2 || true
-    exit 1
-fi
+replay_twice coldstart cargo run -q --release -p kaas-bench --bin coldstart -- --quick
 
 echo "==> verify stage: bytecode verifier differential test + bench determinism"
 cargo test -q --release -p kaas-guest --test differential
 # The checking-vs-fast-path sweep is modeled from instruction/check
-# counters, so it must replay byte-identically run to run.
-vf_a="$(cargo run -q --release -p kaas-bench --bin verify -- --quick)"
-vf_b="$(cargo run -q --release -p kaas-bench --bin verify -- --quick)"
-if [[ "$vf_a" != "$vf_b" ]]; then
-    echo "verify bench diverged between two runs" >&2
-    diff <(printf '%s\n' "$vf_a") <(printf '%s\n' "$vf_b") >&2 || true
-    exit 1
-fi
+# counters.
+replay_twice verify cargo run -q --release -p kaas-bench --bin verify -- --quick
 
 echo "==> trace stage: diurnal replay matches the committed archive"
 # Archive-vs-fresh: the replay must reproduce results/trace.csv byte for

@@ -3,8 +3,8 @@
 //! Covers the PR-6 refactor guarantees: per-shard queue accounting in
 //! [`ServerSnapshot`] stays consistent even mid-storm, same-seed runs
 //! replay byte-identically, batch members succeed and fail
-//! individually, and the serialized A/B baseline still works end to
-//! end.
+//! individually, and the serialized router baseline (a one-shard
+//! layout behind a zero-cost front door) still works end to end.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -334,13 +334,16 @@ fn batch_timeout_fails_every_member() {
     });
 }
 
-/// The serialized A/B baseline still serves calls and batches end to
-/// end, and reports no shard state in its snapshot.
+/// The serialized router baseline — one shard behind a zero-cost front
+/// door — serves calls and batches end to end, and its snapshot reports
+/// exactly one drained shard.
 #[test]
 fn serialized_baseline_still_works_end_to_end() {
     let mut sim = Simulation::new();
     sim.block_on(async {
-        let (server, net) = boot(ServerConfig::default().with_dispatch(DispatchMode::Serialized));
+        let layout = kaas_bench::cluster::serialized_router();
+        let (server, net) =
+            boot(ServerConfig::default().with_dispatch(DispatchMode::Sharded(layout)));
         let mut client = connect(&net).await;
 
         let single = client.call("mci").arg(Value::U64(10_000)).send().await;
@@ -355,10 +358,7 @@ fn serialized_baseline_still_works_end_to_end() {
         assert!(batch.iter().all(|r| r.is_ok()));
 
         let snap = server.snapshot();
-        assert!(
-            snap.shard_depths.is_empty(),
-            "the serialized engine has no shards: {snap:?}"
-        );
+        assert_eq!(snap.shard_depths, vec![0], "one drained shard: {snap:?}");
         assert_eq!(snap.dispatch_queued, 0);
     });
 }
