@@ -35,14 +35,13 @@ use kaas_net::{
 };
 use kaas_simtime::{now, sleep, timeout, SpanId, SpanSink};
 
-use crate::dataplane::{
-    ObjectRef, DATA_GET_KERNEL, DATA_PIN_KERNEL, DATA_PUT_KERNEL, DATA_SEAL_KERNEL,
-};
-use crate::flow::{encode_trigger, FLOW_REGISTER_KERNEL, FLOW_REPLY_REF, FLOW_RUN_KERNEL};
-use crate::guest::{CODE_LIST_KERNEL, CODE_REGISTER_KERNEL, CODE_REMOVE_KERNEL};
+use crate::dataplane::ObjectRef;
+use crate::flow::{encode_trigger, FLOW_REPLY_REF};
 use crate::metrics::registry::MetricsRegistry;
 use crate::metrics::InvocationReport;
-use crate::protocol::{DataRef, InvokeError, Request, RequestFrame, Response, ResponseFrame};
+use crate::protocol::{
+    Control, DataRef, InvokeError, Request, RequestFrame, Response, ResponseFrame, Target,
+};
 use crate::resilience::{NoBackoff, RetryBudget, RetryPolicy};
 use crate::workflow::{FlowError, Workflow, WorkflowHandle, WorkflowReport, WorkflowRun};
 
@@ -240,18 +239,13 @@ impl KaasClient {
     /// Starts building an invocation of `kernel`; finish with
     /// [`InvokeBuilder::send`].
     pub fn call(&mut self, kernel: &str) -> InvokeBuilder<'_> {
-        InvokeBuilder {
-            kernel: kernel.to_owned(),
-            input: Value::Unit,
-            object: None,
-            tenant: None,
-            deadline: None,
-            timeout: None,
-            trace: true,
-            out_of_band: false,
-            hedge: None,
-            client: self,
-        }
+        InvokeBuilder::new(self, Target::Kernel(kernel.to_owned()))
+    }
+
+    /// Starts building a control operation: the same builder as
+    /// [`call`](KaasClient::call), aimed at a [`Control`] op.
+    pub(crate) fn control(&mut self, op: Control) -> InvokeBuilder<'_> {
+        InvokeBuilder::new(self, Target::Control(op))
     }
 
     /// Stores `value` in the server's object store and returns its
@@ -265,7 +259,7 @@ impl KaasClient {
     /// Any transport-level [`InvokeError`].
     pub async fn put(&mut self, value: Value) -> Result<ObjectRef, InvokeError> {
         let oob = self.shm.is_some();
-        let mut call = self.call(DATA_PUT_KERNEL).arg(value);
+        let mut call = self.control(Control::DataPut).arg(value);
         if oob {
             call = call.out_of_band();
         }
@@ -280,7 +274,7 @@ impl KaasClient {
     /// [`InvokeError::BadHandle`] when `r` does not resolve.
     pub async fn get(&mut self, r: ObjectRef) -> Result<Value, InvokeError> {
         let oob = self.shm.is_some();
-        let mut call = self.call(DATA_GET_KERNEL).arg(r.to_value());
+        let mut call = self.control(Control::DataGet).arg(r.to_value());
         if oob {
             call = call.out_of_band();
         }
@@ -295,7 +289,10 @@ impl KaasClient {
     ///
     /// [`InvokeError::BadHandle`] when `r` does not resolve.
     pub async fn seal(&mut self, r: ObjectRef) -> Result<(), InvokeError> {
-        self.call(DATA_SEAL_KERNEL).arg(r.to_value()).send().await?;
+        self.control(Control::DataSeal)
+            .arg(r.to_value())
+            .send()
+            .await?;
         Ok(())
     }
 
@@ -306,7 +303,10 @@ impl KaasClient {
     ///
     /// [`InvokeError::BadHandle`] when `r` does not resolve.
     pub async fn pin(&mut self, r: ObjectRef) -> Result<(), InvokeError> {
-        self.call(DATA_PIN_KERNEL).arg(r.to_value()).send().await?;
+        self.control(Control::DataPin)
+            .arg(r.to_value())
+            .send()
+            .await?;
         Ok(())
     }
 
@@ -337,7 +337,7 @@ impl KaasClient {
         program: &GuestProgram,
     ) -> Result<String, InvokeError> {
         let inv = self
-            .call(CODE_REGISTER_KERNEL)
+            .control(Control::CodeRegister)
             .arg(crate::guest::encode_register(tenant, program))
             .send()
             .await?;
@@ -354,7 +354,7 @@ impl KaasClient {
     /// Transport errors as usual.
     pub async fn list_guest_kernels(&mut self, tenant: &str) -> Result<Vec<String>, InvokeError> {
         let inv = self
-            .call(CODE_LIST_KERNEL)
+            .control(Control::CodeList)
             .arg(Value::Text(tenant.to_owned()))
             .send()
             .await?;
@@ -380,7 +380,7 @@ impl KaasClient {
     /// that name; transport errors as usual.
     pub async fn remove_kernel(&mut self, name: &str) -> Result<u64, InvokeError> {
         let inv = self
-            .call(CODE_REMOVE_KERNEL)
+            .control(Control::CodeRemove)
             .arg(Value::Text(name.to_owned()))
             .send()
             .await?;
@@ -405,7 +405,7 @@ impl KaasClient {
         workflow: &Workflow,
     ) -> Result<WorkflowHandle, InvokeError> {
         let inv = self
-            .call(FLOW_REGISTER_KERNEL)
+            .control(Control::FlowRegister)
             .arg(workflow.to_value())
             .send()
             .await?;
@@ -557,7 +557,7 @@ impl KaasClient {
 #[derive(Debug)]
 pub struct InvokeBuilder<'c> {
     client: &'c mut KaasClient,
-    kernel: String,
+    target: Target,
     input: Value,
     object: Option<ObjectRef>,
     tenant: Option<String>,
@@ -572,7 +572,7 @@ pub struct InvokeBuilder<'c> {
 /// [`InvokeBuilder`] so the client-side retry loop can replay an
 /// attempt with a fresh request id and a cloned input.
 struct CallParams {
-    kernel: String,
+    target: Target,
     object: Option<ObjectRef>,
     tenant: Option<String>,
     deadline: Option<Duration>,
@@ -583,6 +583,21 @@ struct CallParams {
 }
 
 impl<'c> InvokeBuilder<'c> {
+    fn new(client: &'c mut KaasClient, target: Target) -> Self {
+        InvokeBuilder {
+            client,
+            target,
+            input: Value::Unit,
+            object: None,
+            tenant: None,
+            deadline: None,
+            timeout: None,
+            trace: true,
+            out_of_band: false,
+            hedge: None,
+        }
+    }
+
     /// Sets the kernel input (default: [`Value::Unit`]).
     pub fn arg(mut self, input: Value) -> Self {
         self.input = input;
@@ -671,7 +686,7 @@ impl<'c> InvokeBuilder<'c> {
     pub async fn send(self) -> Result<Invocation, InvokeError> {
         let InvokeBuilder {
             client,
-            kernel,
+            target,
             input,
             object,
             tenant,
@@ -682,7 +697,7 @@ impl<'c> InvokeBuilder<'c> {
             hedge,
         } = self;
         let params = CallParams {
-            kernel,
+            target,
             object,
             tenant,
             deadline,
@@ -742,7 +757,7 @@ impl CallParams {
         input: Value,
     ) -> Result<Invocation, InvokeError> {
         let CallParams {
-            kernel,
+            target,
             object,
             tenant,
             deadline,
@@ -768,7 +783,7 @@ impl CallParams {
         let start = now();
         let mut root = tracer.as_ref().map(|t| {
             let mut s = t.open(&track, "invoke", None);
-            s.push_arg("kernel", kernel);
+            s.push_arg("kernel", target.name());
             s.push_arg("request", id.to_string());
             s
         });
@@ -815,7 +830,7 @@ impl CallParams {
             .map(|(t, root)| t.open(&track, "roundtrip", Some(root.id())));
         let req = Request {
             id,
-            kernel: kernel.clone(),
+            target: target.clone(),
             data,
             tenant: tenant.clone().or_else(|| client.tenant.clone()),
             deadline: deadline.map(|d| now() + d),
@@ -839,7 +854,7 @@ impl CallParams {
                     client.next_seq += 1;
                     Request {
                         id: (client.id << 32) | (seq & 0xffff_ffff),
-                        kernel: kernel.clone(),
+                        target: target.clone(),
                         data,
                         tenant: req.tenant.clone(),
                         deadline: req.deadline,
@@ -1171,7 +1186,7 @@ impl<'c> FlowBuilder<'c> {
             .map(|(t, root)| t.open(&track, "roundtrip", Some(root.id())));
         let req = Request {
             id,
-            kernel: FLOW_RUN_KERNEL.to_owned(),
+            target: Target::Control(Control::FlowRun),
             data,
             tenant: tenant.or_else(|| client.tenant.clone()),
             deadline: deadline.map(|d| now() + d),
@@ -1370,7 +1385,7 @@ impl BatchBuilder<'_> {
                 client.next_seq += 1;
                 Request {
                     id: (client.id << 32) | (seq & 0xffff_ffff),
-                    kernel: c.kernel,
+                    target: Target::Kernel(c.kernel),
                     data: match c.object {
                         Some(r) => DataRef::Object(r),
                         None => DataRef::InBand(c.input),

@@ -30,10 +30,11 @@
 //! The store itself is host-side and unbounded (host RAM is the paper's
 //! shared-memory region); only *device* residency is capacity-managed.
 //!
-//! On the wire the data plane reuses the reserved control-kernel idiom
-//! (like [`DISCOVERY_KERNEL`](crate::DISCOVERY_KERNEL)): `put`/`get`/
-//! `seal`/`pin` travel as invocations of `_kaas/data/*` kernels, with
-//! payloads in-band or through shared memory (the fast path).
+//! On the wire `put`/`get`/`seal`/`pin` are the `Data*` [`Control`]
+//! ops (like discovery), with payloads in-band or through shared memory
+//! (the fast path).
+//!
+//! [`Control`]: crate::Control
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -41,17 +42,6 @@ use std::rc::Rc;
 
 use kaas_accel::{Device, DeviceId, MemoryManager, OomError};
 use kaas_kernels::Value;
-
-/// Prefix of the reserved data-plane control kernels.
-pub const DATA_KERNEL_PREFIX: &str = "_kaas/data/";
-/// Control kernel storing a payload in the server's object store.
-pub const DATA_PUT_KERNEL: &str = "_kaas/data/put";
-/// Control kernel fetching a stored object back to the client.
-pub const DATA_GET_KERNEL: &str = "_kaas/data/get";
-/// Control kernel marking a stored object immutable (cacheable).
-pub const DATA_SEAL_KERNEL: &str = "_kaas/data/seal";
-/// Control kernel protecting a stored object from device eviction.
-pub const DATA_PIN_KERNEL: &str = "_kaas/data/pin";
 
 /// On-wire size of an [`ObjectRef`]: hash + length + framing tag.
 pub const OBJECT_REF_WIRE_BYTES: u64 = 24;

@@ -44,14 +44,13 @@ use kaas_simtime::{now, sleep, spawn, SimTime};
 use crate::admission::AdmissionPermit;
 use crate::autoscaler::{ScaleCtx, ScaleDecision};
 use crate::config::{ServerConfig, ShardConfig, ShardPolicy};
-use crate::dataplane::{ObjectRef, DATA_KERNEL_PREFIX};
-use crate::guest::CODE_KERNEL_PREFIX;
-use crate::metrics::{InvocationReport, RunnerId};
+use crate::dataplane::ObjectRef;
+use crate::metrics::InvocationReport;
 use crate::pool::{InFlightGuard, RunnerPool, RunnerSlot};
-use crate::protocol::{DataRef, InvokeError, Request, Response};
+use crate::protocol::{DataRef, InvokeError, Request, Response, Target};
 use crate::resilience::BreakerState;
 use crate::scheduler::SchedCtx;
-use crate::server::{KaasServer, DISCOVERY_KERNEL};
+use crate::server::KaasServer;
 
 /// An admitted, parsed invocation: everything the execution pipeline
 /// needs, carried from the front door to the shard worker that runs it.
@@ -309,56 +308,35 @@ impl KaasServer {
     /// Handles one request end to end (public for in-process use and
     /// tests; network callers go through [`KaasServer::serve`]).
     pub async fn handle(&self, req: Request) -> Response {
-        // Reserved flow endpoints: register a workflow DAG / trigger a
-        // server-side dataflow run. These shape their own response
-        // (they carry a per-step report alongside the result).
-        // Control branches are boxed (here and below) so their state
-        // stays out of this future, which every batch member holds.
-        if req.kernel.starts_with(crate::flow::FLOW_KERNEL_PREFIX) {
-            return Box::pin(self.flow_frame(req)).await;
-        }
         let id = req.id;
-        let discovery = req.kernel == DISCOVERY_KERNEL;
-        match self.handle_inner(req).await {
-            Ok((data, report)) => Response {
-                id,
-                result: Ok(data),
-                report: Some(report),
-                flow: None,
-            },
+        let mut flow = None;
+        let result = match req.target {
+            // Boxed so the control handler's state stays out of this
+            // future, which every batch member holds.
+            Target::Control(op) => Box::pin(self.control(op, req, &mut flow)).await,
+            Target::Kernel(_) => self.handle_inner(req).await,
+        };
+        let (result, report) = match result {
+            Ok((data, report)) => (Ok(data), Some(report)),
             Err(e) => {
-                if !discovery {
-                    self.inner().handles.error(e.kind());
-                }
-                Response {
-                    id,
-                    result: Err(e),
-                    report: None,
-                    flow: None,
-                }
+                self.inner().handles.error(e.kind());
+                (Err(e), None)
             }
+        };
+        Response {
+            id,
+            result,
+            report,
+            flow,
         }
     }
 
+    /// Runs one kernel invocation: admission, name resolution, then the
+    /// front door's enqueue onto a shard (flow steps enter here too).
     pub(crate) async fn handle_inner(
         &self,
         req: Request,
     ) -> Result<(DataRef, InvocationReport), InvokeError> {
-        // Reserved discovery endpoint: federated clients list the
-        // kernels a site serves before routing work to it.
-        if req.kernel == DISCOVERY_KERNEL {
-            return Ok(self.discovery_response());
-        }
-        // Reserved data-plane endpoints: put/get/seal/pin against the
-        // content-addressed object store.
-        if req.kernel.starts_with(DATA_KERNEL_PREFIX) {
-            return Box::pin(self.dataplane_op(req)).await;
-        }
-        // Reserved guest-code endpoints: register/list/remove against
-        // the tenant kernel registry.
-        if req.kernel.starts_with(CODE_KERNEL_PREFIX) {
-            return Box::pin(self.code_op(req)).await;
-        }
         let inner = self.inner();
         let tracer = inner.config.tracer.clone();
         let parent = req.span;
@@ -389,11 +367,12 @@ impl KaasServer {
         // Request parsing stays on the front door: resolve the kernel
         // before any dispatch cost so unknown names never consume
         // router capacity.
-        let kernel = match inner.registry.lookup(&req.kernel) {
+        let name = req.target.name();
+        let kernel = match inner.registry.lookup(name) {
             Some(k) => k,
             // Guest kernels resolve alongside compiled-in ones: a bare
             // `tenant/name` means latest live version, `@vN` pins one.
-            None => match inner.guests.resolve(&req.kernel) {
+            None => match inner.guests.resolve(name) {
                 Some(g) => {
                     // The verifier's worst-case fuel bound is the
                     // predicted cost of this invocation — recorded so
@@ -403,10 +382,10 @@ impl KaasServer {
                     }
                     g as Rc<dyn Kernel>
                 }
-                None if crate::guest::is_guest_name(&req.kernel) => {
-                    return Err(InvokeError::UnknownGuestKernel(req.kernel.clone()));
+                None if crate::guest::is_guest_name(name) => {
+                    return Err(InvokeError::UnknownGuestKernel(name.to_owned()));
                 }
-                None => return Err(InvokeError::UnknownKernel(req.kernel.clone())),
+                None => return Err(InvokeError::UnknownKernel(name.to_owned())),
             },
         };
         let job = ExecJob {
@@ -427,7 +406,7 @@ impl KaasServer {
         let m = &inner.handles;
         m.dispatch_front_door_ns
             .observe((now() - t_dispatch).as_nanos() as f64);
-        let shard = d.pick_shard(&job.req.kernel);
+        let shard = d.pick_shard(job.req.target.name());
         let q = &d.shards[shard];
         // Enqueue-time shedding: dead or over-cap work never enters the
         // queue, so it cannot crowd out live requests or consume a
@@ -737,7 +716,7 @@ impl KaasServer {
 
         let completed = now();
         let report = InvocationReport {
-            kernel: req.kernel.clone(),
+            kernel: req.target.name().to_owned(),
             runner: runner_id,
             device: device_id,
             cold_start: timings.first_invocation,
@@ -985,101 +964,6 @@ impl KaasServer {
             InvokeError::NoDevice(class.to_string())
         }
     }
-
-    fn discovery_response(&self) -> (DataRef, InvocationReport) {
-        let names = self
-            .inner()
-            .registry
-            .names()
-            .into_iter()
-            .map(Value::Text)
-            .collect();
-        (
-            DataRef::InBand(Value::List(names)),
-            self.control_report(DISCOVERY_KERNEL),
-        )
-    }
-
-    /// The synthetic report attached to control-kernel responses
-    /// (discovery, data-plane ops): no runner or device was involved.
-    pub(crate) fn control_report(&self, kernel: &str) -> InvocationReport {
-        InvocationReport {
-            kernel: kernel.to_owned(),
-            runner: RunnerId(u32::MAX),
-            device: DeviceId(u32::MAX),
-            cold_start: false,
-            submitted: now(),
-            started: now(),
-            completed: now(),
-            copy_in: Duration::ZERO,
-            kernel_exec: Duration::ZERO,
-            copy_out: Duration::ZERO,
-            degraded: false,
-        }
-    }
-
-    /// Serves one `_kaas/data/*` control operation (put/get/seal/pin)
-    /// against the object store. Control operations bypass placement —
-    /// no device work happens — but pay the same transport costs as any
-    /// request (serialization in-band, a memcpy through shared memory
-    /// out-of-band: the fast path for large objects).
-    async fn dataplane_op(&self, req: Request) -> Result<(DataRef, InvocationReport), InvokeError> {
-        let inner = self.inner();
-        let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
-        let input = match req.data {
-            DataRef::InBand(v) => {
-                sleep(inner.config.serialization.time(v.wire_bytes())).await;
-                v
-            }
-            DataRef::OutOfBand(h) => inner.shm.take(h).await.ok_or(InvokeError::BadHandle)?,
-            DataRef::Object(r) => inner.dataplane.resolve(&r).ok_or(InvokeError::BadHandle)?,
-        };
-        let dp = &inner.dataplane;
-        let m = &inner.handles;
-        let parse_ref = |v: &Value| {
-            ObjectRef::from_value(v)
-                .ok_or_else(|| InvokeError::BadInput("expected an object ref".into()))
-        };
-        let op = req.kernel.strip_prefix(DATA_KERNEL_PREFIX).unwrap_or("");
-        let output = match op {
-            "put" => {
-                let r = dp.put(input);
-                m.dataplane_puts.inc();
-                m.dataplane_objects.set(dp.store().len() as f64);
-                m.dataplane_bytes_stored
-                    .set(dp.store().bytes_stored() as f64);
-                r.to_value()
-            }
-            "get" => {
-                let r = parse_ref(&input)?;
-                dp.resolve(&r).ok_or(InvokeError::BadHandle)?
-            }
-            "seal" => {
-                let r = parse_ref(&input)?;
-                if !dp.seal(r.hash) {
-                    return Err(InvokeError::BadHandle);
-                }
-                Value::Unit
-            }
-            "pin" => {
-                let r = parse_ref(&input)?;
-                if !dp.pin(r.hash) {
-                    return Err(InvokeError::BadHandle);
-                }
-                Value::Unit
-            }
-            _ => return Err(InvokeError::UnknownKernel(req.kernel.clone())),
-        };
-        let report = self.control_report(&req.kernel);
-        let data = if oob {
-            let bytes = output.wire_bytes();
-            DataRef::OutOfBand(inner.shm.put(output, bytes).await)
-        } else {
-            sleep(inner.config.serialization.time(output.wire_bytes())).await;
-            DataRef::InBand(output)
-        };
-        Ok((data, report))
-    }
 }
 
 #[cfg(test)]
@@ -1101,7 +985,7 @@ mod tests {
         );
         let req = Request {
             id: 0,
-            kernel: "mci".into(),
+            target: Target::Kernel("mci".into()),
             data: DataRef::InBand(Value::Unit),
             tenant: None,
             deadline: None,

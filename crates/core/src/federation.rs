@@ -26,8 +26,7 @@ use kaas_kernels::Value;
 use kaas_net::{LinkProfile, NetError, SharedMemory};
 
 use crate::client::{Invocation, KaasClient};
-use crate::protocol::InvokeError;
-use crate::server::DISCOVERY_KERNEL;
+use crate::protocol::{Control, InvokeError};
 use crate::workflow::{
     FlowError, StepReport, Workflow, WorkflowHandle, WorkflowReport, WorkflowRun,
 };
@@ -418,9 +417,9 @@ fn merge_steps(done: &[StepReport], partial: Vec<StepReport>) -> Vec<StepReport>
     out
 }
 
-/// Queries a site's kernel list through the reserved discovery endpoint.
+/// Queries a site's kernel list with the [`Control::Discover`] op.
 async fn discover(client: &mut KaasClient) -> Vec<String> {
-    match client.call(DISCOVERY_KERNEL).send().await {
+    match client.control(Control::Discover).send().await {
         Ok(inv) => match inv.output.payload() {
             Value::List(items) => items
                 .iter()

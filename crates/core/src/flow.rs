@@ -1,9 +1,10 @@
 //! The server-side dataflow engine: registered workflow DAGs executed
 //! device-to-device.
 //!
-//! Clients register a [`Workflow`] once through the reserved
-//! `_kaas/flow/register` control kernel and trigger it with a single
-//! `_kaas/flow/run` request. The server walks the DAG itself: as each
+//! Clients register a [`Workflow`] once through the
+//! [`Control::FlowRegister`](crate::Control::FlowRegister) op and
+//! trigger it with a single [`Control::FlowRun`](crate::Control::FlowRun)
+//! request. The server walks the DAG itself: as each
 //! step completes, its output is sealed into the object store, admitted
 //! to the device that produced it, and handed to its consumers as a
 //! device-resident [`ObjectRef`] — intermediates never cross the wire,
@@ -32,20 +33,13 @@ use std::time::Duration;
 
 use kaas_kernels::Value;
 use kaas_simtime::channel::{self, Sender};
-use kaas_simtime::{now, sleep, spawn, SimTime, SpanId};
+use kaas_simtime::{sleep, spawn, SimTime, SpanId};
 
 use crate::dataplane::ObjectRef;
 use crate::metrics::InvocationReport;
-use crate::protocol::{DataRef, InvokeError, Request, Response};
+use crate::protocol::{DataRef, InvokeError, Request, Target};
 use crate::server::KaasServer;
 use crate::workflow::{StepReport, Workflow, WorkflowReport};
-
-/// Prefix of the reserved flow control kernels.
-pub const FLOW_KERNEL_PREFIX: &str = "_kaas/flow/";
-/// Control kernel registering a workflow DAG, answering with its id.
-pub const FLOW_REGISTER_KERNEL: &str = "_kaas/flow/register";
-/// Control kernel triggering one run of a registered workflow.
-pub const FLOW_RUN_KERNEL: &str = "_kaas/flow/run";
 
 /// Trigger flag: reply with the final output's [`ObjectRef`] instead of
 /// the materialized value (federated segment handoff).
@@ -113,14 +107,14 @@ impl FlowState {
         }
     }
 
-    fn register(&self, wf: Workflow) -> u64 {
+    pub(crate) fn register(&self, wf: Workflow) -> u64 {
         let id = self.next_id.get();
         self.next_id.set(id + 1);
         self.flows.borrow_mut().insert(id, Rc::new(wf));
         id
     }
 
-    fn get(&self, id: u64) -> Option<Rc<Workflow>> {
+    pub(crate) fn get(&self, id: u64) -> Option<Rc<Workflow>> {
         self.flows.borrow().get(&id).cloned()
     }
 
@@ -150,136 +144,12 @@ enum StepInput {
 type StepDone = (usize, u32, Result<(Value, InvocationReport), InvokeError>);
 
 impl KaasServer {
-    /// Serves one `_kaas/flow/*` control request (register or run),
-    /// shaping the response and recording error metrics exactly like
-    /// [`handle`](KaasServer::handle) does for ordinary kernels.
-    pub(crate) async fn flow_frame(&self, req: Request) -> Response {
-        let id = req.id;
-        match self.flow_inner(req).await {
-            Ok((data, report, flow)) => Response {
-                id,
-                result: Ok(data),
-                report: Some(report),
-                flow,
-            },
-            Err((e, flow)) => {
-                self.inner().handles.error(e.kind());
-                Response {
-                    id,
-                    result: Err(e),
-                    report: None,
-                    flow,
-                }
-            }
-        }
-    }
-
-    async fn flow_inner(
-        &self,
-        req: Request,
-    ) -> Result<
-        (DataRef, InvocationReport, Option<WorkflowReport>),
-        (InvokeError, Option<WorkflowReport>),
-    > {
-        let inner = self.inner();
-        let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
-        let input = match req.data {
-            DataRef::InBand(v) => {
-                sleep(inner.config.serialization.time(v.wire_bytes())).await;
-                v
-            }
-            DataRef::OutOfBand(h) => inner
-                .shm
-                .take(h)
-                .await
-                .ok_or((InvokeError::BadHandle, None))?,
-            DataRef::Object(r) => inner
-                .dataplane
-                .resolve(&r)
-                .ok_or((InvokeError::BadHandle, None))?,
-        };
-        let m = &inner.handles;
-        let op = req.kernel.strip_prefix(FLOW_KERNEL_PREFIX).unwrap_or("");
-        match op {
-            "register" => {
-                let wf = Workflow::from_value(&input).ok_or((
-                    InvokeError::BadInput("expected a workflow definition".into()),
-                    None,
-                ))?;
-                // Fail registration, not a later trigger, when a step
-                // names a kernel this site does not serve.
-                for step in wf.steps() {
-                    if inner.registry.lookup(step.kernel()).is_none() {
-                        return Err((InvokeError::UnknownKernel(step.kernel().to_owned()), None));
-                    }
-                }
-                let flow_id = inner.flows.register(wf);
-                m.registry().inc("workflow.registered");
-                let output = Value::U64(flow_id);
-                let data = self.shape_flow_reply(output, oob).await;
-                Ok((data, self.control_report(FLOW_REGISTER_KERNEL), None))
-            }
-            "run" => {
-                let (flow_id, flags, trigger) = decode_trigger(&input).ok_or((
-                    InvokeError::BadInput("expected a flow trigger".into()),
-                    None,
-                ))?;
-                let wf = inner
-                    .flows
-                    .get(flow_id)
-                    .ok_or((InvokeError::UnknownFlow(flow_id.to_string()), None))?;
-                let t0 = now();
-                match self
-                    .run_flow(flow_id, &wf, trigger, req.span, req.tenant, req.deadline)
-                    .await
-                {
-                    Ok((final_ref, report)) => {
-                        m.workflow_runs.inc();
-                        m.workflow_steps.add(report.steps.len() as u64);
-                        m.workflow_chained_hits.add(report.chained_hits() as u64);
-                        m.workflow_latency.observe((now() - t0).as_secs_f64());
-                        let data = if flags & FLOW_REPLY_REF != 0 {
-                            // Segment handoff: only the 24-byte address
-                            // travels; the value stays server-side.
-                            DataRef::Object(final_ref)
-                        } else {
-                            let output = inner
-                                .dataplane
-                                .resolve(&final_ref)
-                                .ok_or((InvokeError::BadHandle, Some(report.clone())))?;
-                            self.shape_flow_reply(output, oob).await
-                        };
-                        Ok((data, self.control_report(FLOW_RUN_KERNEL), Some(report)))
-                    }
-                    Err((e, report)) => {
-                        m.workflow_failures.inc();
-                        Err((e, Some(report)))
-                    }
-                }
-            }
-            _ => Err((InvokeError::UnknownKernel(req.kernel.clone()), None)),
-        }
-    }
-
-    /// Reply shaping for flow control responses: the same transport
-    /// costs as any reply (serialize in-band, memcpy through shm).
-    async fn shape_flow_reply(&self, output: Value, oob: bool) -> DataRef {
-        let inner = self.inner();
-        if oob {
-            let bytes = output.wire_bytes();
-            DataRef::OutOfBand(inner.shm.put(output, bytes).await)
-        } else {
-            sleep(inner.config.serialization.time(output.wire_bytes())).await;
-            DataRef::InBand(output)
-        }
-    }
-
     /// Executes one run of a registered workflow: walks the DAG,
     /// enqueuing ready steps into the dispatcher as dependencies
     /// resolve, chaining intermediates device-resident. Returns the
     /// sink output's ref plus the per-step report; on failure the
     /// report carries the steps that did run (partial results).
-    async fn run_flow(
+    pub(crate) async fn run_flow(
         &self,
         flow_id: u64,
         wf: &Rc<Workflow>,
@@ -630,7 +500,7 @@ impl KaasServer {
                     // Internal correlation id: the flow-step namespace
                     // (high bit) never collides with client ids.
                     id: 0x8000_0000_0000_0000 | (run_no << 16) | idx as u64,
-                    kernel: kernel.clone(),
+                    target: Target::Kernel(kernel.clone()),
                     data,
                     tenant: tenant.clone(),
                     deadline,

@@ -1,10 +1,11 @@
-//! Tenant-registered guest kernels: the `_kaas/code/*` control plane,
-//! the per-tenant versioned registry, and usage accounting.
+//! Tenant-registered guest kernels: the per-tenant versioned registry
+//! behind the `Code*` control ops, and usage accounting.
 //!
 //! The paper's programming model has tenants *bring* their kernels; the
 //! [`kaas_guest`] runtime makes that concrete. A tenant registers a
-//! validated [`GuestProgram`] through the reserved `_kaas/code/register`
-//! control kernel and gets back a versioned identity `tenant/name@vN` —
+//! validated [`GuestProgram`] through the
+//! [`Control::CodeRegister`](crate::Control::CodeRegister) op and gets
+//! back a versioned identity `tenant/name@vN` —
 //! registration never mutates an existing version, so in-flight and
 //! retried invocations keep resolving the exact code they started with.
 //! Dispatch resolves guest names alongside compiled-in kernels: a plain
@@ -21,22 +22,10 @@ use std::rc::Rc;
 
 use kaas_guest::{GuestKernel, GuestMeter, GuestProgram, Trap};
 use kaas_kernels::Value;
-use kaas_simtime::sleep;
 
 use crate::metrics::handles::ServerMetrics;
-use crate::metrics::InvocationReport;
-use crate::protocol::{DataRef, InvokeError, Request};
+use crate::protocol::InvokeError;
 use crate::server::KaasServer;
-
-/// Prefix of the reserved guest-code control kernels.
-pub const CODE_KERNEL_PREFIX: &str = "_kaas/code/";
-/// Control kernel registering a guest program, answering with its
-/// versioned `tenant/name@vN` identity.
-pub const CODE_REGISTER_KERNEL: &str = "_kaas/code/register";
-/// Control kernel listing a tenant's live guest kernel versions.
-pub const CODE_LIST_KERNEL: &str = "_kaas/code/list";
-/// Control kernel tombstoning a guest kernel (one version or all).
-pub const CODE_REMOVE_KERNEL: &str = "_kaas/code/remove";
 
 const CODE_REGISTER_TAG: &str = "kaas.code.register";
 
@@ -49,7 +38,7 @@ pub(crate) fn encode_register(tenant: &str, program: &GuestProgram) -> Value {
     ])
 }
 
-fn decode_register(v: &Value) -> Result<(String, GuestProgram), InvokeError> {
+pub(crate) fn decode_register(v: &Value) -> Result<(String, GuestProgram), InvokeError> {
     match v.payload() {
         Value::List(items) => match items.as_slice() {
             [Value::Text(tag), Value::Text(tenant), program] if tag == CODE_REGISTER_TAG => {
@@ -68,9 +57,9 @@ fn decode_register(v: &Value) -> Result<(String, GuestProgram), InvokeError> {
 }
 
 /// Is `name` shaped like a guest kernel reference (`tenant/...`) rather
-/// than a compiled-in kernel or a reserved `_kaas/` control name?
+/// than a compiled-in kernel?
 pub(crate) fn is_guest_name(name: &str) -> bool {
-    name.contains('/') && !name.starts_with("_kaas/")
+    name.contains('/')
 }
 
 struct GuestEntry {
@@ -106,7 +95,11 @@ impl GuestState {
 
     /// Validates and instantiates `program` under `tenant`, assigning
     /// the next version id. Returns the full `tenant/name@vN` identity.
-    fn register(&self, tenant: &str, program: GuestProgram) -> Result<String, InvokeError> {
+    pub(crate) fn register(
+        &self,
+        tenant: &str,
+        program: GuestProgram,
+    ) -> Result<String, InvokeError> {
         let bad_tenant = tenant.is_empty()
             || tenant.starts_with('_')
             || tenant
@@ -167,7 +160,7 @@ impl GuestState {
 
     /// Every live `tenant/name@vN` under `tenant`, in name-then-version
     /// order.
-    fn list(&self, tenant: &str) -> Vec<String> {
+    pub(crate) fn list(&self, tenant: &str) -> Vec<String> {
         let prefix = format!("{tenant}/");
         self.kernels
             .borrow()
@@ -184,7 +177,7 @@ impl GuestState {
 
     /// Tombstones one version (`tenant/name@vN`) or every live version
     /// (`tenant/name`). Returns how many versions were removed.
-    fn remove(&self, name: &str) -> u64 {
+    pub(crate) fn remove(&self, name: &str) -> u64 {
         let mut map = self.kernels.borrow_mut();
         match name.rsplit_once("@v") {
             Some((base, v)) => {
@@ -252,69 +245,6 @@ impl KaasServer {
             .guests
             .resolve(name)
             .and_then(|k| k.predicted_fuel())
-    }
-
-    /// Serves one `_kaas/code/*` control operation (register/list/
-    /// remove) against the guest registry. Like the data plane, control
-    /// operations bypass placement but pay ordinary transport costs.
-    pub(crate) async fn code_op(
-        &self,
-        req: Request,
-    ) -> Result<(DataRef, InvocationReport), InvokeError> {
-        let inner = self.inner();
-        let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
-        let input = match req.data {
-            DataRef::InBand(v) => {
-                sleep(inner.config.serialization.time(v.wire_bytes())).await;
-                v
-            }
-            DataRef::OutOfBand(h) => inner.shm.take(h).await.ok_or(InvokeError::BadHandle)?,
-            DataRef::Object(r) => inner.dataplane.resolve(&r).ok_or(InvokeError::BadHandle)?,
-        };
-        let m = inner.handles.registry();
-        let text = |v: &Value, what: &str| match v.payload() {
-            Value::Text(t) => Ok(t.clone()),
-            _ => Err(InvokeError::BadInput(format!("expected {what} as text"))),
-        };
-        let op = req.kernel.strip_prefix(CODE_KERNEL_PREFIX).unwrap_or("");
-        let output = match op {
-            "register" => {
-                let (tenant, program) = decode_register(&input)?;
-                let full = inner.guests.register(&tenant, program)?;
-                m.inc("guest.registered");
-                Value::Text(full)
-            }
-            "list" => {
-                let tenant = text(&input, "a tenant identity")?;
-                Value::List(
-                    inner
-                        .guests
-                        .list(&tenant)
-                        .into_iter()
-                        .map(Value::Text)
-                        .collect(),
-                )
-            }
-            "remove" => {
-                let name = text(&input, "a guest kernel name")?;
-                let removed = inner.guests.remove(&name);
-                if removed == 0 {
-                    return Err(InvokeError::UnknownGuestKernel(name));
-                }
-                m.add("guest.removed", removed);
-                Value::U64(removed)
-            }
-            _ => return Err(InvokeError::UnknownKernel(req.kernel.clone())),
-        };
-        let report = self.control_report(&req.kernel);
-        let data = if oob {
-            let bytes = output.wire_bytes();
-            DataRef::OutOfBand(inner.shm.put(output, bytes).await)
-        } else {
-            sleep(inner.config.serialization.time(output.wire_bytes())).await;
-            DataRef::InBand(output)
-        };
-        Ok((data, report))
     }
 }
 
@@ -446,6 +376,5 @@ mod tests {
         assert!(is_guest_name("acme/echo"));
         assert!(is_guest_name("acme/echo@v2"));
         assert!(!is_guest_name("matmul"));
-        assert!(!is_guest_name("_kaas/code/register"));
     }
 }

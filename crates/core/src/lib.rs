@@ -66,6 +66,7 @@ pub mod autoscaler;
 pub mod baseline;
 mod client;
 mod config;
+mod control;
 pub mod dataplane;
 mod dispatch;
 pub mod fault;
@@ -95,22 +96,17 @@ pub use client::{
     BatchBuilder, BatchCall, ClientRetryConfig, FlowBuilder, Invocation, InvokeBuilder, KaasClient,
 };
 pub use config::{DispatchMode, ServerConfig, ShardConfig, ShardPolicy};
-pub use dataplane::{
-    content_hash, DataPlane, ObjectRef, ObjectStore, DATA_GET_KERNEL, DATA_KERNEL_PREFIX,
-    DATA_PIN_KERNEL, DATA_PUT_KERNEL, DATA_SEAL_KERNEL, OBJECT_REF_WIRE_BYTES,
-};
+pub use dataplane::{content_hash, DataPlane, ObjectRef, ObjectStore, OBJECT_REF_WIRE_BYTES};
 pub use fault::{AppliedFault, Fault, FaultEvent, FaultInjector, FaultLog, FaultPlan, StormConfig};
 pub use federation::{FederatedClient, FederatedFlow, SiteHandle, SiteSpec};
-pub use flow::{FLOW_KERNEL_PREFIX, FLOW_REGISTER_KERNEL, FLOW_RUN_KERNEL};
 pub use fusion::{fuse, FusedKernel, FusionError};
-pub use guest::{CODE_KERNEL_PREFIX, CODE_LIST_KERNEL, CODE_REGISTER_KERNEL, CODE_REMOVE_KERNEL};
 pub use metrics::histogram::{Histogram, HistogramSummary};
 pub use metrics::registry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 pub use metrics::{mean_ci95, percentile, InvocationReport, MeanCi, MetricsSink, RunnerId};
 pub use pool::{RunnerPool, RunnerSlot};
 pub use protocol::{
-    DataRef, InvokeError, Request, RequestFrame, Response, ResponseFrame, BATCH_MEMBER_BYTES,
-    FRAME_BYTES,
+    Control, DataRef, InvokeError, Request, RequestFrame, Response, ResponseFrame, Target,
+    BATCH_MEMBER_BYTES, FRAME_BYTES,
 };
 pub use registry::{KernelRegistry, RegistryError};
 pub use resilience::{
@@ -122,7 +118,7 @@ pub use runner::{RunnerConfig, RunnerTimings, TaskRunner};
 pub use scheduler::{
     FillFirst, LeastLoaded, RoundRobin, SchedCtx, Scheduler, SlotChoice, SlotView, WarmFirst,
 };
-pub use server::{KaasServer, KernelStats, ServerSnapshot, DISCOVERY_KERNEL};
+pub use server::{KaasServer, KernelStats, ServerSnapshot};
 pub use trace::{Span, SpanId, SpanSink};
 pub use workflow::{
     Edge, EdgeTransfer, FlowError, StepId, StepReport, Workflow, WorkflowBuilder, WorkflowError,

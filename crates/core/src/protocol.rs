@@ -50,13 +50,85 @@ impl DataRef {
 /// Fixed protocol framing overhead per message.
 pub const FRAME_BYTES: u64 = 128;
 
-/// A kernel invocation request.
+/// A server-side operation outside the paper's kernel namespace: the
+/// data plane, guest code, workflows and discovery. Each op is served
+/// by one control handler that bypasses admission and placement (no
+/// device work happens) but pays the same transport costs as a kernel
+/// invocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Control {
+    /// Lists the kernels the site serves (federated clients route by it).
+    Discover,
+    /// Stores the payload in the object store, answering with its
+    /// [`ObjectRef`].
+    DataPut,
+    /// Fetches a stored object back by its ref.
+    DataGet,
+    /// Marks a stored object immutable, which makes it cacheable on
+    /// devices.
+    DataSeal,
+    /// Protects a stored object from device eviction.
+    DataPin,
+    /// Verifies and registers a guest program, answering with its
+    /// versioned `tenant/name@vN` identity.
+    CodeRegister,
+    /// Lists a tenant's live guest kernel versions.
+    CodeList,
+    /// Tombstones a guest kernel (one version or all).
+    CodeRemove,
+    /// Registers a workflow DAG, answering with its id.
+    FlowRegister,
+    /// Triggers one server-side run of a registered workflow.
+    FlowRun,
+}
+
+impl Control {
+    /// The op's stable label: the reserved name it travelled under
+    /// before requests were typed. Its length is the op's wire cost
+    /// (see [`Request::wire_bytes`]), and it names the op in spans and
+    /// reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Control::Discover => "_kaas/list",
+            Control::DataPut => "_kaas/data/put",
+            Control::DataGet => "_kaas/data/get",
+            Control::DataSeal => "_kaas/data/seal",
+            Control::DataPin => "_kaas/data/pin",
+            Control::CodeRegister => "_kaas/code/register",
+            Control::CodeList => "_kaas/code/list",
+            Control::CodeRemove => "_kaas/code/remove",
+            Control::FlowRegister => "_kaas/flow/register",
+            Control::FlowRun => "_kaas/flow/run",
+        }
+    }
+}
+
+/// What a [`Request`] asks the server to run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Target {
+    /// A registered kernel (compiled-in, or a guest `tenant/name[@vN]`).
+    Kernel(String),
+    /// A control operation.
+    Control(Control),
+}
+
+impl Target {
+    /// The kernel name, or the control op's [`name`](Control::name).
+    pub fn name(&self) -> &str {
+        match self {
+            Target::Kernel(name) => name,
+            Target::Control(op) => op.name(),
+        }
+    }
+}
+
+/// A kernel invocation or control request.
 #[derive(Debug)]
 pub struct Request {
     /// Client-chosen correlation id.
     pub id: u64,
-    /// Registered kernel name.
-    pub kernel: String,
+    /// The kernel or control operation to run.
+    pub target: Target,
     /// Input payload.
     pub data: DataRef,
     /// Tenant identity for fairness accounting (§3.1: "fairness, data
@@ -85,7 +157,7 @@ pub struct Request {
 impl Request {
     /// Total on-wire size.
     pub fn wire_bytes(&self) -> u64 {
-        FRAME_BYTES + self.kernel.len() as u64 + self.data.wire_bytes()
+        FRAME_BYTES + self.target.name().len() as u64 + self.data.wire_bytes()
     }
 }
 
@@ -248,8 +320,8 @@ pub struct Response {
     /// Timing breakdown (present even for failures where possible).
     pub report: Option<InvocationReport>,
     /// Per-step breakdown of a flow trigger (responses to
-    /// `_kaas/flow/run` only; present even for failed flows, carrying
-    /// the partial results).
+    /// [`Control::FlowRun`] only; present even for failed flows,
+    /// carrying the partial results).
     pub flow: Option<WorkflowReport>,
 }
 
@@ -331,7 +403,7 @@ mod tests {
     fn in_band_wire_size_includes_payload() {
         let req = Request {
             id: 1,
-            kernel: "matmul".into(),
+            target: Target::Kernel("matmul".into()),
             data: DataRef::InBand(Value::F64s(vec![0.0; 1000])),
             tenant: None,
             deadline: None,
@@ -340,6 +412,44 @@ mod tests {
             reply_to_store: false,
         };
         assert!(req.wire_bytes() > 8000);
+    }
+
+    #[test]
+    fn control_ops_cost_their_historical_name_on_the_wire() {
+        // Byte lengths of the reserved kernel names each op travelled
+        // under before requests were typed: virtual time depends on
+        // them, so they must not move.
+        let ops = [
+            (Control::Discover, 10),
+            (Control::DataPut, 14),
+            (Control::DataGet, 14),
+            (Control::DataSeal, 15),
+            (Control::DataPin, 14),
+            (Control::CodeRegister, 19),
+            (Control::CodeList, 15),
+            (Control::CodeRemove, 17),
+            (Control::FlowRegister, 19),
+            (Control::FlowRun, 14),
+        ];
+        for (op, name_len) in ops {
+            let data = DataRef::InBand(Value::F64s(vec![0.0; 4]));
+            let data_bytes = data.wire_bytes();
+            let req = Request {
+                id: 1,
+                target: Target::Control(op),
+                data,
+                tenant: None,
+                deadline: None,
+                span: None,
+                reply_out_of_band: false,
+                reply_to_store: false,
+            };
+            assert_eq!(
+                req.wire_bytes(),
+                FRAME_BYTES + name_len + data_bytes,
+                "{op:?}"
+            );
+        }
     }
 
     #[test]

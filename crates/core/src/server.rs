@@ -33,10 +33,6 @@ use crate::protocol::{InvokeError, RequestFrame, ResponseFrame};
 use crate::registry::KernelRegistry;
 use crate::resilience::{BreakerBank, BreakerState, RetryBudget};
 
-/// Reserved kernel name answering with the site's registered kernel
-/// list (used by federated clients for discovery).
-pub const DISCOVERY_KERNEL: &str = "_kaas/list";
-
 pub(crate) struct ServerInner {
     pub(crate) registry: KernelRegistry,
     pub(crate) config: ServerConfig,
@@ -62,7 +58,7 @@ pub(crate) struct ServerInner {
     /// server-side dataflow executor.
     pub(crate) flows: FlowState,
     /// Tenant-registered guest kernels (versioned bytecode programs
-    /// behind the `_kaas/code/*` control plane) with usage accounting.
+    /// behind the `Code*` control ops) with usage accounting.
     pub(crate) guests: GuestState,
     /// Token bucket metering the server's own retry loops (the flow
     /// executor's step retries); `None` keeps them unmetered.

@@ -1,6 +1,6 @@
 //! Guest-kernel bytecode: the [`Op`] instruction set, the [`GuestProgram`]
 //! container tenants register, static validation, and the tagged
-//! [`Value`] wire encoding used by `_kaas/code/register`.
+//! [`Value`] wire encoding a guest registration request carries.
 
 use kaas_accel::DeviceClass;
 use kaas_kernels::Value;

@@ -50,6 +50,25 @@ replay_twice() {
     fi
 }
 
+# matches_archive <file> <bin> [args...]: runs kaas-bench's <bin> in a
+# scratch directory, so the tree is untouched, and fails the gate unless
+# what it archives matches results/<file> byte for byte: the file it
+# writes under results/ if it writes one, its stdout otherwise.
+matches_archive() {
+    local file="$1" bin="$2" root="$PWD" dir out
+    shift 2
+    dir="$(mktemp -d)"
+    (cd "$dir" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
+        -p kaas-bench --bin "$bin" -- "$@" >stdout)
+    out="$dir/results/$file"
+    [[ -f "$out" ]] || out="$dir/stdout"
+    if ! diff "$out" "results/$file" >&2; then
+        echo "results/$file no longer matches --bin $bin $*" >&2
+        exit 1
+    fi
+    rm -rf "$dir"
+}
+
 echo "==> chaos stage: seeded fault storm + determinism replay"
 cargo test -q --release --test chaos
 # The same seeded storm twice; the example's recovery timeline (and
@@ -64,20 +83,10 @@ echo "==> dataflow stage: workflow DAG tests + bench determinism"
 cargo test -q --release --test workflow_dataflow
 replay_twice dataflow cargo run -q --release -p kaas-bench --bin dataflow -- --quick
 
-echo "==> cluster stage: sharded-dispatch tests + bench determinism + archive"
+echo "==> cluster stage: sharded-dispatch tests + bench determinism"
 cargo test -q --release --test dispatch_shard
 # The dispatch A/B bench (serialized-router knee vs sharded+batched).
 replay_twice cluster cargo run -q --release -p kaas-bench --bin cluster -- --quick
-# Archive-vs-fresh: a full run, in a scratch directory so the tree is
-# untouched, must write results/cluster.json byte for byte.
-cl_dir="$(mktemp -d)"
-(cd "$cl_dir" && cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
-    -p kaas-bench --bin cluster >/dev/null)
-if ! diff "$cl_dir/results/cluster.json" results/cluster.json >&2; then
-    echo "results/cluster.json no longer matches --bin cluster" >&2
-    exit 1
-fi
-rm -rf "$cl_dir"
 
 echo "==> overload stage: overload-control tests + bench determinism"
 cargo test -q --release --test overload
@@ -90,18 +99,22 @@ cargo test -q --release --test guest_runtime
 replay_twice coldstart cargo run -q --release -p kaas-bench --bin coldstart -- --quick
 
 echo "==> verify stage: bytecode verifier differential test + bench determinism"
-cargo test -q --release -p kaas-guest --test differential
+cargo test -q --release --test guest_differential
 # The checking-vs-fast-path sweep is modeled from instruction/check
 # counters.
 replay_twice verify cargo run -q --release -p kaas-bench --bin verify -- --quick
 
-echo "==> trace stage: diurnal replay matches the committed archive"
-# Archive-vs-fresh: the replay must reproduce results/trace.csv byte for
-# byte, so a change that moves its numbers must refresh the archive.
-if ! diff <(cargo run -q --release -p kaas-bench --bin trace) results/trace.csv >&2; then
-    echo "results/trace.csv no longer matches --bin trace" >&2
-    exit 1
-fi
+echo "==> results stage: fresh full runs match the committed archives"
+# A change that moves one of these numbers must refresh the archive.
+# Archives not listed here still drift from the code (ROADMAP item 4).
+matches_archive cluster.json cluster
+matches_archive coldstart.json coldstart
+matches_archive dataflow.csv dataflow
+matches_archive fig02.csv fig02
+matches_archive fig09.csv fig09
+matches_archive overload.json overload
+matches_archive trace.csv trace
+matches_archive verify.json verify
 
 echo "==> perfbench stage: benchmark same-seed and correctness tests"
 # The benchmark is its own Cargo workspace; its tests check that outputs

@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use kaas::accel::{Device, DeviceId, GpuDevice, GpuProfile, MemoryManager};
 use kaas::core::{
-    InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry, ObjectRef, ServerConfig,
-    Span, SpanSink, WarmFirst,
+    BatchCall, DataRef, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry,
+    ObjectRef, Request, ServerConfig, Span, SpanSink, Target, WarmFirst,
 };
 use kaas::kernels::{Kernel, MatMul, Value};
 use kaas::net::{LinkProfile, SharedMemory};
@@ -108,6 +108,63 @@ fn put_get_seal_pin_roundtrip() {
         client.pin(r).await.unwrap();
         assert!(server.dataplane().store().is_sealed(r.hash));
         assert!(server.dataplane().store().is_pinned(r.hash));
+    });
+}
+
+/// Control ops are typed, not names: a kernel request spelled like the
+/// put op's historical label is an ordinary (unknown) kernel, whether it
+/// reaches the server directly, through `call`, or as a batch member.
+#[test]
+fn a_reserved_looking_kernel_name_is_not_a_control_op() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let (server, net, shm) = boot_with(
+            gpus(1),
+            vec![Rc::new(MatMul::new())],
+            ServerConfig::default(),
+        );
+        let payload = || Value::F64s(vec![1.5; 64]);
+        let resp = server
+            .handle(Request {
+                id: 1,
+                target: Target::Kernel("_kaas/data/put".into()),
+                data: DataRef::InBand(payload()),
+                tenant: None,
+                deadline: None,
+                span: None,
+                reply_out_of_band: false,
+                reply_to_store: false,
+            })
+            .await;
+        // The name is tenant-shaped (`_kaas/…`), so it resolves as a
+        // guest kernel that was never registered.
+        let err = resp.result.unwrap_err();
+        assert_eq!(
+            err,
+            InvokeError::UnknownGuestKernel("_kaas/data/put".into())
+        );
+
+        let mut client = connect(&net, shm).await;
+        let err = client
+            .call("_kaas/data/put")
+            .arg(payload())
+            .send()
+            .await
+            .unwrap_err();
+        assert_eq!(err.kind(), "unknown-guest-kernel");
+        let batch = client
+            .batch()
+            .call(BatchCall::new("_kaas/data/put").arg(payload()))
+            .send()
+            .await
+            .unwrap();
+        assert_eq!(
+            batch[0].as_ref().unwrap_err().kind(),
+            "unknown-guest-kernel"
+        );
+
+        assert_eq!(server.dataplane().store().len(), 0);
+        assert_eq!(server.metrics_registry().counter("dataplane.puts"), 0);
     });
 }
 

@@ -7,7 +7,7 @@ use std::time::Duration;
 use kaas::accel::{Device, DeviceClass, DeviceId, GpuDevice, GpuProfile};
 use kaas::core::{
     BreakerConfig, DataRef, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry,
-    Request, RetryConfig, ServerConfig, WorkflowHandle,
+    Request, RetryConfig, ServerConfig, Target, WorkflowHandle,
 };
 use kaas::guest::{GuestProgram, Op};
 use kaas::kernels::{Kernel, MatMul, MonteCarlo, Value};
@@ -345,7 +345,7 @@ fn every_error_kind_is_inducible_and_counted() {
         let resp = server
             .handle(Request {
                 id: u64::MAX,
-                kernel: "matmul".into(),
+                target: Target::Kernel("matmul".into()),
                 data: DataRef::OutOfBand(stale),
                 tenant: None,
                 deadline: None,
