@@ -6,7 +6,13 @@
 //! Invocations are built fluently: [`KaasClient::call`] returns an
 //! [`InvokeBuilder`] that collects the input, per-call tenant/deadline
 //! overrides, transfer mode, and tracing choice before
-//! [`send`](InvokeBuilder::send) runs the round trip:
+//! [`send`](InvokeBuilder::send) runs the round trip. Invocations,
+//! control operations and flow triggers ([`KaasClient::flow`], a
+//! [`Control::FlowRun`] call) all take the same private path: stage the
+//! input (serialize it in-band, `shm.put` it out-of-band, or carry an
+//! object ref in the frame), build one request and do the round trip,
+//! then materialize the reply. A traced call records its root span on
+//! every exit, errors included:
 //!
 //! ```no_run
 //! # async fn demo(client: &mut kaas_core::KaasClient) {
@@ -33,7 +39,7 @@ use kaas_kernels::Value;
 use kaas_net::{
     Connection, LinkFault, LinkProfile, NetError, Network, SerializationProfile, SharedMemory,
 };
-use kaas_simtime::{now, sleep, timeout, SpanId, SpanSink};
+use kaas_simtime::{now, sleep, timeout, OpenSpan, SimTime, SpanId, SpanSink};
 
 use crate::dataplane::ObjectRef;
 use crate::flow::{encode_trigger, FLOW_REPLY_REF};
@@ -422,16 +428,11 @@ impl KaasClient {
     /// intermediates device-to-device.
     pub fn flow(&mut self, handle: &WorkflowHandle) -> FlowBuilder<'_> {
         FlowBuilder {
+            client: self,
             id: handle.id(),
             name: handle.name().to_owned(),
-            input: Value::Unit,
-            object: None,
-            tenant: None,
-            deadline: None,
-            timeout: None,
-            trace: true,
-            out_of_band: false,
-            client: self,
+            opts: CallOptions::default(),
+            transport: Transport::default(),
         }
     }
 
@@ -449,35 +450,166 @@ impl KaasClient {
         }
     }
 
-    async fn roundtrip(&mut self, req: Request) -> Result<Response, InvokeError> {
-        let id = req.id;
-        let span = req.span;
-        let frame = RequestFrame::One(req);
-        let bytes = frame.wire_bytes();
-        self.conn
-            .send_traced(frame, bytes, span)
-            .await
-            .map_err(|_| InvokeError::Disconnected)?;
-        loop {
-            let frame = self.conn.recv().await.ok_or(InvokeError::Disconnected)?;
-            match frame.body {
-                ResponseFrame::One(resp) if resp.id == id => return Ok(resp),
-                // A response to an older (abandoned) request or to a
-                // timed-out batch: drop it.
-                _ => {}
-            }
+    /// Draws the next request id: this client's identity in the high
+    /// half, its sequence number in the low half.
+    fn next_id(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        (self.id << 32) | (seq & 0xffff_ffff)
+    }
+
+    /// Builds request `id`. The tenant falls back to the client's and
+    /// the deadline becomes absolute as of now; the request starts
+    /// untraced, with an in-band reply.
+    fn request(
+        &self,
+        id: u64,
+        target: Target,
+        data: DataRef,
+        tenant: Option<String>,
+        deadline: Option<Duration>,
+    ) -> Request {
+        Request {
+            id,
+            target,
+            data,
+            tenant: tenant.or_else(|| self.tenant.clone()),
+            deadline: deadline.map(|d| now() + d),
+            span: None,
+            reply_out_of_band: false,
+            reply_to_store: false,
         }
     }
 
-    /// The hedged round trip: sends `req`, and if no response arrives
-    /// within `delay`, sends the pre-built duplicate `hedge` too. The
-    /// first response matching **either** id wins; the loser's reply is
-    /// dropped by the stale-response filter like any abandoned request.
+    /// The one call path (§4.1), shared by invocations, control ops and
+    /// flow triggers. Every exit finishes `root` and its children.
+    ///
+    /// 1. Stage the input: an object ref rides in the frame; any other
+    ///    input is serialized in-band or shm-put out-of-band.
+    /// 2. Build the request and do the round trip, hedged and bounded
+    ///    by the timeout when asked.
+    /// 3. Materialize the reply: deserialize it or shm-take it. A bare
+    ///    content address comes back as is.
+    ///
+    /// The error carries a failed flow's partial step reports (empty
+    /// for every other call).
+    async fn call_once(
+        &mut self,
+        target: &Target,
+        opts: CallOptions,
+        transport: Transport,
+        hedge: Option<Duration>,
+        mut root: RootSpan,
+    ) -> Result<Reply, FlowError> {
+        let id = self.next_id();
+        root.push_arg("request", id);
+        let start = now();
+        let result = async {
+            // Out-of-band mode needs the region even for ref inputs: the
+            // reply comes back through it.
+            let shm = transport
+                .out_of_band
+                .then(|| self.shm.as_ref().ok_or(InvokeError::BadHandle))
+                .transpose()?;
+            let t0 = now();
+            let data = match (opts.object, shm) {
+                // A content address is part of the request frame itself:
+                // no payload to serialize, nothing to stage in shm.
+                (Some(r), _) => DataRef::Object(r),
+                (None, Some(shm)) => {
+                    let bytes = opts.input.wire_bytes();
+                    let handle = shm.put(opts.input, bytes).await;
+                    root.step("shm_put", t0);
+                    DataRef::OutOfBand(handle)
+                }
+                (None, None) => {
+                    sleep(self.serialization.time(opts.input.wire_bytes())).await;
+                    root.step("serialize", t0);
+                    DataRef::InBand(opts.input)
+                }
+            };
+
+            // The server parents its spans under the round trip's id.
+            let rt = root.child("roundtrip");
+            let mut req = self.request(id, target.clone(), data, opts.tenant, opts.deadline);
+            req.span = rt.as_ref().map(OpenSpan::id);
+            req.reply_out_of_band = transport.out_of_band;
+            // A hedge is a second, identical request under its own id,
+            // untraced: two server span trees under one roundtrip span
+            // would overlap. Out-of-band calls never hedge, as their
+            // input is a consume-once shm handle; object refs are plain
+            // content addresses and duplicate safely.
+            let hedge = match hedge.filter(|_| !transport.out_of_band) {
+                Some(delay) => {
+                    let data = match &req.data {
+                        DataRef::InBand(v) => DataRef::InBand(v.clone()),
+                        DataRef::Object(r) => DataRef::Object(*r),
+                        DataRef::OutOfBand(_) => unreachable!("in-band calls stage no shm handle"),
+                    };
+                    let id = self.next_id();
+                    let tenant = req.tenant.clone();
+                    let dup = self.request(id, target.clone(), data, tenant, opts.deadline);
+                    Some((dup, delay))
+                }
+                None => None,
+            };
+            let round_trip = self.roundtrip_hedged(req, hedge);
+            let resp = match transport.timeout {
+                Some(d) => timeout(d, round_trip)
+                    .await
+                    .unwrap_or(Err(InvokeError::TimedOut)),
+                None => round_trip.await,
+            };
+            if let Some(rt) = rt {
+                rt.finish();
+            }
+            let resp = resp?;
+            let data = match resp.result {
+                Ok(data) => data,
+                Err(error) => {
+                    let partial = resp.flow.map(|f| f.steps).unwrap_or_default();
+                    return Err(FlowError { error, partial });
+                }
+            };
+
+            let t2 = now();
+            let output = match data {
+                DataRef::InBand(v) => {
+                    sleep(self.serialization.time(v.wire_bytes())).await;
+                    root.step("deserialize", t2);
+                    Output::Value(v)
+                }
+                DataRef::OutOfBand(h) => {
+                    let shm = self.shm.as_ref().ok_or(InvokeError::BadHandle)?;
+                    let v = shm.take(h).await.ok_or(InvokeError::BadHandle)?;
+                    root.step("shm_take", t2);
+                    Output::Value(v)
+                }
+                DataRef::Object(r) => Output::Ref(r),
+            };
+            Ok::<_, FlowError>((output, resp.report, resp.flow))
+        }
+        .await;
+        root.finish();
+        let (output, report, flow) = result?;
+        Ok(Reply {
+            output,
+            report,
+            flow,
+            latency: now() - start,
+        })
+    }
+
+    /// The round trip: sends `req` and waits for the response with its
+    /// id, dropping responses to older (abandoned) requests and to
+    /// timed-out batches. With a `hedge`, if no response arrives within
+    /// its delay, the pre-built duplicate is sent too, and the first
+    /// response matching **either** id wins; the loser's reply is
+    /// dropped like any other stale response.
     async fn roundtrip_hedged(
         &mut self,
         req: Request,
-        hedge: Request,
-        delay: Duration,
+        hedge: Option<(Request, Duration)>,
     ) -> Result<Response, InvokeError> {
         let primary = req.id;
         let span = req.span;
@@ -487,8 +619,8 @@ impl KaasClient {
             .send_traced(frame, bytes, span)
             .await
             .map_err(|_| InvokeError::Disconnected)?;
-        let fire_at = now() + delay;
-        let mut hedge = Some(hedge);
+        let fire_at = now() + hedge.as_ref().map_or(Duration::ZERO, |(_, delay)| *delay);
+        let mut hedge = hedge.map(|(h, _)| h);
         let mut hedge_id = None;
         loop {
             let frame = match &hedge {
@@ -551,6 +683,108 @@ impl KaasClient {
     }
 }
 
+/// A call's input and server-side options, shared by [`InvokeBuilder`],
+/// [`FlowBuilder`] and [`BatchCall`].
+#[derive(Debug, Clone)]
+struct CallOptions {
+    input: Value,
+    object: Option<ObjectRef>,
+    tenant: Option<String>,
+    deadline: Option<Duration>,
+}
+
+impl Default for CallOptions {
+    fn default() -> Self {
+        CallOptions {
+            input: Value::Unit,
+            object: None,
+            tenant: None,
+            deadline: None,
+        }
+    }
+}
+
+/// How a call crosses the wire, shared by [`InvokeBuilder`] and
+/// [`FlowBuilder`].
+#[derive(Debug, Clone, Copy)]
+struct Transport {
+    timeout: Option<Duration>,
+    trace: bool,
+    out_of_band: bool,
+}
+
+impl Default for Transport {
+    fn default() -> Self {
+        Transport {
+            timeout: None,
+            trace: true,
+            out_of_band: false,
+        }
+    }
+}
+
+/// A call's root span on the client's `client{N}` track, or nothing
+/// when the call is untraced. The client-side steps record under it.
+struct RootSpan(Option<(SpanSink, String, OpenSpan)>);
+
+impl RootSpan {
+    fn open(client: &KaasClient, name: &str, trace: bool) -> RootSpan {
+        RootSpan(client.tracer.as_ref().filter(|_| trace).map(|sink| {
+            let track = format!("client{}", client.id);
+            let span = sink.open(&track, name, None);
+            (sink.clone(), track, span)
+        }))
+    }
+
+    fn id(&self) -> Option<SpanId> {
+        self.0.as_ref().map(|(_, _, root)| root.id())
+    }
+
+    fn push_arg(&mut self, key: &str, value: impl std::fmt::Display) {
+        if let Some((_, _, root)) = &mut self.0 {
+            root.push_arg(key, value.to_string());
+        }
+    }
+
+    /// Records the step `name`, which ran from `start` until now.
+    fn step(&self, name: &str, start: SimTime) {
+        if let Some((sink, track, root)) = &self.0 {
+            sink.record(track, name, start, now(), Some(root.id()), vec![]);
+        }
+    }
+
+    /// Opens a child step that others may parent their spans under.
+    fn child(&self, name: &str) -> Option<OpenSpan> {
+        self.0
+            .as_ref()
+            .map(|(sink, track, root)| sink.open(track, name, Some(root.id())))
+    }
+
+    fn finish(self) {
+        if let Some((_, _, root)) = self.0 {
+            root.finish();
+        }
+    }
+}
+
+/// What one call brought back: the materialized output and the
+/// response's reports.
+struct Reply {
+    output: Output,
+    report: Option<InvocationReport>,
+    /// The per-step report of a flow trigger.
+    flow: Option<WorkflowReport>,
+    latency: Duration,
+}
+
+/// A materialized reply payload.
+enum Output {
+    /// Deserialized in-band or taken from shared memory.
+    Value(Value),
+    /// A bare content address: the reply to a `send_ref` flow trigger.
+    Ref(ObjectRef),
+}
+
 /// A pending invocation under construction; create via
 /// [`KaasClient::call`], dispatch with [`send`](InvokeBuilder::send).
 #[must_use = "an invocation does nothing until .send() is awaited"]
@@ -558,27 +792,8 @@ impl KaasClient {
 pub struct InvokeBuilder<'c> {
     client: &'c mut KaasClient,
     target: Target,
-    input: Value,
-    object: Option<ObjectRef>,
-    tenant: Option<String>,
-    deadline: Option<Duration>,
-    timeout: Option<Duration>,
-    trace: bool,
-    out_of_band: bool,
-    hedge: Option<Duration>,
-}
-
-/// The per-attempt parameters of one invocation, split from
-/// [`InvokeBuilder`] so the client-side retry loop can replay an
-/// attempt with a fresh request id and a cloned input.
-struct CallParams {
-    target: Target,
-    object: Option<ObjectRef>,
-    tenant: Option<String>,
-    deadline: Option<Duration>,
-    rt_timeout: Option<Duration>,
-    trace: bool,
-    out_of_band: bool,
+    opts: CallOptions,
+    transport: Transport,
     hedge: Option<Duration>,
 }
 
@@ -587,21 +802,16 @@ impl<'c> InvokeBuilder<'c> {
         InvokeBuilder {
             client,
             target,
-            input: Value::Unit,
-            object: None,
-            tenant: None,
-            deadline: None,
-            timeout: None,
-            trace: true,
-            out_of_band: false,
+            opts: CallOptions::default(),
+            transport: Transport::default(),
             hedge: None,
         }
     }
 
     /// Sets the kernel input (default: [`Value::Unit`]).
     pub fn arg(mut self, input: Value) -> Self {
-        self.input = input;
-        self.object = None;
+        self.opts.input = input;
+        self.opts.object = None;
         self
     }
 
@@ -611,14 +821,14 @@ impl<'c> InvokeBuilder<'c> {
     /// invocations on the same device skip the host→device copy
     /// entirely. Overrides any previous [`arg`](InvokeBuilder::arg).
     pub fn arg_ref(mut self, r: ObjectRef) -> Self {
-        self.object = Some(r);
-        self.input = Value::Unit;
+        self.opts.object = Some(r);
+        self.opts.input = Value::Unit;
         self
     }
 
     /// Overrides the client's tenant identity for this call only.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
+        self.opts.tenant = Some(tenant.into());
         self
     }
 
@@ -626,7 +836,7 @@ impl<'c> InvokeBuilder<'c> {
     /// *starting* device work; requests still undispatched past it are
     /// shed with [`InvokeError::DeadlineExceeded`].
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.opts.deadline = Some(deadline);
         self
     }
 
@@ -636,14 +846,14 @@ impl<'c> InvokeBuilder<'c> {
     /// for lost frames (link faults): without it a dropped request or
     /// response would block the caller forever.
     pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
+        self.transport.timeout = Some(timeout);
         self
     }
 
     /// Opts this call in or out of span recording (default: on, a no-op
     /// unless a sink was attached via [`KaasClient::with_tracer`]).
     pub fn trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
+        self.transport.trace = trace;
         self
     }
 
@@ -655,7 +865,7 @@ impl<'c> InvokeBuilder<'c> {
     /// the reply — pair them whenever the kernel's output is large.
     /// Requires [`KaasClient::with_shared_memory`].
     pub fn out_of_band(mut self) -> Self {
-        self.out_of_band = true;
+        self.transport.out_of_band = true;
         self
     }
 
@@ -683,30 +893,8 @@ impl<'c> InvokeBuilder<'c> {
     /// [`InvokeError::Disconnected`] if the connection closed;
     /// [`InvokeError::BadHandle`] in out-of-band mode without an
     /// attached shared-memory region.
-    pub async fn send(self) -> Result<Invocation, InvokeError> {
-        let InvokeBuilder {
-            client,
-            target,
-            input,
-            object,
-            tenant,
-            deadline,
-            timeout: rt_timeout,
-            trace,
-            out_of_band,
-            hedge,
-        } = self;
-        let params = CallParams {
-            target,
-            object,
-            tenant,
-            deadline,
-            rt_timeout,
-            trace,
-            out_of_band,
-            hedge,
-        };
-        let retry = client.retry.clone();
+    pub async fn send(mut self) -> Result<Invocation, InvokeError> {
+        let retry = self.client.retry.clone();
         if let Some(budget) = retry.as_ref().and_then(|r| r.budget.as_ref()) {
             budget.note_fresh();
         }
@@ -714,11 +902,11 @@ impl<'c> InvokeBuilder<'c> {
         // Deterministic jitter key: the id this call's first attempt
         // will draw. Stable across attempts so backoff policies see one
         // request, not N.
-        let retry_key = (client.id << 32) | (client.next_seq & 0xffff_ffff);
+        let retry_key = (self.client.id << 32) | (self.client.next_seq & 0xffff_ffff);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let err = match params.attempt(client, input.clone()).await {
+            let err = match self.attempt().await {
                 Ok(inv) => return Ok(inv),
                 Err(e) if attempt < max_attempts && ClientRetryConfig::retryable(&e) => e,
                 Err(e) => return Err(e),
@@ -728,7 +916,7 @@ impl<'c> InvokeBuilder<'c> {
                 .expect("max_attempts > 1 only with a retry config");
             if let Some(budget) = &cfg.budget {
                 if !budget.try_spend() {
-                    client.metrics.inc("retries.budget_exhausted");
+                    self.client.metrics.inc("retries.budget_exhausted");
                     return Err(err);
                 }
             }
@@ -746,198 +934,32 @@ impl<'c> InvokeBuilder<'c> {
             }
         }
     }
-}
 
-impl CallParams {
-    /// One full attempt: stage the input, round-trip (hedged if asked),
-    /// materialize the output.
-    async fn attempt(
-        &self,
-        client: &mut KaasClient,
-        input: Value,
-    ) -> Result<Invocation, InvokeError> {
-        let CallParams {
-            target,
-            object,
-            tenant,
-            deadline,
-            rt_timeout,
-            trace,
-            out_of_band,
-            hedge,
-        } = self;
-        let (object, deadline, rt_timeout, trace, out_of_band, hedge) = (
-            *object,
-            *deadline,
-            *rt_timeout,
-            *trace,
-            *out_of_band,
-            *hedge,
-        );
-        let tracer = if trace { client.tracer.clone() } else { None };
-        let track = format!("client{}", client.id);
-        let seq = client.next_seq;
-        client.next_seq += 1;
-        let id = (client.id << 32) | (seq & 0xffff_ffff);
-
-        let start = now();
-        let mut root = tracer.as_ref().map(|t| {
-            let mut s = t.open(&track, "invoke", None);
-            s.push_arg("kernel", target.name());
-            s.push_arg("request", id.to_string());
-            s
-        });
-
-        // Stage 1: put the input on the wire (a 24-byte content address
-        // for stored objects, serialize in-band, shm-put out-of-band).
-        // Out-of-band mode needs the region even for ref inputs: the
-        // reply comes back through it.
-        let shm = if out_of_band {
-            Some(client.shm.as_ref().ok_or(InvokeError::BadHandle)?.clone())
-        } else {
-            None
+    /// One attempt through the client's call path, with a fresh request
+    /// id and a copy of the input.
+    async fn attempt(&mut self) -> Result<Invocation, InvokeError> {
+        let mut root = RootSpan::open(self.client, "invoke", self.transport.trace);
+        root.push_arg("kernel", self.target.name());
+        let opts = self.opts.clone();
+        let reply = self
+            .client
+            .call_once(&self.target, opts, self.transport, self.hedge, root)
+            .await
+            .map_err(|e| e.error)?;
+        // Servers answer a call with a value, never a bare address.
+        let Reply {
+            output: Output::Value(output),
+            report,
+            latency,
+            ..
+        } = reply
+        else {
+            return Err(InvokeError::BadHandle);
         };
-        let t0 = now();
-        let data = if let Some(r) = object {
-            // A content address is part of the request frame itself —
-            // no payload to serialize, nothing to stage in shm.
-            DataRef::Object(r)
-        } else {
-            match &shm {
-                Some(shm) => {
-                    let bytes = input.wire_bytes();
-                    let handle = shm.put(input, bytes).await;
-                    if let (Some(t), Some(root)) = (&tracer, &root) {
-                        t.record(&track, "shm_put", t0, now(), Some(root.id()), vec![]);
-                    }
-                    DataRef::OutOfBand(handle)
-                }
-                None => {
-                    sleep(client.serialization.time(input.wire_bytes())).await;
-                    if let (Some(t), Some(root)) = (&tracer, &root) {
-                        t.record(&track, "serialize", t0, now(), Some(root.id()), vec![]);
-                    }
-                    DataRef::InBand(input)
-                }
-            }
-        };
-
-        // Stage 2: the network round trip. The server parents its spans
-        // under this span's pre-allocated id, carried in the request.
-        let rt = tracer
-            .as_ref()
-            .zip(root.as_ref())
-            .map(|(t, root)| t.open(&track, "roundtrip", Some(root.id())));
-        let req = Request {
-            id,
-            target: target.clone(),
-            data,
-            tenant: tenant.clone().or_else(|| client.tenant.clone()),
-            deadline: deadline.map(|d| now() + d),
-            span: rt.as_ref().map(|s| s.id()),
-            reply_out_of_band: out_of_band,
-            reply_to_store: false,
-        };
-        // A hedge (when armed and the input is duplicable) is a second,
-        // identical request under its own id. Out-of-band inputs are
-        // consume-once shm handles, so they never hedge; object refs
-        // are plain content addresses and duplicate safely.
-        let hedge_req = match hedge {
-            Some(_) if !out_of_band => {
-                let data = match (&req.data, object) {
-                    (_, Some(r)) => Some(DataRef::Object(r)),
-                    (DataRef::InBand(v), None) => Some(DataRef::InBand(v.clone())),
-                    _ => None,
-                };
-                data.map(|data| {
-                    let seq = client.next_seq;
-                    client.next_seq += 1;
-                    Request {
-                        id: (client.id << 32) | (seq & 0xffff_ffff),
-                        target: target.clone(),
-                        data,
-                        tenant: req.tenant.clone(),
-                        deadline: req.deadline,
-                        // The duplicate is untraced: two server span
-                        // trees under one roundtrip span would overlap.
-                        span: None,
-                        reply_out_of_band: false,
-                        reply_to_store: false,
-                    }
-                })
-            }
-            _ => None,
-        };
-        let resp = match (rt_timeout, hedge_req) {
-            (Some(d), Some(h)) => {
-                let delay = hedge.expect("hedge_req implies a delay");
-                timeout(d, client.roundtrip_hedged(req, h, delay))
-                    .await
-                    .unwrap_or(Err(InvokeError::TimedOut))
-            }
-            (None, Some(h)) => {
-                let delay = hedge.expect("hedge_req implies a delay");
-                client.roundtrip_hedged(req, h, delay).await
-            }
-            (Some(d), None) => timeout(d, client.roundtrip(req))
-                .await
-                .unwrap_or(Err(InvokeError::TimedOut)),
-            (None, None) => client.roundtrip(req).await,
-        };
-        let resp = match resp {
-            Ok(resp) => resp,
-            Err(e) => {
-                if let Some(rt) = rt {
-                    rt.finish();
-                }
-                if let Some(root) = root.take() {
-                    root.finish();
-                }
-                return Err(e);
-            }
-        };
-        if let Some(rt) = rt {
-            rt.finish();
-        }
-        let result = match resp.result {
-            Ok(data) => data,
-            Err(e) => {
-                if let Some(root) = root.take() {
-                    root.finish();
-                }
-                return Err(e);
-            }
-        };
-
-        // Stage 3: materialize the output the way it came back.
-        let t2 = now();
-        let output = match result {
-            DataRef::InBand(v) => {
-                sleep(client.serialization.time(v.wire_bytes())).await;
-                if let (Some(t), Some(root)) = (&tracer, &root) {
-                    t.record(&track, "deserialize", t2, now(), Some(root.id()), vec![]);
-                }
-                v
-            }
-            DataRef::OutOfBand(h) => {
-                let shm = client.shm.as_ref().ok_or(InvokeError::BadHandle)?;
-                let v = shm.take(h).await.ok_or(InvokeError::BadHandle)?;
-                if let (Some(t), Some(root)) = (&tracer, &root) {
-                    t.record(&track, "shm_take", t2, now(), Some(root.id()), vec![]);
-                }
-                v
-            }
-            // Servers never answer with a bare content address.
-            DataRef::Object(_) => return Err(InvokeError::BadHandle),
-        };
-
-        if let Some(root) = root {
-            root.finish();
-        }
         Ok(Invocation {
             output,
-            report: resp.report.ok_or(InvokeError::Disconnected)?,
-            latency: now() - start,
+            report: report.ok_or(InvokeError::Disconnected)?,
+            latency,
         })
     }
 }
@@ -950,21 +972,16 @@ pub struct FlowBuilder<'c> {
     client: &'c mut KaasClient,
     id: u64,
     name: String,
-    input: Value,
-    object: Option<ObjectRef>,
-    tenant: Option<String>,
-    deadline: Option<Duration>,
-    timeout: Option<Duration>,
-    trace: bool,
-    out_of_band: bool,
+    opts: CallOptions,
+    transport: Transport,
 }
 
-impl<'c> FlowBuilder<'c> {
+impl FlowBuilder<'_> {
     /// Sets the trigger input fed to the flow's source steps (default:
     /// [`Value::Unit`]).
     pub fn input(mut self, input: Value) -> Self {
-        self.input = input;
-        self.object = None;
+        self.opts.input = input;
+        self.opts.object = None;
         self
     }
 
@@ -974,14 +991,14 @@ impl<'c> FlowBuilder<'c> {
     /// intermediate. Overrides any previous
     /// [`input`](FlowBuilder::input).
     pub fn input_ref(mut self, r: ObjectRef) -> Self {
-        self.object = Some(r);
-        self.input = Value::Unit;
+        self.opts.object = Some(r);
+        self.opts.input = Value::Unit;
         self
     }
 
     /// Overrides the client's tenant identity for this run only.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
+        self.opts.tenant = Some(tenant.into());
         self
     }
 
@@ -989,26 +1006,26 @@ impl<'c> FlowBuilder<'c> {
     /// (relative to send time); a step still undispatched past it sheds
     /// with [`InvokeError::DeadlineExceeded`], aborting the flow.
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.opts.deadline = Some(deadline);
         self
     }
 
     /// Bounds the network round trip, like [`InvokeBuilder::timeout`].
     pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
+        self.transport.timeout = Some(timeout);
         self
     }
 
     /// Opts this run in or out of span recording (default: on).
     pub fn trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
+        self.transport.trace = trace;
         self
     }
 
     /// Ships the trigger (and the final output) through shared memory.
     /// Requires [`KaasClient::with_shared_memory`].
     pub fn out_of_band(mut self) -> Self {
-        self.out_of_band = true;
+        self.transport.out_of_band = true;
         self
     }
 
@@ -1022,57 +1039,14 @@ impl<'c> FlowBuilder<'c> {
     /// complete as partial results. A forged or expired handle fails
     /// with [`InvokeError::UnknownFlow`], never a panic.
     pub async fn send(self) -> Result<WorkflowRun, FlowError> {
-        let (data, report, start, client, tracer, track, root) = self.send_inner(0).await?;
-        // Materialize the output the way it came back.
-        let t2 = now();
-        let output = match data {
-            DataRef::InBand(v) => {
-                sleep(client.serialization.time(v.wire_bytes())).await;
-                if let (Some(t), Some(root)) = (&tracer, &root) {
-                    t.record(&track, "deserialize", t2, now(), Some(root.id()), vec![]);
-                }
-                v
-            }
-            DataRef::OutOfBand(h) => {
-                let shm = match client.shm.as_ref() {
-                    Some(shm) => shm,
-                    None => {
-                        if let Some(root) = root {
-                            root.finish();
-                        }
-                        return Err(FlowError::from(InvokeError::BadHandle));
-                    }
-                };
-                match shm.take(h).await {
-                    Some(v) => {
-                        if let (Some(t), Some(root)) = (&tracer, &root) {
-                            t.record(&track, "shm_take", t2, now(), Some(root.id()), vec![]);
-                        }
-                        v
-                    }
-                    None => {
-                        if let Some(root) = root {
-                            root.finish();
-                        }
-                        return Err(FlowError::from(InvokeError::BadHandle));
-                    }
-                }
-            }
-            // Bare content addresses only answer `send_ref` triggers.
-            DataRef::Object(_) => {
-                if let Some(root) = root {
-                    root.finish();
-                }
-                return Err(FlowError::from(InvokeError::BadHandle));
-            }
+        let reply = self.trigger(0).await?;
+        let Output::Value(output) = reply.output else {
+            return Err(InvokeError::BadHandle.into());
         };
-        if let Some(root) = root {
-            root.finish();
-        }
         Ok(WorkflowRun {
             output,
-            report,
-            latency: now() - start,
+            report: reply.flow.ok_or(InvokeError::Disconnected)?,
+            latency: reply.latency,
             round_trips: 1,
         })
     }
@@ -1087,154 +1061,38 @@ impl<'c> FlowBuilder<'c> {
     ///
     /// As [`send`](FlowBuilder::send).
     pub async fn send_ref(self) -> Result<(ObjectRef, WorkflowReport), FlowError> {
-        let (data, report, _, _, _, _, root) = self.send_inner(FLOW_REPLY_REF).await?;
-        if let Some(root) = root {
-            root.finish();
-        }
-        match data {
-            DataRef::Object(r) => Ok((r, report)),
-            _ => Err(FlowError::from(InvokeError::BadHandle)),
-        }
+        let reply = self.trigger(FLOW_REPLY_REF).await?;
+        let Output::Ref(r) = reply.output else {
+            return Err(InvokeError::BadHandle.into());
+        };
+        Ok((r, reply.flow.ok_or(InvokeError::Disconnected)?))
     }
 
-    /// The shared trigger path: stages the trigger, does the round
-    /// trip, and splits the reply into payload + report. Returns the
-    /// still-open root span so the caller can hang materialization
-    /// spans under it.
-    #[allow(clippy::type_complexity)]
-    async fn send_inner(
-        self,
-        flags: u64,
-    ) -> Result<
-        (
-            DataRef,
-            WorkflowReport,
-            kaas_simtime::SimTime,
-            &'c mut KaasClient,
-            Option<SpanSink>,
-            String,
-            Option<kaas_simtime::OpenSpan>,
-        ),
-        FlowError,
-    > {
+    /// Sends the trigger as the input of a [`Control::FlowRun`] call,
+    /// fire-once: no retry, no hedge. A ref input travels inside the
+    /// trigger envelope; the payload itself stays server-side.
+    async fn trigger(self, flags: u64) -> Result<Reply, FlowError> {
         let FlowBuilder {
             client,
-            id: flow_id,
-            name,
-            input,
-            object,
-            tenant,
-            deadline,
-            timeout: rt_timeout,
-            trace,
-            out_of_band,
-        } = self;
-        let tracer = if trace { client.tracer.clone() } else { None };
-        let track = format!("client{}", client.id);
-        let seq = client.next_seq;
-        client.next_seq += 1;
-        let id = (client.id << 32) | (seq & 0xffff_ffff);
-
-        let start = now();
-        let mut root = tracer.as_ref().map(|t| {
-            let mut s = t.open(&track, "flow", None);
-            s.push_arg("flow", flow_id.to_string());
-            s.push_arg("name", &name);
-            s
-        });
-
-        // Stage the trigger. A ref input travels inside the trigger
-        // envelope — the payload itself stays server-side.
-        let trigger = encode_trigger(
-            flow_id,
-            flags,
-            match object {
-                Some(r) => r.to_value(),
-                None => input,
-            },
-        );
-        let t0 = now();
-        let data = if out_of_band {
-            let shm = match client.shm.as_ref() {
-                Some(shm) => shm.clone(),
-                None => {
-                    if let Some(root) = root.take() {
-                        root.finish();
-                    }
-                    return Err(FlowError::from(InvokeError::BadHandle));
-                }
-            };
-            let bytes = trigger.wire_bytes();
-            let handle = shm.put(trigger, bytes).await;
-            if let (Some(t), Some(root)) = (&tracer, &root) {
-                t.record(&track, "shm_put", t0, now(), Some(root.id()), vec![]);
-            }
-            DataRef::OutOfBand(handle)
-        } else {
-            sleep(client.serialization.time(trigger.wire_bytes())).await;
-            if let (Some(t), Some(root)) = (&tracer, &root) {
-                t.record(&track, "serialize", t0, now(), Some(root.id()), vec![]);
-            }
-            DataRef::InBand(trigger)
-        };
-
-        // The round trip; the server hangs the whole run's span tree
-        // under this span's id.
-        let rt = tracer
-            .as_ref()
-            .zip(root.as_ref())
-            .map(|(t, root)| t.open(&track, "roundtrip", Some(root.id())));
-        let req = Request {
             id,
-            target: Target::Control(Control::FlowRun),
-            data,
-            tenant: tenant.or_else(|| client.tenant.clone()),
-            deadline: deadline.map(|d| now() + d),
-            span: rt.as_ref().map(|s| s.id()),
-            reply_out_of_band: out_of_band,
-            reply_to_store: false,
+            name,
+            opts,
+            transport,
+        } = self;
+        let mut root = RootSpan::open(client, "flow", transport.trace);
+        root.push_arg("flow", id);
+        root.push_arg("name", &name);
+        let input = match opts.object {
+            Some(r) => r.to_value(),
+            None => opts.input,
         };
-        let resp = match rt_timeout {
-            Some(d) => timeout(d, client.roundtrip(req))
-                .await
-                .unwrap_or(Err(InvokeError::TimedOut)),
-            None => client.roundtrip(req).await,
+        let opts = CallOptions {
+            input: encode_trigger(id, flags, input),
+            object: None,
+            ..opts
         };
-        if let Some(rt) = rt {
-            rt.finish();
-        }
-        let resp = match resp {
-            Ok(resp) => resp,
-            Err(e) => {
-                if let Some(root) = root.take() {
-                    root.finish();
-                }
-                return Err(FlowError::from(e));
-            }
-        };
-        match resp.result {
-            Ok(data) => {
-                let report = match resp.flow {
-                    Some(report) => report,
-                    None => {
-                        if let Some(root) = root.take() {
-                            root.finish();
-                        }
-                        return Err(FlowError::from(InvokeError::Disconnected));
-                    }
-                };
-                Ok((data, report, start, client, tracer, track, root))
-            }
-            Err(e) => {
-                if let Some(root) = root.take() {
-                    root.finish();
-                }
-                Err(FlowError {
-                    error: e,
-                    partial: resp.flow.map(|f| f.steps).unwrap_or_default(),
-                })
-            }
-        }
+        let target = Target::Control(Control::FlowRun);
+        client.call_once(&target, opts, transport, None, root).await
     }
 }
 
@@ -1244,10 +1102,7 @@ impl<'c> FlowBuilder<'c> {
 #[derive(Debug, Clone)]
 pub struct BatchCall {
     kernel: String,
-    input: Value,
-    object: Option<ObjectRef>,
-    tenant: Option<String>,
-    deadline: Option<Duration>,
+    opts: CallOptions,
 }
 
 impl BatchCall {
@@ -1256,38 +1111,35 @@ impl BatchCall {
     pub fn new(kernel: &str) -> Self {
         BatchCall {
             kernel: kernel.to_owned(),
-            input: Value::Unit,
-            object: None,
-            tenant: None,
-            deadline: None,
+            opts: CallOptions::default(),
         }
     }
 
     /// Sets the member's in-band input.
     pub fn arg(mut self, input: Value) -> Self {
-        self.input = input;
-        self.object = None;
+        self.opts.input = input;
+        self.opts.object = None;
         self
     }
 
     /// Sets the member's input to a stored object by content address
     /// (overrides any previous [`arg`](BatchCall::arg)).
     pub fn arg_ref(mut self, r: ObjectRef) -> Self {
-        self.object = Some(r);
-        self.input = Value::Unit;
+        self.opts.object = Some(r);
+        self.opts.input = Value::Unit;
         self
     }
 
     /// Overrides the client's tenant identity for this member.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
+        self.opts.tenant = Some(tenant.into());
         self
     }
 
     /// Gives this member a server-side start deadline (relative to
     /// send time), like [`InvokeBuilder::deadline`].
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.opts.deadline = Some(deadline);
         self
     }
 }
@@ -1354,87 +1206,62 @@ impl BatchBuilder<'_> {
             return Ok(Vec::new());
         }
         let n = calls.len();
-        let tracer = client.tracer.clone();
-        let track = format!("client{}", client.id);
         let start = now();
-        let mut root = tracer.as_ref().map(|t| {
-            let mut s = t.open(&track, "batch", None);
-            s.push_arg("members", n.to_string());
-            s
-        });
+        let mut root = RootSpan::open(client, "batch", true);
+        root.push_arg("members", n);
 
         // One serialization pass covers every in-band member payload
         // (object refs travel as part of the frame itself).
         let t0 = now();
         let in_band: u64 = calls
             .iter()
-            .filter(|c| c.object.is_none())
-            .map(|c| c.input.wire_bytes())
+            .filter(|c| c.opts.object.is_none())
+            .map(|c| c.opts.input.wire_bytes())
             .sum();
         if in_band > 0 {
             sleep(client.serialization.time(in_band)).await;
         }
-        if let (Some(t), Some(root)) = (&tracer, &root) {
-            t.record(&track, "serialize", t0, now(), Some(root.id()), vec![]);
-        }
+        root.step("serialize", t0);
 
+        // Members carry no span parent: they execute concurrently
+        // server-side, and concurrent siblings under one parent would
+        // break the trace tiling contract. The batch records its own
+        // client-side span tree instead.
         let reqs: Vec<Request> = calls
             .into_iter()
             .map(|c| {
-                let seq = client.next_seq;
-                client.next_seq += 1;
-                Request {
-                    id: (client.id << 32) | (seq & 0xffff_ffff),
-                    target: Target::Kernel(c.kernel),
-                    data: match c.object {
-                        Some(r) => DataRef::Object(r),
-                        None => DataRef::InBand(c.input),
-                    },
-                    tenant: c.tenant.or_else(|| client.tenant.clone()),
-                    deadline: c.deadline.map(|d| now() + d),
-                    // Members carry no span parent: they execute
-                    // concurrently server-side, and concurrent siblings
-                    // under one parent would break the trace tiling
-                    // contract. The batch records its own client-side
-                    // span tree instead.
-                    span: None,
-                    reply_out_of_band: false,
-                    reply_to_store: false,
-                }
+                let data = match c.opts.object {
+                    Some(r) => DataRef::Object(r),
+                    None => DataRef::InBand(c.opts.input),
+                };
+                let id = client.next_id();
+                let target = Target::Kernel(c.kernel);
+                client.request(id, target, data, c.opts.tenant, c.opts.deadline)
             })
             .collect();
 
         let t1 = now();
-        let rt_span = root.as_ref().map(|r| r.id());
         let resps = match rt_timeout {
-            Some(d) => match timeout(d, client.batch_roundtrip(reqs, rt_span)).await {
+            Some(d) => match timeout(d, client.batch_roundtrip(reqs, root.id())).await {
                 Ok(resps) => resps,
                 Err(_) => {
                     // The frame (or its reply) is lost past the
                     // deadline: the members failed individually.
-                    if let (Some(t), Some(root)) = (&tracer, &root) {
-                        t.record(&track, "roundtrip", t1, now(), Some(root.id()), vec![]);
-                    }
-                    if let Some(root) = root.take() {
-                        root.finish();
-                    }
+                    root.step("roundtrip", t1);
+                    root.finish();
                     return Ok((0..n).map(|_| Err(InvokeError::TimedOut)).collect());
                 }
             },
-            None => client.batch_roundtrip(reqs, rt_span).await,
+            None => client.batch_roundtrip(reqs, root.id()).await,
         };
         let resps = match resps {
             Ok(resps) => resps,
             Err(e) => {
-                if let Some(root) = root.take() {
-                    root.finish();
-                }
+                root.finish();
                 return Err(e);
             }
         };
-        if let (Some(t), Some(root)) = (&tracer, &root) {
-            t.record(&track, "roundtrip", t1, now(), Some(root.id()), vec![]);
-        }
+        root.step("roundtrip", t1);
 
         // One coalesced deserialization pass over the in-band replies.
         let t2 = now();
@@ -1448,9 +1275,7 @@ impl BatchBuilder<'_> {
         if reply_bytes > 0 {
             sleep(client.serialization.time(reply_bytes)).await;
         }
-        if let (Some(t), Some(root)) = (&tracer, &root) {
-            t.record(&track, "deserialize", t2, now(), Some(root.id()), vec![]);
-        }
+        root.step("deserialize", t2);
 
         let latency = now() - start;
         let out = resps
@@ -1468,9 +1293,7 @@ impl BatchBuilder<'_> {
                 })
             })
             .collect();
-        if let Some(root) = root {
-            root.finish();
-        }
+        root.finish();
         Ok(out)
     }
 }

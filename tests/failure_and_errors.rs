@@ -7,7 +7,7 @@ use std::time::Duration;
 use kaas::accel::{Device, DeviceClass, DeviceId, GpuDevice, GpuProfile};
 use kaas::core::{
     BreakerConfig, DataRef, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry,
-    Request, RetryConfig, ServerConfig, Target, WorkflowHandle,
+    Request, RetryConfig, ServerConfig, Target, Workflow, WorkflowHandle,
 };
 use kaas::guest::{GuestProgram, Op};
 use kaas::kernels::{Kernel, MatMul, MonteCarlo, Value};
@@ -393,6 +393,19 @@ fn every_error_kind_is_inducible_and_counted() {
             .unwrap_err();
         assert_eq!(err, InvokeError::TimedOut);
         induced.insert(err.kind());
+        // A flow trigger lost the same way times out before any step ran.
+        let wf = Workflow::linear("lost", ["matmul"]).unwrap();
+        let handle = client.register_workflow(&wf).await.unwrap();
+        client.link_fault().drop_next(1);
+        let err = client
+            .flow(&handle)
+            .input(Value::U64(64))
+            .timeout(Duration::from_millis(20))
+            .send()
+            .await
+            .unwrap_err();
+        assert_eq!(err.error, InvokeError::TimedOut);
+        assert!(err.partial.is_empty(), "no step ran: {:?}", err.partial);
 
         // Every server-side kind induced so far is counted in the
         // registry under its stable label.

@@ -7,7 +7,7 @@ use std::time::Duration;
 use kaas::accel::{Device, DeviceId, GpuDevice, GpuProfile};
 use kaas::core::{
     percentile, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry, ServerConfig,
-    Span, SpanSink,
+    Span, SpanSink, Workflow,
 };
 use kaas::kernels::{Kernel, MatMul, MonteCarlo, Value};
 use kaas::net::{LinkProfile, SharedMemory};
@@ -43,9 +43,40 @@ async fn traced_client(net: &KaasNetwork, shm: SharedMemory, tracer: SpanSink) -
         .with_tracer(tracer)
 }
 
+/// Asserts that `root`'s direct client-side children are exactly
+/// `names`, in order, and tile it: contiguous, no gaps, no overlap.
+fn assert_children_tile(tracer: &SpanSink, root: &Span, names: &[&str]) {
+    let mut children: Vec<Span> = tracer
+        .children_of(root.id)
+        .into_iter()
+        .filter(|s| s.track == root.track)
+        .collect();
+    children.sort_by_key(|s| s.start);
+    let got: Vec<&str> = children.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(got, names, "client children of `{}`", root.name);
+    assert_eq!(children.first().unwrap().start, root.start);
+    assert_eq!(children.last().unwrap().end, root.end);
+    for pair in children.windows(2) {
+        assert_eq!(pair[0].end, pair[1].start, "children must not overlap");
+    }
+    let sum: Duration = children.iter().map(Span::duration).sum();
+    assert_eq!(sum, root.duration(), "child durations sum to the root");
+}
+
+/// The most recently recorded root span called `name`.
+fn last_root(tracer: &SpanSink, name: &str) -> Span {
+    tracer
+        .roots()
+        .into_iter()
+        .rev()
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("no `{name}` root span"))
+}
+
 /// The acceptance criterion: the root `invoke` span's direct client-side
 /// children tile it exactly, so their durations sum to the
-/// client-observed latency.
+/// client-observed latency. Flow triggers record the same tree under a
+/// `flow` root.
 #[test]
 fn span_durations_tile_client_latency() {
     let mut sim = Simulation::new();
@@ -69,22 +100,93 @@ fn span_durations_tile_client_latency() {
         assert_eq!(roots.len(), 1, "one traced invocation, one root span");
         let root = &roots[0];
         assert_eq!(root.duration(), inv.latency, "root span IS the latency");
+        assert_children_tile(&tracer, root, &["shm_put", "roundtrip", "shm_take"]);
 
-        // Direct client-side children tile the root: contiguous, no gaps.
-        let mut children: Vec<Span> = tracer
-            .children_of(root.id)
-            .into_iter()
-            .filter(|s| s.track == root.track)
-            .collect();
-        children.sort_by_key(|s| s.start);
-        assert!(children.len() >= 3, "shm_put, roundtrip, shm_take");
-        assert_eq!(children.first().unwrap().start, root.start);
-        assert_eq!(children.last().unwrap().end, root.end);
-        for pair in children.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start, "children must not overlap");
+        // Flow triggers: in-band, out-of-band, and ref-returning.
+        let wf = Workflow::linear("square", ["matmul"]).unwrap();
+        let handle = client.register_workflow(&wf).await.unwrap();
+        let id = handle.id().to_string();
+        let run = client
+            .flow(&handle)
+            .input(Value::U64(64))
+            .send()
+            .await
+            .unwrap();
+        let root = last_root(&tracer, "flow");
+        assert_eq!(root.duration(), run.latency, "flow root IS the latency");
+        let arg = |root: &Span, key: &str| {
+            root.args
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        assert_eq!(arg(&root, "flow"), Some(id.clone()));
+        assert_eq!(arg(&root, "name").as_deref(), Some("square"));
+        assert_children_tile(&tracer, &root, &["serialize", "roundtrip", "deserialize"]);
+
+        let run = client
+            .flow(&handle)
+            .input(Value::U64(64))
+            .out_of_band()
+            .send()
+            .await
+            .unwrap();
+        let root = last_root(&tracer, "flow");
+        assert_eq!(root.duration(), run.latency);
+        assert_eq!(arg(&root, "flow"), Some(id.clone()));
+        assert_children_tile(&tracer, &root, &["shm_put", "roundtrip", "shm_take"]);
+
+        let r = client.put(Value::U64(64)).await.unwrap();
+        client.flow(&handle).input_ref(r).send_ref().await.unwrap();
+        let root = last_root(&tracer, "flow");
+        assert_eq!(arg(&root, "flow"), Some(id));
+        assert_children_tile(&tracer, &root, &["serialize", "roundtrip"]);
+    });
+}
+
+/// Every span the client records hangs under a recorded parent, on
+/// every exit. Here the reply comes back through a shared-memory region
+/// the client is not attached to, so the call fails with `BadHandle`
+/// after its `roundtrip` child finished; the `invoke` root must still be
+/// recorded.
+#[test]
+fn failed_calls_record_their_root_span() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let tracer = SpanSink::new();
+        let (_s, net, shm) = boot_traced(vec![Rc::new(MatMul::new())], tracer.clone());
+        let mut plain = KaasClient::connect(&net, "kaas", LinkProfile::loopback())
+            .await
+            .unwrap()
+            .with_shared_memory(shm);
+        let r = plain.put(Value::U64(64)).await.unwrap();
+
+        let mut client = traced_client(&net, SharedMemory::host(), tracer.clone()).await;
+        let err = client
+            .call("matmul")
+            .arg_ref(r)
+            .out_of_band()
+            .send()
+            .await
+            .unwrap_err();
+        assert_eq!(err, InvokeError::BadHandle);
+
+        let spans = tracer.spans();
+        let track = format!("client{}", client.id());
+        assert!(spans
+            .iter()
+            .any(|s| s.track == track && s.name == "roundtrip"));
+        for s in &spans {
+            if let Some(parent) = s.parent {
+                assert!(
+                    spans.iter().any(|p| p.id == parent),
+                    "`{}` on {} has an unrecorded parent",
+                    s.name,
+                    s.track
+                );
+            }
         }
-        let sum: Duration = children.iter().map(Span::duration).sum();
-        assert_eq!(sum, inv.latency, "child durations sum to the latency");
+        assert_eq!(last_root(&tracer, "invoke").track, track);
     });
 }
 
