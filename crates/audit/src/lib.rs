@@ -16,7 +16,10 @@
 //! | D2   | `ambient`        | `Instant`/`SystemTime`/`std::thread`/ambient randomness: only `kaas_simtime::{time,rng}` |
 //! | D3   | `mutable-static` | `static mut` / `thread_local!` mutable state outside `simtime` |
 //! | R1   | —                | `InvokeError` variants missing from `KINDS` or the exhaustiveness test |
-//! | R2   | —                | metric names emitted but undeclared in `metrics/INVENTORY` (and vice versa) |
+//!
+//! Metric names need no rule: only `kaas-core`'s `metrics` module can
+//! turn a string into a metric, so the compiler rejects an undeclared
+//! name and clippy's `dead_code` rejects an unused declaration.
 //!
 //! D-rule findings are suppressed line-by-line with
 //! `// audit:allow(<slug>): <why>` — trailing on the offending line,
@@ -47,19 +50,16 @@ pub enum Rule {
     D3MutableStatic,
     /// R1: `InvokeError` exhaustiveness (KINDS table + failure test).
     R1ErrorKinds,
-    /// R2: metric names vs the declared `metrics/INVENTORY`.
-    R2MetricInventory,
 }
 
 impl Rule {
-    /// Short code used in diagnostics and the summary (`D1`..`R2`).
+    /// Short code used in diagnostics and the summary (`D1`..`R1`).
     pub fn code(self) -> &'static str {
         match self {
             Rule::D1Unordered => "D1",
             Rule::D2Ambient => "D2",
             Rule::D3MutableStatic => "D3",
             Rule::R1ErrorKinds => "R1",
-            Rule::R2MetricInventory => "R2",
         }
     }
 
@@ -69,7 +69,7 @@ impl Rule {
             Rule::D1Unordered => Some("unordered"),
             Rule::D2Ambient => Some("ambient"),
             Rule::D3MutableStatic => Some("mutable-static"),
-            Rule::R1ErrorKinds | Rule::R2MetricInventory => None,
+            Rule::R1ErrorKinds => None,
         }
     }
 }
@@ -163,10 +163,9 @@ pub struct Report {
 impl Report {
     /// Findings per rule code, for the machine-readable summary.
     pub fn per_rule(&self) -> BTreeMap<&'static str, usize> {
-        let mut out: BTreeMap<&'static str, usize> =
-            [("D1", 0), ("D2", 0), ("D3", 0), ("R1", 0), ("R2", 0)]
-                .into_iter()
-                .collect();
+        let mut out: BTreeMap<&'static str, usize> = [("D1", 0), ("D2", 0), ("D3", 0), ("R1", 0)]
+            .into_iter()
+            .collect();
         for d in &self.diagnostics {
             *out.entry(d.rule.code()).or_insert(0) += 1;
         }
@@ -1060,213 +1059,6 @@ fn string_literals(stripped_text: &str, original: &str, start: usize, end: usize
 }
 
 // ---------------------------------------------------------------------------
-// R2: metric inventory
-// ---------------------------------------------------------------------------
-
-/// Registry methods whose first argument is a metric name: the string
-/// emitters plus the handle constructors hot paths resolve once.
-const EMIT_METHODS: [&str; 7] = [
-    "inc",
-    "add",
-    "observe",
-    "set_gauge",
-    "counter_handle",
-    "gauge_handle",
-    "histogram_handle",
-];
-
-/// One declared metric name pattern from `metrics/INVENTORY`.
-#[derive(Debug, Clone)]
-pub struct InventoryEntry {
-    /// The name pattern; `{...}` holes match any non-empty segment.
-    pub pattern: String,
-    /// 1-based line in the INVENTORY file.
-    pub line: usize,
-    /// `~`-prefixed entries: the name is computed at the call site (no
-    /// single literal), so the static never-emitted check skips them;
-    /// the runtime sanitizer still matches against them.
-    pub computed: bool,
-}
-
-/// Parses the INVENTORY file: one metric name pattern per line,
-/// `#`-comments and blank lines ignored, `~` prefix marking
-/// computed-name entries.
-pub fn parse_inventory(src: &str) -> Vec<InventoryEntry> {
-    src.lines()
-        .enumerate()
-        .filter_map(|(i, l)| {
-            let t = l.trim();
-            if t.is_empty() || t.starts_with('#') {
-                return None;
-            }
-            let (pattern, computed) = match t.strip_prefix('~') {
-                Some(p) => (p.trim(), true),
-                None => (t, false),
-            };
-            Some(InventoryEntry {
-                pattern: pattern.to_string(),
-                line: i + 1,
-                computed,
-            })
-        })
-        .collect()
-}
-
-/// Collects every metric name pattern emitted through the registry in
-/// `src` (literal first arguments of `.inc/.add/.observe/.set_gauge`
-/// and of the `.counter_handle/.gauge_handle/.histogram_handle`
-/// constructors, including `&format!("...")` patterns, verbatim),
-/// skipping
-/// `#[cfg(test)] mod` blocks. Returns (pattern, line).
-pub fn emitted_metrics(src: &str) -> Vec<(String, usize)> {
-    let stripped = strip_source(src);
-    let toks = tokenize(&stripped.text);
-    let excluded = cfg_test_ranges(&stripped.text, &toks);
-    let mut out = Vec::new();
-
-    for (ti, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Punct(b'.') {
-            continue;
-        }
-        let Some(m) = toks.get(ti + 1) else { continue };
-        if m.kind != TokKind::Word || !EMIT_METHODS.contains(&word(&stripped.text, m)) {
-            continue;
-        }
-        if toks.get(ti + 2).map(|t| t.kind) != Some(TokKind::Punct(b'(')) {
-            continue;
-        }
-        if excluded.iter().any(|(s, e)| t.start >= *s && t.start < *e) {
-            continue;
-        }
-        // First argument, char-wise from just past the '('.
-        let mut k = ti + 3;
-        if toks.get(k).map(|t| t.kind) == Some(TokKind::Punct(b'&')) {
-            k += 1;
-        }
-        let Some(arg) = toks.get(k) else { continue };
-        let pattern = match arg.kind {
-            TokKind::Punct(b'"') => {
-                // String literal: content from the original source.
-                string_literals(&stripped.text, src, arg.start, usize::MAX)
-                    .into_iter()
-                    .next()
-            }
-            TokKind::Word if word(&stripped.text, arg) == "format" => {
-                // format!("..."): find the macro's literal.
-                let mut q = k + 1;
-                while q < toks.len() {
-                    match toks[q].kind {
-                        TokKind::Punct(b'"') => break,
-                        TokKind::Punct(b')') => {
-                            q = toks.len();
-                            break;
-                        }
-                        _ => q += 1,
-                    }
-                }
-                toks.get(q).and_then(|qt| {
-                    string_literals(&stripped.text, src, qt.start, usize::MAX)
-                        .into_iter()
-                        .next()
-                })
-            }
-            _ => None,
-        };
-        if let Some(p) = pattern {
-            out.push((p, stripped.line_of(t.start)));
-        }
-    }
-    out
-}
-
-/// Byte ranges of `#[cfg(test)] mod … { … }` blocks in the stripped text.
-fn cfg_test_ranges(text: &str, toks: &[Token]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 6 < toks.len() {
-        let is_cfg_test = toks[i].kind == TokKind::Punct(b'#')
-            && toks[i + 1].kind == TokKind::Punct(b'[')
-            && word_is(text, toks.get(i + 2), "cfg")
-            && toks[i + 3].kind == TokKind::Punct(b'(')
-            && word_is(text, toks.get(i + 4), "test")
-            && toks[i + 5].kind == TokKind::Punct(b')')
-            && toks[i + 6].kind == TokKind::Punct(b']');
-        if is_cfg_test {
-            // Skip any further attributes, then expect `mod name {`.
-            let mut j = i + 7;
-            while toks.get(j).map(|t| t.kind) == Some(TokKind::Punct(b'#'))
-                && toks.get(j + 1).map(|t| t.kind) == Some(TokKind::Punct(b'['))
-            {
-                j = skip_group(toks, j + 1, b'[', b']');
-            }
-            if word_is(text, toks.get(j), "mod") {
-                let mut b = j;
-                while b < toks.len() && toks[b].kind != TokKind::Punct(b'{') {
-                    b += 1;
-                }
-                let end = skip_group(toks, b, b'{', b'}');
-                let end_off = toks
-                    .get(end.saturating_sub(1))
-                    .map_or(text.len(), |t| t.end);
-                out.push((toks[i].start, end_off));
-                i = end;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-fn word_is(text: &str, t: Option<&Token>, expect: &str) -> bool {
-    t.is_some_and(|t| t.kind == TokKind::Word && word(text, t) == expect)
-}
-
-/// Cross-checks emitted metric patterns against the declared inventory,
-/// both directions.
-pub fn check_metric_inventory(
-    inventory_path: &Path,
-    inventory_src: &str,
-    files: &[(PathBuf, String)],
-) -> Vec<Diagnostic> {
-    let inventory = parse_inventory(inventory_src);
-    let mut used: Vec<bool> = inventory.iter().map(|e| e.computed).collect();
-    let mut out = Vec::new();
-
-    for (path, src) in files {
-        for (pattern, line) in emitted_metrics(src) {
-            match inventory.iter().position(|e| e.pattern == pattern) {
-                Some(idx) => used[idx] = true,
-                None => out.push(Diagnostic {
-                    file: path.clone(),
-                    line,
-                    rule: Rule::R2MetricInventory,
-                    message: format!(
-                        "metric `{pattern}` is not declared in {} — typo'd names record \
-                         nothing silently",
-                        inventory_path.display()
-                    ),
-                }),
-            }
-        }
-    }
-    for (idx, entry) in inventory.iter().enumerate() {
-        if !used[idx] {
-            out.push(Diagnostic {
-                file: inventory_path.to_path_buf(),
-                line: entry.line,
-                rule: Rule::R2MetricInventory,
-                message: format!(
-                    "declared metric `{}` is never emitted (stale entry?)",
-                    entry.pattern
-                ),
-            });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Workspace walk
 // ---------------------------------------------------------------------------
 
@@ -1335,31 +1127,6 @@ pub fn audit_workspace(root: &Path) -> io::Result<Report> {
         });
     }
 
-    // R2: emitted metric names vs the declared inventory.
-    let inventory_path = root.join("crates/core/src/metrics/INVENTORY");
-    match std::fs::read_to_string(&inventory_path) {
-        Ok(inventory_src) => {
-            let mut core_files = Vec::new();
-            collect_rs_files(&root.join("crates/core/src"), &mut core_files)?;
-            let mut sources = Vec::new();
-            for f in core_files {
-                let rel = f.strip_prefix(root).unwrap_or(&f).to_path_buf();
-                sources.push((rel, std::fs::read_to_string(&f)?));
-            }
-            report.diagnostics.extend(check_metric_inventory(
-                Path::new("crates/core/src/metrics/INVENTORY"),
-                &inventory_src,
-                &sources,
-            ));
-        }
-        Err(_) => report.diagnostics.push(Diagnostic {
-            file: PathBuf::from("crates/core/src/metrics/INVENTORY"),
-            line: 1,
-            rule: Rule::R2MetricInventory,
-            message: "metrics INVENTORY file missing".into(),
-        }),
-    }
-
     report.sort();
     Ok(report)
 }
@@ -1380,76 +1147,6 @@ pub fn audit_files(paths: &[PathBuf]) -> io::Result<Report> {
     }
     report.sort();
     Ok(report)
-}
-
-// ---------------------------------------------------------------------------
-// Runtime half: inventory pattern matching for the sim-sanitizer
-// ---------------------------------------------------------------------------
-
-/// Whether a concrete metric name matches *some* pattern in the given
-/// INVENTORY source. Used by the runtime sanitizer to validate live
-/// registry contents against the same file the static pass enforces.
-pub fn inventory_matches(inventory_src: &str, name: &str) -> bool {
-    parse_inventory(inventory_src)
-        .iter()
-        .any(|e| pattern_matches(&e.pattern, name))
-}
-
-/// Whether a concrete metric name matches an inventory pattern, where
-/// `{...}` interpolations match any non-empty segment. Used by the
-/// runtime sanitizer to validate live registry contents against the
-/// same INVENTORY the static pass enforces.
-pub fn pattern_matches(pattern: &str, name: &str) -> bool {
-    // Split the pattern into literal segments around `{...}` holes:
-    // `a.{x}.b` → ["a.", ".b"]. k holes yield k+1 literals (possibly
-    // empty at the edges).
-    let mut segs: Vec<&str> = Vec::new();
-    let mut rest = pattern;
-    loop {
-        match rest.find('{') {
-            Some(open) => {
-                segs.push(&rest[..open]);
-                match rest[open..].find('}') {
-                    Some(close) => rest = &rest[open + close + 1..],
-                    // Unbalanced brace: treat the pattern as a literal.
-                    None => return pattern == name,
-                }
-            }
-            None => {
-                segs.push(rest);
-                break;
-            }
-        }
-    }
-    // Greedy left-to-right match; every hole must be non-empty.
-    let mut pos = 0usize;
-    let last = segs.len() - 1;
-    for (idx, seg) in segs.iter().enumerate() {
-        if idx == 0 {
-            if !name.starts_with(seg) {
-                return false;
-            }
-            pos = seg.len();
-        } else {
-            // A hole precedes this literal and must consume ≥ 1 char.
-            if pos >= name.len() {
-                return false;
-            }
-            if seg.is_empty() {
-                if idx == last {
-                    // Trailing hole swallows the rest of the name.
-                    return true;
-                }
-                pos += 1;
-                continue;
-            }
-            match name[pos + 1..].find(seg) {
-                Some(at) => pos = pos + 1 + at + seg.len(),
-                None => return false,
-            }
-        }
-    }
-    pos == name.len()
 }
 
 #[cfg(test)]
@@ -1618,82 +1315,6 @@ mod tests {
         let test = "fn f() { let _ = \"device-oom\"; let _ = InvokeError::TimedOut; }";
         let d = check_error_kinds(Path::new("p.rs"), proto, Path::new("t.rs"), test);
         assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn r2_flags_undeclared_and_stale_metrics() {
-        let inv = "# comment\ninvocations\nnever.emitted\n";
-        let src = "fn f(m: &M) { m.inc(\"invocations\"); m.inc(\"typo.metric\"); }";
-        let d = check_metric_inventory(
-            Path::new("INVENTORY"),
-            inv,
-            &[(PathBuf::from("x.rs"), src.to_string())],
-        );
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().any(|d| d.message.contains("typo.metric")));
-        assert!(d.iter().any(|d| d.message.contains("never.emitted")));
-    }
-
-    #[test]
-    fn r2_normalizes_format_patterns_verbatim() {
-        let inv = "errors.{}\nfaults.{kind}\n";
-        let src = "fn f(m: &M, e: E) { m.inc(&format!(\"errors.{}\", e.kind())); m.inc(&format!(\"faults.{kind}\")); }";
-        let d = check_metric_inventory(
-            Path::new("INVENTORY"),
-            inv,
-            &[(PathBuf::from("x.rs"), src.to_string())],
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn r2_counts_handle_constructor_literals_as_emitted() {
-        let inv = "invocations\ndataplane.{dev}.bytes_resident\nlatency.server\n";
-        let src = "fn f(r: &R, dev: D) { let _ = r.counter_handle(\"invocations\"); \
-                   let _ = r.gauge_handle(&format!(\"dataplane.{dev}.bytes_resident\")); \
-                   let _ = r.histogram_handle(\"latency.server\"); }";
-        let d = check_metric_inventory(
-            Path::new("INVENTORY"),
-            inv,
-            &[(PathBuf::from("x.rs"), src.to_string())],
-        );
-        assert!(d.is_empty(), "{d:?}");
-        // ...and an undeclared handle name is still flagged.
-        let typo = "fn f(r: &R) { let _ = r.counter_handle(\"invocatons\"); }";
-        let d = check_metric_inventory(
-            Path::new("INVENTORY"),
-            "invocations\n",
-            &[(PathBuf::from("x.rs"), typo.to_string())],
-        );
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().any(|d| d.message.contains("invocatons")));
-    }
-
-    #[test]
-    fn r2_skips_cfg_test_modules() {
-        let inv = "real.metric\n";
-        let src = "fn f(m: &M) { m.inc(\"real.metric\"); }\n#[cfg(test)]\nmod tests { fn g(m: &M) { m.inc(\"adhoc\"); } }\n";
-        let d = check_metric_inventory(
-            Path::new("INVENTORY"),
-            inv,
-            &[(PathBuf::from("x.rs"), src.to_string())],
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn pattern_matching_for_runtime_checks() {
-        assert!(pattern_matches("invocations", "invocations"));
-        assert!(!pattern_matches("invocations", "invocation"));
-        assert!(pattern_matches("errors.{}", "errors.timed-out"));
-        assert!(!pattern_matches("errors.{}", "errors."));
-        assert!(pattern_matches("{}.utilization", "device0.utilization"));
-        assert!(pattern_matches(
-            "breaker.{device}.state",
-            "breaker.device3.state"
-        ));
-        assert!(pattern_matches("{name}.{k}", "latency.server.matmul"));
-        assert!(!pattern_matches("{name}.{k}", "invocations"));
     }
 
     #[test]

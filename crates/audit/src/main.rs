@@ -5,7 +5,6 @@
 //! kaas-audit [ROOT]                  # full workspace audit
 //! kaas-audit --files <f.rs>...       # D1–D3 only, on explicit files
 //! kaas-audit --r1 <protocol> <test>  # R1 only, on explicit files
-//! kaas-audit --r2 <INVENTORY> <f.rs>...  # R2 only
 //! ```
 //!
 //! Diagnostics print as `path:line: [RULE] message`; the last line is a
@@ -16,7 +15,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use kaas_audit::{audit_files, audit_workspace, check_error_kinds, check_metric_inventory, Report};
+use kaas_audit::{audit_files, audit_workspace, check_error_kinds, Report};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -102,28 +101,6 @@ fn main() -> ExitCode {
                 Report {
                     diagnostics: check_error_kinds(Path::new(proto), &ps, Path::new(test), &ts),
                     files_scanned: 2,
-                },
-                format,
-            )
-        }
-        Some("--r2") => {
-            let Some((inv, files)) = args[1..].split_first() else {
-                return fail("--r2 requires <INVENTORY> <file.rs>...");
-            };
-            let Ok(inv_src) = std::fs::read_to_string(inv) else {
-                return fail("could not read inventory");
-            };
-            let mut sources = Vec::new();
-            for f in files {
-                match std::fs::read_to_string(f) {
-                    Ok(s) => sources.push((PathBuf::from(f), s)),
-                    Err(e) => return fail(&format!("could not read {f}: {e}")),
-                }
-            }
-            finish(
-                Report {
-                    diagnostics: check_metric_inventory(Path::new(inv), &inv_src, &sources),
-                    files_scanned: sources.len(),
                 },
                 format,
             )

@@ -68,14 +68,6 @@ fn r1_uncovered_variant_fires_once() {
     );
 }
 
-#[test]
-fn r2_undeclared_metric_fires_once() {
-    assert_fires_once(
-        &["--r2", &fixture("r2_inventory.txt"), &fixture("r2_emit.rs")],
-        "R2",
-    );
-}
-
 /// The meta-test: the real workspace must be clean — zero diagnostics,
 /// zero exit. Anything this catches is a regression the bad-fixture
 /// tests above prove the scanner *would* report.

@@ -31,6 +31,7 @@
 //! # }
 //! ```
 
+use std::cell::OnceCell;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -43,6 +44,7 @@ use kaas_simtime::{now, sleep, timeout, OpenSpan, SimTime, SpanId, SpanSink};
 
 use crate::dataplane::ObjectRef;
 use crate::flow::{encode_trigger, FLOW_REPLY_REF};
+use crate::metrics::handles::ClientMetrics;
 use crate::metrics::registry::MetricsRegistry;
 use crate::metrics::InvocationReport;
 use crate::protocol::{
@@ -131,7 +133,9 @@ pub struct KaasClient {
     next_seq: u64,
     tracer: Option<SpanSink>,
     retry: Option<ClientRetryConfig>,
-    metrics: MetricsRegistry,
+    /// Resolved at first use, so connecting a client resolves no
+    /// metric names: most clients never hedge or exhaust a budget.
+    metrics: OnceCell<ClientMetrics>,
 }
 
 impl std::fmt::Debug for KaasClient {
@@ -171,7 +175,7 @@ impl KaasClient {
             next_seq: 0,
             tracer: None,
             retry: None,
-            metrics: MetricsRegistry::new(),
+            metrics: OnceCell::new(),
         })
     }
 
@@ -239,7 +243,11 @@ impl KaasClient {
     /// abandoned because the [`RetryBudget`] ran dry), `hedges.sent`
     /// and `hedges.won` (see [`InvokeBuilder::hedge`]).
     pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.metrics
+        self.metrics().registry()
+    }
+
+    fn metrics(&self) -> &ClientMetrics {
+        self.metrics.get_or_init(ClientMetrics::new)
     }
 
     /// Starts building an invocation of `kernel`; finish with
@@ -632,7 +640,7 @@ impl KaasClient {
                     Err(_) => {
                         let h = hedge.take().expect("armed branch requires a pending hedge");
                         hedge_id = Some(h.id);
-                        self.metrics.inc("hedges.sent");
+                        self.metrics().hedges_sent.inc();
                         let frame = RequestFrame::One(h);
                         let bytes = frame.wire_bytes();
                         self.conn
@@ -648,7 +656,7 @@ impl KaasClient {
             match frame.body {
                 ResponseFrame::One(resp) if resp.id == primary => return Ok(resp),
                 ResponseFrame::One(resp) if Some(resp.id) == hedge_id => {
-                    self.metrics.inc("hedges.won");
+                    self.metrics().hedges_won.inc();
                     return Ok(resp);
                 }
                 _ => {}
@@ -916,7 +924,7 @@ impl<'c> InvokeBuilder<'c> {
                 .expect("max_attempts > 1 only with a retry config");
             if let Some(budget) = &cfg.budget {
                 if !budget.try_spend() {
-                    self.client.metrics.inc("retries.budget_exhausted");
+                    self.client.metrics().retries_budget_exhausted.inc();
                     return Err(err);
                 }
             }

@@ -83,7 +83,7 @@ impl KaasServer {
             Control::CodeRegister => {
                 let (tenant, program) = decode_register(&input)?;
                 let full = inner.guests.register(&tenant, program)?;
-                m.registry().inc("guest.registered");
+                m.guest_registered.inc();
                 Value::Text(full)
             }
             Control::CodeList => {
@@ -96,7 +96,7 @@ impl KaasServer {
                 if removed == 0 {
                     return Err(InvokeError::UnknownGuestKernel(name));
                 }
-                m.registry().add("guest.removed", removed);
+                m.guest_removed.add(removed);
                 Value::U64(removed)
             }
             Control::FlowRegister => {
@@ -113,7 +113,7 @@ impl KaasServer {
                     return Err(InvokeError::UnknownKernel(step.kernel().to_owned()));
                 }
                 let flow_id = inner.flows.register(wf);
-                m.registry().inc("workflow.registered");
+                m.workflow_registered.inc();
                 Value::U64(flow_id)
             }
             Control::FlowRun => {

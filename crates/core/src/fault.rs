@@ -396,9 +396,7 @@ fn apply(
         }
     };
     let kind = fault.kind();
-    let m = inner.handles.registry();
-    m.inc("faults.injected");
-    m.inc(&format!("faults.{kind}"));
+    inner.handles.fault(kind);
     if let Some(tracer) = &inner.config.tracer {
         tracer.record(
             "fault",

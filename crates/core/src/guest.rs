@@ -251,7 +251,6 @@ impl KaasServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::registry::MetricsRegistry;
     use kaas_accel::DeviceClass;
     use kaas_guest::Op;
     use kaas_kernels::Kernel;
@@ -355,7 +354,7 @@ mod tests {
         let k = state.resolve(&full).unwrap();
         k.execute(&Value::U64(1)).unwrap();
         k.execute(&Value::U64(2)).unwrap();
-        let handles = ServerMetrics::new(MetricsRegistry::new(), &[], 0);
+        let handles = ServerMetrics::new(&[], 0);
         let m = handles.registry();
         state.account(&full, &handles);
         assert_eq!(m.counter("guest.invocations"), 2);

@@ -101,7 +101,7 @@ pub use fault::{AppliedFault, Fault, FaultEvent, FaultInjector, FaultLog, FaultP
 pub use federation::{FederatedClient, FederatedFlow, SiteHandle, SiteSpec};
 pub use fusion::{fuse, FusedKernel, FusionError};
 pub use metrics::histogram::{Histogram, HistogramSummary};
-pub use metrics::registry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
+pub use metrics::registry::MetricsRegistry;
 pub use metrics::{mean_ci95, percentile, InvocationReport, MeanCi, MetricsSink, RunnerId};
 pub use pool::{RunnerPool, RunnerSlot};
 pub use protocol::{

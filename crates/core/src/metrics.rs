@@ -8,8 +8,11 @@
 //! * [`MetricsRegistry`](registry::MetricsRegistry) — the structured
 //!   store (counters, gauges, [`Histogram`](histogram::Histogram)
 //!   latency distributions) the server feeds on every invocation and
-//!   the experiment figures read from. The server's per-request sites
-//!   update it through pre-resolved handles (`handles::ServerMetrics`).
+//!   the experiment figures read from. Every emission site, server or
+//!   client, writes through the typed handles `handles.rs` declares
+//!   (`ServerMetrics`, `ClientMetrics`), the only place a string
+//!   becomes a metric name; the registry itself is read-only outside
+//!   this module.
 
 pub(crate) mod handles;
 pub mod histogram;

@@ -1,12 +1,16 @@
-//! [`ServerMetrics`]: the server's metric handles, resolved once.
+//! [`ServerMetrics`] and [`ClientMetrics`]: every metric name, declared
+//! once as a typed handle.
 //!
-//! Every per-request emission site updates a [`Counter`], [`Gauge`] or
-//! [`HistogramHandle`] held here instead of formatting a name and
-//! looking it up in the [`MetricsRegistry`] on every call. The global,
+//! This is the only module that turns a string into a metric: the
+//! registry's handle constructors are private to `crate::metrics`, and
+//! [`MetricsRegistry`] has no string writers. An emission site anywhere
+//! else updates a [`Counter`], [`Gauge`] or [`HistogramHandle`] field
+//! held here, so an undeclared name does not compile, and a declared
+//! name no site updates is a `dead_code` warning. The global,
 //! per-device and per-shard handles are resolved when the server is
-//! built; per-kernel, per-error-kind and per-tenant handles at their
-//! first emission, each name formatted once. A resolved handle shows in
-//! [`render`](MetricsRegistry::render) and
+//! built; per-kernel, per-error-kind, per-fault-kind and per-tenant
+//! handles at their first emission, each name formatted once. A
+//! resolved handle shows in [`render`](MetricsRegistry::render) and
 //! [`names`](MetricsRegistry::names) only once written, so resolving
 //! early changes nothing a reader sees.
 
@@ -15,6 +19,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use kaas_accel::{Device, DeviceId};
+use kaas_kernels::Warmup;
 
 use super::registry::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 
@@ -53,12 +58,34 @@ pub(crate) struct ShardMetrics {
     pub(crate) ejected: Counter,
 }
 
-/// Handles for every per-request metric a server emits. Each field is
+/// `guest.cold_start.{full,restore}`: a guest kernel's warm-init cost,
+/// by cold-start path.
+#[derive(Clone)]
+pub(crate) struct ColdStartMetrics {
+    full: HistogramHandle,
+    restore: HistogramHandle,
+}
+
+impl ColdStartMetrics {
+    /// Records the warm-init cost of `warmup` under its path; a
+    /// resident kernel has none.
+    pub(crate) fn observe(&self, warmup: &Warmup) {
+        let (h, cost) = match warmup {
+            Warmup::Resident => return,
+            Warmup::Instantiate(cost) => (&self.full, cost),
+            Warmup::Restore(cost) => (&self.restore, cost),
+        };
+        h.observe(cost.as_secs_f64());
+    }
+}
+
+/// Handles for every metric a server emits. Each field is
 /// named after its metric (`.` becomes `_`).
 pub(crate) struct ServerMetrics {
     reg: MetricsRegistry,
     kernels: RefCell<BTreeMap<String, Rc<KernelMetrics>>>,
     error_kinds: RefCell<BTreeMap<&'static str, Counter>>,
+    fault_kinds: RefCell<BTreeMap<&'static str, Counter>>,
     tenant_fuel: RefCell<BTreeMap<String, Counter>>,
     devices: Vec<DeviceMetrics>,
     pub(crate) shards: Vec<ShardMetrics>,
@@ -71,6 +98,7 @@ pub(crate) struct ServerMetrics {
     pub(crate) retries_attempted: Counter,
     pub(crate) retries_budget_exhausted: Counter,
     pub(crate) evictions: Counter,
+    faults_injected: Counter,
     pub(crate) in_flight: Gauge,
     pub(crate) runners: Gauge,
     pub(crate) admission_limit: Gauge,
@@ -86,10 +114,14 @@ pub(crate) struct ServerMetrics {
     pub(crate) dataplane_objects: Gauge,
     pub(crate) dataplane_bytes_stored: Gauge,
     pub(crate) dataplane_bytes_resident: Gauge,
+    pub(crate) guest_registered: Counter,
+    pub(crate) guest_removed: Counter,
+    pub(crate) guest_cold_start: ColdStartMetrics,
     pub(crate) guest_predicted_fuel: HistogramHandle,
     pub(crate) guest_invocations: Counter,
     pub(crate) guest_fuel_used: Counter,
     pub(crate) guest_bytes: Counter,
+    pub(crate) workflow_registered: Counter,
     pub(crate) workflow_runs: Counter,
     pub(crate) workflow_steps: Counter,
     pub(crate) workflow_chained_hits: Counter,
@@ -100,12 +132,14 @@ pub(crate) struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// Handles into `reg` for a server of `devices` and `shards`
-    /// dispatch shards.
-    pub(crate) fn new(reg: MetricsRegistry, devices: &[Device], shards: usize) -> Self {
+    /// Handles into a new registry, for a server of `devices` and
+    /// `shards` dispatch shards.
+    pub(crate) fn new(devices: &[Device], shards: usize) -> Self {
+        let reg = MetricsRegistry::new();
         ServerMetrics {
             kernels: RefCell::default(),
             error_kinds: RefCell::default(),
+            fault_kinds: RefCell::default(),
             tenant_fuel: RefCell::default(),
             devices: devices
                 .iter()
@@ -134,6 +168,7 @@ impl ServerMetrics {
             retries_attempted: reg.counter_handle("retries.attempted"),
             retries_budget_exhausted: reg.counter_handle("retries.budget_exhausted"),
             evictions: reg.counter_handle("evictions"),
+            faults_injected: reg.counter_handle("faults.injected"),
             in_flight: reg.gauge_handle("in_flight"),
             runners: reg.gauge_handle("runners"),
             admission_limit: reg.gauge_handle("admission.limit"),
@@ -149,10 +184,17 @@ impl ServerMetrics {
             dataplane_objects: reg.gauge_handle("dataplane.objects"),
             dataplane_bytes_stored: reg.gauge_handle("dataplane.bytes_stored"),
             dataplane_bytes_resident: reg.gauge_handle("dataplane.bytes_resident"),
+            guest_registered: reg.counter_handle("guest.registered"),
+            guest_removed: reg.counter_handle("guest.removed"),
+            guest_cold_start: ColdStartMetrics {
+                full: reg.histogram_handle("guest.cold_start.full"),
+                restore: reg.histogram_handle("guest.cold_start.restore"),
+            },
             guest_predicted_fuel: reg.histogram_handle("guest.predicted_fuel"),
             guest_invocations: reg.counter_handle("guest.invocations"),
             guest_fuel_used: reg.counter_handle("guest.fuel_used"),
             guest_bytes: reg.counter_handle("guest.bytes"),
+            workflow_registered: reg.counter_handle("workflow.registered"),
             workflow_runs: reg.counter_handle("workflow.runs"),
             workflow_steps: reg.counter_handle("workflow.steps"),
             workflow_chained_hits: reg.counter_handle("workflow.chained_hits"),
@@ -164,8 +206,7 @@ impl ServerMetrics {
         }
     }
 
-    /// The registry the handles write into (for cold, string-keyed
-    /// emissions).
+    /// The registry the handles write into, for readers.
     pub(crate) fn registry(&self) -> &MetricsRegistry {
         &self.reg
     }
@@ -204,6 +245,16 @@ impl ServerMetrics {
             .inc();
     }
 
+    /// Counts one injected fault: `faults.injected` and `faults.{kind}`.
+    pub(crate) fn fault(&self, kind: &'static str) {
+        self.faults_injected.inc();
+        self.fault_kinds
+            .borrow_mut()
+            .entry(kind)
+            .or_insert_with(|| self.reg.counter_handle(&format!("faults.{kind}")))
+            .inc();
+    }
+
     /// `guest.tenant.{tenant}.fuel`.
     pub(crate) fn tenant_fuel(&self, tenant: &str) -> Counter {
         if let Some(c) = self.tenant_fuel.borrow().get(tenant) {
@@ -216,5 +267,32 @@ impl ServerMetrics {
             .borrow_mut()
             .insert(tenant.to_owned(), c.clone());
         c
+    }
+}
+
+/// A client's own metrics, in the registry
+/// [`KaasClient::metrics_registry`](crate::KaasClient::metrics_registry)
+/// returns.
+pub(crate) struct ClientMetrics {
+    reg: MetricsRegistry,
+    pub(crate) hedges_sent: Counter,
+    pub(crate) hedges_won: Counter,
+    pub(crate) retries_budget_exhausted: Counter,
+}
+
+impl ClientMetrics {
+    pub(crate) fn new() -> Self {
+        let reg = MetricsRegistry::new();
+        ClientMetrics {
+            hedges_sent: reg.counter_handle("hedges.sent"),
+            hedges_won: reg.counter_handle("hedges.won"),
+            retries_budget_exhausted: reg.counter_handle("retries.budget_exhausted"),
+            reg,
+        }
+    }
+
+    /// The registry the handles write into, for readers.
+    pub(crate) fn registry(&self) -> &MetricsRegistry {
+        &self.reg
     }
 }

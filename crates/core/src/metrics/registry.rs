@@ -12,10 +12,12 @@
 //!
 //! All maps are ordered (`BTreeMap`) and all state is deterministic, so
 //! [`MetricsRegistry::render`] output is byte-identical across
-//! identical runs. Each map value is a shared cell, so a typed handle
-//! ([`Counter`], [`Gauge`], [`HistogramHandle`]) resolved once updates
-//! the metric without a name lookup. A cell counts as a metric only
-//! once it has been written: resolving a handle alone shows nothing.
+//! identical runs. Each map value is a shared cell, written only
+//! through a typed handle ([`Counter`], [`Gauge`], [`HistogramHandle`]).
+//! Only `crate::metrics` can resolve a handle from a name, so the
+//! metric namespace is the set of names `handles.rs` declares. A cell
+//! counts as a metric only once it has been written: resolving a
+//! handle alone shows nothing.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -29,37 +31,37 @@ use super::histogram::{Histogram, HistogramSummary};
 /// `None` until first written, and only then does the counter appear
 /// in [`MetricsRegistry::render`] and [`MetricsRegistry::names`].
 #[derive(Debug, Clone, Default)]
-pub struct Counter(Rc<Cell<Option<u64>>>);
+pub(crate) struct Counter(Rc<Cell<Option<u64>>>);
 
 impl Counter {
     /// Increments by one.
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
     /// Increments by `delta` (zero still marks the counter written).
-    pub fn add(&self, delta: u64) {
+    pub(crate) fn add(&self, delta: u64) {
         self.0.set(Some(self.get() + delta));
     }
 
     /// Current value (zero if never written).
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.get().unwrap_or(0)
     }
 }
 
 /// A pre-resolved gauge; see [`Counter`].
 #[derive(Debug, Clone, Default)]
-pub struct Gauge(Rc<Cell<Option<f64>>>);
+pub(crate) struct Gauge(Rc<Cell<Option<f64>>>);
 
 impl Gauge {
     /// Sets the level.
-    pub fn set(&self, value: f64) {
+    pub(crate) fn set(&self, value: f64) {
         self.0.set(Some(value));
     }
 
     /// Current level, if ever set.
-    pub fn get(&self) -> Option<f64> {
+    pub(crate) fn get(&self) -> Option<f64> {
         self.0.get()
     }
 }
@@ -67,11 +69,11 @@ impl Gauge {
 /// A pre-resolved histogram; see [`Counter`]. It is written once it
 /// holds an observation.
 #[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(Rc<RefCell<Histogram>>);
+pub(crate) struct HistogramHandle(Rc<RefCell<Histogram>>);
 
 impl HistogramHandle {
     /// Records one observation; see [`Histogram::observe`].
-    pub fn observe(&self, value: f64) {
+    pub(crate) fn observe(&self, value: f64) {
         self.0.borrow_mut().observe(value);
     }
 
@@ -97,33 +99,44 @@ fn find_or_create<H: Clone + Default>(map: &mut BTreeMap<String, H>, name: &str)
 
 /// A shared, clonable registry of counters, gauges, and histograms.
 ///
-/// Every metric is a shared cell. Hot emission sites resolve a typed
-/// handle ([`Counter`], [`Gauge`], [`HistogramHandle`]) once and update
-/// the cell directly; the string methods ([`inc`](Self::inc),
-/// [`observe`](Self::observe), ...) resolve the same handle on every
-/// call, so both paths land in one set of cells. The readers
+/// Every metric is a shared cell that the server and client write
+/// through typed handles, resolved once from the names `crate::metrics`
+/// declares. Outside this crate a registry is read-only: the readers
 /// ([`render`](Self::render), [`names`](Self::names),
-/// [`gauge`](Self::gauge), ...) skip cells that were never written, so
-/// handles may be resolved ahead of their first emission.
+/// [`counter`](Self::counter), ...) skip cells that were never written,
+/// so handles may be resolved ahead of their first emission.
 ///
 /// # Examples
 ///
 /// ```
-/// use kaas_core::MetricsRegistry;
+/// use kaas_core::{KaasClient, KaasNetwork, KaasServer, KernelRegistry, ServerConfig};
+/// use kaas_accel::{Device, DeviceId, GpuDevice, GpuProfile};
+/// use kaas_kernels::{MonteCarlo, Value};
+/// use kaas_net::{LinkProfile, SharedMemory};
+/// use kaas_simtime::{spawn, Simulation};
 ///
-/// let reg = MetricsRegistry::new();
-/// reg.inc("invocations");
-/// reg.set_gauge("in_flight", 3.0);
-/// reg.observe("latency.server", 0.042);
-/// assert_eq!(reg.counter("invocations"), 1);
-/// let s = reg.summary("latency.server").unwrap();
-/// assert_eq!(s.count, 1);
-/// assert_eq!(s.p99, 0.042);
+/// Simulation::new().block_on(async {
+///     let kernels = KernelRegistry::new();
+///     kernels.register(MonteCarlo::default()).unwrap();
+///     let gpu: Device = GpuDevice::new(DeviceId(0), GpuProfile::v100()).into();
+///     let server =
+///         KaasServer::new(vec![gpu], kernels, SharedMemory::host(), ServerConfig::default());
+///     let net: KaasNetwork = KaasNetwork::new();
+///     spawn(server.clone().serve(net.listen("kaas").unwrap()));
+///     let mut client = KaasClient::connect(&net, "kaas", LinkProfile::loopback())
+///         .await
+///         .unwrap();
+///     client.call("mci").arg(Value::U64(1_000)).send().await.unwrap();
 ///
-/// // A handle updates the same cell without a name lookup.
-/// let invocations = reg.counter_handle("invocations");
-/// invocations.add(2);
-/// assert_eq!(reg.counter("invocations"), 3);
+///     let reg = server.metrics_registry();
+///     assert_eq!(reg.counter("invocations.mci"), 1);
+///     assert_eq!(reg.gauge("in_flight"), Some(0.0));
+///     let s = reg.summary("latency.server").unwrap();
+///     assert_eq!(s.count, 1);
+///     assert!(reg.render().contains("cold_starts 1\n"));
+///     // A name the server never wrote reads as zero and never renders.
+///     assert_eq!(reg.counter("hedges.sent"), 0);
+/// });
 /// ```
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
@@ -148,28 +161,18 @@ impl MetricsRegistry {
     }
 
     /// The handle of counter `name`, creating it unwritten.
-    pub fn counter_handle(&self, name: &str) -> Counter {
+    pub(super) fn counter_handle(&self, name: &str) -> Counter {
         find_or_create(&mut self.inner.borrow_mut().counters, name)
     }
 
     /// The handle of gauge `name`, creating it unset.
-    pub fn gauge_handle(&self, name: &str) -> Gauge {
+    pub(super) fn gauge_handle(&self, name: &str) -> Gauge {
         find_or_create(&mut self.inner.borrow_mut().gauges, name)
     }
 
     /// The handle of histogram `name`, creating it empty.
-    pub fn histogram_handle(&self, name: &str) -> HistogramHandle {
+    pub(super) fn histogram_handle(&self, name: &str) -> HistogramHandle {
         find_or_create(&mut self.inner.borrow_mut().histograms, name)
-    }
-
-    /// Increments counter `name` by one (creating it at zero).
-    pub fn inc(&self, name: &str) {
-        self.counter_handle(name).inc();
-    }
-
-    /// Increments counter `name` by `delta`.
-    pub fn add(&self, name: &str, delta: u64) {
-        self.counter_handle(name).add(delta);
     }
 
     /// Current value of counter `name` (zero if never incremented).
@@ -181,19 +184,9 @@ impl MetricsRegistry {
             .map_or(0, Counter::get)
     }
 
-    /// Sets gauge `name` to `value`.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        self.gauge_handle(name).set(value);
-    }
-
     /// Current value of gauge `name`, if ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.inner.borrow().gauges.get(name).and_then(Gauge::get)
-    }
-
-    /// Records `value` (seconds, for latencies) into histogram `name`.
-    pub fn observe(&self, name: &str, value: f64) {
-        self.histogram_handle(name).observe(value);
     }
 
     /// A snapshot of histogram `name`, if it holds an observation.
@@ -286,17 +279,22 @@ mod tests {
     fn counters_accumulate() {
         let reg = MetricsRegistry::new();
         assert_eq!(reg.counter("x"), 0);
-        reg.inc("x");
-        reg.add("x", 4);
+        let x = reg.counter_handle("x");
+        x.inc();
+        x.add(4);
         assert_eq!(reg.counter("x"), 5);
+        // Resolving again finds the same cell, not a second one.
+        reg.counter_handle("x").inc();
+        assert_eq!((x.get(), reg.names().0), (6, vec!["x".to_string()]));
     }
 
     #[test]
     fn gauges_overwrite() {
         let reg = MetricsRegistry::new();
         assert_eq!(reg.gauge("depth"), None);
-        reg.set_gauge("depth", 2.0);
-        reg.set_gauge("depth", 7.0);
+        let depth = reg.gauge_handle("depth");
+        depth.set(2.0);
+        depth.set(7.0);
         assert_eq!(reg.gauge("depth"), Some(7.0));
     }
 
@@ -304,8 +302,8 @@ mod tests {
     fn clones_share_state() {
         let reg = MetricsRegistry::new();
         let other = reg.clone();
-        other.inc("shared");
-        other.observe("h", 1.0);
+        other.counter_handle("shared").inc();
+        other.histogram_handle("h").observe(1.0);
         assert_eq!(reg.counter("shared"), 1);
         assert_eq!(reg.summary("h").unwrap().count, 1);
     }
@@ -314,11 +312,12 @@ mod tests {
     fn render_is_sorted_and_deterministic() {
         let build = || {
             let reg = MetricsRegistry::new();
-            reg.inc("b.count");
-            reg.inc("a.count");
-            reg.set_gauge("z.gauge", 1.5);
+            reg.counter_handle("b.count").inc();
+            reg.counter_handle("a.count").inc();
+            reg.gauge_handle("z.gauge").set(1.5);
+            let lat = reg.histogram_handle("lat");
             for i in 1..=10 {
-                reg.observe("lat", i as f64 * 0.01);
+                lat.observe(i as f64 * 0.01);
             }
             reg.render()
         };
@@ -329,28 +328,6 @@ mod tests {
         assert!(a < b, "metrics must render in sorted order:\n{text}");
         assert!(text.contains("lat{stat=\"count\"} 10"));
         assert!(text.contains("lat{stat=\"p95\"}"));
-    }
-
-    #[test]
-    fn handles_and_string_methods_share_cells() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter_handle("c");
-        let g = reg.gauge_handle("g");
-        let h = reg.histogram_handle("h");
-        c.inc();
-        reg.add("c", 2);
-        assert_eq!((c.get(), reg.counter("c")), (3, 3));
-        g.set(1.5);
-        assert_eq!(reg.gauge("g"), Some(1.5));
-        reg.set_gauge("g", 4.0);
-        assert_eq!(g.get(), Some(4.0));
-        h.observe(0.5);
-        reg.observe("h", 1.5);
-        assert_eq!(reg.summary("h").unwrap().count, 2);
-        // Resolving again finds the same cell, not a second one.
-        reg.counter_handle("c").inc();
-        assert_eq!(c.get(), 4);
-        assert_eq!(reg.names().0, vec!["c".to_string()]);
     }
 
     #[test]
@@ -374,9 +351,9 @@ mod tests {
     fn clear_keeps_handles_attached() {
         let reg = MetricsRegistry::new();
         let c = reg.counter_handle("c");
-        reg.inc("c");
-        reg.set_gauge("g", 1.0);
-        reg.observe("h", 1.0);
+        c.inc();
+        reg.gauge_handle("g").set(1.0);
+        reg.histogram_handle("h").observe(1.0);
         reg.clear();
         assert!(reg.render().is_empty());
         c.inc();

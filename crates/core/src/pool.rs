@@ -20,7 +20,7 @@ use kaas_simtime::{now, sleep, spawn, SimTime, SpanSink};
 
 use crate::server::KernelStats;
 
-use crate::metrics::registry::MetricsRegistry;
+use crate::metrics::handles::ColdStartMetrics;
 use crate::metrics::RunnerId;
 use crate::protocol::InvokeError;
 use crate::runner::{RunnerConfig, TaskRunner};
@@ -194,7 +194,7 @@ pub struct RunnerPool {
     tracer: Option<SpanSink>,
     /// Bills guest warm-init phases (`guest.cold_start.{full,restore}`
     /// histograms) at cold-start time.
-    metrics: Option<MetricsRegistry>,
+    metrics: Option<ColdStartMetrics>,
     /// Called whenever a device's runner process dies (crash, kill,
     /// reap): device memory allocations die with the process, so the
     /// data plane must drop its residency for that device.
@@ -284,10 +284,10 @@ impl RunnerPool {
         self.tracer = Some(tracer);
     }
 
-    /// Attaches a metrics registry: cold starts of guest kernels record
-    /// their warm-init cost into the `guest.cold_start.{path}` histogram
+    /// Attaches the warm-init histograms: cold starts of guest kernels
+    /// record their warm-init cost under `guest.cold_start.{path}`
     /// (`full` for a full instantiate, `restore` for a snapshot restore).
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
+    pub(crate) fn set_metrics(&mut self, metrics: ColdStartMetrics) {
         self.metrics = Some(metrics);
     }
 
@@ -521,16 +521,16 @@ impl RunnerPool {
         let slot2 = Rc::clone(&slot);
         let tracer = self.tracer.clone();
         let metrics = self.metrics.clone();
-        let warmup = kernel.warmup().cost();
+        let warmup = kernel.warmup();
         let kernel_name = name.to_owned();
         spawn(async move {
             let t0 = now();
             let runner = TaskRunner::cold_start(id, kernel, device, chip, config).await;
             // Warm-init is the runner's final cold-start phase, so its
             // interval is exactly the trailing `cost` of the whole span.
-            if let Some((path, cost)) = warmup {
+            if let Some((path, cost)) = warmup.cost() {
                 if let Some(m) = &metrics {
-                    m.observe(&format!("guest.cold_start.{path}"), cost.as_secs_f64());
+                    m.observe(&warmup);
                 }
                 if let Some(tracer) = &tracer {
                     let end = now();

@@ -30,10 +30,6 @@
 //!   escapes its configured `[min, max]` band, and the permit ledger
 //!   conserves (`issued - released == admitted`, and zero at
 //!   shutdown).
-//! * **Metric names** — every name that appears in the live
-//!   [`MetricsRegistry`](crate::MetricsRegistry) matches a pattern
-//!   declared in `metrics/INVENTORY` (the same file rule R2 of the
-//!   static pass enforces at emission sites).
 //! * **Span geometry** — a recorded span whose parent is recorded on
 //!   the *same track* lies inside its parent's interval, and same-track
 //!   siblings never overlap (the tiling contract the tracing tests
@@ -46,15 +42,12 @@
 //! symptom.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Weak;
 
 use kaas_simtime::{SimTime, Span, SpanId, SpanSink};
 
 use crate::server::ServerInner;
-
-/// The metric-name inventory, shared verbatim with the static pass.
-const INVENTORY: &str = include_str!("metrics/INVENTORY");
 
 /// A recorded span's geometry: `(track, start, end)`.
 type SpanGeometry = (String, SimTime, SimTime);
@@ -65,8 +58,6 @@ type SiblingIndex = BTreeMap<(SpanId, String), Vec<(SimTime, SimTime, SpanId)>>;
 /// reference: a dropped server silently retires its auditor.
 pub(crate) struct Auditor {
     inner: Weak<ServerInner>,
-    /// Metric names already validated against the INVENTORY.
-    seen_metrics: RefCell<BTreeSet<String>>,
     /// How many sink spans have been ingested so far.
     span_cursor: Cell<usize>,
     /// Recorded spans by id: `(track, start, end)`.
@@ -86,7 +77,6 @@ impl Auditor {
     pub(crate) fn new(inner: Weak<ServerInner>) -> Self {
         Auditor {
             inner,
-            seen_metrics: RefCell::new(BTreeSet::new()),
             span_cursor: Cell::new(0),
             span_index: RefCell::new(BTreeMap::new()),
             siblings: RefCell::new(BTreeMap::new()),
@@ -104,27 +94,8 @@ impl Auditor {
         check_dispatch_queue(&inner);
         check_ejection_accounting(&inner);
         check_admission(&inner);
-        self.check_metric_names(&inner);
         if let Some(tracer) = &inner.config.tracer {
             self.check_spans(tracer);
-        }
-    }
-
-    /// Validates any metric names that appeared since the last sweep.
-    fn check_metric_names(&self, inner: &ServerInner) {
-        let (counters, gauges, histograms) = inner.handles.registry().names();
-        let mut seen = self.seen_metrics.borrow_mut();
-        for name in counters.iter().chain(&gauges).chain(&histograms) {
-            if seen.contains(name) {
-                continue;
-            }
-            if !kaas_audit::inventory_matches(INVENTORY, name) {
-                violation(
-                    "metric-inventory",
-                    &format!("live metric `{name}` matches no pattern in metrics/INVENTORY"),
-                );
-            }
-            seen.insert(name.clone());
         }
     }
 

@@ -120,16 +120,14 @@ impl KaasServer {
         // Built before the pool consumes `devices`: shard count 0 means
         // one dispatch shard per device.
         let dispatch = DispatchState::new(&config, devices.len());
-        let metrics_registry = MetricsRegistry::new();
-        let handles =
-            ServerMetrics::new(metrics_registry.clone(), &devices, dispatch.shard_count());
+        let handles = ServerMetrics::new(&devices, dispatch.shard_count());
         let mut pool = RunnerPool::new(devices);
         if let Some(tracer) = &config.tracer {
             pool.set_tracer(tracer.clone());
         }
         // The pool bills guest warm-init phases (full instantiate vs
-        // snapshot restore) into the shared registry at cold-start time.
-        pool.set_metrics(metrics_registry.clone());
+        // snapshot restore) into the server's registry at cold-start time.
+        pool.set_metrics(handles.guest_cold_start.clone());
         // Device memory dies with the runner process that owns it: any
         // runner death (crash, kill, idle reap) drops that device's
         // residency so retries re-upload instead of reading stale
