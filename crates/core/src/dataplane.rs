@@ -213,6 +213,8 @@ struct Stored {
 #[derive(Debug, Default)]
 pub struct ObjectStore {
     objects: RefCell<BTreeMap<u64, Stored>>,
+    /// Sum of `bytes` over `objects`, kept by every insert and removal.
+    total_bytes: Cell<u64>,
 }
 
 impl ObjectStore {
@@ -236,12 +238,18 @@ impl ObjectStore {
         let bytes = value.wire_bytes();
         let mut objects = self.objects.borrow_mut();
         let created = !objects.contains_key(&hash);
-        objects.entry(hash).or_insert(Stored {
-            value,
-            bytes,
-            sealed: Cell::new(false),
-            pins: Cell::new(0),
-        });
+        if created {
+            objects.insert(
+                hash,
+                Stored {
+                    value,
+                    bytes,
+                    sealed: Cell::new(false),
+                    pins: Cell::new(0),
+                },
+            );
+            self.total_bytes.set(self.total_bytes.get() + bytes);
+        }
         (ObjectRef { hash, bytes }, created)
     }
 
@@ -307,6 +315,7 @@ impl ObjectStore {
         let mut objects = self.objects.borrow_mut();
         match objects.get(&hash) {
             Some(s) if s.pins.get() == 0 => {
+                self.total_bytes.set(self.total_bytes.get() - s.bytes);
                 objects.remove(&hash);
                 true
             }
@@ -344,7 +353,7 @@ impl ObjectStore {
 
     /// Total logical bytes stored.
     pub fn bytes_stored(&self) -> u64 {
-        self.objects.borrow().values().map(|s| s.bytes).sum()
+        self.total_bytes.get()
     }
 }
 
@@ -553,6 +562,45 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(a.bytes, 816);
         assert_eq!(store.get(&a), Some(Value::F64s(vec![1.0; 100])));
+    }
+
+    /// The running total matches a full recount through puts, deduped
+    /// puts, refused removes of pinned objects, and removes.
+    #[test]
+    fn bytes_stored_tracks_puts_dedupes_and_removes() {
+        let store = ObjectStore::new();
+        let recount =
+            |store: &ObjectStore| -> u64 { store.objects.borrow().values().map(|s| s.bytes).sum() };
+        let values: Vec<Value> = (1..=6).map(|n| Value::F64s(vec![n as f64; n])).collect();
+        let mut refs = Vec::new();
+        for v in &values {
+            let (r, created) = store.put_tracked(v.clone());
+            assert!(created);
+            refs.push(r);
+            assert_eq!(store.bytes_stored(), recount(&store));
+        }
+        let before = store.bytes_stored();
+        for v in &values[..3] {
+            let (_, created) = store.put_tracked(v.clone());
+            assert!(!created);
+        }
+        assert_eq!(
+            store.bytes_stored(),
+            before,
+            "a deduplicated put adds nothing"
+        );
+        assert!(store.pin(refs[0].hash));
+        assert!(!store.remove(refs[0].hash));
+        assert_eq!(store.bytes_stored(), before);
+        for r in &refs[1..4] {
+            assert!(store.remove(r.hash));
+            assert!(!store.remove(r.hash));
+            assert_eq!(store.bytes_stored(), recount(&store));
+        }
+        assert_eq!(
+            store.bytes_stored(),
+            refs[0].bytes + refs[4].bytes + refs[5].bytes
+        );
     }
 
     #[test]

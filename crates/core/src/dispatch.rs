@@ -31,26 +31,29 @@
 //! `errors.*`), latency histograms, and level gauges.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
 use kaas_accel::{DeviceClass, DeviceId};
 use kaas_kernels::{Kernel, Value};
-use kaas_simtime::channel::{self, OneshotSender, Receiver};
+use kaas_simtime::channel::{self, OneshotReceiver, OneshotSender, Receiver};
 use kaas_simtime::rng::DetRng;
 use kaas_simtime::sync::Semaphore;
-use kaas_simtime::{now, sleep, spawn, SimTime};
+use kaas_simtime::{now, sleep, spawn, SimTime, SpanId};
 
 use crate::admission::AdmissionPermit;
 use crate::autoscaler::{ScaleCtx, ScaleDecision};
 use crate::config::{ServerConfig, ShardConfig, ShardPolicy};
 use crate::dataplane::ObjectRef;
-use crate::metrics::InvocationReport;
+use crate::metrics::{InvocationReport, RunnerId};
 use crate::pool::{InFlightGuard, RunnerPool, RunnerSlot};
 use crate::protocol::{DataRef, InvokeError, Request, Response, Target};
 use crate::resilience::BreakerState;
+use crate::runner::RunnerTimings;
 use crate::scheduler::SchedCtx;
 use crate::server::KaasServer;
+use crate::workflow::WorkflowReport;
 
 /// An admitted, parsed invocation: everything the execution pipeline
 /// needs, carried from the front door to the shard worker that runs it.
@@ -59,7 +62,7 @@ pub(crate) struct ExecJob {
     kernel: Rc<dyn Kernel>,
     /// RAII admission permit — rides with the job so the admission slot
     /// is held until execution finishes, on every exit path.
-    permit: AdmissionPermit,
+    _permit: AdmissionPermit,
     submitted: SimTime,
 }
 
@@ -75,7 +78,7 @@ struct DispatchJob {
     t_dispatch: SimTime,
     /// When the front door enqueued it (the `dispatch.shard_ns` origin).
     enqueued: SimTime,
-    reply: OneshotSender<Result<(DataRef, InvocationReport), InvokeError>>,
+    reply: OneshotSender<Outcome>,
 }
 
 /// One shard's queue: the sending half plus its depth counter (the
@@ -285,66 +288,125 @@ async fn shard_worker(
             .handles
             .dispatch_shard_ns
             .observe((now() - enqueued).as_nanos() as f64);
-        if let Some(t) = &inner.config.tracer {
-            t.record(
-                "server",
-                "dispatch",
-                t_dispatch,
-                now(),
-                job.req.span,
-                vec![],
-            );
-        }
-        spawn(async move {
-            let out = server.execute(job).await;
-            // A dropped receiver means the front-door waiter is gone;
-            // the work still completed, so the result is simply unread.
-            let _ = reply.send(out);
-        });
+        server.span(job.req.span, "dispatch", t_dispatch, now());
+        spawn(run_job(server, job, reply));
     }
+}
+
+/// The task a shard worker spawns per job. It owns the job and
+/// [`KaasServer::execute`] borrows it, so the job is stored once for the
+/// whole run.
+// An `async fn` would move each argument into a second slot of its
+// future, so the job would be stored twice.
+#[allow(clippy::manual_async_fn)]
+fn run_job(
+    server: KaasServer,
+    job: ExecJob,
+    reply: OneshotSender<Outcome>,
+) -> impl Future<Output = ()> {
+    async move {
+        let out = server.execute(&job).await;
+        // The admission permit is released before the reply wakes the
+        // waiter.
+        drop(job);
+        // A dropped receiver means the front-door waiter is gone; the
+        // work still completed, so the result is simply unread.
+        let _ = reply.send(out);
+    }
+}
+
+/// What a kernel invocation resolves to: the reply payload and its
+/// timing report, or the failure.
+pub(crate) type Outcome = Result<(DataRef, InvocationReport), InvokeError>;
+
+/// A request that passed admission, name resolution and the front
+/// door: everything but the request itself that its [`ExecJob`] needs.
+struct Admitted {
+    kernel: Rc<dyn Kernel>,
+    permit: AdmissionPermit,
+    submitted: SimTime,
+    t_dispatch: SimTime,
+}
+
+/// What a successful attempt of the placement-and-run loop hands back
+/// to [`KaasServer::execute`].
+struct Ran {
+    output: Value,
+    timings: RunnerTimings,
+    runner: RunnerId,
+    device: DeviceId,
+    started: SimTime,
+    degraded: bool,
 }
 
 impl KaasServer {
     /// Handles one request end to end (public for in-process use and
     /// tests; network callers go through [`KaasServer::serve`]).
-    pub async fn handle(&self, req: Request) -> Response {
+    ///
+    /// The future owns a handle to the server, so it can be spawned.
+    pub fn handle(&self, req: Request) -> impl Future<Output = Response> + 'static {
         let id = req.id;
-        let mut flow = None;
-        let result = match req.target {
-            // Boxed so the control handler's state stays out of this
-            // future, which every batch member holds.
-            Target::Control(op) => Box::pin(self.control(op, req, &mut flow)).await,
-            Target::Kernel(_) => self.handle_inner(req).await,
-        };
-        let (result, report) = match result {
-            Ok((data, report)) => (Ok(data), Some(report)),
-            Err(e) => {
-                self.inner().handles.error(e.kind());
-                (Err(e), None)
+        self.serve_request(req, move |server, result, flow| {
+            let (result, report) = match result {
+                Ok((data, report)) => (Ok(data), Some(report)),
+                Err(e) => {
+                    server.inner().handles.error(e.kind());
+                    (Err(e), None)
+                }
+            };
+            Response {
+                id,
+                result,
+                report,
+                flow,
             }
-        };
-        Response {
-            id,
-            result,
-            report,
-            flow,
+        })
+    }
+
+    /// Runs one kernel invocation without shaping a [`Response`]: the
+    /// entry point of flow steps.
+    pub(crate) fn invoke(&self, req: Request) -> impl Future<Output = Outcome> + 'static {
+        self.serve_request(req, |_, result, _| result)
+    }
+
+    /// The one path every request takes: a control operation, or
+    /// admission, name resolution and the front door's enqueue onto a
+    /// shard, then the wait for the shard's reply. `finish` shapes the
+    /// outcome.
+    ///
+    /// Only the request and the server handle live for the whole call.
+    /// The front door borrows the request and the enqueue moves it into
+    /// the job, so a request waiting for its reply holds just the
+    /// receiver. Every member of a wide batch holds one of these.
+    fn serve_request<T>(
+        &self,
+        req: Request,
+        finish: impl FnOnce(&KaasServer, Outcome, Option<WorkflowReport>) -> T + 'static,
+    ) -> impl Future<Output = T> + 'static {
+        let server = self.clone();
+        async move {
+            if let Target::Control(op) = req.target {
+                let mut flow = None;
+                // Boxed so the control handler's state stays out of this
+                // future.
+                let result = Box::pin(server.control(op, req, &mut flow)).await;
+                return finish(&server, result, flow);
+            }
+            let result = match server.front_door(&req).await {
+                Ok(admitted) => match server.enqueue(req, admitted) {
+                    Ok(reply) => reply.await.unwrap_or(Err(InvokeError::Disconnected)),
+                    Err(e) => Err(e),
+                },
+                Err(e) => Err(e),
+            };
+            finish(&server, result, None)
         }
     }
 
-    /// Runs one kernel invocation: admission, name resolution, then the
-    /// front door's enqueue onto a shard (flow steps enter here too).
-    pub(crate) async fn handle_inner(
-        &self,
-        req: Request,
-    ) -> Result<(DataRef, InvocationReport), InvokeError> {
+    /// Admission, name resolution, then the front door's serialized
+    /// classification cost.
+    async fn front_door(&self, req: &Request) -> Result<Admitted, InvokeError> {
         let inner = self.inner();
-        let tracer = inner.config.tracer.clone();
-        let parent = req.span;
-        let span = |name: &str, start: SimTime, end: SimTime| {
-            if let Some(t) = &tracer {
-                t.record("server", name, start, end, parent, vec![]);
-            }
-        };
         let submitted = now();
         let permit = match inner.admission.admit(req.tenant.as_deref()).await {
             Ok(permit) => permit,
@@ -363,37 +425,11 @@ impl KaasServer {
         if let Some(limit) = inner.admission.current_limit() {
             inner.handles.admission_limit.set(limit as f64);
         }
-        span("admission", submitted, now());
+        self.span(req.span, "admission", submitted, now());
         // Request parsing stays on the front door: resolve the kernel
         // before any dispatch cost so unknown names never consume
         // router capacity.
-        let name = req.target.name();
-        let kernel = match inner.registry.lookup(name) {
-            Some(k) => k,
-            // Guest kernels resolve alongside compiled-in ones: a bare
-            // `tenant/name` means latest live version, `@vN` pins one.
-            None => match inner.guests.resolve(name) {
-                Some(g) => {
-                    // The verifier's worst-case fuel bound is the
-                    // predicted cost of this invocation — recorded so
-                    // admission policy can be tuned against it.
-                    if let Some(fuel) = g.predicted_fuel() {
-                        inner.handles.guest_predicted_fuel.observe(fuel as f64);
-                    }
-                    g as Rc<dyn Kernel>
-                }
-                None if crate::guest::is_guest_name(name) => {
-                    return Err(InvokeError::UnknownGuestKernel(name.to_owned()));
-                }
-                None => return Err(InvokeError::UnknownKernel(name.to_owned())),
-            },
-        };
-        let job = ExecJob {
-            req,
-            kernel,
-            permit,
-            submitted,
-        };
+        let kernel = self.resolve_kernel(req.target.name())?;
         let t_dispatch = now();
         // The front door only classifies + enqueues; placement, the
         // cache step, retry, and the runner handoff all happen on the
@@ -403,10 +439,56 @@ impl KaasServer {
             let _front = d.front_lock.acquire(1).await;
             sleep(d.config.front_door_overhead).await;
         }
-        let m = &inner.handles;
-        m.dispatch_front_door_ns
+        inner
+            .handles
+            .dispatch_front_door_ns
             .observe((now() - t_dispatch).as_nanos() as f64);
-        let shard = d.pick_shard(job.req.target.name());
+        Ok(Admitted {
+            kernel,
+            permit,
+            submitted,
+            t_dispatch,
+        })
+    }
+
+    /// Resolves a kernel name: compiled-in kernels first, then guest
+    /// kernels.
+    fn resolve_kernel(&self, name: &str) -> Result<Rc<dyn Kernel>, InvokeError> {
+        let inner = self.inner();
+        if let Some(k) = inner.registry.lookup(name) {
+            return Ok(k);
+        }
+        // Guest kernels resolve alongside compiled-in ones: a bare
+        // `tenant/name` means latest live version, `@vN` pins one.
+        match inner.guests.resolve(name) {
+            Some(g) => {
+                // The verifier's worst-case fuel bound is the predicted
+                // cost of this invocation — recorded so admission policy
+                // can be tuned against it.
+                if let Some(fuel) = g.predicted_fuel() {
+                    inner.handles.guest_predicted_fuel.observe(fuel as f64);
+                }
+                Ok(g)
+            }
+            None if crate::guest::is_guest_name(name) => {
+                Err(InvokeError::UnknownGuestKernel(name.to_owned()))
+            }
+            None => Err(InvokeError::UnknownKernel(name.to_owned())),
+        }
+    }
+
+    /// Sheds or enqueues an admitted request on its shard, returning
+    /// the receiver its reply will arrive on. Synchronous: the shard
+    /// queues are unbounded, so the send never waits.
+    fn enqueue(
+        &self,
+        req: Request,
+        admitted: Admitted,
+    ) -> Result<OneshotReceiver<Outcome>, InvokeError> {
+        let inner = self.inner();
+        let d = &inner.dispatch;
+        let m = &inner.handles;
+        let shard = d.pick_shard(req.target.name());
         let q = &d.shards[shard];
         // Enqueue-time shedding: dead or over-cap work never enters the
         // queue, so it cannot crowd out live requests or consume a
@@ -418,7 +500,7 @@ impl KaasServer {
             m.shards[shard].ejected.inc();
             err
         };
-        if job.req.deadline.is_some_and(|at| now() > at) {
+        if req.deadline.is_some_and(|at| now() > at) {
             return Err(eject(InvokeError::DeadlineExceeded));
         }
         if d.config.queue_cap.is_some_and(|cap| q.depth.get() >= cap) {
@@ -433,14 +515,25 @@ impl KaasServer {
         d.queued.set(d.queued.get() + 1);
         m.shards[shard].depth.set(q.depth.get() as f64);
         let (reply_tx, reply_rx) = channel::oneshot();
+        let Admitted {
+            kernel,
+            permit,
+            submitted,
+            t_dispatch,
+        } = admitted;
         let dj = DispatchJob {
             server: self.clone(),
-            job,
+            job: ExecJob {
+                req,
+                kernel,
+                _permit: permit,
+                submitted,
+            },
             t_dispatch,
             enqueued: now(),
             reply: reply_tx,
         };
-        if q.tx.send(dj).await.is_err() {
+        if q.tx.try_send(dj).is_err() {
             // No worker drains this queue (the server was built outside
             // a running simulation): undo the enqueue accounting and
             // report the path unavailable.
@@ -448,7 +541,7 @@ impl KaasServer {
             d.queued.set(d.queued.get() - 1);
             return Err(InvokeError::Disconnected);
         }
-        reply_rx.await.map_err(|_| InvokeError::Disconnected)?
+        Ok(reply_rx)
     }
 
     /// The deterministic drain-time estimate attached to `Overloaded`
@@ -463,299 +556,118 @@ impl KaasServer {
             .min(Duration::from_secs(1))
     }
 
+    /// Records a server span parented under `parent`, when tracing.
+    fn span(&self, parent: Option<SpanId>, name: &str, start: SimTime, end: SimTime) {
+        if let Some(t) = &self.inner().config.tracer {
+            t.record("server", name, start, end, parent, vec![]);
+        }
+    }
+
     /// The execution pipeline one admitted job walks — input
     /// materialization, deadline shedding, placement + cache step +
     /// retry, report/metrics recording, and reply shaping. Runs on a
-    /// task the shard worker spawns per job.
-    pub(crate) async fn execute(
-        &self,
-        job: ExecJob,
-    ) -> Result<(DataRef, InvocationReport), InvokeError> {
-        let ExecJob {
-            req,
-            kernel,
-            permit: _permit,
-            submitted,
-        } = job;
+    /// task the shard worker spawns per job, which owns the job.
+    pub(crate) async fn execute(&self, job: &ExecJob) -> Outcome {
         let inner = self.inner();
-        let tracer = inner.config.tracer.clone();
+        let req = &job.req;
         let parent = req.span;
-        let span = |name: &str, start: SimTime, end: SimTime| {
-            if let Some(t) = &tracer {
-                t.record("server", name, start, end, parent, vec![]);
-            }
-        };
-
-        // Materialize the input.
         let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
-        let object = match &req.data {
-            DataRef::Object(r) => Some(*r),
-            _ => None,
-        };
-        let t_input = now();
-        let input = match req.data {
-            DataRef::InBand(v) => {
-                // Runner-side deserialization of the in-band payload.
-                sleep(inner.config.serialization.time(v.wire_bytes())).await;
-                span("deserialize", t_input, now());
-                v
-            }
-            DataRef::OutOfBand(h) => {
-                let v = inner.shm.take(h).await.ok_or(InvokeError::BadHandle)?;
-                span("shm_take", t_input, now());
-                v
-            }
-            DataRef::Object(r) => {
-                // A content address resolves against the host object
-                // store — no deserialization at all.
-                let v = inner.dataplane.resolve(&r).ok_or(InvokeError::BadHandle)?;
-                span("ref_resolve", t_input, now());
-                v
-            }
-        };
-        let enveloped = matches!(input, Value::Sized { .. });
-        // Only sealed (immutable) objects may be cached in device
-        // memory; an unsealed ref still resolves but re-uploads every
-        // time.
-        let cacheable = object.filter(|r| inner.dataplane.store().is_sealed(r.hash));
-
-        // The deadline bounds time-to-start: shed rather than dispatch
-        // work the client has already given up on.
-        if req.deadline.is_some_and(|d| now() > d) {
-            return Err(InvokeError::DeadlineExceeded);
-        }
-
-        // Dispatch with retries if the chosen runner died. Attempt
-        // count, backoff, and budget come from the retry policy
-        // (`ServerConfig::retry`); failures feed the per-device circuit
-        // breaker and the slot's eviction accounting.
-        let retry = &inner.config.retry;
-        let m = &inner.handles;
-        let mut attempts = 0u32;
-        let mut backoff_spent = Duration::ZERO;
-        let (output, timings, runner_id, device_id, started, degraded) = loop {
-            attempts += 1;
-            if attempts > 1 {
-                m.retries_attempted.inc();
-            }
-            let t_wait = now();
-            // Runners are keyed by the *resolved* kernel identity, not
-            // the requested name: a guest bare name re-resolves over
-            // time, and a warm runner must never serve a superseded
-            // version.
-            let (slot, degraded) = self.place(kernel.name(), &kernel, cacheable.as_ref())?;
-            // Data-plane cache step: a sealed operand either already
-            // sits in the chosen device's memory (hit — the host→device
-            // copy is skipped) or is admitted now (miss — this
-            // invocation's copy_in is the upload, evicting LRU objects
-            // under pressure).
-            let mut hit = false;
-            let mut admitted = false;
-            let mut guard_object = None;
-            if let Some(r) = &cacheable {
-                let t_cache = now();
-                if let Some(mgr) = inner.dataplane.manager(slot.device()) {
-                    hit = mgr.touch(r.hash);
-                    if hit {
-                        m.dataplane_hits.inc();
-                    } else {
-                        m.dataplane_misses.inc();
-                        match inner.dataplane.admit(slot.device(), r) {
-                            Ok(evicted) => {
-                                admitted = true;
-                                m.dataplane_evictions.add(evicted.len() as u64);
-                                if let Some(t) = &tracer {
-                                    for h in evicted {
-                                        t.record(
-                                            "server",
-                                            "evict",
-                                            t_cache,
-                                            now(),
-                                            parent,
-                                            vec![
-                                                ("object".into(), format!("{h:016x}")),
-                                                ("device".into(), slot.device().to_string()),
-                                            ],
-                                        );
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                return Err(InvokeError::DeviceOom(format!(
-                                    "{} cannot hold {r}: {e}",
-                                    slot.device()
-                                )));
-                            }
-                        }
-                    }
-                    guard_object = Some((Rc::clone(mgr), r.hash));
+        // Scoped so the fetched input is gone before the reply is shaped.
+        let (output, report) = {
+            // Materialize the input. An in-band payload is read in place.
+            let t_input = now();
+            let fetched;
+            let input = match &req.data {
+                DataRef::InBand(v) => {
+                    // Runner-side deserialization of the in-band payload.
+                    sleep(inner.config.serialization.time(v.wire_bytes())).await;
+                    self.span(parent, "deserialize", t_input, now());
+                    v
                 }
-                if let Some(t) = &tracer {
-                    t.record(
-                        "server",
-                        "cache_lookup",
-                        t_cache,
-                        now(),
-                        parent,
-                        vec![("outcome".into(), if hit { "hit" } else { "miss" }.into())],
-                    );
+                DataRef::OutOfBand(h) => {
+                    fetched = inner.shm.take(*h).await.ok_or(InvokeError::BadHandle)?;
+                    self.span(parent, "shm_take", t_input, now());
+                    &fetched
                 }
-            }
-            // RAII claim: released on every exit path below, including
-            // kernel errors and retries. Also holds the operand's
-            // in-flight reference so it cannot be evicted mid-read.
-            let claim = InFlightGuard::claim_with_object(&slot, guard_object);
-            let runner = slot.runner().await;
-            let started = now();
-            let result = if hit {
-                runner.invoke_cached(&input).await
-            } else {
-                runner.invoke(&input).await
+                DataRef::Object(r) => {
+                    // A content address resolves against the host object
+                    // store — no deserialization at all.
+                    fetched = inner.dataplane.resolve(r).ok_or(InvokeError::BadHandle)?;
+                    self.span(parent, "ref_resolve", t_input, now());
+                    &fetched
+                }
             };
-            drop(claim);
-            slot.touch();
-            if let Some(timeout) = inner.config.idle_timeout {
-                inner.pool.arm_reaper(&slot, timeout);
-            }
-            match result {
-                Ok((output, timings)) => {
-                    slot.record_success();
-                    self.note_breaker(slot.device(), true);
-                    if let Some(t) = &tracer {
-                        // Device phases ran back to back ending now;
-                        // tile them backwards from the finish time and
-                        // charge everything before them to queueing.
-                        let t_done = now();
-                        let device_start = t_done.saturating_sub(
-                            timings.copy_in + timings.kernel_exec + timings.copy_out,
-                        );
-                        t.record("server", "queue_wait", t_wait, device_start, parent, vec![]);
-                        if admitted {
-                            // The host→device copy doubled as the object
-                            // upload into the device cache.
-                            t.record(
-                                "server",
-                                "upload",
-                                device_start,
-                                device_start + timings.copy_in,
-                                parent,
-                                vec![("device".into(), slot.device().to_string())],
-                            );
-                        }
-                        let track = runner.id().to_string();
-                        let mut at = device_start;
-                        for (name, d) in [
-                            ("copy_in", timings.copy_in),
-                            ("kernel_exec", timings.kernel_exec),
-                            ("copy_out", timings.copy_out),
-                        ] {
-                            t.record(track.clone(), name, at, at + d, parent, vec![]);
-                            at += d;
-                        }
-                    }
-                    break (
-                        output,
-                        timings,
-                        runner.id(),
-                        runner.device_id(),
-                        started,
-                        degraded,
-                    );
-                }
-                Err(InvokeError::RunnerFailed(reason)) => {
-                    if admitted {
-                        if let Some(r) = &cacheable {
-                            // The upload never completed (it died with
-                            // the runner): do not claim residency.
-                            inner.dataplane.unmark(slot.device(), r.hash);
-                        }
-                    }
-                    self.note_breaker(slot.device(), false);
-                    if slot.record_failure(inner.config.eviction.failure_threshold) {
-                        inner.pool.quarantine(&slot);
-                        m.evictions.inc();
-                    }
-                    if let Some(t) = &tracer {
-                        t.record(
-                            "server",
-                            "attempt_failed",
-                            t_wait,
-                            now(),
-                            parent,
-                            vec![("runner".into(), runner.id().to_string())],
-                        );
-                    }
-                    if attempts >= retry.max_attempts {
-                        return Err(InvokeError::RunnerFailed(reason));
-                    }
-                    let mut wait = retry.backoff.backoff(attempts, req.id);
-                    if let Some(budget) = retry.budget {
-                        let remaining = budget.saturating_sub(backoff_spent);
-                        if remaining.is_zero() && !wait.is_zero() {
-                            // Budget exhausted: give up rather than
-                            // retry hot with no wait.
-                            return Err(InvokeError::RunnerFailed(reason));
-                        }
-                        wait = wait.min(remaining);
-                    }
-                    if !wait.is_zero() {
-                        sleep(wait).await;
-                        backoff_spent += wait;
-                    }
-                }
-                Err(e) => {
-                    if admitted {
-                        if let Some(r) = &cacheable {
-                            inner.dataplane.unmark(slot.device(), r.hash);
-                        }
-                    }
-                    return Err(e);
-                }
-            }
-        };
+            let object = match &req.data {
+                DataRef::Object(r) => Some(*r),
+                _ => None,
+            };
 
-        let completed = now();
-        let report = InvocationReport {
-            kernel: req.target.name().to_owned(),
-            runner: runner_id,
-            device: device_id,
-            cold_start: timings.first_invocation,
-            submitted,
-            started,
-            completed,
-            copy_in: timings.copy_in,
-            kernel_exec: timings.kernel_exec,
-            copy_out: timings.copy_out,
-            degraded,
-        };
-        inner.metrics.record(report.clone());
-        self.record_registry(&report);
-        // Guest usage accounting: bill whatever this kernel metered
-        // since the last bill into the per-tenant `guest.*` counters.
-        // The resolved name (`tenant/name@vN`) is the billing key even
-        // when the request used a bare latest-version name.
-        if crate::guest::is_guest_name(kernel.name()) {
-            inner.guests.account(kernel.name(), m);
-        }
-        if object.is_some() {
-            m.dataplane_bytes_resident
-                .set(inner.dataplane.bytes_resident() as f64);
-            for (dev, bytes) in inner.dataplane.residency() {
-                m.device(dev).bytes_resident.set(bytes as f64);
+            // The deadline bounds time-to-start: shed rather than
+            // dispatch work the client has already given up on.
+            if req.deadline.is_some_and(|d| now() > d) {
+                return Err(InvokeError::DeadlineExceeded);
             }
-        }
 
-        // Descriptor-mode requests get descriptor-sized responses: the
-        // logical result size is the kernel's device→host volume.
-        let output = if enveloped {
-            let bytes_out = kernel
-                .work(input.payload())
-                .map(|w| w.bytes_out)
-                .unwrap_or(0)
-                .max(output.wire_bytes());
-            Value::sized(bytes_out, output)
-        } else {
-            output
+            // Only sealed (immutable) objects may be cached in device
+            // memory; an unsealed ref still resolves but re-uploads
+            // every time.
+            let cacheable = object.filter(|r| inner.dataplane.store().is_sealed(r.hash));
+            let Ran {
+                output,
+                timings,
+                runner,
+                device,
+                started,
+                degraded,
+            } = self.run_attempts(job, input, cacheable).await?;
+
+            let report = InvocationReport {
+                kernel: req.target.name().to_owned(),
+                runner,
+                device,
+                cold_start: timings.first_invocation,
+                submitted: job.submitted,
+                started,
+                completed: now(),
+                copy_in: timings.copy_in,
+                kernel_exec: timings.kernel_exec,
+                copy_out: timings.copy_out,
+                degraded,
+            };
+            inner.metrics.record(report.clone());
+            self.record_registry(&report);
+            let m = &inner.handles;
+            // Guest usage accounting: bill whatever this kernel metered
+            // since the last bill into the per-tenant `guest.*`
+            // counters. The resolved name (`tenant/name@vN`) is the
+            // billing key even when the request used a bare
+            // latest-version name.
+            let kernel = &job.kernel;
+            if crate::guest::is_guest_name(kernel.name()) {
+                inner.guests.account(kernel.name(), m);
+            }
+            if object.is_some() {
+                m.dataplane_bytes_resident
+                    .set(inner.dataplane.bytes_resident() as f64);
+                for (dev, bytes) in inner.dataplane.residency() {
+                    m.device(dev).bytes_resident.set(bytes as f64);
+                }
+            }
+
+            // Descriptor-mode requests get descriptor-sized responses:
+            // the logical result size is the kernel's device→host
+            // volume.
+            let output = if matches!(input, Value::Sized { .. }) {
+                let bytes_out = kernel
+                    .work(input.payload())
+                    .map(|w| w.bytes_out)
+                    .unwrap_or(0)
+                    .max(output.wire_bytes());
+                Value::sized(bytes_out, output)
+            } else {
+                output
+            };
+            (output, report)
         };
         // Internal flow-executor handoff: the output goes straight to
         // the object store, so skip reply shaping — no serialization,
@@ -763,17 +675,227 @@ impl KaasServer {
         if req.reply_to_store {
             return Ok((DataRef::InBand(output), report));
         }
-        // Return the output the same way the input came in.
         let t_reply = now();
-        let data = if oob {
+        let data = self.reply_data(output, oob).await;
+        self.span(parent, "reply", t_reply, now());
+        Ok((data, report))
+    }
+
+    /// Returns `output` the same way the input came in: through shared
+    /// memory, or serialized in-band.
+    async fn reply_data(&self, output: Value, oob: bool) -> DataRef {
+        let inner = self.inner();
+        if oob {
             let bytes = output.wire_bytes();
             DataRef::OutOfBand(inner.shm.put(output, bytes).await)
         } else {
             sleep(inner.config.serialization.time(output.wire_bytes())).await;
             DataRef::InBand(output)
-        };
-        span("reply", t_reply, now());
-        Ok((data, report))
+        }
+    }
+
+    /// Places `job` and runs it, retrying if the chosen runner died.
+    /// Attempt count, backoff, and budget come from the retry policy
+    /// (`ServerConfig::retry`); failures feed the per-device circuit
+    /// breaker and the slot's eviction accounting.
+    async fn run_attempts(
+        &self,
+        job: &ExecJob,
+        input: &Value,
+        cacheable: Option<ObjectRef>,
+    ) -> Result<Ran, InvokeError> {
+        let inner = self.inner();
+        let tracer = &inner.config.tracer;
+        let parent = job.req.span;
+        let kernel = &job.kernel;
+        let retry = &inner.config.retry;
+        let m = &inner.handles;
+        let mut attempts = 0u32;
+        let mut backoff_spent = Duration::ZERO;
+        loop {
+            attempts += 1;
+            if attempts > 1 {
+                m.retries_attempted.inc();
+            }
+            let wait = {
+                let t_wait = now();
+                // Runners are keyed by the *resolved* kernel identity, not
+                // the requested name: a guest bare name re-resolves over
+                // time, and a warm runner must never serve a superseded
+                // version.
+                let (slot, degraded) = self.place(kernel.name(), kernel, cacheable.as_ref())?;
+                // Data-plane cache step: a sealed operand either already
+                // sits in the chosen device's memory (hit — the host→device
+                // copy is skipped) or is admitted now (miss — this
+                // invocation's copy_in is the upload, evicting LRU objects
+                // under pressure).
+                let mut hit = false;
+                let mut admitted = false;
+                let mut guard_object = None;
+                if let Some(r) = &cacheable {
+                    let t_cache = now();
+                    if let Some(mgr) = inner.dataplane.manager(slot.device()) {
+                        hit = mgr.touch(r.hash);
+                        if hit {
+                            m.dataplane_hits.inc();
+                        } else {
+                            m.dataplane_misses.inc();
+                            match inner.dataplane.admit(slot.device(), r) {
+                                Ok(evicted) => {
+                                    admitted = true;
+                                    m.dataplane_evictions.add(evicted.len() as u64);
+                                    if let Some(t) = tracer {
+                                        for h in evicted {
+                                            t.record(
+                                                "server",
+                                                "evict",
+                                                t_cache,
+                                                now(),
+                                                parent,
+                                                vec![
+                                                    ("object".into(), format!("{h:016x}")),
+                                                    ("device".into(), slot.device().to_string()),
+                                                ],
+                                            );
+                                        }
+                                    }
+                                }
+                                Err(e) => {
+                                    return Err(InvokeError::DeviceOom(format!(
+                                        "{} cannot hold {r}: {e}",
+                                        slot.device()
+                                    )));
+                                }
+                            }
+                        }
+                        guard_object = Some((Rc::clone(mgr), r.hash));
+                    }
+                    if let Some(t) = tracer {
+                        t.record(
+                            "server",
+                            "cache_lookup",
+                            t_cache,
+                            now(),
+                            parent,
+                            vec![("outcome".into(), if hit { "hit" } else { "miss" }.into())],
+                        );
+                    }
+                }
+                // RAII claim: released on every exit path below, including
+                // kernel errors and retries. Also holds the operand's
+                // in-flight reference so it cannot be evicted mid-read.
+                let claim = InFlightGuard::claim_with_object(&slot, guard_object);
+                let runner = slot.runner().await;
+                let started = now();
+                let result = if hit {
+                    runner.invoke_cached(input).await
+                } else {
+                    runner.invoke(input).await
+                };
+                drop(claim);
+                slot.touch();
+                if let Some(timeout) = inner.config.idle_timeout {
+                    inner.pool.arm_reaper(&slot, timeout);
+                }
+                match result {
+                    Ok((output, timings)) => {
+                        slot.record_success();
+                        self.note_breaker(slot.device(), true);
+                        if let Some(t) = tracer {
+                            // Device phases ran back to back ending now;
+                            // tile them backwards from the finish time and
+                            // charge everything before them to queueing.
+                            let t_done = now();
+                            let device_start = t_done.saturating_sub(
+                                timings.copy_in + timings.kernel_exec + timings.copy_out,
+                            );
+                            t.record("server", "queue_wait", t_wait, device_start, parent, vec![]);
+                            if admitted {
+                                // The host→device copy doubled as the object
+                                // upload into the device cache.
+                                t.record(
+                                    "server",
+                                    "upload",
+                                    device_start,
+                                    device_start + timings.copy_in,
+                                    parent,
+                                    vec![("device".into(), slot.device().to_string())],
+                                );
+                            }
+                            let track = runner.id().to_string();
+                            let mut at = device_start;
+                            for (name, d) in [
+                                ("copy_in", timings.copy_in),
+                                ("kernel_exec", timings.kernel_exec),
+                                ("copy_out", timings.copy_out),
+                            ] {
+                                t.record(track.clone(), name, at, at + d, parent, vec![]);
+                                at += d;
+                            }
+                        }
+                        return Ok(Ran {
+                            output,
+                            timings,
+                            runner: runner.id(),
+                            device: runner.device_id(),
+                            started,
+                            degraded,
+                        });
+                    }
+                    Err(InvokeError::RunnerFailed(reason)) => {
+                        if admitted {
+                            if let Some(r) = &cacheable {
+                                // The upload never completed (it died with
+                                // the runner): do not claim residency.
+                                inner.dataplane.unmark(slot.device(), r.hash);
+                            }
+                        }
+                        self.note_breaker(slot.device(), false);
+                        if slot.record_failure(inner.config.eviction.failure_threshold) {
+                            inner.pool.quarantine(&slot);
+                            m.evictions.inc();
+                        }
+                        if let Some(t) = tracer {
+                            t.record(
+                                "server",
+                                "attempt_failed",
+                                t_wait,
+                                now(),
+                                parent,
+                                vec![("runner".into(), runner.id().to_string())],
+                            );
+                        }
+                        if attempts >= retry.max_attempts {
+                            return Err(InvokeError::RunnerFailed(reason));
+                        }
+                        let mut wait = retry.backoff.backoff(attempts, job.req.id);
+                        if let Some(budget) = retry.budget {
+                            let remaining = budget.saturating_sub(backoff_spent);
+                            if remaining.is_zero() && !wait.is_zero() {
+                                // Budget exhausted: give up rather than
+                                // retry hot with no wait.
+                                return Err(InvokeError::RunnerFailed(reason));
+                            }
+                            wait = wait.min(remaining);
+                        }
+                        wait
+                    }
+                    Err(e) => {
+                        if admitted {
+                            if let Some(r) = &cacheable {
+                                inner.dataplane.unmark(slot.device(), r.hash);
+                            }
+                        }
+                        return Err(e);
+                    }
+                }
+            };
+            // Back off with the failed attempt's slot and runner released.
+            if !wait.is_zero() {
+                sleep(wait).await;
+                backoff_spent += wait;
+            }
+        }
     }
 
     /// Feeds one successful invocation into the structured registry:
@@ -973,8 +1095,23 @@ mod tests {
     use super::*;
     use crate::registry::KernelRegistry;
 
-    /// Under a wide batch every member's `handle()` future is live at
-    /// once, so the cold control-plane branches are boxed out of it.
+    fn request(target: &str) -> Request {
+        Request {
+            id: 0,
+            target: Target::Kernel(target.into()),
+            data: DataRef::InBand(Value::U64(1_000)),
+            tenant: None,
+            deadline: None,
+            span: None,
+            reply_out_of_band: false,
+            reply_to_store: false,
+        }
+    }
+
+    /// Under a wide batch every member's future is live at once, and a
+    /// member is the `handle()` future itself, spawned without a
+    /// wrapper: it holds the request and the server handle, and past
+    /// the front door only the reply receiver.
     #[test]
     fn handle_future_stays_small() {
         let server = KaasServer::new(
@@ -983,17 +1120,39 @@ mod tests {
             SharedMemory::host(),
             ServerConfig::default(),
         );
-        let req = Request {
-            id: 0,
-            target: Target::Kernel("mci".into()),
-            data: DataRef::InBand(Value::Unit),
-            tenant: None,
-            deadline: None,
-            span: None,
-            reply_out_of_band: false,
-            reply_to_store: false,
-        };
-        let size = std::mem::size_of_val(&server.handle(req));
-        assert!(size <= 1_600, "handle() future is {size} B");
+        let size = std::mem::size_of_val(&server.handle(request("mci")));
+        assert!(size <= 536, "handle() future is {size} B");
+    }
+
+    /// Every dispatched job holds one `run_job` task, and `execute` is
+    /// most of it.
+    #[test]
+    fn job_futures_stay_small() {
+        let mut sim = kaas_simtime::Simulation::new();
+        sim.block_on(async {
+            let registry = KernelRegistry::new();
+            registry
+                .register(kaas_kernels::MonteCarlo::default())
+                .expect("fresh registry");
+            let server = KaasServer::new(
+                Vec::new(),
+                registry,
+                SharedMemory::host(),
+                ServerConfig::default(),
+            );
+            let req = request("mci");
+            let admitted = server.front_door(&req).await.expect("mci is registered");
+            let job = ExecJob {
+                req,
+                kernel: admitted.kernel,
+                _permit: admitted.permit,
+                submitted: admitted.submitted,
+            };
+            let execute = std::mem::size_of_val(&server.execute(&job));
+            let (reply, _rx) = channel::oneshot();
+            let task = std::mem::size_of_val(&run_job(server.clone(), job, reply));
+            assert!(execute <= 912, "execute() future is {execute} B");
+            assert!(task <= 1_136, "run_job() future is {task} B");
+        });
     }
 }

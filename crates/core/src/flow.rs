@@ -508,7 +508,7 @@ impl KaasServer {
                     reply_out_of_band: false,
                     reply_to_store: true,
                 };
-                match server.handle_inner(req).await {
+                match server.invoke(req).await {
                     Ok((DataRef::InBand(v), report)) => break Ok((v, report)),
                     // `reply_to_store` replies are always in-band.
                     Ok(_) => break Err(InvokeError::BadHandle),

@@ -7,6 +7,7 @@
 //! at warm cost: data copies plus kernel execution only.
 
 use std::cell::Cell;
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -155,8 +156,11 @@ impl TaskRunner {
     ///
     /// [`InvokeError::RunnerFailed`] if the runner was killed;
     /// [`InvokeError::BadInput`] if the kernel rejects `input`.
-    pub async fn invoke(&self, input: &Value) -> Result<(Value, RunnerTimings), InvokeError> {
-        self.invoke_inner(input, false).await
+    pub fn invoke<'a>(
+        &'a self,
+        input: &'a Value,
+    ) -> impl Future<Output = Result<(Value, RunnerTimings), InvokeError>> + 'a {
+        self.invoke_inner(input, false)
     }
 
     /// Serves one invocation whose input is already resident in this
@@ -166,11 +170,11 @@ impl TaskRunner {
     /// # Errors
     ///
     /// As for [`invoke`](TaskRunner::invoke).
-    pub async fn invoke_cached(
-        &self,
-        input: &Value,
-    ) -> Result<(Value, RunnerTimings), InvokeError> {
-        self.invoke_inner(input, true).await
+    pub fn invoke_cached<'a>(
+        &'a self,
+        input: &'a Value,
+    ) -> impl Future<Output = Result<(Value, RunnerTimings), InvokeError>> + 'a {
+        self.invoke_inner(input, true)
     }
 
     async fn invoke_inner(

@@ -305,10 +305,7 @@ impl KaasServer {
                                 // Members run concurrently and fail
                                 // independently; `join_all` preserves
                                 // request order for the coalesced reply.
-                                let members = reqs.into_iter().map(|req| {
-                                    let server = server.clone();
-                                    async move { server.handle(req).await }
-                                });
+                                let members = reqs.into_iter().map(|req| server.handle(req));
                                 let resps = join_all(members).await;
                                 let out = ResponseFrame::Batch(resps);
                                 let bytes = out.wire_bytes();

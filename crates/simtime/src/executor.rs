@@ -7,14 +7,14 @@
 //! deterministic discrete-event simulation that is written like ordinary
 //! async Rust.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Duration;
 
 use crate::join::{JoinHandle, JoinState};
@@ -22,55 +22,112 @@ use crate::time::SimTime;
 
 type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Queue of task ids that have been woken and must be re-polled.
-///
-/// This is the only piece of executor state shared with [`Waker`]s, which
-/// the `std::task` contract requires to be `Send + Sync` even though this
-/// executor never leaves its thread.
-#[derive(Default)]
-pub(crate) struct WakeQueue {
-    queue: Mutex<VecDeque<usize>>,
+/// A spawned future together with the completion state its
+/// [`JoinHandle`] reads: the whole task, boxed once at the future's own
+/// size.
+struct Task<F: Future> {
+    fut: Option<F>,
+    state: Rc<RefCell<JoinState<F::Output>>>,
 }
 
-impl WakeQueue {
-    fn push(&self, id: usize) {
-        self.queue
-            .lock()
-            .expect("wake queue poisoned")
-            .push_back(id);
-    }
+impl<F: Future> Future for Task<F> {
+    type Output = ();
 
-    /// Moves every queued id, in wake order, to the back of `out`: one
-    /// lock per batch of ready tasks instead of one per task.
-    fn drain_into(&self, out: &mut VecDeque<usize>) {
-        out.extend(self.queue.lock().expect("wake queue poisoned").drain(..));
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `fut` is structurally pinned: it is never moved out of
+        // the task, only dropped in place (by `Pin::set` below, or with
+        // the task). `state` is not pinned and is only read through a
+        // shared reference. `Task` has no `Drop` impl.
+        let this = unsafe { self.get_unchecked_mut() };
+        let mut fut = unsafe { Pin::new_unchecked(&mut this.fut) };
+        let Some(inner) = fut.as_mut().as_pin_mut() else {
+            return Poll::Ready(());
+        };
+        match inner.poll(cx) {
+            Poll::Ready(out) => {
+                // Drop the finished future before waking the joiner, in
+                // the order an `.await` on it would.
+                fut.set(None);
+                JoinState::complete(&this.state, out);
+                Poll::Ready(())
+            }
+            Poll::Pending => Poll::Pending,
+        }
+    }
+}
+
+/// Bits of a waker's data word that hold the task's slot id; the bits
+/// above them hold its simulation's tag.
+const SLOT_BITS: u32 = usize::BITS / 2;
+const SLOT_MASK: usize = (1 << SLOT_BITS) - 1;
+
+/// Source of simulation tags: process-unique, so a waker never names a
+/// simulation other than its own, on any thread.
+static NEXT_TAG: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Every live simulation on this thread, by tag: where a wake finds
+    /// its ready queue and a dropped [`Sleep`](crate::Sleep) its timer
+    /// heap.
+    static SIMULATIONS: RefCell<Vec<(usize, Rc<Shared>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on the live simulation tagged `tag`, if it is registered on
+/// this thread. `None` after the simulation was dropped, on another
+/// thread, and during thread teardown.
+fn with_simulation<R>(tag: usize, f: impl FnOnce(&Shared) -> R) -> Option<R> {
+    SIMULATIONS
+        .try_with(|sims| {
+            let sims = sims.borrow();
+            let (_, shared) = sims.iter().find(|(t, _)| *t == tag)?;
+            Some(f(shared))
+        })
+        .ok()
+        .flatten()
+}
+
+/// The waker of slot `id` of simulation `tag`. It carries both in its
+/// data word, so cloning copies a word, dropping does nothing, and
+/// waking pushes `id` onto that simulation's ready queue.
+fn task_waker(tag: usize, id: usize) -> Waker {
+    let word = (tag << SLOT_BITS) | id;
+    // SAFETY: `WAKER_VTABLE`'s functions never dereference the data
+    // word (it is an integer in pointer form) and touch only this
+    // thread's state, so the waker is sound to clone, wake and drop
+    // anywhere, from any thread.
+    unsafe {
+        Waker::from_raw(RawWaker::new(
+            std::ptr::without_provenance(word),
+            &WAKER_VTABLE,
+        ))
     }
 }
 
-struct TaskWaker {
-    id: usize,
-    queue: Arc<WakeQueue>,
+static WAKER_VTABLE: RawWakerVTable =
+    RawWakerVTable::new(clone_waker, wake_task, wake_task, drop_waker);
+
+fn clone_waker(word: *const ()) -> RawWaker {
+    RawWaker::new(word, &WAKER_VTABLE)
 }
 
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.queue.push(self.id);
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.queue.push(self.id);
-    }
+/// A wake after the simulation is dropped, or from another thread, finds
+/// no registered simulation and does nothing.
+fn wake_task(word: *const ()) {
+    let word = word.addr();
+    with_simulation(word >> SLOT_BITS, |sim| {
+        sim.ready.borrow_mut().push_back(word & SLOT_MASK);
+    });
 }
+
+fn drop_waker(_: *const ()) {}
 
 /// A timer registered with the executor: wake `waker` once the clock
 /// reaches `at`. Ties are broken by registration order (`seq`) so the
-/// simulation stays deterministic. A cancelled timer (its future was
-/// dropped) is discarded without advancing the clock.
+/// simulation stays deterministic.
 struct TimerEntry {
     at: SimTime,
     seq: u64,
     waker: Waker,
-    cancelled: Rc<Cell<bool>>,
 }
 
 impl PartialEq for TimerEntry {
@@ -90,19 +147,25 @@ impl Ord for TimerEntry {
     }
 }
 
-/// One task-table entry. The waker is built once, when the slot is
-/// first allocated, and serves every task that later reuses the slot:
-/// it names only the slot id, which is all a wake carries.
-struct TaskSlot {
-    future: Option<LocalFuture>,
-    waker: Waker,
+/// What one simulation's handles, wakers and timers share.
+struct Shared {
+    core: RefCell<Core>,
+    /// Task ids that have been woken and must be re-polled, in wake
+    /// order. Apart from `core` so that a wake never needs the core.
+    ready: RefCell<VecDeque<usize>>,
 }
 
 pub(crate) struct Core {
     now: SimTime,
     timer_seq: u64,
     timers: BinaryHeap<Reverse<TimerEntry>>,
-    tasks: Vec<TaskSlot>,
+    /// Sequence numbers of timers still in `timers` whose `Sleep` was
+    /// dropped before their deadline: discarded when popped, so an
+    /// abandoned sleep never advances the clock.
+    cancelled: BTreeSet<u64>,
+    /// Task table: a completed task's slot is reused. A slot's waker
+    /// names only its id, so it serves every task the slot holds.
+    tasks: Vec<Option<LocalFuture>>,
     free: Vec<usize>,
     live: usize,
     /// Sanitizer hooks run after every task poll (an "executor step").
@@ -118,6 +181,7 @@ impl Core {
             now: SimTime::ZERO,
             timer_seq: 0,
             timers: BinaryHeap::new(),
+            cancelled: BTreeSet::new(),
             tasks: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -126,47 +190,35 @@ impl Core {
         }
     }
 
-    fn insert_task(&mut self, fut: LocalFuture, wake: &Arc<WakeQueue>) -> usize {
+    fn insert_task(&mut self, fut: LocalFuture) -> usize {
         self.live += 1;
         if let Some(id) = self.free.pop() {
-            debug_assert!(self.tasks[id].future.is_none());
-            self.tasks[id].future = Some(fut);
+            debug_assert!(self.tasks[id].is_none());
+            self.tasks[id] = Some(fut);
             id
         } else {
             let id = self.tasks.len();
-            self.tasks.push(TaskSlot {
-                future: Some(fut),
-                waker: Waker::from(Arc::new(TaskWaker {
-                    id,
-                    queue: Arc::clone(wake),
-                })),
-            });
+            assert!(id <= SLOT_MASK, "task table full: {id} live tasks");
+            self.tasks.push(Some(fut));
             id
         }
     }
 
-    fn register_timer(&mut self, at: SimTime, waker: Waker) -> Rc<Cell<bool>> {
+    fn register_timer(&mut self, at: SimTime, waker: Waker) -> u64 {
         let seq = self.timer_seq;
         self.timer_seq += 1;
-        let cancelled = Rc::new(Cell::new(false));
-        self.timers.push(Reverse(TimerEntry {
-            at,
-            seq,
-            waker,
-            cancelled: Rc::clone(&cancelled),
-        }));
-        cancelled
+        self.timers.push(Reverse(TimerEntry { at, seq, waker }));
+        seq
     }
 
     /// Discards cancelled timers sitting at the head of the heap so they
     /// never advance the clock.
     fn prune_cancelled_timers(&mut self) {
         while let Some(Reverse(head)) = self.timers.peek() {
-            if head.cancelled.get() {
-                self.timers.pop();
-            } else {
+            if !self.cancelled.remove(&head.seq) {
                 break;
             }
+            self.timers.pop();
         }
     }
 }
@@ -177,8 +229,9 @@ impl Core {
 /// [`Simulation::handle`]. Cloning is cheap.
 #[derive(Clone)]
 pub struct Handle {
-    core: Rc<RefCell<Core>>,
-    wake: Arc<WakeQueue>,
+    shared: Rc<Shared>,
+    /// The simulation's tag, which its wakers carry.
+    tag: usize,
 }
 
 impl std::fmt::Debug for Handle {
@@ -207,7 +260,8 @@ impl ContextGuard {
 
 impl Drop for ContextGuard {
     fn drop(&mut self) {
-        CONTEXT.with(|c| *c.borrow_mut() = self.prev.take());
+        // The replaced handle drops after the cell is released.
+        let _current = CONTEXT.with(|c| c.replace(self.prev.take()));
     }
 }
 
@@ -234,7 +288,7 @@ impl Handle {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.borrow().now
+        self.shared.core.borrow().now
     }
 
     /// Spawns a task onto the simulation.
@@ -248,31 +302,32 @@ impl Handle {
         F::Output: 'static,
     {
         let state = Rc::new(RefCell::new(JoinState::new()));
-        let state2 = Rc::clone(&state);
-        let wrapped = Box::pin(async move {
-            let out = fut.await;
-            JoinState::complete(&state2, out);
+        let task = Box::pin(Task {
+            fut: Some(fut),
+            state: Rc::clone(&state),
         });
-        let id = self.core.borrow_mut().insert_task(wrapped, &self.wake);
-        self.wake.push(id);
+        let id = self.shared.core.borrow_mut().insert_task(task);
+        self.shared.ready.borrow_mut().push_back(id);
         JoinHandle::new(state)
-    }
-
-    /// Registers `waker` to be woken once the clock reaches `at`; returns
-    /// a cancellation flag (set it to discard the timer).
-    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) -> Rc<Cell<bool>> {
-        self.core.borrow_mut().register_timer(at, waker)
     }
 
     /// Number of tasks that have been spawned and not yet completed.
     pub fn live_tasks(&self) -> usize {
-        self.core.borrow().live
+        self.shared.core.borrow().live
     }
 
     /// Size of the task table: completed tasks' slots are reused, so
     /// this is the peak number of simultaneously live tasks so far.
     pub fn task_slots(&self) -> usize {
-        self.core.borrow().tasks.len()
+        self.shared.core.borrow().tasks.len()
+    }
+
+    /// Timers whose [`Sleep`](crate::Sleep) was dropped before its
+    /// deadline and that have not reached the head of the timer heap
+    /// yet. Each is discarded, without advancing the clock, by the time
+    /// the clock passes its deadline.
+    pub fn cancelled_timers(&self) -> usize {
+        self.shared.core.borrow().cancelled.len()
     }
 
     /// Registers a sanitizer hook run after every executor step (each
@@ -280,7 +335,7 @@ impl Handle {
     /// violation — that is their whole job.
     #[cfg(feature = "sim-sanitizer")]
     pub fn add_step_hook(&self, hook: Rc<dyn Fn()>) {
-        self.core.borrow_mut().step_hooks.push(hook);
+        self.shared.core.borrow_mut().step_hooks.push(hook);
     }
 }
 
@@ -301,13 +356,25 @@ impl Handle {
 /// ```
 pub struct Simulation {
     handle: Handle,
-    /// Woken task ids taken off the wake queue, polled in order.
-    ready: VecDeque<usize>,
 }
 
 impl Default for Simulation {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Drop for Simulation {
+    fn drop(&mut self) {
+        // Unregister first, so that wakes and timer cancellations from
+        // the tasks dropped with the core find no simulation. The
+        // registry's reference drops after the registry is released.
+        let tag = self.handle.tag;
+        let _registered = SIMULATIONS.try_with(|sims| {
+            let mut sims = sims.borrow_mut();
+            let at = sims.iter().position(|(t, _)| *t == tag)?;
+            Some(sims.swap_remove(at))
+        });
     }
 }
 
@@ -323,12 +390,18 @@ impl std::fmt::Debug for Simulation {
 impl Simulation {
     /// Creates an empty simulation with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
+        let tag = NEXT_TAG.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            tag < 1 << (usize::BITS - SLOT_BITS),
+            "simulation tags exhausted"
+        );
+        let shared = Rc::new(Shared {
+            core: RefCell::new(Core::new()),
+            ready: RefCell::new(VecDeque::new()),
+        });
+        SIMULATIONS.with(|sims| sims.borrow_mut().push((tag, Rc::clone(&shared))));
         Simulation {
-            handle: Handle {
-                core: Rc::new(RefCell::new(Core::new())),
-                wake: Arc::new(WakeQueue::default()),
-            },
-            ready: VecDeque::new(),
+            handle: Handle { shared, tag },
         }
     }
 
@@ -373,7 +446,7 @@ impl Simulation {
             self.drain_runnable();
             // Advance virtual time to the next (live) timer deadline.
             let next = {
-                let mut core = self.handle.core.borrow_mut();
+                let mut core = self.handle.shared.core.borrow_mut();
                 core.prune_cancelled_timers();
                 core.timers.peek().map(|Reverse(e)| e.at)
             };
@@ -381,13 +454,13 @@ impl Simulation {
                 break;
             };
             if next > limit {
-                let mut core = self.handle.core.borrow_mut();
+                let mut core = self.handle.shared.core.borrow_mut();
                 if limit != SimTime::MAX && limit > core.now {
                     core.now = limit;
                 }
                 break;
             }
-            let mut core = self.handle.core.borrow_mut();
+            let mut core = self.handle.shared.core.borrow_mut();
             debug_assert!(next >= core.now, "timer in the past");
             core.now = next;
             while let Some(Reverse(head)) = core.timers.peek() {
@@ -395,7 +468,7 @@ impl Simulation {
                     break;
                 }
                 let Reverse(entry) = core.timers.pop().expect("peeked");
-                if !entry.cancelled.get() {
+                if !core.cancelled.remove(&entry.seq) {
                     entry.waker.wake();
                 }
             }
@@ -428,46 +501,35 @@ impl Simulation {
             .expect("simulation went idle before the root future completed (deadlock)")
     }
 
-    /// Polls every woken task until the wake queue is empty, in wake
-    /// order: a batch taken off the queue is polled before anything it
-    /// wakes, exactly as if ids were popped one at a time.
+    /// Polls woken tasks in wake order until none is left.
     fn drain_runnable(&mut self) {
-        let mut ready = std::mem::take(&mut self.ready);
         loop {
-            self.handle.wake.drain_into(&mut ready);
-            if ready.is_empty() {
+            let next = self.handle.shared.ready.borrow_mut().pop_front();
+            let Some(id) = next else {
                 break;
-            }
-            while let Some(id) = ready.pop_front() {
-                self.poll_task(id);
-            }
+            };
+            self.poll_task(id);
         }
-        self.ready = ready;
     }
 
     fn poll_task(&mut self, id: usize) {
+        let core = &self.handle.shared.core;
         // Take the future out of its slot so the core is not borrowed while
         // the task runs (tasks may spawn, register timers, wake others...).
-        let Some((mut fut, waker)) = self
-            .handle
-            .core
-            .borrow_mut()
-            .tasks
-            .get_mut(id)
-            .and_then(|slot| Some((slot.future.take()?, slot.waker.clone())))
-        else {
+        let Some(mut fut) = core.borrow_mut().tasks.get_mut(id).and_then(Option::take) else {
             // Stale wake for a completed task.
             return;
         };
+        let waker = task_waker(self.handle.tag, id);
         let mut cx = Context::from_waker(&waker);
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
-                let mut core = self.handle.core.borrow_mut();
+                let mut core = core.borrow_mut();
                 core.free.push(id);
                 core.live -= 1;
             }
             Poll::Pending => {
-                self.handle.core.borrow_mut().tasks[id].future = Some(fut);
+                core.borrow_mut().tasks[id] = Some(fut);
             }
         }
         // Every task poll is an executor step: give the sanitizer a
@@ -475,7 +537,7 @@ impl Simulation {
         // (no task mid-poll, core unborrowed).
         #[cfg(feature = "sim-sanitizer")]
         {
-            let hooks = self.handle.core.borrow().step_hooks.clone();
+            let hooks = core.borrow().step_hooks.clone();
             for hook in hooks {
                 hook();
             }
@@ -498,10 +560,23 @@ pub fn try_now() -> Option<SimTime> {
     CONTEXT.with(|c| c.borrow().as_ref().map(Handle::now))
 }
 
-/// Registers `waker` with the ambient simulation's timer wheel; see
-/// [`Handle::register_timer`].
-pub(crate) fn register_timer(at: SimTime, waker: Waker) -> Rc<Cell<bool>> {
-    Handle::with_current(|h| h.register_timer(at, waker))
+/// Registers `waker` with the ambient simulation's timer heap, to be
+/// woken once the clock reaches `at`. Returns the timer's key: the
+/// simulation's tag and the timer's sequence number.
+pub(crate) fn register_timer(at: SimTime, waker: Waker) -> (usize, u64) {
+    Handle::with_current(|h| (h.tag, h.shared.core.borrow_mut().register_timer(at, waker)))
+}
+
+/// Cancels timer `seq` of simulation `tag`, registered for `at`, whose
+/// future is being dropped. A timer already past its deadline has left
+/// the heap and needs nothing; so does one whose simulation is gone.
+pub(crate) fn cancel_timer(tag: usize, at: SimTime, seq: u64) {
+    with_simulation(tag, |sim| {
+        let mut core = sim.core.borrow_mut();
+        if core.now < at {
+            core.cancelled.insert(seq);
+        }
+    });
 }
 
 /// Spawns a task onto the ambient simulation; see [`Handle::spawn`].
@@ -655,6 +730,24 @@ mod tests {
     #[test]
     fn handle_try_current_outside_run_is_none() {
         assert!(Handle::try_current().is_none());
+    }
+
+    /// A spawned future is stored once, in place: the task adds only
+    /// its join state to the future's own size.
+    #[test]
+    fn task_is_stored_at_its_futures_size() {
+        let fut = async {
+            let buf = [1u8; 1024];
+            crate::yield_now().await;
+            buf.iter().map(|&b| usize::from(b)).sum::<usize>()
+        };
+        let size = std::mem::size_of_val(&fut);
+        assert!(size >= 1024, "the buffer is held across the await");
+        let task = Task {
+            fut: Some(fut),
+            state: Rc::new(RefCell::new(JoinState::new())),
+        };
+        assert!(std::mem::size_of_val(&task) <= size + 16);
     }
 
     #[test]

@@ -49,6 +49,19 @@
 //! * Timers with equal deadlines fire in registration order.
 //! * Channel and semaphore queues are strictly FIFO.
 //! * All randomness flows through seeded [`rng`] streams.
+//!
+//! ## Tasks, wakers and timers
+//!
+//! * A spawned task is one allocation at the size of its future (plus
+//!   its join state), polled in place.
+//! * A task's [`Waker`](std::task::Waker) carries its simulation's tag
+//!   and its slot id. Cloning, dropping and waking allocate nothing and
+//!   touch no lock or atomic. Tags are process-unique: a wake after the
+//!   [`Simulation`] is dropped, or from another thread, is a no-op, and
+//!   never wakes another simulation's task.
+//! * A [`Sleep`] dropped before its deadline cancels its timer, which
+//!   then never advances the clock; one dropped after its deadline
+//!   leaves nothing behind.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

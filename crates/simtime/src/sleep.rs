@@ -1,40 +1,28 @@
 //! Timer futures: [`sleep`], [`sleep_until`], [`yield_now`], [`timeout`].
 
-use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-use crate::executor::register_timer;
+use crate::executor::{cancel_timer, register_timer};
 use crate::time::SimTime;
 
 /// Future returned by [`sleep`] and [`sleep_until`].
 #[derive(Debug)]
 #[must_use = "futures do nothing unless awaited"]
 pub struct Sleep {
-    deadline: Option<SimTime>,
-    delay: Duration,
-    timer: Option<Rc<Cell<bool>>>,
+    state: SleepState,
 }
 
-impl Sleep {
-    fn after(delay: Duration) -> Self {
-        Sleep {
-            deadline: None,
-            delay,
-            timer: None,
-        }
-    }
-
-    fn until(at: SimTime) -> Self {
-        Sleep {
-            deadline: Some(at),
-            delay: Duration::ZERO,
-            timer: None,
-        }
-    }
+#[derive(Debug, Clone, Copy)]
+enum SleepState {
+    /// Not polled yet: the deadline is this long after the first poll.
+    After(Duration),
+    /// No timer registered: not polled yet, or already fired.
+    At(SimTime),
+    /// A timer is registered with simulation `sim` under `seq`.
+    Armed { at: SimTime, sim: usize, seq: u64 },
 }
 
 impl Future for Sleep {
@@ -42,14 +30,17 @@ impl Future for Sleep {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let now = crate::now();
-        let delay = self.delay;
-        let deadline = *self.deadline.get_or_insert(now + delay);
-        if now >= deadline {
-            self.timer = None;
+        let at = match self.state {
+            SleepState::After(delay) => now + delay,
+            SleepState::At(at) | SleepState::Armed { at, .. } => at,
+        };
+        if now >= at {
+            self.state = SleepState::At(at);
             Poll::Ready(())
         } else {
-            if self.timer.is_none() {
-                self.timer = Some(register_timer(deadline, cx.waker().clone()));
+            if !matches!(self.state, SleepState::Armed { .. }) {
+                let (sim, seq) = register_timer(at, cx.waker().clone());
+                self.state = SleepState::Armed { at, sim, seq };
             }
             Poll::Pending
         }
@@ -60,8 +51,8 @@ impl Drop for Sleep {
     fn drop(&mut self) {
         // Cancel the pending timer so an abandoned sleep never advances
         // the simulation clock.
-        if let Some(cancelled) = self.timer.take() {
-            cancelled.set(true);
+        if let SleepState::Armed { at, sim, seq } = self.state {
+            cancel_timer(sim, at, seq);
         }
     }
 }
@@ -84,14 +75,18 @@ impl Drop for Sleep {
 /// });
 /// ```
 pub fn sleep(d: Duration) -> Sleep {
-    Sleep::after(d)
+    Sleep {
+        state: SleepState::After(d),
+    }
 }
 
 /// Suspends the current task until the virtual clock reaches `at`.
 ///
 /// Completes immediately if `at` is not in the future.
 pub fn sleep_until(at: SimTime) -> Sleep {
-    Sleep::until(at)
+    Sleep {
+        state: SleepState::At(at),
+    }
 }
 
 /// Future returned by [`yield_now`].
@@ -180,7 +175,7 @@ impl<F: Future> Future for Timeout<F> {
 pub fn timeout<F: Future>(d: Duration, future: F) -> Timeout<F> {
     Timeout {
         future,
-        sleep: Sleep::after(d),
+        sleep: sleep(d),
     }
 }
 

@@ -6,8 +6,11 @@
 //! deadlines fire in registration order — plus two resource properties:
 //! a task keeps one waker for its whole life, and completed tasks' slots
 //! are reused, so the task table never outgrows the peak live count.
+//! Wakers name their own simulation: they never wake another one's
+//! tasks, and outlive theirs as no-ops. A dropped timer never moves the
+//! clock and leaves nothing behind.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -15,7 +18,7 @@ use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use kaas::simtime::channel::oneshot;
-use kaas::simtime::{sleep, sleep_until, spawn, yield_now, SimTime, Simulation};
+use kaas::simtime::{sleep, sleep_until, spawn, timeout, yield_now, SimTime, Simulation};
 
 type Log = Rc<RefCell<Vec<String>>>;
 
@@ -153,4 +156,140 @@ fn task_table_is_bounded_by_peak_live_tasks() {
     });
     assert_eq!(sim.handle().task_slots(), 11);
     assert_eq!(sim.live_tasks(), 0);
+}
+
+/// Parks forever, counting its polls and keeping the last waker it saw.
+struct Parked {
+    polls: Rc<Cell<u32>>,
+    waker: Rc<RefCell<Option<Waker>>>,
+}
+
+impl Future for Parked {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        self.polls.set(self.polls.get() + 1);
+        *self.waker.borrow_mut() = Some(cx.waker().clone());
+        Poll::Pending
+    }
+}
+
+/// Spawns a [`Parked`] task on `sim`, runs it once, and returns its poll
+/// count and waker.
+fn park(sim: &mut Simulation) -> (Rc<Cell<u32>>, Waker) {
+    let polls = Rc::new(Cell::new(0));
+    let waker = Rc::new(RefCell::new(None));
+    sim.spawn(Parked {
+        polls: Rc::clone(&polls),
+        waker: Rc::clone(&waker),
+    });
+    sim.run();
+    assert_eq!(polls.get(), 1);
+    let waker = waker.borrow().clone().expect("polled once");
+    (polls, waker)
+}
+
+/// Two simulations on one thread each put a task in slot 0; a wake of
+/// one's waker, from inside the other's run or from outside both, only
+/// ever re-polls its own task.
+#[test]
+fn interleaved_simulations_never_wake_each_others_tasks() {
+    let mut a = Simulation::new();
+    let mut b = Simulation::new();
+    let (a_polls, a_waker) = park(&mut a);
+    let (b_polls, b_waker) = park(&mut b);
+    assert!(!a_waker.will_wake(&b_waker));
+
+    b.block_on(async move { a_waker.wake() });
+    assert_eq!(b_polls.get(), 1, "A's wake reached B's task");
+    b_waker.wake_by_ref();
+    a.run();
+    assert_eq!(a_polls.get(), 2, "A's task runs once for its own wake");
+    assert_eq!(b_polls.get(), 1, "B's wake stays queued on B");
+    b.run();
+    assert_eq!(b_polls.get(), 2);
+}
+
+/// A waker that outlives its simulation wakes nothing, even when a new
+/// simulation reuses the same slot id.
+#[test]
+fn a_waker_woken_after_its_simulation_is_dropped_is_a_noop() {
+    let mut old = Simulation::new();
+    let (_, stale) = park(&mut old);
+    drop(old);
+    let mut sim = Simulation::new();
+    let (polls, _) = park(&mut sim);
+    stale.wake_by_ref();
+    stale.wake();
+    sim.run();
+    assert_eq!(
+        polls.get(),
+        1,
+        "a stale wake re-polled another simulation's task"
+    );
+}
+
+/// A sleep abandoned before its deadline (here, by a timeout) never
+/// advances the clock to that deadline, and its cancellation is gone
+/// once the clock passes it.
+#[test]
+fn a_sleep_dropped_before_its_deadline_never_moves_the_clock() {
+    let mut sim = Simulation::new();
+    let out = sim.block_on(timeout(
+        Duration::from_secs(1),
+        sleep(Duration::from_secs(10)),
+    ));
+    assert!(out.is_err());
+    assert_eq!(sim.now(), SimTime::from_secs(1));
+
+    let mut sim = Simulation::new();
+    let handle = sim.handle();
+    let log: Log = Rc::default();
+    let l = Rc::clone(&log);
+    sim.block_on(async move {
+        let _ = timeout(Duration::from_secs(1), sleep(Duration::from_secs(10))).await;
+        push(
+            &l,
+            format!("{} cancelled at 1 s", handle.cancelled_timers()),
+        );
+        sleep_until(SimTime::from_secs(5)).await;
+        push(
+            &l,
+            format!("{} cancelled at 5 s", handle.cancelled_timers()),
+        );
+        sleep_until(SimTime::from_secs(11)).await;
+        push(
+            &l,
+            format!("{} cancelled at 11 s", handle.cancelled_timers()),
+        );
+    });
+    let expected = [
+        "1 cancelled at 1 s",
+        "1 cancelled at 5 s",
+        "0 cancelled at 11 s",
+    ];
+    assert_eq!(*log.borrow(), expected);
+    assert_eq!(sim.handle().cancelled_timers(), 0);
+}
+
+/// A sleep dropped after its timer fired, without being polled again,
+/// has nothing left to cancel.
+#[test]
+fn a_sleep_dropped_after_it_fired_records_nothing() {
+    let mut sim = Simulation::new();
+    let handle = sim.handle();
+    let cancelled = sim.block_on(async move {
+        let mut fired = Box::pin(sleep(Duration::from_secs(1)));
+        // Arm the timer, then wait past its deadline without polling it.
+        std::future::poll_fn(|cx| {
+            assert!(fired.as_mut().poll(cx).is_pending());
+            Poll::Ready(())
+        })
+        .await;
+        sleep(Duration::from_secs(2)).await;
+        drop(fired);
+        handle.cancelled_timers()
+    });
+    assert_eq!(cancelled, 0);
+    assert_eq!(sim.now(), SimTime::from_secs(2));
 }
