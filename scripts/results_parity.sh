@@ -6,10 +6,11 @@
 #
 # The base revision is exported with `git archive` into a temporary
 # directory and built there offline; the working tree builds into its
-# usual target directory. Every binary runs in full mode except those
-# whose full run takes over a minute, which run with --quick. Each side
-# runs in an empty scratch directory, so the results/*.json files some
-# binaries write are compared too and the committed ones stay untouched.
+# usual target directory. Every binary runs in full mode, some with
+# --quick as well; `all_figures`, which repeats the others, runs with
+# --quick only. Each side runs in an empty scratch directory, so the
+# results/*.json files some binaries write are compared too and the
+# committed ones stay untouched.
 # The exit status is non-zero when anything differs (or a binary fails
 # on one side). Set KEEP_PARITY_DIR=1 to keep the temporary directory
 # with both sides' outputs.
@@ -35,6 +36,7 @@ runs=(
     "fig09"
     "fig10"
     "fig11"
+    "fig12"
     "fig12 --quick"
     "fig13"
     "fig14"

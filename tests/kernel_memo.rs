@@ -1,31 +1,35 @@
-//! Integration: the descriptor-mode memo inside `MatMul` and `SoftDtw`.
-//! Repeated `execute(U64(n))` calls on one instance return exactly what
-//! a fresh instance computes, on both sides of every execution clamp and
-//! past the memo's capacity; bad inputs fail on every call; stateful
-//! kernels keep drawing fresh samples.
+//! Integration: the descriptor-mode memo inside `MatMul`, `SoftDtw` and
+//! `ResNet50`. Repeated `execute(U64(n))` calls on one instance return
+//! exactly what a fresh instance computes, on both sides of every
+//! execution clamp and past the memo's capacity; bad inputs fail on
+//! every call; stateful kernels keep drawing fresh samples.
 
-use kaas::kernels::{Kernel, MatMul, MonteCarlo, SoftDtw, Value};
+use kaas::kernels::{Kernel, KernelError, MatMul, MonteCarlo, ResNet50, SoftDtw, Value};
 
 /// A fresh instance of the memoized kernel called `name`.
 fn fresh(name: &str) -> Box<dyn Kernel> {
     match name {
         "matmul" => Box::new(MatMul::new()),
         "dtw" => Box::new(SoftDtw::default()),
+        "resnet50" => Box::new(ResNet50::new()),
         other => panic!("no memoized kernel {other}"),
     }
 }
 
 /// Descriptor sizes per memoized kernel, on both sides of each kernel's
-/// execution clamp: MatMul 1 and 128, DTW 2 and 256.
-const SIZES: [(&str, &[u64]); 2] = [
+/// execution clamp: MatMul 1 and 128, DTW 2 and 256, ResNet-50 64 (its
+/// batch of 0 is an error).
+const SIZES: [(&str, &[u64]); 3] = [
     ("matmul", &[0, 1, 2, 127, 128, 129, 2_000]),
     ("dtw", &[0, 1, 2, 3, 255, 256, 257, 512]),
+    ("resnet50", &[0, 1, 8, 63, 64, 65, 2_000]),
 ];
 
-/// The output's float as raw bits, so that equality is bit for bit.
-fn bits(k: &dyn Kernel, n: u64) -> u64 {
-    match k.execute(&Value::U64(n)) {
-        Ok(Value::F64(x)) => x.to_bits(),
+/// The output's floats as raw bits, so that equality is bit for bit.
+fn bits(k: &dyn Kernel, n: u64) -> Result<Vec<u64>, KernelError> {
+    match k.execute(&Value::U64(n))? {
+        Value::F64(x) => Ok(vec![x.to_bits()]),
+        Value::F64s(xs) => Ok(xs.iter().map(|x| x.to_bits()).collect()),
         other => panic!("{}({n}) returned {other:?}", k.name()),
     }
 }
@@ -51,7 +55,7 @@ fn bad_inputs_fail_on_every_call() {
         // Warm the memo first: a cached descriptor must not leak into
         // the answer for a malformed input.
         for &n in sizes {
-            bits(k.as_ref(), n);
+            let _ = bits(k.as_ref(), n);
         }
         for call in 0..2 {
             assert!(
