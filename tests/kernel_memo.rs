@@ -4,7 +4,7 @@
 //! execution clamp and past the memo's capacity; bad inputs fail on
 //! every call; stateful kernels keep drawing fresh samples.
 
-use kaas::kernels::{Kernel, KernelError, MatMul, MonteCarlo, ResNet50, SoftDtw, Value};
+use kaas::kernels::{Kernel, MatMul, MonteCarlo, ResNet50, SoftDtw, Value};
 
 /// A fresh instance of the memoized kernel called `name`.
 fn fresh(name: &str) -> Box<dyn Kernel> {
@@ -17,19 +17,20 @@ fn fresh(name: &str) -> Box<dyn Kernel> {
 }
 
 /// Descriptor sizes per memoized kernel, on both sides of each kernel's
-/// execution clamp: MatMul 1 and 128, DTW 2 and 256, ResNet-50 64 (its
-/// batch of 0 is an error).
+/// execution clamp: MatMul 1 and 128, DTW 2 and 256, ResNet-50 64.
+/// Every call at these sizes must succeed; ResNet-50's batch of 0 is an
+/// error and is checked in `bad_inputs_fail_on_every_call`.
 const SIZES: [(&str, &[u64]); 3] = [
     ("matmul", &[0, 1, 2, 127, 128, 129, 2_000]),
     ("dtw", &[0, 1, 2, 3, 255, 256, 257, 512]),
-    ("resnet50", &[0, 1, 8, 63, 64, 65, 2_000]),
+    ("resnet50", &[1, 8, 63, 64, 65, 2_000]),
 ];
 
 /// The output's floats as raw bits, so that equality is bit for bit.
-fn bits(k: &dyn Kernel, n: u64) -> Result<Vec<u64>, KernelError> {
-    match k.execute(&Value::U64(n))? {
-        Value::F64(x) => Ok(vec![x.to_bits()]),
-        Value::F64s(xs) => Ok(xs.iter().map(|x| x.to_bits()).collect()),
+fn bits(k: &dyn Kernel, n: u64) -> Vec<u64> {
+    match k.execute(&Value::U64(n)) {
+        Ok(Value::F64(x)) => vec![x.to_bits()],
+        Ok(Value::F64s(xs)) => xs.iter().map(|x| x.to_bits()).collect(),
         other => panic!("{}({n}) returned {other:?}", k.name()),
     }
 }
@@ -55,7 +56,7 @@ fn bad_inputs_fail_on_every_call() {
         // Warm the memo first: a cached descriptor must not leak into
         // the answer for a malformed input.
         for &n in sizes {
-            let _ = bits(k.as_ref(), n);
+            bits(k.as_ref(), n);
         }
         for call in 0..2 {
             assert!(
@@ -63,6 +64,24 @@ fn bad_inputs_fail_on_every_call() {
                 "{name}(Unit) must fail on call {call}"
             );
         }
+    }
+    // ResNet-50's empty batch is an error, before and after its memo
+    // holds every other size.
+    let k = ResNet50::new();
+    assert!(
+        k.execute(&Value::U64(0)).is_err(),
+        "resnet50(0) on a cold memo"
+    );
+    for (_, sizes) in SIZES.iter().filter(|(name, _)| *name == "resnet50") {
+        for &n in *sizes {
+            bits(&k, n);
+        }
+    }
+    for call in 0..2 {
+        assert!(
+            k.execute(&Value::U64(0)).is_err(),
+            "resnet50(0) must fail on call {call}"
+        );
     }
 }
 
