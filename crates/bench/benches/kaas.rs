@@ -10,7 +10,10 @@
 use std::rc::Rc;
 use std::time::{Duration, Instant}; // audit:allow(ambient): wall-clock micro-bench harness, not simulation code
 
+use kaas_accel::DeviceClass;
 use kaas_bench::common::{deploy, experiment_server_config, p100_cluster};
+use kaas_core::content_hash;
+use kaas_guest::{verify, GuestProgram, Instance, Op};
 use kaas_kernels::{matmul, soft_dtw, Kernel, MatMul, MonteCarlo, ResNet50, SoftDtw, Value};
 use kaas_quantum::{transpile, Circuit, Hamiltonian};
 use kaas_simtime::rng::det_rng;
@@ -140,6 +143,51 @@ fn bench_warm_invocation() {
     });
 }
 
+/// The content address of a 900-element float vector: the size of the
+/// GA populations the object store hashes on every put.
+fn bench_content_hash() {
+    let v = Value::F64s((0..900).map(|i| (i as f64 * 0.37).sin()).collect());
+    bench("core/content_hash_f64s_900", || {
+        std::hint::black_box(content_hash(std::hint::black_box(&v)));
+    });
+}
+
+/// A verified guest running a 256-round scalar loop on a float vector:
+/// `r = sqrt(x·x)`, then `r ← 0.999·r + 0.001` per round. The op shape
+/// (`dup`, `jump.ez`, `sub`, `swap`, literal `mul`/`add`) is the one
+/// the host-performance benchmark's pipeline guest runs.
+fn bench_guest_scalar_loop() {
+    const END: u16 = 16;
+    let program = GuestProgram::new("settle", DeviceClass::Gpu).with_body(vec![
+        Op::Input,
+        Op::Dup,
+        Op::VecDot,
+        Op::Sqrt,
+        Op::PushU(256),
+        // loop head (pc 5): [r, k]
+        Op::Dup,
+        Op::JumpIfZero(END),
+        Op::PushU(1),
+        Op::Sub,
+        Op::Swap,
+        Op::PushF(0.999),
+        Op::Mul,
+        Op::PushF(0.001),
+        Op::Add,
+        Op::Swap,
+        Op::Jump(5),
+        // END: [r, 0]
+        Op::Pop,
+        Op::Return,
+    ]);
+    let cert = verify(&program).expect("the loop verifies");
+    let inst = Instance::instantiate(Rc::new(program)).expect("no init to trap");
+    let input = Value::F64s((0..90).map(|i| (i as f64 * 0.11).cos()).collect());
+    bench("guest/scalar_loop_256", || {
+        std::hint::black_box(inst.run_verified(&cert, &input).unwrap());
+    });
+}
+
 /// Kernel work-profile computation (hot path of every dispatch).
 fn bench_work_profile() {
     let mm = MatMul::new();
@@ -159,4 +207,6 @@ fn main() {
     bench_expectation();
     bench_warm_invocation();
     bench_work_profile();
+    bench_content_hash();
+    bench_guest_scalar_loop();
 }

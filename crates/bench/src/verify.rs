@@ -1,11 +1,12 @@
-//! Verifier fast-path benchmark: the checking interpreter vs the
-//! certificate-backed fast path on the same programs and inputs.
+//! Verifier benchmark: the checking interpreter vs the certificate's
+//! compiled tier on the same programs and inputs. (The report keeps its
+//! historical "fast path" labels and `fast_us` field.)
 //!
 //! Wall-clock time is banned in the deterministic crates (and CI diffs
 //! two same-seed runs byte for byte), so the bench models per-invocation
 //! cost from the interpreter's own [`RunStats`] counters: every retired
 //! instruction costs [`OP_NS`] and every dynamic type/underflow check
-//! costs [`CHECK_NS`]. The fast path executes the same instruction
+//! costs [`CHECK_NS`]. The compiled tier retires the same instruction
 //! stream with `checks = 0` — the verifier discharged them at
 //! registration — so the modeled speedup isolates exactly the work the
 //! certificate removes. Outputs, traps, and fuel are asserted identical
@@ -23,7 +24,7 @@ pub const OP_NS: u64 = 6;
 /// Modeled cost of one dynamic type/underflow check, nanoseconds.
 pub const CHECK_NS: u64 = 2;
 
-/// One benched program: modeled checking-path vs fast-path cost.
+/// One benched program: modeled checking-path vs compiled-tier cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyRun {
     /// Program label.
@@ -37,17 +38,17 @@ pub struct VerifyRun {
     /// Instructions retired across all invocations (identical on both
     /// paths).
     pub ops: u64,
-    /// Dynamic checks the checking path performed (the fast path's is
-    /// zero by construction).
+    /// Dynamic checks the checking path performed (the compiled
+    /// tier's is zero by construction).
     pub checks: u64,
     /// Modeled checking-path cost, microseconds.
     pub checked_us: f64,
-    /// Modeled fast-path cost, microseconds.
+    /// Modeled compiled-tier cost, microseconds.
     pub fast_us: f64,
 }
 
 impl VerifyRun {
-    /// How many times cheaper the fast path is.
+    /// How many times cheaper the compiled tier is.
     pub fn speedup(&self) -> f64 {
         self.checked_us / self.fast_us
     }

@@ -48,14 +48,15 @@ pub const OBJECT_REF_WIRE_BYTES: u64 = 24;
 
 const REF_TAG: &str = "kaas.ref";
 
-/// A content address into the server's object store: the FNV-1a hash of
-/// the object's canonical encoding plus its logical length. Obtained
+/// A content address into the server's object store: the
+/// [`content_hash`] of the object's canonical encoding plus its logical
+/// length. Obtained
 /// from [`KaasClient::put`](crate::KaasClient::put); passed to
 /// invocations with
 /// [`InvokeBuilder::arg_ref`](crate::InvokeBuilder::arg_ref).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectRef {
-    /// Content hash (FNV-1a over the canonical [`Value`] encoding).
+    /// Content hash ([`content_hash`] of the [`Value`]).
     pub hash: u64,
     /// Logical payload size in bytes (the object's wire size).
     pub bytes: u64,
@@ -96,68 +97,87 @@ impl ObjectRef {
     }
 }
 
-/// FNV-1a over a canonical byte encoding of `value` — the content
-/// address of the data plane. Deterministic across runs (no hasher
-/// randomization) so identical simulations produce identical refs.
+/// The content address of the data plane: a word-at-a-time
+/// multiply–xorshift hash over a canonical encoding of `value`, closed
+/// by a SplitMix64 finaliser. The encoding writes a tag word per
+/// variant, every length and declared `Sized` size as a word, each f64
+/// as its bit pattern, and byte payloads as 8-byte little-endian chunks
+/// plus a tail word that carries the tail's length in its top byte.
+/// Deterministic and platform-independent (no hasher randomization, no
+/// native-endian reads), so identical simulations produce identical
+/// refs.
 pub fn content_hash(value: &Value) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordHash::new();
     hash_value(value, &mut h);
     h.finish()
 }
 
-struct Fnv(u64);
+struct WordHash(u64);
 
-impl Fnv {
+impl WordHash {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        WordHash(0x243f_6a88_85a3_08d3)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    #[inline(always)]
+    fn word(&mut self, w: u64) {
+        let x = (self.0 ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn f64s(&mut self, xs: &[f64]) {
+        for x in xs {
+            self.word(x.to_bits());
         }
     }
 
-    fn write_u64(&mut self, n: u64) {
-        self.write(&n.to_le_bytes());
+    fn bytes(&mut self, b: &[u8]) {
+        let mut chunks = b.chunks_exact(8);
+        for c in &mut chunks {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(c);
+            self.word(u64::from_le_bytes(w));
+        }
+        let tail = chunks.remainder();
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        self.word(u64::from_le_bytes(w) | (tail.len() as u64) << 56);
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 }
 
-fn hash_value(value: &Value, h: &mut Fnv) {
+fn hash_value(value: &Value, h: &mut WordHash) {
     match value {
-        Value::Unit => h.write(&[0]),
+        Value::Unit => h.word(0),
         Value::U64(n) => {
-            h.write(&[1]);
-            h.write_u64(*n);
+            h.word(1);
+            h.word(*n);
         }
         Value::F64(x) => {
-            h.write(&[2]);
-            h.write_u64(x.to_bits());
+            h.word(2);
+            h.word(x.to_bits());
         }
         Value::F64s(v) => {
-            h.write(&[3]);
-            h.write_u64(v.len() as u64);
-            for x in v {
-                h.write_u64(x.to_bits());
-            }
+            h.word(3);
+            h.word(v.len() as u64);
+            h.f64s(v);
         }
         Value::Bytes(b) => {
-            h.write(&[4]);
-            h.write_u64(b.len() as u64);
-            h.write(b);
+            h.word(4);
+            h.word(b.len() as u64);
+            h.bytes(b);
         }
         Value::Matrix { data, rows, cols } => {
-            h.write(&[5]);
-            h.write_u64(*rows as u64);
-            h.write_u64(*cols as u64);
-            for x in data {
-                h.write_u64(x.to_bits());
-            }
+            h.word(5);
+            h.word(*rows as u64);
+            h.word(*cols as u64);
+            h.f64s(data);
         }
         Value::Image {
             pixels,
@@ -165,20 +185,21 @@ fn hash_value(value: &Value, h: &mut Fnv) {
             height,
             channels,
         } => {
-            h.write(&[6]);
-            h.write_u64(*width as u64);
-            h.write_u64(*height as u64);
-            h.write_u64(*channels as u64);
-            h.write(pixels);
+            h.word(6);
+            h.word(*width as u64);
+            h.word(*height as u64);
+            h.word(*channels as u64);
+            h.word(pixels.len() as u64);
+            h.bytes(pixels);
         }
         Value::Text(s) => {
-            h.write(&[7]);
-            h.write_u64(s.len() as u64);
-            h.write(s.as_bytes());
+            h.word(7);
+            h.word(s.len() as u64);
+            h.bytes(s.as_bytes());
         }
         Value::List(items) => {
-            h.write(&[8]);
-            h.write_u64(items.len() as u64);
+            h.word(8);
+            h.word(items.len() as u64);
             for item in items {
                 hash_value(item, h);
             }
@@ -187,8 +208,8 @@ fn hash_value(value: &Value, h: &mut Fnv) {
             // The declared size is part of the content: two envelopes
             // with the same body but different logical sizes are
             // different objects (they cost differently to copy).
-            h.write(&[9]);
-            h.write_u64(*bytes);
+            h.word(9);
+            h.word(*bytes);
             hash_value(body, h);
         }
     }
@@ -550,6 +571,109 @@ mod tests {
         assert_ne!(
             content_hash(&Value::sized(10, Value::U64(1))),
             content_hash(&Value::sized(20, Value::U64(1)))
+        );
+    }
+
+    /// One value per [`Value`] variant, for the golden content hashes.
+    fn golden_values() -> Vec<(&'static str, Value)> {
+        vec![
+            ("unit", Value::Unit),
+            ("u64", Value::U64(42)),
+            ("f64", Value::F64(-1.5)),
+            ("f64s", Value::F64s(vec![0.25, -3.0, 1e300])),
+            ("bytes", Value::Bytes((0u8..11).collect())),
+            (
+                "matrix",
+                Value::matrix(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2, 3),
+            ),
+            ("image", Value::image(vec![7; 12], 2, 2, 3)),
+            ("text", Value::Text("kaas.ref".to_owned())),
+            (
+                "list",
+                Value::List(vec![Value::U64(1), Value::Text("a".to_owned())]),
+            ),
+            ("sized", Value::sized(1 << 30, Value::F64s(vec![1.0; 3]))),
+        ]
+    }
+
+    #[test]
+    fn content_hash_is_pinned_per_variant() {
+        // The content address is part of the data plane's behaviour:
+        // a change to the encoding or the mixer must show up here.
+        const GOLDEN: [u64; 10] = [
+            0xbf8f_ec90_feaa_8750,
+            0x2878_eff3_141d_62f7,
+            0x9b09_5411_f648_76d2,
+            0x63f1_6c51_a19b_a04c,
+            0xd9a3_c10c_3afb_ec76,
+            0x3fdd_c9a4_93a9_175c,
+            0x6276_6709_a1bc_f222,
+            0x258a_b2d3_16cd_8159,
+            0x09f4_3b0e_572a_f45a,
+            0x96e6_1d1d_39fb_6820,
+        ];
+        let got: Vec<u64> = golden_values()
+            .iter()
+            .map(|(_, v)| content_hash(v))
+            .collect();
+        for ((name, _), (g, want)) in golden_values().iter().zip(got.iter().zip(GOLDEN)) {
+            assert_eq!(*g, want, "{name}: got {g:#018x}");
+        }
+    }
+
+    #[test]
+    fn content_hash_separates_lengths_padding_signs_and_nesting() {
+        let mut seen = BTreeMap::new();
+        let mut distinct = |label: String, v: Value| {
+            if let Some(prev) = seen.insert(content_hash(&v), label.clone()) {
+                panic!("{label} collides with {prev}");
+            }
+        };
+        for n in 0..=17usize {
+            let bytes: Vec<u8> = (0..n).map(|i| (i * 37 + 5) as u8).collect();
+            distinct(format!("bytes[{n}]"), Value::Bytes(bytes.clone()));
+            if n > 0 {
+                distinct(format!("zeros[{n}]"), Value::Bytes(vec![0; n]));
+            }
+            distinct(
+                format!("text[{n}]"),
+                Value::Text(
+                    String::from_utf8(bytes.iter().map(|b| b'a' + b % 26).collect()).unwrap(),
+                ),
+            );
+            distinct(format!("image[{n}]"), Value::image(bytes, n, 1, 1));
+        }
+        distinct("golden unit".into(), Value::Unit);
+        for (name, v) in golden_values().into_iter().skip(1) {
+            distinct(format!("golden {name}"), v);
+        }
+        // Zero-padded twins: the tail is length-tagged.
+        distinct("bytes [1]".into(), Value::Bytes(vec![1]));
+        distinct("bytes [1, 0]".into(), Value::Bytes(vec![1, 0]));
+        distinct("image [1]x8".into(), Value::image(vec![1; 8], 8, 1, 1));
+        distinct(
+            "image [1]x8+0".into(),
+            Value::Image {
+                pixels: [vec![1; 8], vec![0]].concat(),
+                width: 8,
+                height: 1,
+                channels: 1,
+            },
+        );
+        // Signed zeros are different bit patterns.
+        distinct("0.0".into(), Value::F64(0.0));
+        distinct("-0.0".into(), Value::F64(-0.0));
+        distinct("[0.0]".into(), Value::F64s(vec![0.0]));
+        distinct("[-0.0]".into(), Value::F64s(vec![-0.0]));
+        // Nesting is part of the content.
+        let (a, b) = (Value::U64(1), Value::U64(2));
+        distinct(
+            "[[a], b]".into(),
+            Value::List(vec![Value::List(vec![a.clone()]), b.clone()]),
+        );
+        distinct(
+            "[a, [b]]".into(),
+            Value::List(vec![a, Value::List(vec![b])]),
         );
     }
 

@@ -115,8 +115,8 @@ impl GuestState {
             .map_err(|e| InvokeError::BadInput(e.to_string()))?;
         // The abstract interpreter rejects programs that provably trap
         // (type mismatch, underflow, fall-off-the-end) before they ever
-        // reach a runner; its certificate enables the fast-path
-        // interpreter and carries the worst-case fuel bound.
+        // reach a runner; its certificate carries the compiled tier for
+        // clean input classes and the worst-case fuel bound.
         let cert =
             kaas_guest::verify(&program).map_err(|e| InvokeError::VerifyRejected(e.to_string()))?;
         let key = format!("{tenant}/{}", program.name);

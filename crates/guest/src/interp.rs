@@ -7,7 +7,7 @@ use std::time::Duration;
 use kaas_kernels::Value;
 
 use crate::program::{GuestProgram, Op, MAX_VEC_LEN};
-use crate::verify::{ClassVerdict, InputClass, Verified};
+use crate::verify::{InputClass, Verified};
 
 /// A runtime fault inside a guest program. Traps are deterministic:
 /// the same program and input trap identically on every run.
@@ -69,9 +69,9 @@ impl std::fmt::Display for Trap {
 impl std::error::Error for Trap {}
 
 /// Per-run execution counters: retired instructions plus the dynamic
-/// type/underflow checks the interpreter performed. The verified fast
-/// path discharges those checks statically, so its `checks` stays 0 —
-/// the delta is what the `verify` bench turns into modeled time.
+/// type/underflow checks the interpreter performed. The compiled tier
+/// discharges those checks statically, so its `checks` stays 0 — the
+/// delta is what the `verify` bench turns into modeled time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Instructions retired.
@@ -81,8 +81,8 @@ pub struct RunStats {
 }
 
 /// Execution metering, monomorphized away on the uncounted paths.
-trait Meter {
-    fn op(&mut self);
+pub(crate) trait Meter {
+    fn ops(&mut self, n: u64);
     fn checks(&mut self, n: u64);
 }
 
@@ -90,15 +90,15 @@ struct NoMeter;
 
 impl Meter for NoMeter {
     #[inline(always)]
-    fn op(&mut self) {}
+    fn ops(&mut self, _: u64) {}
     #[inline(always)]
     fn checks(&mut self, _: u64) {}
 }
 
 impl Meter for RunStats {
     #[inline(always)]
-    fn op(&mut self) {
-        self.ops += 1;
+    fn ops(&mut self, n: u64) {
+        self.ops += n;
     }
     #[inline(always)]
     fn checks(&mut self, n: u64) {
@@ -227,10 +227,12 @@ impl Instance {
     }
 
     /// Runs the body under a verification certificate: inputs whose
-    /// class verdict is [`ClassVerdict::Clean`] take the fast path,
-    /// which skips every per-op type and underflow check the verifier
-    /// discharged; every other class falls back to the checking
-    /// interpreter. Results and traps are identical on both paths.
+    /// class verdict is [`ClassVerdict::Clean`](crate::ClassVerdict::Clean)
+    /// run the certificate's compiled code for that class, typed
+    /// register code with every type and underflow check discharged and
+    /// fuel charged per straight-line block; every other class falls
+    /// back to the checking interpreter. Output, fuel, op count and
+    /// trap are identical on both paths.
     ///
     /// # Errors
     ///
@@ -246,7 +248,7 @@ impl Instance {
     }
 
     /// [`run_verified`](Instance::run_verified) plus [`RunStats`] and
-    /// whether the fast path was taken.
+    /// whether the compiled tier ran.
     ///
     /// # Errors
     ///
@@ -285,18 +287,12 @@ impl Instance {
             cert.covers(&self.program),
             "certificate is for a different program"
         );
-        if cert.verdict_for(InputClass::of(input)) == ClassVerdict::Clean {
-            let (v, fuel) = exec_fast(
-                &self.program.body,
-                &self.globals,
-                input,
-                self.program.fuel_limit,
-                cert.max_stack(),
-                m,
-            )?;
-            Ok((v, fuel, true))
-        } else {
-            self.run_metered(input, m)
+        match cert.compiled(InputClass::of(input)) {
+            Some(code) => {
+                let (v, fuel) = code.run(&self.globals, input, self.program.fuel_limit, m)?;
+                Ok((v, fuel, true))
+            }
+            None => self.run_metered(input, m),
         }
     }
 
@@ -482,7 +478,7 @@ fn exec<M: Meter>(
         let op = ops[pc];
         pc += 1;
         spend(&mut fuel, 1)?;
-        m.op();
+        m.ops(1);
         m.checks(discharged_checks(op));
         match op {
             Op::PushU(n) => stack.push(Value::U64(n)),
@@ -509,7 +505,8 @@ fn exec<M: Meter>(
             Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Rem | Op::Min | Op::Max => {
                 let b = pop(&mut stack)?;
                 let a = pop(&mut stack)?;
-                stack.push(arith(op, &a, &b)?);
+                let bin = Bin::of(op).expect("arithmetic op");
+                stack.push(bin.value(&a, &b)?);
             }
             Op::Neg => {
                 let x = pop_num(&mut stack)?;
@@ -649,270 +646,76 @@ fn pop_vec(stack: &mut Vec<Value>) -> Result<Vec<f64>, Trap> {
     }
 }
 
-fn arith(op: Op, a: &Value, b: &Value) -> Result<Value, Trap> {
-    if let (Value::U64(x), Value::U64(y)) = (a, b) {
-        let out = match op {
-            Op::Add => x.wrapping_add(*y),
-            Op::Sub => x.wrapping_sub(*y),
-            Op::Mul => x.wrapping_mul(*y),
-            Op::Div => x.checked_div(*y).ok_or(Trap::DivByZero)?,
-            Op::Rem => x.checked_rem(*y).ok_or(Trap::DivByZero)?,
-            Op::Min => *x.min(y),
-            Op::Max => *x.max(y),
-            _ => unreachable!("arith called with non-arith op"),
+/// A binary arithmetic op, shared by the checking interpreter and the
+/// compiled tier so both compute every result with the same expression.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bin {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+    Min,
+    Max,
+}
+
+impl Bin {
+    /// The arithmetic op `op` stands for, if any.
+    pub(crate) fn of(op: Op) -> Option<Bin> {
+        Some(match op {
+            Op::Add => Bin::Add,
+            Op::Sub => Bin::Sub,
+            Op::Mul => Bin::Mul,
+            Op::Div => Bin::Div,
+            Op::Rem => Bin::Rem,
+            Op::Min => Bin::Min,
+            Op::Max => Bin::Max,
+            _ => return None,
+        })
+    }
+
+    /// Integer arithmetic: wrapping, with a zero divisor trapping.
+    #[inline(always)]
+    pub(crate) fn u64(self, x: u64, y: u64) -> Result<u64, Trap> {
+        Ok(match self {
+            Bin::Add => x.wrapping_add(y),
+            Bin::Sub => x.wrapping_sub(y),
+            Bin::Mul => x.wrapping_mul(y),
+            Bin::Div => x.checked_div(y).ok_or(Trap::DivByZero)?,
+            Bin::Rem => x.checked_rem(y).ok_or(Trap::DivByZero)?,
+            Bin::Min => x.min(y),
+            Bin::Max => x.max(y),
+        })
+    }
+
+    /// Float arithmetic, with a zero divisor trapping.
+    #[inline(always)]
+    pub(crate) fn f64(self, x: f64, y: f64) -> Result<f64, Trap> {
+        Ok(match self {
+            Bin::Add => x + y,
+            Bin::Sub => x - y,
+            Bin::Mul => x * y,
+            Bin::Div | Bin::Rem if y == 0.0 => return Err(Trap::DivByZero),
+            Bin::Div => x / y,
+            Bin::Rem => x % y,
+            Bin::Min => x.min(y),
+            Bin::Max => x.max(y),
+        })
+    }
+
+    /// Arithmetic on two scalar values: two `u64`s stay integral, any
+    /// float operand promotes both.
+    pub(crate) fn value(self, a: &Value, b: &Value) -> Result<Value, Trap> {
+        if let (Value::U64(x), Value::U64(y)) = (a, b) {
+            return Ok(Value::U64(self.u64(*x, *y)?));
+        }
+        let num = |v: &Value| match v {
+            Value::U64(n) => Ok(*n as f64),
+            Value::F64(x) => Ok(*x),
+            _ => Err(Trap::TypeMismatch("expected a scalar")),
         };
-        return Ok(Value::U64(out));
+        Ok(Value::F64(self.f64(num(a)?, num(b)?)?))
     }
-    let num = |v: &Value| match v {
-        Value::U64(n) => Ok(*n as f64),
-        Value::F64(x) => Ok(*x),
-        _ => Err(Trap::TypeMismatch("expected a scalar")),
-    };
-    let (x, y) = (num(a)?, num(b)?);
-    let out = match op {
-        Op::Add => x + y,
-        Op::Sub => x - y,
-        Op::Mul => x * y,
-        Op::Div | Op::Rem => {
-            if y == 0.0 {
-                return Err(Trap::DivByZero);
-            }
-            if matches!(op, Op::Div) {
-                x / y
-            } else {
-                x % y
-            }
-        }
-        Op::Min => x.min(y),
-        Op::Max => x.max(y),
-        _ => unreachable!("arith called with non-arith op"),
-    };
-    Ok(Value::F64(out))
-}
-
-/// The fast path hit a state the verifier proved impossible. Kept as a
-/// cold panic (not UB) so a verifier bug can never corrupt the host;
-/// release builds pay one never-taken branch per discharged check.
-#[cold]
-#[inline(never)]
-fn unsound(what: &'static str) -> ! {
-    panic!("verifier fast-path invariant violated: {what}");
-}
-
-fn take(stack: &mut Vec<Value>) -> Value {
-    debug_assert!(!stack.is_empty(), "fast path: stack underflow");
-    stack.pop().unwrap_or_else(|| unsound("stack underflow"))
-}
-
-fn take_num(stack: &mut Vec<Value>) -> f64 {
-    match take(stack) {
-        Value::U64(n) => n as f64,
-        Value::F64(x) => x,
-        _ => unsound("scalar operand"),
-    }
-}
-
-fn take_u64(stack: &mut Vec<Value>) -> u64 {
-    match take(stack) {
-        Value::U64(n) => n,
-        _ => unsound("u64 operand"),
-    }
-}
-
-fn take_vec(stack: &mut Vec<Value>) -> Vec<f64> {
-    match take(stack) {
-        Value::F64s(xs) => xs,
-        _ => unsound("vector operand"),
-    }
-}
-
-fn arith_fast(op: Op, a: Value, b: Value) -> Result<Value, Trap> {
-    if let (Value::U64(x), Value::U64(y)) = (&a, &b) {
-        let out = match op {
-            Op::Add => x.wrapping_add(*y),
-            Op::Sub => x.wrapping_sub(*y),
-            Op::Mul => x.wrapping_mul(*y),
-            Op::Div => x.checked_div(*y).ok_or(Trap::DivByZero)?,
-            Op::Rem => x.checked_rem(*y).ok_or(Trap::DivByZero)?,
-            Op::Min => *x.min(y),
-            Op::Max => *x.max(y),
-            _ => unreachable!("arith called with non-arith op"),
-        };
-        return Ok(Value::U64(out));
-    }
-    let num = |v: Value| match v {
-        Value::U64(n) => n as f64,
-        Value::F64(x) => x,
-        _ => unsound("scalar operand"),
-    };
-    let (x, y) = (num(a), num(b));
-    let out = match op {
-        Op::Add => x + y,
-        Op::Sub => x - y,
-        Op::Mul => x * y,
-        Op::Div | Op::Rem => {
-            if y == 0.0 {
-                return Err(Trap::DivByZero);
-            }
-            if matches!(op, Op::Div) {
-                x / y
-            } else {
-                x % y
-            }
-        }
-        Op::Min => x.min(y),
-        Op::Max => x.max(y),
-        _ => unreachable!("arith called with non-arith op"),
-    };
-    Ok(Value::F64(out))
-}
-
-/// The verified fast path: runs a body whose class verdict is `Clean`,
-/// skipping every type and underflow check the verifier discharged
-/// (each survives only as a debug assert backed by a cold panic). Value
-/// guards — division by zero, bounds, domain, vector length, fuel —
-/// stay, so traps and results are identical to the checking path.
-fn exec_fast<M: Meter>(
-    ops: &[Op],
-    globals: &[Value],
-    input: &Value,
-    fuel_limit: u64,
-    max_stack: usize,
-    m: &mut M,
-) -> Result<(Value, u64), Trap> {
-    let mut stack: Vec<Value> = Vec::with_capacity(max_stack);
-    let mut pc: usize = 0;
-    let mut fuel: u64 = 0;
-    let spend = |fuel: &mut u64, cost: u64| -> Result<(), Trap> {
-        *fuel = fuel.saturating_add(cost);
-        if *fuel > fuel_limit {
-            return Err(Trap::FuelExhausted { limit: fuel_limit });
-        }
-        Ok(())
-    };
-    while pc < ops.len() {
-        let op = ops[pc];
-        pc += 1;
-        spend(&mut fuel, 1)?;
-        m.op();
-        match op {
-            Op::PushU(n) => stack.push(Value::U64(n)),
-            Op::PushF(x) => stack.push(Value::F64(x)),
-            Op::Input => stack.push(input.clone()),
-            Op::Global(g) => stack.push(globals[g as usize].clone()),
-            Op::SetGlobal(_) => unsound("set_global in body"),
-            Op::Dup => {
-                let top = stack
-                    .last()
-                    .cloned()
-                    .unwrap_or_else(|| unsound("dup on empty stack"));
-                stack.push(top);
-            }
-            Op::Pop => {
-                take(&mut stack);
-            }
-            Op::Swap => {
-                let b = take(&mut stack);
-                let a = take(&mut stack);
-                stack.push(b);
-                stack.push(a);
-            }
-            Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Rem | Op::Min | Op::Max => {
-                let b = take(&mut stack);
-                let a = take(&mut stack);
-                stack.push(arith_fast(op, a, b)?);
-            }
-            Op::Neg => {
-                let x = take_num(&mut stack);
-                stack.push(Value::F64(-x));
-            }
-            Op::Sqrt => {
-                let x = take_num(&mut stack);
-                if x < 0.0 {
-                    return Err(Trap::Domain("sqrt of negative"));
-                }
-                stack.push(Value::F64(x.sqrt()));
-            }
-            Op::Lt | Op::Eq => {
-                let b = take_num(&mut stack);
-                let a = take_num(&mut stack);
-                let hit = if matches!(op, Op::Lt) { a < b } else { a == b };
-                stack.push(Value::U64(hit as u64));
-            }
-            Op::Len => {
-                let xs = take_vec(&mut stack);
-                stack.push(Value::U64(xs.len() as u64));
-            }
-            Op::Get => {
-                let index = take_u64(&mut stack);
-                let xs = take_vec(&mut stack);
-                let x = *xs.get(index as usize).ok_or(Trap::OobIndex {
-                    index,
-                    len: xs.len() as u64,
-                })?;
-                stack.push(Value::F64(x));
-            }
-            Op::VecFill => {
-                let fill = take_num(&mut stack);
-                let n = take_u64(&mut stack);
-                if n > MAX_VEC_LEN {
-                    return Err(Trap::Domain("vector too large"));
-                }
-                spend(&mut fuel, n / 16)?;
-                stack.push(Value::F64s(vec![fill; n as usize]));
-            }
-            Op::VecScale => {
-                let s = take_num(&mut stack);
-                let mut xs = take_vec(&mut stack);
-                spend(&mut fuel, xs.len() as u64 / 16)?;
-                for x in &mut xs {
-                    *x *= s;
-                }
-                stack.push(Value::F64s(xs));
-            }
-            Op::VecAdd => {
-                let b = take_vec(&mut stack);
-                let mut a = take_vec(&mut stack);
-                if a.len() != b.len() {
-                    return Err(Trap::LengthMismatch {
-                        left: a.len() as u64,
-                        right: b.len() as u64,
-                    });
-                }
-                spend(&mut fuel, a.len() as u64 / 16)?;
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += *y;
-                }
-                stack.push(Value::F64s(a));
-            }
-            Op::VecSum => {
-                let xs = take_vec(&mut stack);
-                spend(&mut fuel, xs.len() as u64 / 16)?;
-                stack.push(Value::F64(xs.iter().sum()));
-            }
-            Op::VecDot => {
-                let b = take_vec(&mut stack);
-                let a = take_vec(&mut stack);
-                if a.len() != b.len() {
-                    return Err(Trap::LengthMismatch {
-                        left: a.len() as u64,
-                        right: b.len() as u64,
-                    });
-                }
-                spend(&mut fuel, a.len() as u64 / 16)?;
-                let dot: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-                stack.push(Value::F64(dot));
-            }
-            Op::Jump(target) => pc = target as usize,
-            Op::JumpIfZero(target) => {
-                if take_u64(&mut stack) == 0 {
-                    pc = target as usize;
-                }
-            }
-            Op::Return => return Ok((take(&mut stack), fuel)),
-        }
-    }
-    unsound("fell off the end")
 }
 
 #[cfg(test)]
@@ -1157,7 +960,7 @@ mod tests {
             inst.run_verified(&cert, &Value::F64s(vec![1.0])),
             inst.run(&Value::F64s(vec![1.0]))
         );
-        // Fuel exhaustion still fires on the fast path.
+        // Fuel exhaustion still fires in the compiled tier.
         let spin = Rc::new(
             GuestProgram::new("spin", DeviceClass::Cpu)
                 .with_fuel(64)

@@ -57,7 +57,7 @@ impl GuestKernel {
 
     /// [`instantiate`](GuestKernel::instantiate), carrying a verifier
     /// certificate: invocations whose input class verified `Clean` run
-    /// the fast-path interpreter, and [`predicted_fuel`] exposes the
+    /// the compiled tier, and [`predicted_fuel`] exposes the
     /// static worst-case bound to the registry. A certificate that does
     /// not cover `program` (content hash) is discarded — execution then
     /// stays on the checking path.

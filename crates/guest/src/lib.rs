@@ -20,9 +20,10 @@
 //! Registration also runs [`verify`]: an abstract interpreter that
 //! types every reachable instruction, proves stack depths, bounds
 //! worst-case fuel, and rejects programs that provably trap. The
-//! resulting [`Verified`] certificate lets clean input classes run a
-//! fast-path interpreter with every type and underflow check
-//! discharged statically.
+//! resulting [`Verified`] certificate carries, per clean input class,
+//! the body lowered into typed register code: the compiled tier, which
+//! runs with every type and underflow check discharged statically and
+//! charges fuel per straight-line block.
 //!
 //! ```
 //! use std::rc::Rc;
@@ -44,6 +45,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod compiled;
 mod interp;
 mod kernel;
 mod program;

@@ -19,13 +19,14 @@
 //! *acceptance* pass — its faults reject the program) and once per
 //! concrete input class (`u64` / `f64` / vector / other). A class whose
 //! pass needs no dynamic type dispatch is [`ClassVerdict::Clean`]:
-//! invocations with that input shape run the unchecked fast path
-//! ([`Instance::run_verified`](crate::Instance::run_verified)), which
-//! skips every per-op type and underflow check. Classes that still need
-//! a check — or provably trap — fall back to the checking interpreter,
-//! which traps honestly at runtime.
+//! the verifier lowers the body for that class into typed register code
+//! (the compiled tier), and invocations with that input shape run it
+//! ([`Instance::run_verified`](crate::Instance::run_verified)) with no
+//! per-op type or underflow check. Classes that still need a check — or
+//! provably trap — fall back to the checking interpreter, which traps
+//! honestly at runtime.
 //!
-//! **Soundness argument.** The fast path is only entered when every
+//! **Soundness argument.** The compiled tier only runs when every
 //! reachable instruction, under the concrete input class, has fully
 //! known operand types that satisfy its signature and an entry stack
 //! depth at least its arity. Value-dependent faults (division by zero,
@@ -43,6 +44,7 @@
 use kaas_kernels::Value;
 use std::collections::VecDeque;
 
+use crate::compiled::{lower, Compiled};
 use crate::program::{GuestProgram, Op};
 
 /// Abstract value type: the verifier's lattice.
@@ -155,8 +157,8 @@ impl InputClass {
 /// What the typing pass concluded for one input class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassVerdict {
-    /// Every reachable instruction is fully typed: the unchecked fast
-    /// path is sound for inputs of this class.
+    /// Every reachable instruction is fully typed: the compiled tier
+    /// is sound for inputs of this class.
     Clean,
     /// Some instruction still consumes a ⊤-typed operand: run the
     /// checking interpreter (it may trap honestly at runtime).
@@ -278,7 +280,7 @@ pub struct SeqFacts {
     /// agree on depth, so per-pc min and max coincide.
     pub depth: Vec<Option<usize>>,
     /// The deepest stack any execution of the sequence can reach —
-    /// the fast path preallocates exactly this.
+    /// the compiled tier allocates exactly this many slots per bank.
     pub max_stack: usize,
 }
 
@@ -293,6 +295,8 @@ pub struct Verified {
     /// Stack facts for the body.
     pub body: SeqFacts,
     classes: [ClassVerdict; 4],
+    /// The body lowered per clean class, in [`InputClass::ALL`] order.
+    compiled: [Option<Compiled>; 4],
     /// Worst-case fuel verdict for one body invocation.
     pub fuel_bound: FuelBound,
     /// Non-fatal findings (unreachable code), in discovery order.
@@ -322,6 +326,11 @@ impl Verified {
         self.fuel_bound.worst_case().min(self.fuel_limit)
     }
 
+    /// The compiled code for inputs of `class`, when it verified clean.
+    pub(crate) fn compiled(&self, class: InputClass) -> Option<&Compiled> {
+        self.compiled[class.index()].as_ref()
+    }
+
     /// The body's exact maximum stack depth.
     pub fn max_stack(&self) -> usize {
         self.body.max_stack
@@ -330,18 +339,18 @@ impl Verified {
 
 /// One abstract machine state: the typed stack plus the global table.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct State {
-    stack: Vec<AbsTy>,
-    globals: Vec<AbsTy>,
+pub(crate) struct State {
+    pub(crate) stack: Vec<AbsTy>,
+    pub(crate) globals: Vec<AbsTy>,
 }
 
 /// What the abstract step of one instruction concluded.
-enum StepFault {
+pub(crate) enum StepFault {
     Underflow { need: usize, have: usize },
     Type { message: String },
 }
 
-struct StepOk {
+pub(crate) struct StepOk {
     /// Worst-case fuel this instruction spends (`None` = data-dependent).
     cost: Option<u64>,
     /// Did the instruction consume a ⊤-typed operand (dynamic check)?
@@ -419,7 +428,7 @@ fn arity(op: Op) -> usize {
 
 /// Abstractly executes `op` against `st` (stack and, in init, globals).
 /// On success the state reflects the post-instruction machine.
-fn step(op: Op, st: &mut State, input: AbsTy) -> Result<StepOk, StepFault> {
+pub(crate) fn step(op: Op, st: &mut State, input: AbsTy) -> Result<StepOk, StepFault> {
     let need = arity(op);
     let have = st.stack.len();
     if have < need {
@@ -821,7 +830,8 @@ fn fuel_bound(seq: &[Op], an: &SeqAnalysis, fuel_limit: u64) -> FuelBound {
 /// Runs shape validation first (so the verifier never indexes out of
 /// range on malformed input), then the init pass (input is `Unit`), the
 /// body acceptance pass (input at ⊤), and one typing pass per concrete
-/// input class for the fast-path verdicts.
+/// input class for the verdicts, lowering each clean class's typing into
+/// compiled code.
 ///
 /// # Errors
 ///
@@ -862,6 +872,7 @@ pub fn verify(program: &GuestProgram) -> Result<Verified, VerifyError> {
     if !diags.is_empty() {
         return Err(VerifyError { diags });
     }
+    let mut compiled: [Option<Compiled>; 4] = Default::default();
     let classes = InputClass::ALL.map(|class| {
         let an = analyze(&program.body, SeqName::Body, class.ty(), &body_globals);
         if !an.faults.is_empty() {
@@ -869,6 +880,7 @@ pub fn verify(program: &GuestProgram) -> Result<Verified, VerifyError> {
         } else if an.needs_check {
             ClassVerdict::Checked
         } else {
+            compiled[class.index()] = lower(&program.body, &an.states, class.ty());
             ClassVerdict::Clean
         }
     });
@@ -882,6 +894,7 @@ pub fn verify(program: &GuestProgram) -> Result<Verified, VerifyError> {
         init: init_an.facts(),
         body: body_an.facts(),
         classes,
+        compiled,
         fuel_bound: bound,
         warnings,
     })

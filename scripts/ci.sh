@@ -100,8 +100,12 @@ replay_twice coldstart cargo run -q --release -p kaas-bench --bin coldstart -- -
 
 echo "==> verify stage: bytecode verifier differential test + bench determinism"
 cargo test -q --release --test guest_differential
-# The checking-vs-fast-path sweep is modeled from instruction/check
-# counters.
+# Again in the debug profile, so the compiled tier's debug assertions
+# (every block's fuel charge against what its instructions retire) run
+# over the whole corpus.
+cargo test -q --test guest_differential
+# The checking-interpreter-vs-compiled-tier sweep is modeled from
+# instruction/check counters.
 replay_twice verify cargo run -q --release -p kaas-bench --bin verify -- --quick
 
 echo "==> results stage: fresh full runs match the committed archives"
