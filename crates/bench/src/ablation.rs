@@ -118,7 +118,7 @@ pub fn transport_run(profile: LinkProfile) -> f64 {
 
 /// Energy & cold-start trade-off of the idle reaper over a bursty day:
 /// returns (reaped runners, cold starts, GPU energy in joules).
-pub fn reaper_run(idle_timeout: Option<Duration>) -> (usize, usize, f64) {
+pub fn reaper_run(idle_timeout: Option<Duration>) -> (usize, u64, f64) {
     let mut sim = Simulation::new();
     sim.block_on(async move {
         let config = experiment_server_config().with_idle_timeout(idle_timeout);
@@ -149,7 +149,7 @@ pub fn reaper_run(idle_timeout: Option<Duration>) -> (usize, usize, f64) {
             .sum();
         (
             dep.server.snapshot().reaped,
-            dep.server.metrics().cold_starts(),
+            dep.server.metrics_registry().counter("cold_starts"),
             energy,
         )
     })

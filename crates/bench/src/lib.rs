@@ -1,9 +1,9 @@
 //! # kaas-bench — the figure-reproduction harness
 //!
-//! One module per figure of the KaaS paper's evaluation (§5). Each
-//! exposes `run(quick) -> Vec<Figure>`; the matching binary prints the
-//! series as commented CSV. `quick` trims sweeps for CI; binaries run
-//! the full parameter grids.
+//! One module per figure of the KaaS paper's evaluation (§5), plus the
+//! benches beyond it. Each exposes a `run` taking `quick`, which trims
+//! sweeps for CI. `cargo run --release -p kaas-bench -- <id> [--quick]`
+//! runs any of them by id and prints the series as commented CSV.
 
 #![warn(missing_docs)]
 

@@ -634,7 +634,6 @@ impl KaasServer {
                 copy_out: timings.copy_out,
                 degraded,
             };
-            inner.metrics.record(report.clone());
             self.record_registry(&report);
             let m = &inner.handles;
             // Guest usage accounting: bill whatever this kernel metered

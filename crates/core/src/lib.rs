@@ -102,7 +102,7 @@ pub use federation::{FederatedClient, FederatedFlow, SiteHandle, SiteSpec};
 pub use fusion::{fuse, FusedKernel, FusionError};
 pub use metrics::histogram::{Histogram, HistogramSummary};
 pub use metrics::registry::MetricsRegistry;
-pub use metrics::{mean_ci95, percentile, InvocationReport, MeanCi, MetricsSink, RunnerId};
+pub use metrics::{mean_ci95, percentile, InvocationReport, MeanCi, RunnerId};
 pub use pool::{RunnerPool, RunnerSlot};
 pub use protocol::{
     Control, DataRef, InvokeError, Request, RequestFrame, Response, ResponseFrame, Target,

@@ -2,9 +2,8 @@
 //!
 //! Two layers live here:
 //!
-//! * [`InvocationReport`] / [`MetricsSink`] — the raw per-invocation
-//!   record stream, returned with every response (the sink keeps only
-//!   the most recent reports).
+//! * [`InvocationReport`] — the raw per-invocation timing breakdown,
+//!   returned with every response.
 //! * [`MetricsRegistry`](registry::MetricsRegistry) — the structured
 //!   store (counters, gauges, [`Histogram`](histogram::Histogram)
 //!   latency distributions) the server feeds on every invocation and
@@ -18,9 +17,6 @@ pub(crate) mod handles;
 pub mod histogram;
 pub mod registry;
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
 use std::time::Duration;
 
 use kaas_accel::DeviceId;
@@ -37,7 +33,7 @@ impl std::fmt::Display for RunnerId {
 }
 
 /// Timing breakdown of one kernel invocation, returned with every
-/// response and recorded by the server.
+/// response and fed into the server's registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvocationReport {
     /// Kernel name.
@@ -79,78 +75,6 @@ impl InvocationReport {
     /// Server-side latency (submission to completion).
     pub fn server_latency(&self) -> Duration {
         self.completed.saturating_since(self.submitted)
-    }
-}
-
-/// How many of the most recent reports a [`MetricsSink`] keeps for
-/// [`MetricsSink::snapshot`].
-const SNAPSHOT_CAP: usize = 4096;
-
-/// Shared sink of a server's invocation reports.
-///
-/// Memory stays bounded however many invocations run:
-/// [`len`](MetricsSink::len) and [`cold_starts`](MetricsSink::cold_starts)
-/// count every report over the sink's lifetime, but only the most
-/// recent 4 096 reports are kept for [`snapshot`](MetricsSink::snapshot).
-/// Long-run aggregates belong in the
-/// [`MetricsRegistry`](registry::MetricsRegistry).
-#[derive(Clone, Default)]
-pub struct MetricsSink {
-    inner: Rc<RefCell<SinkInner>>,
-}
-
-#[derive(Default)]
-struct SinkInner {
-    recent: VecDeque<InvocationReport>,
-    len: usize,
-    cold_starts: usize,
-}
-
-impl std::fmt::Debug for MetricsSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsSink")
-            .field("records", &self.len())
-            .finish()
-    }
-}
-
-impl MetricsSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a report, dropping the oldest kept one once
-    /// [`snapshot`](MetricsSink::snapshot) is full.
-    pub fn record(&self, report: InvocationReport) {
-        let mut inner = self.inner.borrow_mut();
-        inner.len += 1;
-        inner.cold_starts += report.cold_start as usize;
-        if inner.recent.len() == SNAPSHOT_CAP {
-            inner.recent.pop_front();
-        }
-        inner.recent.push_back(report);
-    }
-
-    /// Number of invocations recorded over the sink's lifetime.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().len
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The most recent reports (up to 4 096), oldest first.
-    pub fn snapshot(&self) -> Vec<InvocationReport> {
-        self.inner.borrow().recent.iter().cloned().collect()
-    }
-
-    /// How many recorded invocations were cold starts, over the sink's
-    /// lifetime.
-    pub fn cold_starts(&self) -> usize {
-        self.inner.borrow().cold_starts
     }
 }
 
@@ -204,57 +128,24 @@ pub fn mean_ci95(samples: &[f64]) -> MeanCi {
 mod tests {
     use super::*;
 
-    fn report(cold: bool, t0: f64, t1: f64, t2: f64) -> InvocationReport {
-        InvocationReport {
+    #[test]
+    fn derived_times() {
+        let r = InvocationReport {
             kernel: "k".into(),
             runner: RunnerId(0),
             device: DeviceId(0),
-            cold_start: cold,
-            submitted: SimTime::from_secs_f64(t0),
-            started: SimTime::from_secs_f64(t1),
-            completed: SimTime::from_secs_f64(t2),
+            cold_start: false,
+            submitted: SimTime::from_secs_f64(1.0),
+            started: SimTime::from_secs_f64(1.5),
+            completed: SimTime::from_secs_f64(2.0),
             copy_in: Duration::from_millis(1),
             kernel_exec: Duration::from_millis(10),
             copy_out: Duration::from_millis(2),
             degraded: false,
-        }
-    }
-
-    #[test]
-    fn derived_times() {
-        let r = report(false, 1.0, 1.5, 2.0);
+        };
         assert_eq!(r.kernel_time(), Duration::from_millis(13));
         assert_eq!(r.queue_time(), Duration::from_millis(500));
         assert_eq!(r.server_latency(), Duration::from_secs(1));
-    }
-
-    #[test]
-    fn sink_counts_cold_starts() {
-        let sink = MetricsSink::new();
-        sink.record(report(true, 0.0, 0.5, 1.0));
-        sink.record(report(false, 1.0, 1.0, 1.2));
-        assert_eq!(sink.len(), 2);
-        assert_eq!(sink.cold_starts(), 1);
-        assert!(!sink.is_empty());
-    }
-
-    #[test]
-    fn sink_keeps_lifetime_counts_but_a_bounded_snapshot() {
-        let sink = MetricsSink::new();
-        let n = SNAPSHOT_CAP + 10;
-        for i in 0..n {
-            sink.record(report(i % 2 == 0, i as f64, i as f64, i as f64));
-        }
-        assert_eq!(sink.len(), n);
-        assert_eq!(sink.cold_starts(), n.div_ceil(2));
-        let kept = sink.snapshot();
-        assert_eq!(kept.len(), SNAPSHOT_CAP);
-        // The oldest reports were dropped, the newest kept in order.
-        assert_eq!(kept[0].submitted, SimTime::from_secs_f64(10.0));
-        assert_eq!(
-            kept[SNAPSHOT_CAP - 1].submitted,
-            SimTime::from_secs_f64((n - 1) as f64)
-        );
     }
 
     #[test]

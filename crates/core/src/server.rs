@@ -27,7 +27,6 @@ use crate::flow::FlowState;
 use crate::guest::GuestState;
 use crate::metrics::handles::ServerMetrics;
 use crate::metrics::registry::MetricsRegistry;
-use crate::metrics::MetricsSink;
 use crate::pool::RunnerPool;
 use crate::protocol::{InvokeError, RequestFrame, ResponseFrame};
 use crate::registry::KernelRegistry;
@@ -39,7 +38,6 @@ pub(crate) struct ServerInner {
     pub(crate) shm: SharedMemory,
     pub(crate) pool: Rc<RunnerPool>,
     pub(crate) admission: AdmissionController,
-    pub(crate) metrics: MetricsSink,
     /// The structured registry, behind the per-request emission
     /// sites' pre-resolved handles.
     pub(crate) handles: ServerMetrics,
@@ -144,7 +142,6 @@ impl KaasServer {
             pool: Rc::new(pool),
             dataplane,
             admission: AdmissionController::new(config.admission),
-            metrics: MetricsSink::new(),
             handles,
             dispatch,
             breakers: config
@@ -169,11 +166,6 @@ impl KaasServer {
 
     pub(crate) fn inner(&self) -> &ServerInner {
         &self.inner
-    }
-
-    /// The server's metric sink (raw per-invocation reports).
-    pub fn metrics(&self) -> MetricsSink {
-        self.inner.metrics.clone()
     }
 
     /// The server's structured metric store: counters (`invocations`,

@@ -75,13 +75,13 @@ fn main() {
             );
         }
 
-        let metrics = server.metrics();
+        let metrics = server.metrics_registry();
         println!(
             "\nserver handled {} invocations ({} cold start)",
-            metrics.len(),
-            metrics.cold_starts()
+            metrics.counter("invocations"),
+            metrics.counter("cold_starts")
         );
-        println!("registry:\n{}", server.metrics_registry().render());
+        println!("registry:\n{}", metrics.render());
         let kernel: Rc<dyn kaas::kernels::Kernel> = Rc::new(MatMul::new());
         println!(
             "kernel '{}' targets {} devices",

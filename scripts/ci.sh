@@ -34,6 +34,11 @@ if [[ $quick -eq 0 ]]; then
     cargo test -q --release --workspace --all-features
 fi
 
+# Every figure and bench below runs through this one binary:
+# `kaas-bench <id> [--quick]`.
+cargo build -q --release -p kaas-bench
+bench="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/kaas-bench"
+
 # replay_twice <label> <cmd...>: runs <cmd> twice and fails the gate if
 # the two outputs differ. Every bench and example here is seeded, so a
 # difference is a determinism bug.
@@ -50,20 +55,19 @@ replay_twice() {
     fi
 }
 
-# matches_archive <file> <bin> [args...]: runs kaas-bench's <bin> in a
+# matches_archive <file> <id> [args...]: runs `kaas-bench <id>` in a
 # scratch directory, so the tree is untouched, and fails the gate unless
 # what it archives matches results/<file> byte for byte: the file it
 # writes under results/ if it writes one, its stdout otherwise.
 matches_archive() {
-    local file="$1" bin="$2" root="$PWD" dir out
+    local file="$1" id="$2" dir out
     shift 2
     dir="$(mktemp -d)"
-    (cd "$dir" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
-        -p kaas-bench --bin "$bin" -- "$@" >stdout)
+    (cd "$dir" && "$bench" "$id" "$@" >stdout)
     out="$dir/results/$file"
     [[ -f "$out" ]] || out="$dir/stdout"
     if ! diff "$out" "results/$file" >&2; then
-        echo "results/$file no longer matches --bin $bin $*" >&2
+        echo "results/$file no longer matches kaas-bench $id $*" >&2
         exit 1
     fi
     rm -rf "$dir"
@@ -77,26 +81,26 @@ replay_twice chaos cargo run -q --release --example chaos
 
 echo "==> dataplane stage: cache/eviction tests + bench determinism"
 cargo test -q --release --test dataplane
-replay_twice dataplane cargo run -q --release -p kaas-bench --bin dataplane -- --quick
+replay_twice dataplane "$bench" dataplane --quick
 
 echo "==> dataflow stage: workflow DAG tests + bench determinism"
 cargo test -q --release --test workflow_dataflow
-replay_twice dataflow cargo run -q --release -p kaas-bench --bin dataflow -- --quick
+replay_twice dataflow "$bench" dataflow --quick
 
 echo "==> cluster stage: sharded-dispatch tests + bench determinism"
 cargo test -q --release --test dispatch_shard
 # The dispatch A/B bench (serialized-router knee vs sharded+batched).
-replay_twice cluster cargo run -q --release -p kaas-bench --bin cluster -- --quick
+replay_twice cluster "$bench" cluster --quick
 
 echo "==> overload stage: overload-control tests + bench determinism"
 cargo test -q --release --test overload
 # Burst timing, sheds, ejections and budget denials included.
-replay_twice overload cargo run -q --release -p kaas-bench --bin overload -- --quick
+replay_twice overload "$bench" overload --quick
 
 echo "==> guest stage: guest runtime tests + coldstart bench determinism"
 cargo test -q --release -p kaas-guest
 cargo test -q --release --test guest_runtime
-replay_twice coldstart cargo run -q --release -p kaas-bench --bin coldstart -- --quick
+replay_twice coldstart "$bench" coldstart --quick
 
 echo "==> verify stage: bytecode verifier differential test + bench determinism"
 cargo test -q --release --test guest_differential
@@ -106,11 +110,11 @@ cargo test -q --release --test guest_differential
 cargo test -q --test guest_differential
 # The checking-interpreter-vs-compiled-tier sweep is modeled from
 # instruction/check counters.
-replay_twice verify cargo run -q --release -p kaas-bench --bin verify -- --quick
+replay_twice verify "$bench" verify --quick
 
 echo "==> results stage: fresh full runs match the committed archives"
 # A change that moves one of these numbers must refresh the archive.
-# Archives not listed here still drift from the code (ROADMAP item 4).
+# Archives not listed here still drift from the code (ROADMAP item 2).
 matches_archive cluster.json cluster
 matches_archive coldstart.json coldstart
 matches_archive dataflow.csv dataflow
@@ -121,7 +125,7 @@ matches_archive trace.csv trace
 matches_archive verify.json verify
 # The full fig12 sweep is not pinned yet (its archive still drifts), but
 # it must replay exactly.
-replay_twice fig12 cargo run -q --release -p kaas-bench --bin fig12
+replay_twice fig12 "$bench" fig12
 
 echo "==> perfbench stage: benchmark same-seed and correctness tests"
 # The benchmark is its own Cargo workspace; its tests check that outputs

@@ -1,25 +1,27 @@
 #!/usr/bin/env bash
-# Results parity: runs every kaas-bench binary on the working tree and on
-# a base revision and diffs their standard output byte for byte.
+# Results parity: runs every kaas-bench experiment on the working tree and
+# on a base revision and diffs their standard output byte for byte.
 #
 #   scripts/results_parity.sh <rev>      # e.g. scripts/results_parity.sh HEAD~
 #
 # The base revision is exported with `git archive` into a temporary
 # directory and built there offline; the working tree builds into its
-# usual target directory. Every binary runs in full mode, some with
+# usual target directory. Every experiment runs in full mode, some with
 # --quick as well; `all_figures`, which repeats the others, runs with
 # --quick only. Each side runs in an empty scratch directory, so the
-# results/*.json files some binaries write are compared too and the
-# committed ones stay untouched.
-# The exit status is non-zero when anything differs (or a binary fails
-# on one side). Set KEEP_PARITY_DIR=1 to keep the temporary directory
+# results/*.json files some experiments write are compared too and the
+# committed ones stay untouched. The tree runs `kaas-bench <id> <args>`;
+# a base revision that predates that dispatcher runs its per-id binary
+# `<id> <args>` instead.
+# The exit status is non-zero when anything differs (or a run fails on
+# one side). Set KEEP_PARITY_DIR=1 to keep the temporary directory
 # with both sides' outputs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 rev="${1:?usage: scripts/results_parity.sh <rev>}"
 
-# Binary and arguments, one run per line.
+# Experiment id and arguments, one run per line.
 runs=(
     "ablation"
     "all_figures --quick"
@@ -61,20 +63,25 @@ echo "==> building $rev"
 (cd "$work/base" && CARGO_TARGET_DIR="$work/target" \
     cargo build --release --offline --quiet -p kaas-bench --bins)
 echo "==> building the working tree"
-cargo build --release --offline --quiet -p kaas-bench --bins
-tree_bin="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)"
+cargo build --release --offline --quiet -p kaas-bench --bin kaas-bench
+tree_bin="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/kaas-bench"
+base_bin="$work/target/release"
 
 differ=0
 for run in "${runs[@]}"; do
-    read -r bin args <<<"$run"
+    read -r id args <<<"$run"
     out="${run// /_}.stdout"
     base_ok=1
     tree_ok=1
+    if [[ -x "$base_bin/kaas-bench" ]]; then
+        base_cmd=("$base_bin/kaas-bench" "$id")
+    else
+        base_cmd=("$base_bin/$id")
+    fi
     # shellcheck disable=SC2086
-    (cd "$work/run_base" && "$work/target/release/$bin" $args >"$out" 2>/dev/null) ||
-        base_ok=0
+    (cd "$work/run_base" && "${base_cmd[@]}" $args >"$out" 2>/dev/null) || base_ok=0
     # shellcheck disable=SC2086
-    (cd "$work/run_tree" && "$tree_bin/$bin" $args >"$out" 2>/dev/null) || tree_ok=0
+    (cd "$work/run_tree" && "$tree_bin" "$id" $args >"$out" 2>/dev/null) || tree_ok=0
     if [[ $base_ok == 0 || $tree_ok == 0 ]]; then
         echo "FAILED     $run (base ok=$base_ok, tree ok=$tree_ok)"
         differ=1
@@ -87,7 +94,7 @@ for run in "${runs[@]}"; do
     fi
 done
 
-# Files the binaries wrote (results/*.json), as left by the last run.
+# Files the experiments wrote (results/*.json), as left by the last run.
 if diff -r "$work/run_base/results" "$work/run_tree/results" >/dev/null; then
     echo "identical  written files: $(cd "$work/run_tree/results" && echo *)"
 else
@@ -97,7 +104,7 @@ else
 fi
 
 if [[ $differ == 0 ]]; then
-    echo "results parity OK: every kaas-bench binary matches $rev"
+    echo "results parity OK: every kaas-bench experiment matches $rev"
 else
     echo "results parity FAILED against $rev" >&2
     exit 1

@@ -71,8 +71,9 @@ fn one_server_serves_all_five_device_classes() {
             );
             assert!(inv.report.cold_start, "{kernel}: first call should be cold");
         }
-        assert_eq!(server.metrics().len(), 5);
-        assert_eq!(server.metrics().cold_starts(), 5);
+        let reg = server.metrics_registry();
+        assert_eq!(reg.counter("invocations"), 5);
+        assert_eq!(reg.counter("cold_starts"), 5);
         // Each kernel now has a warm runner.
         for kernel in [
             "preprocess",
