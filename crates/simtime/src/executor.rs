@@ -9,7 +9,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -121,30 +121,17 @@ fn wake_task(word: *const ()) {
 
 fn drop_waker(_: *const ()) {}
 
-/// A timer registered with the executor: wake `waker` once the clock
-/// reaches `at`. Ties are broken by registration order (`seq`) so the
-/// simulation stays deterministic.
-struct TimerEntry {
-    at: SimTime,
-    seq: u64,
-    waker: Waker,
-}
+/// A timer's heap entry: its deadline, its sequence number and its slot
+/// in [`Core::timer_slots`]. Ties are broken by registration order
+/// (`seq`) so the simulation stays deterministic.
+type TimerEntry = (SimTime, u64, u32);
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+/// The waker of timer `seq`, from registration until its entry leaves
+/// the heap. Cancelling takes the waker; the entry stays queued, and
+/// frees the slot when popped.
+struct TimerSlot {
+    seq: u64,
+    waker: Option<Waker>,
 }
 
 /// What one simulation's handles, wakers and timers share.
@@ -159,10 +146,13 @@ pub(crate) struct Core {
     now: SimTime,
     timer_seq: u64,
     timers: BinaryHeap<Reverse<TimerEntry>>,
-    /// Sequence numbers of timers still in `timers` whose `Sleep` was
-    /// dropped before their deadline: discarded when popped, so an
-    /// abandoned sleep never advances the clock.
-    cancelled: BTreeSet<u64>,
+    /// One slot per entry in `timers`, reused once the entry is popped.
+    timer_slots: Vec<TimerSlot>,
+    free_timer_slots: Vec<u32>,
+    /// Entries in `timers` whose `Sleep` was dropped before their
+    /// deadline: their slot has no waker, and they are discarded when
+    /// popped, so an abandoned sleep never advances the clock.
+    dead_timers: usize,
     /// Task table: a completed task's slot is reused. A slot's waker
     /// names only its id, so it serves every task the slot holds.
     tasks: Vec<Option<LocalFuture>>,
@@ -181,7 +171,9 @@ impl Core {
             now: SimTime::ZERO,
             timer_seq: 0,
             timers: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
+            timer_slots: Vec::new(),
+            free_timer_slots: Vec::new(),
+            dead_timers: 0,
             tasks: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -204,21 +196,58 @@ impl Core {
         }
     }
 
-    fn register_timer(&mut self, at: SimTime, waker: Waker) -> u64 {
+    fn register_timer(&mut self, at: SimTime, waker: Waker) -> (u64, u32) {
         let seq = self.timer_seq;
         self.timer_seq += 1;
-        self.timers.push(Reverse(TimerEntry { at, seq, waker }));
-        seq
+        let timer = TimerSlot {
+            seq,
+            waker: Some(waker),
+        };
+        let slot = if let Some(slot) = self.free_timer_slots.pop() {
+            debug_assert!(self.timer_slots[slot as usize].waker.is_none());
+            self.timer_slots[slot as usize] = timer;
+            slot
+        } else {
+            let slot = u32::try_from(self.timer_slots.len()).expect("timer table full");
+            self.timer_slots.push(timer);
+            slot
+        };
+        self.timers.push(Reverse((at, seq, slot)));
+        (seq, slot)
+    }
+
+    /// Takes the waker of timer `seq`, if its entry is still queued and
+    /// not cancelled yet. The seq check makes a late call a no-op: after
+    /// the timer fired, its slot may already serve a newer timer.
+    fn cancel_timer(&mut self, seq: u64, slot: u32) {
+        let timer = &mut self.timer_slots[slot as usize];
+        if timer.seq == seq && timer.waker.take().is_some() {
+            self.dead_timers += 1;
+        }
+    }
+
+    /// Pops the head of the heap and frees its slot. Returns the timer's
+    /// waker, or `None` if the timer was cancelled.
+    fn pop_timer(&mut self) -> Option<Waker> {
+        let Reverse((_, seq, slot)) = self.timers.pop()?;
+        let timer = &mut self.timer_slots[slot as usize];
+        debug_assert_eq!(timer.seq, seq, "a queued timer's slot was reused");
+        let waker = timer.waker.take();
+        self.free_timer_slots.push(slot);
+        if waker.is_none() {
+            self.dead_timers -= 1;
+        }
+        waker
     }
 
     /// Discards cancelled timers sitting at the head of the heap so they
     /// never advance the clock.
     fn prune_cancelled_timers(&mut self) {
-        while let Some(Reverse(head)) = self.timers.peek() {
-            if !self.cancelled.remove(&head.seq) {
+        while let Some(&Reverse((_, _, slot))) = self.timers.peek() {
+            if self.timer_slots[slot as usize].waker.is_some() {
                 break;
             }
-            self.timers.pop();
+            self.pop_timer();
         }
     }
 }
@@ -327,7 +356,7 @@ impl Handle {
     /// yet. Each is discarded, without advancing the clock, by the time
     /// the clock passes its deadline.
     pub fn cancelled_timers(&self) -> usize {
-        self.shared.core.borrow().cancelled.len()
+        self.shared.core.borrow().dead_timers
     }
 
     /// Registers a sanitizer hook run after every executor step (each
@@ -448,7 +477,7 @@ impl Simulation {
             let next = {
                 let mut core = self.handle.shared.core.borrow_mut();
                 core.prune_cancelled_timers();
-                core.timers.peek().map(|Reverse(e)| e.at)
+                core.timers.peek().map(|&Reverse((at, ..))| at)
             };
             let Some(next) = next else {
                 break;
@@ -463,13 +492,12 @@ impl Simulation {
             let mut core = self.handle.shared.core.borrow_mut();
             debug_assert!(next >= core.now, "timer in the past");
             core.now = next;
-            while let Some(Reverse(head)) = core.timers.peek() {
-                if head.at > next {
+            while let Some(&Reverse((at, ..))) = core.timers.peek() {
+                if at > next {
                     break;
                 }
-                let Reverse(entry) = core.timers.pop().expect("peeked");
-                if !core.cancelled.remove(&entry.seq) {
-                    entry.waker.wake();
+                if let Some(waker) = core.pop_timer() {
+                    waker.wake();
                 }
             }
         }
@@ -562,21 +590,19 @@ pub fn try_now() -> Option<SimTime> {
 
 /// Registers `waker` with the ambient simulation's timer heap, to be
 /// woken once the clock reaches `at`. Returns the timer's key: the
-/// simulation's tag and the timer's sequence number.
-pub(crate) fn register_timer(at: SimTime, waker: Waker) -> (usize, u64) {
-    Handle::with_current(|h| (h.tag, h.shared.core.borrow_mut().register_timer(at, waker)))
+/// simulation's tag, the timer's sequence number and its slot.
+pub(crate) fn register_timer(at: SimTime, waker: Waker) -> (usize, u64, u32) {
+    Handle::with_current(|h| {
+        let (seq, slot) = h.shared.core.borrow_mut().register_timer(at, waker);
+        (h.tag, seq, slot)
+    })
 }
 
-/// Cancels timer `seq` of simulation `tag`, registered for `at`, whose
-/// future is being dropped. A timer already past its deadline has left
-/// the heap and needs nothing; so does one whose simulation is gone.
-pub(crate) fn cancel_timer(tag: usize, at: SimTime, seq: u64) {
-    with_simulation(tag, |sim| {
-        let mut core = sim.core.borrow_mut();
-        if core.now < at {
-            core.cancelled.insert(seq);
-        }
-    });
+/// Cancels timer `seq` of simulation `tag`, in slot `slot`, whose future
+/// is being dropped. A timer that already fired needs nothing; so does
+/// one whose simulation is gone.
+pub(crate) fn cancel_timer(tag: usize, seq: u64, slot: u32) {
+    with_simulation(tag, |sim| sim.core.borrow_mut().cancel_timer(seq, slot));
 }
 
 /// Spawns a task onto the ambient simulation; see [`Handle::spawn`].

@@ -21,8 +21,14 @@ enum SleepState {
     After(Duration),
     /// No timer registered: not polled yet, or already fired.
     At(SimTime),
-    /// A timer is registered with simulation `sim` under `seq`.
-    Armed { at: SimTime, sim: usize, seq: u64 },
+    /// A timer is registered with simulation `sim` under `seq`, in its
+    /// timer slot `slot`.
+    Armed {
+        at: SimTime,
+        sim: usize,
+        seq: u64,
+        slot: u32,
+    },
 }
 
 impl Future for Sleep {
@@ -39,8 +45,8 @@ impl Future for Sleep {
             Poll::Ready(())
         } else {
             if !matches!(self.state, SleepState::Armed { .. }) {
-                let (sim, seq) = register_timer(at, cx.waker().clone());
-                self.state = SleepState::Armed { at, sim, seq };
+                let (sim, seq, slot) = register_timer(at, cx.waker().clone());
+                self.state = SleepState::Armed { at, sim, seq, slot };
             }
             Poll::Pending
         }
@@ -51,8 +57,8 @@ impl Drop for Sleep {
     fn drop(&mut self) {
         // Cancel the pending timer so an abandoned sleep never advances
         // the simulation clock.
-        if let SleepState::Armed { at, sim, seq } = self.state {
-            cancel_timer(sim, at, seq);
+        if let SleepState::Armed { sim, seq, slot, .. } = self.state {
+            cancel_timer(sim, seq, slot);
         }
     }
 }
@@ -248,6 +254,13 @@ mod tests {
     #[test]
     fn elapsed_displays() {
         assert!(Elapsed.to_string().contains("deadline"));
+    }
+
+    /// Every pending timer future carries a `Sleep`; arming one adds its
+    /// timer slot to the key without growing it.
+    #[test]
+    fn sleep_stays_small() {
+        assert_eq!(std::mem::size_of::<Sleep>(), 32);
     }
 
     #[test]

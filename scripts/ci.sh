@@ -73,6 +73,13 @@ matches_archive() {
     rm -rf "$dir"
 }
 
+echo "==> executor stage: simtime scheduling contract in the debug profile"
+# The debug profile runs the executor's debug assertions (a popped
+# timer's slot still holds that timer) over the crate's own suites and
+# the seeded timer-order golden.
+cargo test -q -p kaas-simtime
+cargo test -q --test simtime_executor
+
 echo "==> chaos stage: seeded fault storm + determinism replay"
 cargo test -q --release --test chaos
 # The same seeded storm twice; the example's recovery timeline (and

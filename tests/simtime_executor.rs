@@ -8,7 +8,8 @@
 //! are reused, so the task table never outgrows the peak live count.
 //! Wakers name their own simulation: they never wake another one's
 //! tasks, and outlive theirs as no-ops. A dropped timer never moves the
-//! clock and leaves nothing behind.
+//! clock and leaves nothing behind, and never cancels the newer timer
+//! that reuses its slot. A seeded timer mix replays a golden wake order.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -18,7 +19,8 @@ use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use kaas::simtime::channel::oneshot;
-use kaas::simtime::{sleep, sleep_until, spawn, timeout, yield_now, SimTime, Simulation};
+use kaas::simtime::rng::stream_rng;
+use kaas::simtime::{now, sleep, sleep_until, spawn, timeout, yield_now, SimTime, Simulation};
 
 type Log = Rc<RefCell<Vec<String>>>;
 
@@ -292,4 +294,185 @@ fn a_sleep_dropped_after_it_fired_records_nothing() {
     });
     assert_eq!(cancelled, 0);
     assert_eq!(sim.now(), SimTime::from_secs(2));
+}
+
+/// Pending on its first poll, without arranging a wake; ready on the
+/// next. Lets a task wait for whatever else holds its waker.
+#[derive(Default)]
+struct AwaitWake(bool);
+
+impl Future for AwaitWake {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        if std::mem::replace(&mut self.0, true) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
+}
+
+/// A timer's slot is reused once its entry leaves the heap. Here a
+/// sleep fires without being polled again and a second timer takes its
+/// slot: dropping the fired sleep afterwards must not cancel the second,
+/// which fires at its own deadline.
+#[test]
+fn a_fired_sleep_dropped_late_never_cancels_the_timer_reusing_its_slot() {
+    let mut sim = Simulation::new();
+    let handle = sim.handle();
+    let out = sim.block_on(async move {
+        let mut first = Box::pin(sleep(Duration::from_secs(1)));
+        assert!(!poll_once(&mut first).await);
+        // `first`'s timer is the only one: it fires, wakes this task and
+        // frees its slot.
+        AwaitWake::default().await;
+        let fired_at = now();
+        let mut second = Box::pin(sleep(Duration::from_secs(1)));
+        assert!(!poll_once(&mut second).await);
+        drop(first);
+        let cancelled = handle.cancelled_timers();
+        second.await;
+        (fired_at, cancelled, now())
+    });
+    assert_eq!(
+        out,
+        (SimTime::from_secs(1), 0, SimTime::from_secs(2)),
+        "(first fired, cancelled after the late drop, second fired)"
+    );
+    assert_eq!(sim.handle().cancelled_timers(), 0);
+}
+
+/// The same with the first sleep cancelled before its deadline: its
+/// dead entry is popped, freeing the slot, and the timer that takes the
+/// slot next fires at its deadline.
+#[test]
+fn a_cancelled_timers_slot_serves_the_next_timer_once_popped() {
+    let mut sim = Simulation::new();
+    let handle = sim.handle();
+    let out = sim.block_on(async move {
+        let at = SimTime::from_secs(2);
+        let mut wake = Box::pin(sleep_until(at));
+        assert!(!poll_once(&mut wake).await);
+        // Registered after `wake` at the same deadline, so its entry pops
+        // after `wake`'s and its slot is the last one freed.
+        let mut first = Box::pin(sleep_until(at));
+        assert!(!poll_once(&mut first).await);
+        drop(first);
+        let before = handle.cancelled_timers();
+        wake.await;
+        let at_deadline = handle.cancelled_timers();
+        sleep(Duration::from_secs(1)).await;
+        (before, at_deadline, now(), handle.cancelled_timers())
+    });
+    assert_eq!(
+        out,
+        (1, 0, SimTime::from_secs(3), 0),
+        "(cancelled before 2 s, cancelled at 2 s, second fired, cancelled after)"
+    );
+}
+
+/// Where [`timer_order_log`]'s golden log lives.
+const TIMER_ORDER_GOLDEN: &str = "tests/golden/timer_order.txt";
+
+/// Appends `(instant, task, event)` to `log` as one line.
+fn log_event(log: &RefCell<String>, task: u64, event: &str) {
+    use std::fmt::Write as _;
+    let at = now().as_nanos();
+    writeln!(log.borrow_mut(), "{at} {task} {event}").expect("writing to a String");
+}
+
+/// Polls `fut` exactly once, arming its timer if it has one.
+async fn poll_once<F: Future + Unpin>(fut: &mut F) -> bool {
+    std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut *fut).poll(cx).is_ready())).await
+}
+
+/// A seeded mix of timers: 64 tasks arm `sleep`, `sleep_until` and
+/// `timeout` at deadlines on a coarse 1 ms grid, so many fall on the
+/// same instant; they drop a random share of armed sleeps before their
+/// deadline (some re-arm the same deadline afterwards) and others after
+/// they fired. Returns every event in wake order.
+fn timer_order_log() -> String {
+    const SEED: u64 = 23;
+    const TASKS: u64 = 64;
+    const ROUNDS: usize = 12;
+    let ms = |n: u64| Duration::from_millis(n);
+
+    let mut sim = Simulation::new();
+    let log: Rc<RefCell<String>> = Rc::default();
+    for task in 0..TASKS {
+        let log = Rc::clone(&log);
+        sim.spawn(async move {
+            let mut rng = stream_rng(SEED, task);
+            for _ in 0..ROUNDS {
+                let d = ms(rng.gen_range(0..6));
+                match rng.gen_range(0..6u32) {
+                    0 => {
+                        sleep(d).await;
+                        log_event(&log, task, "sleep");
+                    }
+                    1 => {
+                        // A deadline on the grid, shared by many tasks.
+                        let grid = now().as_nanos() / 1_000_000;
+                        let at = SimTime::from_nanos((grid + rng.gen_range(0..4)) * 1_000_000);
+                        sleep_until(at).await;
+                        log_event(&log, task, "sleep_until");
+                    }
+                    2 => {
+                        let inner = ms(rng.gen_range(0..6));
+                        let event = match timeout(d, sleep(inner)).await {
+                            Ok(()) => "timeout ok",
+                            Err(_) => "timeout elapsed",
+                        };
+                        log_event(&log, task, event);
+                    }
+                    3 => {
+                        // Arm a sleep, then abandon it before its deadline.
+                        let at = now() + d + ms(1 + rng.gen_range(0..4));
+                        let mut armed = Box::pin(sleep_until(at));
+                        assert!(!poll_once(&mut armed).await);
+                        sleep(d).await;
+                        drop(armed);
+                        log_event(&log, task, "dropped early");
+                        if rng.gen_bool(0.5) {
+                            sleep_until(at).await;
+                            log_event(&log, task, "re-armed");
+                        }
+                    }
+                    4 => {
+                        // Arm a sleep, let it fire unpolled, then drop it.
+                        let mut armed = Box::pin(sleep(ms(1) + d));
+                        assert!(!poll_once(&mut armed).await);
+                        sleep(ms(1 + rng.gen_range(1..6)) + d).await;
+                        drop(armed);
+                        log_event(&log, task, "dropped fired");
+                    }
+                    _ => {
+                        yield_now().await;
+                        log_event(&log, task, "yield");
+                    }
+                }
+            }
+            log_event(&log, task, "done");
+        });
+    }
+    sim.run();
+    assert_eq!(sim.live_tasks(), 0);
+    assert_eq!(sim.handle().cancelled_timers(), 0);
+    Rc::try_unwrap(log)
+        .expect("every task finished")
+        .into_inner()
+}
+
+/// The seeded timer mix wakes its tasks in exactly the order recorded
+/// in the golden log: equal deadlines fire in registration order and a
+/// cancelled timer neither fires nor moves the clock.
+#[test]
+fn seeded_timer_mix_fires_in_the_golden_order() {
+    let log = timer_order_log();
+    let golden = std::fs::read_to_string(TIMER_ORDER_GOLDEN).expect("golden file present");
+    assert_eq!(
+        log, golden,
+        "timer wake order drifted from {TIMER_ORDER_GOLDEN}"
+    );
 }
