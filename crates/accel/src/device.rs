@@ -191,54 +191,6 @@ impl Device {
             other => panic!("expected a GPU, found {}", other.class()),
         }
     }
-
-    /// Borrows the CPU handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device is not a CPU.
-    pub fn as_cpu(&self) -> &CpuDevice {
-        match self {
-            Device::Cpu(d) => d,
-            other => panic!("expected a CPU, found {}", other.class()),
-        }
-    }
-
-    /// Borrows the FPGA handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device is not an FPGA.
-    pub fn as_fpga(&self) -> &FpgaDevice {
-        match self {
-            Device::Fpga(d) => d,
-            other => panic!("expected an FPGA, found {}", other.class()),
-        }
-    }
-
-    /// Borrows the TPU handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device is not a TPU.
-    pub fn as_tpu(&self) -> &TpuDevice {
-        match self {
-            Device::Tpu(d) => d,
-            other => panic!("expected a TPU, found {}", other.class()),
-        }
-    }
-
-    /// Borrows the QPU handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device is not a QPU.
-    pub fn as_qpu(&self) -> &QpuDevice {
-        match self {
-            Device::Qpu(d) => d,
-            other => panic!("expected a QPU, found {}", other.class()),
-        }
-    }
 }
 
 impl From<CpuDevice> for Device {

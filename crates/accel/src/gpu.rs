@@ -312,11 +312,6 @@ impl GpuDevice {
         self.inner.compute.current_load()
     }
 
-    /// Number of kernels currently resident.
-    pub fn active_kernels(&self) -> usize {
-        self.inner.compute.active_jobs()
-    }
-
     /// Utilization-weighted busy seconds (compute + copies).
     pub fn busy_seconds(&self) -> f64 {
         self.inner.compute.busy_seconds() + self.inner.pcie.busy_seconds()

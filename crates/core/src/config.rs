@@ -22,9 +22,7 @@ use kaas_simtime::SpanSink;
 
 use crate::admission::{AdmissionConfig, AdmissionPolicy, AimdConfig};
 use crate::autoscaler::{AutoscalePolicy, InFlightThreshold, NoScale};
-use crate::resilience::{
-    BreakerConfig, EvictionConfig, FallbackConfig, RetryBudgetConfig, RetryConfig,
-};
+use crate::resilience::{BreakerConfig, EvictionConfig, FallbackConfig, RetryConfig};
 use crate::runner::RunnerConfig;
 use crate::scheduler::Scheduler;
 
@@ -89,14 +87,6 @@ impl Default for ShardConfig {
             seed: 0,
             queue_cap: None,
         }
-    }
-}
-
-impl ShardConfig {
-    /// Sets (or clears, with `None`) the per-shard queue-depth bound.
-    pub fn with_queue_cap(mut self, cap: impl Into<Option<usize>>) -> Self {
-        self.queue_cap = cap.into();
-        self
     }
 }
 
@@ -168,10 +158,6 @@ pub struct ServerConfig {
     /// Degraded fallback routing between device classes (default: no
     /// routes; placement failures surface as errors).
     pub fallback: FallbackConfig,
-    /// Retry budget governing the *server's own* retry amplification —
-    /// today the flow executor's step retries. `None` (the default)
-    /// keeps the historic unmetered behaviour.
-    pub retry_budget: Option<RetryBudgetConfig>,
 }
 
 impl Default for ServerConfig {
@@ -190,7 +176,6 @@ impl Default for ServerConfig {
             breaker: None,
             eviction: EvictionConfig::default(),
             fallback: FallbackConfig::none(),
-            retry_budget: None,
         }
     }
 }
@@ -275,13 +260,6 @@ impl ServerConfig {
     /// directly.
     pub fn with_admission_policy(mut self, policy: impl Into<Option<AdmissionPolicy>>) -> Self {
         self.admission.limiter = policy.into();
-        self
-    }
-
-    /// Enables a retry budget for server-side retry loops (the flow
-    /// executor's step retries).
-    pub fn with_retry_budget(mut self, budget: RetryBudgetConfig) -> Self {
-        self.retry_budget = Some(budget);
         self
     }
 

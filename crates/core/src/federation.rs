@@ -67,13 +67,6 @@ impl SiteSpec {
             fabric: LinkProfile::lan_1gbps(),
         }
     }
-
-    /// Overrides the inter-site fabric link used when a federated flow
-    /// ships an intermediate into this site.
-    pub fn with_fabric(mut self, fabric: LinkProfile) -> Self {
-        self.fabric = fabric;
-        self
-    }
 }
 
 /// An opaque reference to one connected site, handed out by

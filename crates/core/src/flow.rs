@@ -33,13 +33,13 @@ use std::time::Duration;
 
 use kaas_kernels::Value;
 use kaas_simtime::channel::{self, Sender};
-use kaas_simtime::{sleep, spawn, SimTime, SpanId};
+use kaas_simtime::{spawn, SimTime, SpanId};
 
 use crate::dataplane::ObjectRef;
 use crate::metrics::InvocationReport;
 use crate::protocol::{DataRef, InvokeError, Request, Target};
 use crate::server::KaasServer;
-use crate::workflow::{StepReport, Workflow, WorkflowReport};
+use crate::workflow::{Edge, EdgeTransfer, StepReport, Workflow, WorkflowReport};
 
 /// Trigger flag: reply with the final output's [`ObjectRef`] instead of
 /// the materialized value (federated segment handoff).
@@ -132,16 +132,217 @@ impl FlowState {
     }
 }
 
-/// A step's staged input, rebuilt into a [`DataRef`] per attempt.
-enum StepInput {
-    /// A device-resident content address (zero-copy chaining).
-    Obj(ObjectRef),
-    /// Inline bytes (the consumer pays deserialization).
-    Val(Value),
+/// What one step task reports back to the run.
+type StepDone = (usize, Result<(Value, InvocationReport), InvokeError>);
+
+/// One executing run of a registered workflow: the state `run_flow`
+/// threads between launching ready steps and draining their results.
+struct FlowRun<'a> {
+    server: &'a KaasServer,
+    wf: &'a Workflow,
+    run_no: u64,
+    tenant: Option<String>,
+    deadline: Option<SimTime>,
+    /// The flow's trace track and root span. Linear chains run strictly
+    /// one step at a time, so their step spans tile on this track;
+    /// concurrent DAG branches get a sub-track each (cross-track
+    /// parenting is exempt from the tiling contract, same as client →
+    /// server).
+    track: String,
+    linear: bool,
+    root: Option<SpanId>,
+    /// The staged trigger input every source step consumes.
+    input: ObjectRef,
+    /// Every object the run pinned: `(hash, created)` — created entries
+    /// the run introduced are garbage-collected on completion (minus
+    /// the final output).
+    tracked: Vec<(u64, bool)>,
+    /// Producers each step still waits on.
+    pending: Vec<usize>,
+    /// Each finished step's sealed output.
+    outputs: Vec<Option<ObjectRef>>,
+    reports: Vec<Option<StepReport>>,
+    failure: Option<InvokeError>,
+    in_flight: usize,
+    done: Sender<StepDone>,
 }
 
-/// What one step task reports back to the executor loop.
-type StepDone = (usize, u32, Result<(Value, InvocationReport), InvokeError>);
+impl FlowRun<'_> {
+    /// Seals and flow-pins `r` for the rest of the run, tracking it for
+    /// release at the end.
+    fn keep(&mut self, (r, created): (ObjectRef, bool)) -> ObjectRef {
+        let inner = self.server.inner();
+        inner.dataplane.seal(r.hash);
+        inner.dataplane.flow_pin(r.hash);
+        self.tracked.push((r.hash, created));
+        let flows = &inner.flows;
+        flows.intermediates.set(flows.intermediates.get() + 1);
+        inner
+            .handles
+            .workflow_intermediates_live
+            .set(flows.intermediates.get() as f64);
+        r
+    }
+
+    /// Records step `step`'s outcome; the first error fails the run.
+    fn report(
+        &mut self,
+        step: usize,
+        chained: bool,
+        outcome: Result<InvocationReport, InvokeError>,
+    ) {
+        let (report, error) = match outcome {
+            Ok(report) => (Some(report), None),
+            Err(e) => {
+                self.failure.get_or_insert_with(|| e.clone());
+                (None, Some(e))
+            }
+        };
+        self.reports[step] = Some(StepReport {
+            step,
+            kernel: self.wf.steps()[step].kernel().to_owned(),
+            chained,
+            error,
+            report,
+        });
+    }
+
+    /// Builds step `i`'s input from its finished producers.
+    fn stage(&mut self, i: usize) -> Result<DataRef, InvokeError> {
+        let dp = &self.server.inner().dataplane;
+        let edges = self.wf.steps()[i].inputs();
+        let output = |e: &Edge| self.outputs[e.from.index()].expect("dependency resolved");
+        match edges {
+            [] => Ok(DataRef::Object(self.input)),
+            [e] if e.transfer == EdgeTransfer::Resident => Ok(DataRef::Object(output(e))),
+            [e] => dp
+                .resolve(&output(e))
+                .map(DataRef::InBand)
+                .ok_or(InvokeError::BadHandle),
+            _ => {
+                // Fan-in: the kernel receives a list of its inputs in
+                // edge order. All-inline joins travel in-band;
+                // otherwise the combined object is staged in the store
+                // and chained by ref like any intermediate.
+                let vals = edges
+                    .iter()
+                    .map(|e| dp.resolve(&output(e)).ok_or(InvokeError::BadHandle))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let combined = Value::List(vals);
+                if edges.iter().all(|e| e.transfer == EdgeTransfer::Inline) {
+                    Ok(DataRef::InBand(combined))
+                } else {
+                    Ok(DataRef::Object(self.keep(dp.store().put_tracked(combined))))
+                }
+            }
+        }
+    }
+
+    /// Launches step `i`, whose producers have all finished, unless the
+    /// run already failed.
+    fn launch_ready(&mut self, i: usize) {
+        if self.failure.is_some() {
+            return;
+        }
+        match self.stage(i) {
+            Ok(data) => self.spawn_step(i, data),
+            Err(e) => self.report(i, false, Err(e)),
+        }
+    }
+
+    /// Spawns step `i` as a simtime task: one request through the
+    /// ordinary dispatch path (admission → shards → placement →
+    /// execute, whose `RetryConfig` retries runner failures) with
+    /// `reply_to_store` set, reporting back on `done`.
+    fn spawn_step(&mut self, i: usize, data: DataRef) {
+        let server = self.server.clone();
+        let tracer = server.inner().config.tracer.clone();
+        let kernel = self.wf.steps()[i].kernel().to_owned();
+        let step_track = if self.linear {
+            self.track.clone()
+        } else {
+            format!("{}.s{i}", self.track)
+        };
+        let (root, done) = (self.root, self.done.clone());
+        let req = Request {
+            // Internal correlation id: the flow-step namespace (high
+            // bit) never collides with client ids.
+            id: 0x8000_0000_0000_0000 | (self.run_no << 16) | i as u64,
+            target: Target::Kernel(kernel.clone()),
+            data,
+            tenant: self.tenant.clone(),
+            deadline: self.deadline,
+            span: None,
+            reply_out_of_band: false,
+            reply_to_store: true,
+        };
+        self.in_flight += 1;
+        spawn(async move {
+            let span = tracer.as_ref().map(|t| {
+                let mut s = t.open(&step_track, "step", root);
+                s.push_arg("kernel", kernel);
+                s.push_arg("step", i.to_string());
+                s
+            });
+            let req = Request {
+                span: span.as_ref().map(|s| s.id()),
+                ..req
+            };
+            let outcome = match server.invoke(req).await {
+                Ok((DataRef::InBand(v), report)) => Ok((v, report)),
+                // `reply_to_store` replies are always in-band.
+                Ok(_) => Err(InvokeError::BadHandle),
+                Err(e) => Err(e),
+            };
+            if let Some(s) = span {
+                s.finish();
+            }
+            let _ = done.send((i, outcome)).await;
+        });
+    }
+
+    /// Takes in step `i`'s result: seals its output, records the
+    /// producer's residency and launches every consumer it unblocks.
+    fn finish_step(&mut self, i: usize, outcome: Result<(Value, InvocationReport), InvokeError>) {
+        self.in_flight -= 1;
+        let (output, report) = match outcome {
+            Ok(done) => done,
+            Err(e) => return self.report(i, false, Err(e)),
+        };
+        // A step with a resident edge received an object ref; it
+        // chained if that ref was a cache hit on its device.
+        let steps = self.wf.steps();
+        let chained = steps[i]
+            .inputs()
+            .iter()
+            .any(|e| e.transfer == EdgeTransfer::Resident)
+            && report.copy_in == Duration::ZERO;
+        let inner = self.server.inner();
+        let dp = &inner.dataplane;
+        let r = self.keep(dp.store().put_tracked(output));
+        // The output was born in the producing device's memory: record
+        // the residency (no upload happens — this is bookkeeping, not a
+        // copy). A full device simply skips the record; consumers
+        // re-upload.
+        if !dp.is_resident(report.device, r.hash) {
+            if let Ok(evicted) = dp.admit(report.device, &r) {
+                inner.handles.dataplane_evictions.add(evicted.len() as u64);
+            }
+        }
+        self.outputs[i] = Some(r);
+        self.report(i, chained, Ok(report));
+        // Edges point strictly backwards, so every consumer comes later.
+        for (j, step) in steps.iter().enumerate().skip(i + 1) {
+            let fed = step.inputs().iter().filter(|e| e.from.index() == i).count();
+            if fed > 0 {
+                self.pending[j] -= fed;
+                if self.pending[j] == 0 {
+                    self.launch_ready(j);
+                }
+            }
+        }
+    }
+}
 
 impl KaasServer {
     /// Executes one run of a registered workflow: walks the DAG,
@@ -166,25 +367,18 @@ impl KaasServer {
         flows.next_run.set(run_no + 1);
         flows.active.set(flows.active.get() + 1);
         m.workflow_active.set(flows.active.get() as f64);
-        let tracer = inner.config.tracer.clone();
         let track = format!("flow{run_no}");
-        let root = tracer.as_ref().map(|t| {
+        let root = inner.config.tracer.as_ref().map(|t| {
             let mut s = t.open(&track, "workflow", parent);
             s.push_arg("flow", flow_id.to_string());
             s.push_arg("name", wf.name());
             s
         });
-        let root_id = root.as_ref().map(|s| s.id());
-        // Linear chains run strictly one step at a time, so their step
-        // spans tile on the flow's own track; concurrent DAG branches
-        // get a sub-track each (cross-track parenting is exempt from
-        // the tiling contract, same as client → server).
-        let linear = wf.is_linear();
-
-        // Every object the flow pinned: `(hash, created)` — created
-        // entries the flow introduced are garbage-collected on
-        // completion (minus the final output).
-        let mut tracked: Vec<(u64, bool)> = Vec::new();
+        let mut report = WorkflowReport {
+            flow: flow_id,
+            name: wf.name().to_owned(),
+            steps: Vec::new(),
+        };
 
         // Stage the trigger input as a sealed store object so source
         // steps consume it exactly like any chained intermediate. A
@@ -192,245 +386,64 @@ impl KaasServer {
         // the input earlier, or a previous segment produced it) is used
         // directly after a resolve check.
         let staged = match ObjectRef::from_value(&input) {
-            Some(r) => {
-                if dp.resolve(&r).is_none() {
-                    flows.active.set(flows.active.get() - 1);
-                    m.workflow_active.set(flows.active.get() as f64);
-                    if let Some(root) = root {
-                        root.finish();
-                    }
-                    return Err((
-                        InvokeError::BadHandle,
-                        WorkflowReport {
-                            flow: flow_id,
-                            name: wf.name().to_owned(),
-                            steps: Vec::new(),
-                        },
-                    ));
+            Some(r) if dp.resolve(&r).is_none() => {
+                flows.active.set(flows.active.get() - 1);
+                m.workflow_active.set(flows.active.get() as f64);
+                if let Some(root) = root {
+                    root.finish();
                 }
-                dp.seal(r.hash);
-                (r, false)
+                return Err((InvokeError::BadHandle, report));
             }
-            None => {
-                let (r, created) = dp.store().put_tracked(input);
-                dp.seal(r.hash);
-                (r, created)
-            }
+            Some(r) => (r, false),
+            None => dp.store().put_tracked(input),
         };
-        let input_ref = staged.0;
-        dp.flow_pin(input_ref.hash);
-        tracked.push((staged.0.hash, staged.1));
-        flows.intermediates.set(flows.intermediates.get() + 1);
-        m.workflow_intermediates_live
-            .set(flows.intermediates.get() as f64);
-
-        let steps = wf.steps();
-        let n = steps.len();
-        let budget = wf.step_attempts();
-        let mut pending: Vec<usize> = steps.iter().map(|s| s.inputs().len()).collect();
-        let mut spawned = vec![false; n];
-        let mut chained_possible = vec![false; n];
-        let mut refs: Vec<Option<ObjectRef>> = vec![None; n];
-        let mut step_reports: Vec<Option<StepReport>> = vec![None; n];
-        let mut failure: Option<InvokeError> = None;
-        let mut in_flight = 0usize;
-        let (done_tx, mut done_rx) = channel::unbounded::<StepDone>();
-
-        // Launches every not-yet-spawned step whose dependencies have
-        // all resolved. Declared as a macro-free inline loop so the
-        // borrow of `tracked` (fan-in staging) stays local.
-        let launch_ready = |pending: &Vec<usize>,
-                            spawned: &mut Vec<bool>,
-                            chained_possible: &mut Vec<bool>,
-                            refs: &Vec<Option<ObjectRef>>,
-                            tracked: &mut Vec<(u64, bool)>,
-                            in_flight: &mut usize,
-                            failure: &mut Option<InvokeError>,
-                            step_reports: &mut Vec<Option<StepReport>>| {
-            for i in 0..n {
-                if spawned[i] || pending[i] > 0 || failure.is_some() {
-                    continue;
-                }
-                spawned[i] = true;
-                let edges = steps[i].inputs();
-                let staged: Result<StepInput, InvokeError> = if edges.is_empty() {
-                    Ok(StepInput::Obj(input_ref))
-                } else if edges.len() == 1 {
-                    let dep = refs[edges[0].from.index()].expect("dependency resolved");
-                    match edges[0].transfer {
-                        crate::workflow::EdgeTransfer::Resident => Ok(StepInput::Obj(dep)),
-                        crate::workflow::EdgeTransfer::Inline => dp
-                            .resolve(&dep)
-                            .map(StepInput::Val)
-                            .ok_or(InvokeError::BadHandle),
-                    }
-                } else {
-                    // Fan-in: the kernel receives a list of its inputs
-                    // in edge order. All-inline joins travel in-band;
-                    // otherwise the combined object is staged in the
-                    // store and chained by ref like any intermediate.
-                    let vals: Result<Vec<Value>, InvokeError> = edges
-                        .iter()
-                        .map(|e| {
-                            let dep = refs[e.from.index()].expect("dependency resolved");
-                            dp.resolve(&dep).ok_or(InvokeError::BadHandle)
-                        })
-                        .collect();
-                    match vals {
-                        Err(e) => Err(e),
-                        Ok(vals) => {
-                            let combined = Value::List(vals);
-                            if edges
-                                .iter()
-                                .all(|e| e.transfer == crate::workflow::EdgeTransfer::Inline)
-                            {
-                                Ok(StepInput::Val(combined))
-                            } else {
-                                let (r, created) = dp.store().put_tracked(combined);
-                                dp.seal(r.hash);
-                                dp.flow_pin(r.hash);
-                                tracked.push((r.hash, created));
-                                flows.intermediates.set(flows.intermediates.get() + 1);
-                                m.workflow_intermediates_live
-                                    .set(flows.intermediates.get() as f64);
-                                Ok(StepInput::Obj(r))
-                            }
-                        }
-                    }
-                };
-                match staged {
-                    Ok(data) => {
-                        chained_possible[i] =
-                            !edges.is_empty() && matches!(data, StepInput::Obj(_));
-                        let step_track = if linear {
-                            track.clone()
-                        } else {
-                            format!("{track}.s{i}")
-                        };
-                        self.spawn_step(
-                            i,
-                            steps[i].kernel().to_owned(),
-                            data,
-                            budget,
-                            tenant.clone(),
-                            deadline,
-                            run_no,
-                            step_track,
-                            root_id,
-                            done_tx.clone(),
-                        );
-                        *in_flight += 1;
-                    }
-                    Err(e) => {
-                        step_reports[i] = Some(StepReport {
-                            step: i,
-                            kernel: steps[i].kernel().to_owned(),
-                            attempts: 0,
-                            chained: false,
-                            error: Some(e.clone()),
-                            report: None,
-                        });
-                        *failure = Some(e);
-                    }
-                }
-            }
+        let n = wf.len();
+        let (done, mut done_rx) = channel::unbounded::<StepDone>();
+        let mut run = FlowRun {
+            server: self,
+            wf,
+            run_no,
+            tenant,
+            deadline,
+            track,
+            linear: wf.is_linear(),
+            root: root.as_ref().map(|s| s.id()),
+            input: staged.0,
+            tracked: Vec::new(),
+            pending: wf.steps().iter().map(|s| s.inputs().len()).collect(),
+            outputs: vec![None; n],
+            reports: vec![None; n],
+            failure: None,
+            in_flight: 0,
+            done,
         };
-
-        launch_ready(
-            &pending,
-            &mut spawned,
-            &mut chained_possible,
-            &refs,
-            &mut tracked,
-            &mut in_flight,
-            &mut failure,
-            &mut step_reports,
-        );
+        run.keep(staged);
+        for i in 0..n {
+            if run.pending[i] == 0 {
+                run.launch_ready(i);
+            }
+        }
 
         // Drain until every launched step reported back. On failure we
         // stop launching but still drain the in-flight steps, so no
         // claim, permit, or pin outlives the run.
-        while in_flight > 0 {
-            let Some((i, attempts, outcome)) = done_rx.recv().await else {
+        while run.in_flight > 0 {
+            let Some((i, outcome)) = done_rx.recv().await else {
                 break;
             };
-            in_flight -= 1;
-            match outcome {
-                Ok((output, report)) => {
-                    let chained = chained_possible[i] && report.copy_in == Duration::ZERO;
-                    let (r, created) = dp.store().put_tracked(output);
-                    dp.seal(r.hash);
-                    dp.flow_pin(r.hash);
-                    tracked.push((r.hash, created));
-                    flows.intermediates.set(flows.intermediates.get() + 1);
-                    m.workflow_intermediates_live
-                        .set(flows.intermediates.get() as f64);
-                    // The output was born in the producing device's
-                    // memory: record the residency (no upload happens —
-                    // this is bookkeeping, not a copy). A full device
-                    // simply skips the record; consumers re-upload.
-                    if !dp.is_resident(report.device, r.hash) {
-                        if let Ok(evicted) = dp.admit(report.device, &r) {
-                            m.dataplane_evictions.add(evicted.len() as u64);
-                        }
-                    }
-                    refs[i] = Some(r);
-                    step_reports[i] = Some(StepReport {
-                        step: i,
-                        kernel: steps[i].kernel().to_owned(),
-                        attempts,
-                        chained,
-                        error: None,
-                        report: Some(report),
-                    });
-                    for (j, step) in steps.iter().enumerate() {
-                        for edge in step.inputs() {
-                            if edge.from.index() == i {
-                                pending[j] -= 1;
-                            }
-                        }
-                        let _ = step;
-                        let _ = j;
-                    }
-                    launch_ready(
-                        &pending,
-                        &mut spawned,
-                        &mut chained_possible,
-                        &refs,
-                        &mut tracked,
-                        &mut in_flight,
-                        &mut failure,
-                        &mut step_reports,
-                    );
-                }
-                Err(e) => {
-                    step_reports[i] = Some(StepReport {
-                        step: i,
-                        kernel: steps[i].kernel().to_owned(),
-                        attempts,
-                        chained: false,
-                        error: Some(e.clone()),
-                        report: None,
-                    });
-                    if failure.is_none() {
-                        failure = Some(e);
-                    }
-                }
-            }
+            run.finish_step(i, outcome);
         }
-        drop(done_tx);
 
-        let sink = wf.sink();
-        let result = match &failure {
-            None => Ok(refs[sink].expect("sink completed on the success path")),
-            Some(e) => Err(e.clone()),
+        let result = match run.failure {
+            None => Ok(run.outputs[wf.sink()].expect("sink completed on the success path")),
+            Some(e) => Err(e),
         };
         let final_hash = result.as_ref().ok().map(|r| r.hash);
 
         // GC: release every flow pin; drop the intermediates this run
         // created (dedup'd content and the final output stay — the
         // former is shared, the latter is the client's result).
-        for (hash, created) in tracked.drain(..) {
+        for (hash, created) in run.tracked {
             let left = dp.flow_unpin(hash);
             flows.intermediates.set(flows.intermediates.get() - 1);
             if created && left == 0 && Some(hash) != final_hash {
@@ -445,113 +458,10 @@ impl KaasServer {
             root.finish();
         }
 
-        let report = WorkflowReport {
-            flow: flow_id,
-            name: wf.name().to_owned(),
-            steps: step_reports.into_iter().flatten().collect(),
-        };
+        report.steps = run.reports.into_iter().flatten().collect();
         match result {
             Ok(r) => Ok((r, report)),
             Err(e) => Err((e, report)),
         }
-    }
-
-    /// Spawns one step as a simtime task: builds the request, walks the
-    /// ordinary dispatch path (admission → shards → placement →
-    /// execute) with `reply_to_store` set, retries transient failures
-    /// up to the flow's per-step budget, and reports back on `done`.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_step(
-        &self,
-        idx: usize,
-        kernel: String,
-        input: StepInput,
-        budget: u32,
-        tenant: Option<String>,
-        deadline: Option<SimTime>,
-        run_no: u64,
-        step_track: String,
-        root_span: Option<SpanId>,
-        done: Sender<StepDone>,
-    ) {
-        let server = self.clone();
-        let tracer = self.inner().config.tracer.clone();
-        spawn(async move {
-            let span = tracer.as_ref().map(|t| {
-                let mut s = t.open(&step_track, "step", root_span);
-                s.push_arg("kernel", &kernel);
-                s.push_arg("step", idx.to_string());
-                s
-            });
-            let span_id = span.as_ref().map(|s| s.id());
-            // Each step launch is one fresh request accruing retry
-            // tokens; the retries below spend them.
-            if let Some(b) = &server.inner().retry_budget {
-                b.note_fresh();
-            }
-            let mut attempts = 0u32;
-            let outcome = loop {
-                attempts += 1;
-                let data = match &input {
-                    StepInput::Obj(r) => DataRef::Object(*r),
-                    StepInput::Val(v) => DataRef::InBand(v.clone()),
-                };
-                let req = Request {
-                    // Internal correlation id: the flow-step namespace
-                    // (high bit) never collides with client ids.
-                    id: 0x8000_0000_0000_0000 | (run_no << 16) | idx as u64,
-                    target: Target::Kernel(kernel.clone()),
-                    data,
-                    tenant: tenant.clone(),
-                    deadline,
-                    span: span_id,
-                    reply_out_of_band: false,
-                    reply_to_store: true,
-                };
-                match server.invoke(req).await {
-                    Ok((DataRef::InBand(v), report)) => break Ok((v, report)),
-                    // `reply_to_store` replies are always in-band.
-                    Ok(_) => break Err(InvokeError::BadHandle),
-                    Err(e) => {
-                        let transient = matches!(
-                            e,
-                            InvokeError::RunnerFailed(_)
-                                | InvokeError::Overloaded { .. }
-                                | InvokeError::CircuitOpen(_)
-                        );
-                        if transient && attempts < budget {
-                            // Step retries are server-generated load:
-                            // under overload they amplify the very
-                            // congestion that failed them. The shared
-                            // retry budget caps that amplification.
-                            if let Some(b) = &server.inner().retry_budget {
-                                if !b.try_spend() {
-                                    server.inner().handles.retries_budget_exhausted.inc();
-                                    break Err(e);
-                                }
-                            }
-                            // Deterministic linear backoff between
-                            // flow-level attempts — raised to the
-                            // server's own drain estimate when the
-                            // failure carried one.
-                            let mut wait = Duration::from_millis(attempts as u64);
-                            if let InvokeError::Overloaded {
-                                retry_after: Some(hint),
-                            } = &e
-                            {
-                                wait = wait.max(*hint);
-                            }
-                            sleep(wait).await;
-                            continue;
-                        }
-                        break Err(e);
-                    }
-                }
-            };
-            if let Some(s) = span {
-                s.finish();
-            }
-            let _ = done.send((idx, attempts, outcome)).await;
-        });
     }
 }

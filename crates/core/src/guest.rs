@@ -25,7 +25,6 @@ use kaas_kernels::Value;
 
 use crate::metrics::handles::ServerMetrics;
 use crate::protocol::InvokeError;
-use crate::server::KaasServer;
 
 const CODE_REGISTER_TAG: &str = "kaas.code.register";
 
@@ -232,19 +231,6 @@ impl GuestState {
         m.guest_bytes.add(cur.bytes - prev.bytes);
         let tenant = base.split('/').next().unwrap_or(base);
         m.tenant_fuel(tenant).add(cur.fuel - prev.fuel);
-    }
-}
-
-impl KaasServer {
-    /// The verifier's worst-case fuel bound for a registered guest
-    /// kernel (`tenant/name` or `tenant/name@vN`) — the predicted
-    /// per-invocation cost admission and placement can consult before
-    /// running anything.
-    pub fn guest_fuel_bound(&self, name: &str) -> Option<u64> {
-        self.inner()
-            .guests
-            .resolve(name)
-            .and_then(|k| k.predicted_fuel())
     }
 }
 

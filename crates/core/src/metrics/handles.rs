@@ -96,7 +96,6 @@ pub(crate) struct ServerMetrics {
     pub(crate) degraded_served: Counter,
     errors: Counter,
     pub(crate) retries_attempted: Counter,
-    pub(crate) retries_budget_exhausted: Counter,
     pub(crate) evictions: Counter,
     faults_injected: Counter,
     pub(crate) in_flight: Gauge,
@@ -166,7 +165,6 @@ impl ServerMetrics {
             degraded_served: reg.counter_handle("degraded.served"),
             errors: reg.counter_handle("errors"),
             retries_attempted: reg.counter_handle("retries.attempted"),
-            retries_budget_exhausted: reg.counter_handle("retries.budget_exhausted"),
             evictions: reg.counter_handle("evictions"),
             faults_injected: reg.counter_handle("faults.injected"),
             in_flight: reg.gauge_handle("in_flight"),

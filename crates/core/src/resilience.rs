@@ -266,7 +266,7 @@ impl RetryBudgetConfig {
 /// (`burst` tokens) and is capped there.
 ///
 /// Shared via [`Rc`] so one budget can govern every retry loop of a
-/// client — or a server's flow executor — at once.
+/// client (or of several clients) at once.
 #[derive(Debug)]
 pub struct RetryBudget {
     config: RetryBudgetConfig,

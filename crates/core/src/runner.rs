@@ -133,11 +133,6 @@ impl TaskRunner {
         self.chip
     }
 
-    /// Invocations served (or in flight) so far.
-    pub fn invocation_count(&self) -> u64 {
-        self.invocations.get()
-    }
-
     /// Simulates a runner crash: subsequent invocations fail.
     pub fn kill(&self) {
         self.alive.set(false);

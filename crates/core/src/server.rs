@@ -30,7 +30,7 @@ use crate::metrics::registry::MetricsRegistry;
 use crate::pool::RunnerPool;
 use crate::protocol::{InvokeError, RequestFrame, ResponseFrame};
 use crate::registry::KernelRegistry;
-use crate::resilience::{BreakerBank, BreakerState, RetryBudget};
+use crate::resilience::{BreakerBank, BreakerState};
 
 pub(crate) struct ServerInner {
     pub(crate) registry: KernelRegistry,
@@ -58,9 +58,6 @@ pub(crate) struct ServerInner {
     /// Tenant-registered guest kernels (versioned bytecode programs
     /// behind the `Code*` control ops) with usage accounting.
     pub(crate) guests: GuestState,
-    /// Token bucket metering the server's own retry loops (the flow
-    /// executor's step retries); `None` keeps them unmetered.
-    pub(crate) retry_budget: Option<Rc<RetryBudget>>,
 }
 
 /// The KaaS server (Fig. 3: registration target and invocation router).
@@ -150,7 +147,6 @@ impl KaasServer {
                 .unwrap_or_else(BreakerBank::disabled),
             flows: FlowState::new(),
             guests: GuestState::new(),
-            retry_budget: config.retry_budget.map(|c| Rc::new(RetryBudget::new(c))),
             config,
         });
         // Under the sanitizer, re-check this server's cross-module

@@ -183,7 +183,6 @@ impl std::error::Error for WorkflowError {}
 pub struct WorkflowBuilder {
     name: String,
     steps: Vec<WorkflowStep>,
-    step_attempts: u32,
 }
 
 impl WorkflowBuilder {
@@ -218,15 +217,6 @@ impl WorkflowBuilder {
         self.push(kernel, inputs.into_iter().collect())
     }
 
-    /// How many times the server retries each step **inside** the flow
-    /// on transient failures (runner death, overload, open breaker)
-    /// before aborting the whole flow. Default 1: no flow-level retry
-    /// beyond the dispatcher's own.
-    pub fn step_attempts(&mut self, attempts: u32) -> &mut Self {
-        self.step_attempts = attempts.max(1);
-        self
-    }
-
     /// Validates the DAG and produces the immutable [`Workflow`].
     ///
     /// # Errors
@@ -237,7 +227,6 @@ impl WorkflowBuilder {
         let wf = Workflow {
             name: self.name,
             steps: self.steps,
-            step_attempts: self.step_attempts,
         };
         wf.validate()?;
         Ok(wf)
@@ -251,7 +240,6 @@ impl WorkflowBuilder {
 pub struct Workflow {
     name: String,
     steps: Vec<WorkflowStep>,
-    step_attempts: u32,
 }
 
 impl Workflow {
@@ -260,7 +248,6 @@ impl Workflow {
         WorkflowBuilder {
             name: name.into(),
             steps: Vec::new(),
-            step_attempts: 1,
         }
     }
 
@@ -335,12 +322,6 @@ impl Workflow {
         self.steps.is_empty()
     }
 
-    /// Per-step flow-level retry budget (see
-    /// [`WorkflowBuilder::step_attempts`]).
-    pub fn step_attempts(&self) -> u32 {
-        self.step_attempts
-    }
-
     /// Whether the DAG is a simple chain: one source, and every later
     /// step consumes exactly the step before it.
     #[must_use]
@@ -398,7 +379,9 @@ impl Workflow {
         Value::List(vec![
             Value::Text(FLOW_TAG.to_owned()),
             Value::Text(self.name.clone()),
-            Value::U64(self.step_attempts as u64),
+            // A retired per-step attempts field, kept so registration
+            // frames keep their size; decoding ignores it.
+            Value::U64(1),
             Value::List(steps),
         ])
     }
@@ -410,11 +393,11 @@ impl Workflow {
             Value::List(items) => items,
             _ => return None,
         };
-        let (name, attempts, steps) = match items.as_slice() {
-            [Value::Text(tag), Value::Text(name), Value::U64(attempts), Value::List(steps)]
+        let (name, steps) = match items.as_slice() {
+            [Value::Text(tag), Value::Text(name), Value::U64(_), Value::List(steps)]
                 if tag == FLOW_TAG =>
             {
-                (name, attempts, steps)
+                (name, steps)
             }
             _ => return None,
         };
@@ -448,7 +431,6 @@ impl Workflow {
         let wf = Workflow {
             name: name.clone(),
             steps: parsed,
-            step_attempts: (*attempts).max(1) as u32,
         };
         wf.validate().ok()?;
         Some(wf)
@@ -512,8 +494,6 @@ pub struct StepReport {
     pub step: usize,
     /// Kernel name.
     pub kernel: String,
-    /// Flow-level attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
     /// Whether the step consumed a device-resident intermediate with a
     /// cache hit — its `copy_in` was zero because the producer's output
     /// never left the device.
@@ -701,11 +681,13 @@ mod tests {
         let l = b.then("ga", src);
         let r = b.then("ga", src.inline());
         b.join("blend", [l.into(), r.into()]);
-        b.step_attempts(3);
         let wf = b.build().unwrap();
-        let decoded = Workflow::from_value(&wf.to_value()).unwrap();
+        let encoded = wf.to_value();
+        // The registration frame's size, and so its virtual transfer
+        // time, is pinned.
+        assert_eq!(encoded.wire_bytes(), 486);
+        let decoded = Workflow::from_value(&encoded).unwrap();
         assert_eq!(decoded, wf);
-        assert_eq!(decoded.step_attempts(), 3);
         assert!(Workflow::from_value(&Value::U64(1)).is_none());
     }
 

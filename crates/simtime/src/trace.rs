@@ -1,132 +1,19 @@
-//! Deterministic tracing for simulations: instant events and spans.
+//! Deterministic tracing for simulations: spans.
 //!
-//! Two sinks live here:
-//!
-//! * [`Tracer`] — a lightweight, append-only log of labeled *instant*
-//!   events. Actors record at the current virtual instant; tests and
-//!   tools read the ordered log back (or render it as CSV) to inspect
-//!   causality without a debugger.
-//! * [`SpanSink`] — a log of *spans* (named intervals with parent/child
-//!   structure) that follows work across actors: one kernel invocation
-//!   becomes a tree of spans from client serialization through queueing,
-//!   cold start, device copies, and the reply. Spans export to the
-//!   chrome://tracing JSON format via [`SpanSink::to_chrome_json`], and
-//!   the export is **byte-identical** across identical runs — span ids,
-//!   track ids, and timestamps are all derived from deterministic
-//!   simulation state.
+//! [`SpanSink`] is a log of *spans* (named intervals with parent/child
+//! structure) that follows work across actors: one kernel invocation
+//! becomes a tree of spans from client serialization through queueing,
+//! cold start, device copies, and the reply. Spans export to the
+//! chrome://tracing JSON format via [`SpanSink::to_chrome_json`], and
+//! the export is **byte-identical** across identical runs — span ids,
+//! track ids, and timestamps are all derived from deterministic
+//! simulation state.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::time::SimTime;
-
-/// One recorded event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Virtual time of the event.
-    pub at: SimTime,
-    /// Emitting actor (free-form, e.g. "server", "runner3").
-    pub actor: String,
-    /// What happened.
-    pub label: String,
-}
-
-/// A shared, append-only event log.
-///
-/// # Examples
-///
-/// ```
-/// use kaas_simtime::{Simulation, sleep, trace::Tracer};
-/// use std::time::Duration;
-///
-/// let tracer = Tracer::new();
-/// let t2 = tracer.clone();
-/// let mut sim = Simulation::new();
-/// sim.block_on(async move {
-///     t2.record("client", "request sent");
-///     sleep(Duration::from_millis(3)).await;
-///     t2.record("client", "response received");
-/// });
-/// let log = tracer.events();
-/// assert_eq!(log.len(), 2);
-/// assert!(log[0].at < log[1].at);
-/// ```
-#[derive(Clone, Default)]
-pub struct Tracer {
-    events: Rc<RefCell<Vec<TraceEvent>>>,
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("events", &self.events.borrow().len())
-            .finish()
-    }
-}
-
-impl Tracer {
-    /// Creates an empty tracer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an event at the current virtual time (or
-    /// [`SimTime::ZERO`] outside a running simulation).
-    pub fn record(&self, actor: impl Into<String>, label: impl Into<String>) {
-        let at = crate::try_now().unwrap_or(SimTime::ZERO);
-        self.events.borrow_mut().push(TraceEvent {
-            at,
-            actor: actor.into(),
-            label: label.into(),
-        });
-    }
-
-    /// Snapshot of all events, in record order (which is also time
-    /// order, since the clock is monotone).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.borrow().clone()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.borrow().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events emitted by one actor.
-    pub fn by_actor(&self, actor: &str) -> Vec<TraceEvent> {
-        self.events
-            .borrow()
-            .iter()
-            .filter(|e| e.actor == actor)
-            .cloned()
-            .collect()
-    }
-
-    /// Renders the log as `time_s,actor,label` CSV lines.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        for e in self.events.borrow().iter() {
-            out.push_str(&format!(
-                "{:.9},{},{}\n",
-                e.at.as_secs_f64(),
-                e.actor,
-                e.label
-            ));
-        }
-        out
-    }
-
-    /// Clears the log.
-    pub fn clear(&self) {
-        self.events.borrow_mut().clear();
-    }
-}
 
 /// Identity of one span within a [`SpanSink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -472,66 +359,8 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sleep, spawn, Simulation};
+    use crate::{sleep, Simulation};
     use std::time::Duration;
-
-    #[test]
-    fn events_carry_virtual_timestamps() {
-        let tracer = Tracer::new();
-        let t = tracer.clone();
-        let mut sim = Simulation::new();
-        sim.block_on(async move {
-            t.record("a", "start");
-            sleep(Duration::from_secs(2)).await;
-            t.record("a", "end");
-        });
-        let log = tracer.events();
-        assert_eq!(log[0].at, SimTime::ZERO);
-        assert_eq!(log[1].at, SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn log_is_time_ordered_across_actors() {
-        let tracer = Tracer::new();
-        let mut sim = Simulation::new();
-        for i in 0..5u64 {
-            let t = tracer.clone();
-            sim.spawn(async move {
-                sleep(Duration::from_millis(i * 7)).await;
-                t.record(format!("actor{i}"), "tick");
-            });
-        }
-        sim.run();
-        let log = tracer.events();
-        assert_eq!(log.len(), 5);
-        assert!(log.windows(2).all(|w| w[0].at <= w[1].at));
-    }
-
-    #[test]
-    fn by_actor_filters() {
-        let tracer = Tracer::new();
-        let mut sim = Simulation::new();
-        let (ta, tb) = (tracer.clone(), tracer.clone());
-        sim.block_on(async move {
-            let h = spawn(async move { tb.record("b", "x") });
-            ta.record("a", "y");
-            ta.record("a", "z");
-            h.await;
-        });
-        assert_eq!(tracer.by_actor("a").len(), 2);
-        assert_eq!(tracer.by_actor("b").len(), 1);
-        assert!(tracer.by_actor("c").is_empty());
-    }
-
-    #[test]
-    fn csv_and_clear() {
-        let tracer = Tracer::new();
-        tracer.record("outside", "no sim context");
-        let csv = tracer.to_csv();
-        assert!(csv.contains("0.000000000,outside,no sim context"));
-        tracer.clear();
-        assert!(tracer.is_empty());
-    }
 
     #[test]
     fn span_ids_are_sequential_and_parents_link() {
