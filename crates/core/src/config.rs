@@ -1,17 +1,18 @@
-//! Server configuration: tuning knobs plus the pluggable control-plane
-//! policies ([`Scheduler`], [`AutoscalePolicy`]).
+//! Server configuration: tuning knobs plus the pluggable placement
+//! policy ([`Scheduler`]).
 //!
-//! `ServerConfig` stays [`Default`]-constructible and clonable; policy
-//! fields hold trait objects, set from the built-in policy structs
-//! ([`WarmFirst`](crate::WarmFirst), [`NoScale`](crate::NoScale), …) or
-//! from custom implementations:
+//! `ServerConfig` stays [`Default`]-constructible and clonable; the
+//! scheduler field holds a trait object, set from a built-in policy
+//! struct ([`WarmFirst`](crate::WarmFirst), …) or a custom
+//! implementation. Scale-out is one switch, the paper's §5.5 rule
+//! ([`ServerConfig::autoscale`]):
 //!
 //! ```
-//! use kaas_core::{ServerConfig, TargetUtilization, WarmFirst};
+//! use kaas_core::{ServerConfig, WarmFirst};
 //!
 //! let config = ServerConfig::default()
 //!     .with_scheduler(WarmFirst)
-//!     .with_autoscaler(TargetUtilization { target: 0.8 })
+//!     .with_autoscale(false)
 //!     .with_tenant_quota(4);
 //! ```
 
@@ -21,7 +22,6 @@ use kaas_net::SerializationProfile;
 use kaas_simtime::SpanSink;
 
 use crate::admission::{AdmissionConfig, AdmissionPolicy, AimdConfig};
-use crate::autoscaler::{AutoscalePolicy, InFlightThreshold, NoScale};
 use crate::resilience::{BreakerConfig, EvictionConfig, FallbackConfig, RetryConfig};
 use crate::runner::RunnerConfig;
 use crate::scheduler::Scheduler;
@@ -48,8 +48,9 @@ impl Default for DispatchMode {
 
 /// The dispatch engine's shard layout and tuning.
 ///
-/// The front door only classifies + enqueues; per-shard worker tasks
-/// own placement, the cache step, retry, and the runner handoff. Shard
+/// The front door only classifies + enqueues, dealing requests to the
+/// shards round-robin in arrival order; per-shard worker tasks own
+/// placement, the cache step, retry, and the runner handoff. Shard
 /// workers are ordinary simtime tasks, so same-seed replay stays
 /// byte-identical. One shard behind a zero-cost front door is the
 /// historical single-lock router, saturating near
@@ -60,16 +61,10 @@ pub struct ShardConfig {
     /// device, keeping shard queues device-local so residency-aware
     /// placement stays cheap.
     pub shards: usize,
-    /// How requests map onto shards.
-    pub policy: ShardPolicy,
     /// Cost of the front-door classify + enqueue step. This is the only
     /// serialized per-invocation work left; the default 2 µs moves the
     /// saturation ceiling from `1/35 µs ≈ 28.6 k/s` to `500 k/s`.
     pub front_door_overhead: Duration,
-    /// Seed for shard-choice tie-breaks ([`ShardPolicy::LeastLoaded`])
-    /// and hash mixing ([`ShardPolicy::KernelAffinity`]); part of the
-    /// deterministic-replay contract.
-    pub seed: u64,
     /// Bound on each shard queue's depth. A full queue sheds new work
     /// at enqueue with [`InvokeError::Overloaded`][crate::InvokeError]
     /// (carrying a drain-time `retry_after` hint), and expired work is
@@ -82,38 +77,8 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 0,
-            policy: ShardPolicy::RoundRobin,
             front_door_overhead: Duration::from_micros(2),
-            seed: 0,
             queue_cap: None,
-        }
-    }
-}
-
-/// Shard-selection policy of a [`ShardConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Rotate through shards in request order (the default: perfectly
-    /// balanced under uniform load, and single-kernel workloads still
-    /// spread across all shards).
-    #[default]
-    RoundRobin,
-    /// Route by FNV-1a hash of the kernel name (mixed with the seed):
-    /// one kernel's requests always land on one shard, which keeps its
-    /// placement decisions and device-cache state on a single queue.
-    KernelAffinity,
-    /// Route to the shallowest queue; ties broken by the seeded RNG.
-    LeastLoaded,
-}
-
-impl ShardPolicy {
-    /// Short stable name (`round-robin` / `kernel-affinity` /
-    /// `least-loaded`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardPolicy::RoundRobin => "round-robin",
-            ShardPolicy::KernelAffinity => "kernel-affinity",
-            ShardPolicy::LeastLoaded => "least-loaded",
         }
     }
 }
@@ -132,9 +97,12 @@ pub struct ServerConfig {
     pub runner: RunnerConfig,
     /// Placement policy (default: [`FillFirst`](crate::FillFirst)).
     pub scheduler: Box<dyn Scheduler>,
-    /// Scale-out policy (default: [`InFlightThreshold`], the paper's
-    /// §5.5 behaviour; use [`NoScale`] for prewarmed-only capacity).
-    pub autoscaler: Box<dyn AutoscalePolicy>,
+    /// Scale-out (default: `true`, the paper's §5.5 rule): when the
+    /// scheduler declines because the kernel's in-flight requests fill
+    /// every runner to its cap, start one more runner on a free device.
+    /// `false` serves from prewarmed runners only (plus the bootstrap
+    /// runner a cold deployment starts for its first request).
+    pub autoscale: bool,
     /// Reap runners that stay idle for this long (§6: energy-aware
     /// scale-*down*; the next invocation after a reap cold-starts).
     /// `None` keeps runners warm forever.
@@ -167,7 +135,7 @@ impl Default for ServerConfig {
             dispatch: ShardConfig::default(),
             runner: RunnerConfig::default(),
             scheduler: Box::new(crate::scheduler::FillFirst),
-            autoscaler: Box::new(InFlightThreshold),
+            autoscale: true,
             idle_timeout: None,
             admission: AdmissionConfig::default(),
             serialization: SerializationProfile::python_pickle(),
@@ -209,21 +177,10 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the scale-out policy.
-    pub fn with_autoscaler(mut self, autoscaler: impl Into<Box<dyn AutoscalePolicy>>) -> Self {
-        self.autoscaler = autoscaler.into();
+    /// Turns scale-out on or off ([`autoscale`](Self::autoscale)).
+    pub fn with_autoscale(mut self, autoscale: bool) -> Self {
+        self.autoscale = autoscale;
         self
-    }
-
-    /// Boolean shorthand for the classic configurations: `true` is the
-    /// paper's [`InFlightThreshold`] policy, `false` is [`NoScale`]
-    /// (prewarmed capacity only).
-    pub fn with_autoscale(self, autoscale: bool) -> Self {
-        if autoscale {
-            self.with_autoscaler(InFlightThreshold)
-        } else {
-            self.with_autoscaler(NoScale)
-        }
     }
 
     /// Sets (or clears, with `None`) the idle-runner reap timeout.
@@ -314,11 +271,9 @@ mod tests {
         // round-robin, 2 µs front door.
         let s = &c.dispatch;
         assert_eq!(s.shards, 0, "0 = one shard per device");
-        assert_eq!(s.policy, ShardPolicy::RoundRobin);
         assert_eq!(s.front_door_overhead, Duration::from_micros(2));
-        assert_eq!(s.seed, 0);
         assert_eq!(c.scheduler.name(), "fill-first");
-        assert_eq!(c.autoscaler.name(), "in-flight-threshold");
+        assert!(c.autoscale);
         assert_eq!(c.admission, AdmissionConfig::default());
         assert!(c.idle_timeout.is_none());
         // Resilience defaults reproduce the pre-resilience behaviour.
@@ -337,7 +292,7 @@ mod tests {
             .with_max_in_flight(64)
             .with_idle_timeout(Duration::from_secs(60));
         assert_eq!(c.scheduler.name(), "round-robin");
-        assert_eq!(c.autoscaler.name(), "no-scale");
+        assert!(!c.autoscale);
         assert_eq!(c.admission.tenant_quota, Some(3));
         assert_eq!(
             c.admission.limiter,

@@ -149,14 +149,7 @@ impl KaasServer {
             }
         };
         let report = self.control_report(op);
-        let data = if oob {
-            let bytes = output.wire_bytes();
-            DataRef::OutOfBand(inner.shm.put(output, bytes).await)
-        } else {
-            sleep(inner.config.serialization.time(output.wire_bytes())).await;
-            DataRef::InBand(output)
-        };
-        Ok((data, report))
+        Ok((self.reply_data(output, oob).await, report))
     }
 
     /// The synthetic report attached to control responses: no runner or

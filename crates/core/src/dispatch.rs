@@ -1,5 +1,5 @@
 //! The per-invocation data path: admission → dispatch (front door +
-//! shard queues) → placement (scheduler + autoscaler) → execution with
+//! shard queues) → placement (scheduler, then scale-out) → execution with
 //! retry.
 //!
 //! Split from [`server`](crate::server) so the orchestration skeleton
@@ -14,11 +14,11 @@
 //! serializes the full
 //! [`dispatch_overhead`](crate::ServerConfig::dispatch_overhead) for
 //! its own queue but overlaps it with every other shard, so aggregate
-//! dispatch throughput scales with the shard count. Workers are
-//! ordinary simtime tasks and every tie-break is seeded, so same-seed
-//! replay stays byte-identical. One shard behind a zero-cost front door
-//! is the historical single-lock router (the `cluster` bench reproduces
-//! the paper's router-contention knee with that layout).
+//! dispatch throughput scales with the shard count. Requests are dealt
+//! to shards round-robin and workers are ordinary simtime tasks, so
+//! same-seed replay stays byte-identical. One shard behind a zero-cost
+//! front door is the historical single-lock router (the `cluster` bench
+//! reproduces the paper's router-contention knee with that layout).
 //!
 //! When a tracer is configured ([`ServerConfig::with_tracer`]
 //! (crate::ServerConfig::with_tracer)) the hot path records a span per
@@ -30,7 +30,7 @@
 //! (crate::MetricsRegistry): counters (`invocations`, `cold_starts`,
 //! `errors.*`), latency histograms, and level gauges.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
@@ -38,16 +38,14 @@ use std::time::Duration;
 use kaas_accel::{DeviceClass, DeviceId};
 use kaas_kernels::{Kernel, Value};
 use kaas_simtime::channel::{self, OneshotReceiver, OneshotSender, Receiver};
-use kaas_simtime::rng::DetRng;
 use kaas_simtime::sync::Semaphore;
 use kaas_simtime::{now, sleep, spawn, SimTime, SpanId};
 
 use crate::admission::AdmissionPermit;
-use crate::autoscaler::{ScaleCtx, ScaleDecision};
-use crate::config::{ServerConfig, ShardConfig, ShardPolicy};
+use crate::config::{ServerConfig, ShardConfig};
 use crate::dataplane::ObjectRef;
 use crate::metrics::{InvocationReport, RunnerId};
-use crate::pool::{InFlightGuard, RunnerPool, RunnerSlot};
+use crate::pool::{InFlightGuard, RunnerSlot};
 use crate::protocol::{DataRef, InvokeError, Request, Response, Target};
 use crate::resilience::BreakerState;
 use crate::runner::RunnerTimings;
@@ -103,10 +101,8 @@ pub(crate) struct DispatchState {
     /// Jobs currently queued across all shards; the sanitizer checks it
     /// equals the sum of per-shard depths every step.
     queued: Rc<Cell<usize>>,
-    /// Round-robin cursor ([`ShardPolicy::RoundRobin`]).
+    /// Round-robin cursor: the shard the next request goes to.
     rr: Cell<usize>,
-    /// Seeded tie-break stream ([`ShardPolicy::LeastLoaded`]).
-    rng: RefCell<DetRng>,
     /// Total requests shed or ejected across all shards.
     ejected_total: Rc<Cell<u64>>,
 }
@@ -135,10 +131,12 @@ impl DispatchState {
                 spawn(shard_worker(
                     shard,
                     rx,
-                    Rc::clone(&depth),
-                    Rc::clone(&queued),
-                    Rc::clone(&ejected),
-                    Rc::clone(&ejected_total),
+                    ShardCounters {
+                        depth: Rc::clone(&depth),
+                        queued: Rc::clone(&queued),
+                        ejected: Rc::clone(&ejected),
+                        ejected_total: Rc::clone(&ejected_total),
+                    },
                     config.dispatch_overhead,
                     sc.queue_cap.is_some(),
                 ));
@@ -151,7 +149,6 @@ impl DispatchState {
             shards,
             queued,
             rr: Cell::new(0),
-            rng: RefCell::new(DetRng::seed_from_u64(sc.seed)),
             ejected_total,
         }
     }
@@ -181,67 +178,41 @@ impl DispatchState {
         self.shards.len()
     }
 
-    /// Chooses the shard for a request. Every source of choice is
-    /// deterministic: the round-robin cursor, an FNV-1a hash, or the
-    /// seeded tie-break stream — cross-shard ordering replays exactly.
-    fn pick_shard(&self, kernel: &str) -> usize {
-        let n = self.shards.len();
-        match self.config.policy {
-            ShardPolicy::RoundRobin => {
-                let i = self.rr.get();
-                self.rr.set((i + 1) % n);
-                i
-            }
-            ShardPolicy::KernelAffinity => {
-                // FNV-1a over the kernel name, seed-mixed into the
-                // offset basis so deployments can re-map kernels to
-                // shards without renaming them.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.config.seed;
-                for b in kernel.bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                (h % n as u64) as usize
-            }
-            ShardPolicy::LeastLoaded => {
-                let min = self
-                    .shards
-                    .iter()
-                    .map(|s| s.depth.get())
-                    .min()
-                    .expect("at least one shard");
-                let tied: Vec<usize> = self
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.depth.get() == min)
-                    .map(|(i, _)| i)
-                    .collect();
-                if tied.len() == 1 {
-                    tied[0]
-                } else {
-                    tied[self.rng.borrow_mut().gen_range(0..tied.len())]
-                }
-            }
-        }
+    /// Chooses the shard for a request: the next one round-robin, so
+    /// cross-shard ordering replays exactly.
+    fn pick_shard(&self) -> usize {
+        let i = self.rr.get();
+        self.rr.set((i + 1) % self.shards.len());
+        i
     }
+}
+
+/// The counters a shard worker shares with the front door: its own
+/// queue depth and shed tally, plus the engine-wide totals.
+struct ShardCounters {
+    depth: Rc<Cell<usize>>,
+    queued: Rc<Cell<usize>>,
+    ejected: Rc<Cell<u64>>,
+    ejected_total: Rc<Cell<u64>>,
 }
 
 /// One shard's drain loop: dequeue, pay the shard's serialized routing
 /// cost, then hand execution to a fresh task so long-running kernels
 /// never block the queue behind them. Exits when the server drops its
 /// sending halves.
-#[allow(clippy::too_many_arguments)]
 async fn shard_worker(
     shard: usize,
     mut rx: Receiver<DispatchJob>,
-    depth: Rc<Cell<usize>>,
-    queued: Rc<Cell<usize>>,
-    ejected: Rc<Cell<u64>>,
-    ejected_total: Rc<Cell<u64>>,
+    counters: ShardCounters,
     overhead: Duration,
     eject_expired: bool,
 ) {
+    let ShardCounters {
+        depth,
+        queued,
+        ejected,
+        ejected_total,
+    } = counters;
     while let Some(DispatchJob {
         server,
         job,
@@ -488,7 +459,7 @@ impl KaasServer {
         let inner = self.inner();
         let d = &inner.dispatch;
         let m = &inner.handles;
-        let shard = d.pick_shard(req.target.name());
+        let shard = d.pick_shard();
         let q = &d.shards[shard];
         // Enqueue-time shedding: dead or over-cap work never enters the
         // queue, so it cannot crowd out live requests or consume a
@@ -682,7 +653,7 @@ impl KaasServer {
 
     /// Returns `output` the same way the input came in: through shared
     /// memory, or serialized in-band.
-    async fn reply_data(&self, output: Value, oob: bool) -> DataRef {
+    pub(crate) async fn reply_data(&self, output: Value, oob: bool) -> DataRef {
         let inner = self.inner();
         if oob {
             let bytes = output.wire_bytes();
@@ -985,8 +956,9 @@ impl KaasServer {
     }
 
     /// Chooses (or starts) a runner slot for `kernel` on `class`:
-    /// scheduler first, autoscaler on cold/saturated fleets, queueing as
-    /// the fallback. Only slots on online devices of `class` whose
+    /// scheduler first, a new runner on cold fleets or (with
+    /// [`autoscale`](crate::ServerConfig::autoscale)) full ones, queueing
+    /// as the fallback. Only slots on online devices of `class` whose
     /// circuit breaker allows placements are eligible. Claims nothing —
     /// the caller takes the in-flight guard.
     fn place_on(
@@ -1006,24 +978,13 @@ impl KaasServer {
                 && breakers.allows(s.device())
         };
         let dev_ok = |d: &kaas_accel::Device| breakers.allows(d.id());
-        let scale_ctx = |pool: &RunnerPool| ScaleCtx {
-            kernel: name,
-            runners: pool.runner_count(name),
-            in_flight: pool.in_flight(name),
-            cap_per_runner: config.runner.max_inflight,
-            device_capacity: pool.class_capacity(class),
-        };
         if pool.runner_count(name) == 0 {
             // Bootstrap: a cold deployment always starts its first
-            // runner, whatever the policy says.
+            // runner, even with autoscale off.
             if let Ok(slot) = pool.spawn_runner_where(name, kernel, config.runner, class, dev_ok) {
                 return Ok(slot);
             }
         } else {
-            // Proactive policies may grow the fleet before placement.
-            if config.autoscaler.on_invocation(&scale_ctx(pool)) == ScaleDecision::ScaleUp {
-                let _ = pool.spawn_runner_where(name, kernel, config.runner, class, dev_ok);
-            }
             let (slots, mut views) = pool.usable_slots_where(name, slot_ok);
             if !slots.is_empty() {
                 // Overlay the data-plane residency hint so cache-aware
@@ -1042,8 +1003,13 @@ impl KaasServer {
                 if let Some(choice) = config.scheduler.pick(&ctx) {
                     return Ok(Rc::clone(&slots[choice.index]));
                 }
-                // Every eligible runner is saturated: ask the autoscaler.
-                if config.autoscaler.on_saturated(&scale_ctx(pool)) == ScaleDecision::ScaleUp {
+                // The scheduler declined: grow the fleet if it is full.
+                if scale_out(
+                    config.autoscale,
+                    pool.runner_count(name),
+                    pool.in_flight(name),
+                    config.runner.max_inflight,
+                ) {
                     if let Ok(slot) =
                         pool.spawn_runner_where(name, kernel, config.runner, class, dev_ok)
                     {
@@ -1085,6 +1051,15 @@ impl KaasServer {
             InvokeError::NoDevice(class.to_string())
         }
     }
+}
+
+/// The paper's §5.5 scale-out rule, asked when the scheduler declines:
+/// grow only once the kernel's in-flight requests fill all `runners` to
+/// their `cap`. A decline can come before that (every eligible slot
+/// full while others sit on ineligible devices or a fallback class);
+/// such a decline queues instead of growing.
+fn scale_out(autoscale: bool, runners: usize, in_flight: usize, cap: usize) -> bool {
+    autoscale && in_flight >= runners * cap
 }
 
 #[cfg(test)]
@@ -1153,5 +1128,20 @@ mod tests {
             assert!(execute <= 912, "execute() future is {execute} B");
             assert!(task <= 1_136, "run_job() future is {task} B");
         });
+    }
+
+    #[test]
+    fn scale_out_grows_exactly_when_the_fleet_is_full() {
+        // Below runners × cap: hold (a decline that comes before every
+        // runner is full must not trigger growth).
+        assert!(!scale_out(true, 2, 7, 4));
+        // At the paper's threshold (all runners full): grow.
+        assert!(scale_out(true, 2, 8, 4));
+    }
+
+    #[test]
+    fn scale_out_off_never_grows() {
+        assert!(!scale_out(false, 2, 8, 4));
+        assert!(!scale_out(false, 1, 99, 4));
     }
 }

@@ -18,29 +18,25 @@
 //!
 //! ## The control plane
 //!
-//! [`KaasServer`] is a thin orchestrator over four modules, each with a
-//! pluggable policy seam:
+//! [`KaasServer`] is a thin orchestrator over three modules:
 //!
 //! | Module | Responsibility | Policy hook |
 //! |---|---|---|
 //! | [`admission`] | tenant quotas, overload shedding | [`AdmissionConfig`] |
 //! | [`scheduler`] | route an invocation to a runner slot | [`Scheduler`] trait |
-//! | [`autoscaler`] | decide when to start more runners | [`AutoscalePolicy`] trait |
 //! | [`pool`] | runner lifecycle: spawn, warm lookup, idle reaping | mechanism only |
 //!
 //! Per invocation: admission ⇒ dispatch overhead ⇒ `scheduler.pick()`
-//! over the pool's usable slots ⇒ on decline, `autoscaler.on_saturated()`
-//! may spawn a runner (bounded by physical devices) ⇒ execute, retrying
+//! over the pool's usable slots ⇒ on decline, the paper's §5.5 rule
+//! ([`ServerConfig::autoscale`]) spawns a runner once in-flight work
+//! fills every runner (bounded by physical devices) ⇒ execute, retrying
 //! on runner failure. Scale-down is the pool's idle reaper
 //! ([`ServerConfig::idle_timeout`]).
 //!
 //! Built-in schedulers: [`FillFirst`], [`RoundRobin`], [`LeastLoaded`],
-//! [`WarmFirst`]. Built-in autoscalers:
-//! [`InFlightThreshold`] (the paper's §5.5 policy), [`NoScale`],
-//! [`TargetUtilization`]. Custom policies implement the trait and plug
-//! in through [`ServerConfig::with_scheduler`] /
-//! [`ServerConfig::with_autoscaler`]; see the [`scheduler`] module docs
-//! for a worked example.
+//! [`WarmFirst`]. Custom schedulers implement the trait and plug in
+//! through [`ServerConfig::with_scheduler`]; see the [`scheduler`]
+//! module docs for a worked example.
 //!
 //! ```
 //! use kaas_core::{baseline, KernelRegistry};
@@ -62,7 +58,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod admission;
-pub mod autoscaler;
 pub mod baseline;
 mod client;
 mod config;
@@ -88,14 +83,11 @@ pub mod trace;
 mod workflow;
 
 pub use admission::{AdmissionConfig, AdmissionPolicy, AimdConfig};
-pub use autoscaler::{
-    AutoscalePolicy, InFlightThreshold, NoScale, ScaleCtx, ScaleDecision, TargetUtilization,
-};
 pub use baseline::{run_cpu_only, run_space_sharing, run_time_sharing, BaselineReport};
 pub use client::{
     BatchBuilder, BatchCall, ClientRetryConfig, FlowBuilder, Invocation, InvokeBuilder, KaasClient,
 };
-pub use config::{DispatchMode, ServerConfig, ShardConfig, ShardPolicy};
+pub use config::{DispatchMode, ServerConfig, ShardConfig};
 pub use dataplane::{content_hash, DataPlane, ObjectRef, ObjectStore, OBJECT_REF_WIRE_BYTES};
 pub use fault::{AppliedFault, Fault, FaultEvent, FaultInjector, FaultLog, FaultPlan, StormConfig};
 pub use federation::{FederatedClient, FederatedFlow, SiteHandle, SiteSpec};
@@ -111,8 +103,7 @@ pub use protocol::{
 pub use registry::{KernelRegistry, RegistryError};
 pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, EvictionConfig, ExponentialBackoff,
-    FallbackConfig, FixedBackoff, NoBackoff, RetryBudget, RetryBudgetConfig, RetryConfig,
-    RetryPolicy,
+    FallbackConfig, NoBackoff, RetryBudget, RetryBudgetConfig, RetryConfig, RetryPolicy,
 };
 pub use runner::{RunnerConfig, RunnerTimings, TaskRunner};
 pub use scheduler::{

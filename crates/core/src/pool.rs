@@ -3,10 +3,11 @@
 //! kills, and per-kernel / per-device accounting.
 //!
 //! The pool is pure mechanism: *when* to start or stop runners is
-//! decided by the [scheduler](crate::scheduler) and
-//! [autoscaler](crate::autoscaler) policies; the pool only enforces
-//! physical placement limits (one runner per device, one per chip on
-//! TPUs).
+//! decided by the [scheduler](crate::scheduler) and the server's
+//! scale-out rule
+//! ([`ServerConfig::autoscale`](crate::ServerConfig::autoscale)); the
+//! pool only enforces physical placement limits (one runner per
+//! device, one per chip on TPUs).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;

@@ -73,34 +73,6 @@ impl RetryPolicy for NoBackoff {
     }
 }
 
-/// A constant wait between attempts.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedBackoff {
-    /// The wait applied before every retry.
-    pub delay: Duration,
-}
-
-impl FixedBackoff {
-    /// Creates a fixed-delay policy.
-    pub fn new(delay: Duration) -> Self {
-        FixedBackoff { delay }
-    }
-}
-
-impl RetryPolicy for FixedBackoff {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn backoff(&self, _attempt: u32, _request: u64) -> Duration {
-        self.delay
-    }
-
-    fn box_clone(&self) -> Box<dyn RetryPolicy> {
-        Box::new(*self)
-    }
-}
-
 /// Exponential backoff with a cap and deterministic jitter.
 ///
 /// The wait before retry `n` is `min(base × multiplier^(n-1), cap)`,

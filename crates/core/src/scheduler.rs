@@ -4,8 +4,8 @@
 //! The [`Scheduler`] trait sees an immutable snapshot of the usable
 //! slots for one kernel ([`SchedCtx`]) and either picks one
 //! ([`SlotChoice`]) or declines, signalling that every eligible runner
-//! is saturated. A decline hands control to the
-//! [autoscaler](crate::autoscaler), which may start a fresh runner.
+//! is saturated. On a decline the server may start a fresh runner
+//! ([`ServerConfig::autoscale`](crate::ServerConfig::autoscale)).
 //!
 //! Four policies ship in-tree — [`FillFirst`], [`RoundRobin`],
 //! [`LeastLoaded`] (the paper's §5.4–§5.5 behaviours) and
@@ -89,7 +89,8 @@ pub trait Scheduler {
     /// Short policy name (used in `Debug` output).
     fn name(&self) -> &'static str;
 
-    /// Chooses a slot, or `None` to decline (triggers the autoscaler).
+    /// Chooses a slot, or `None` to decline (the server may then scale
+    /// out).
     ///
     /// `ctx.slots` is never empty — the server handles the zero-runner
     /// bootstrap case before consulting the scheduler.
@@ -294,7 +295,7 @@ mod tests {
             WarmFirst.pick(&ctx(&slots, 4)),
             Some(SlotChoice { index: 0 })
         );
-        // Everything saturated: decline so the autoscaler can act.
+        // Everything saturated: decline so the server can scale out.
         let slots = views(&[4, 4], &[false, true]);
         assert_eq!(WarmFirst.pick(&ctx(&slots, 4)), None);
     }

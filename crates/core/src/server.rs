@@ -6,9 +6,9 @@
 //! per-shard worker queues, laid out by
 //! [`ShardConfig`](crate::ShardConfig)), (3) asks the
 //! [`Scheduler`](crate::Scheduler) to place the request on a slot from
-//! the [`RunnerPool`](crate::RunnerPool), consulting the
-//! [`AutoscalePolicy`](crate::AutoscalePolicy) when the fleet is cold
-//! or saturated, and (4) runs the kernel, retrying on runner failure.
+//! the [`RunnerPool`](crate::RunnerPool), starting a runner when the
+//! fleet is cold or (with [`autoscale`](crate::ServerConfig::autoscale))
+//! full, and (4) runs the kernel, retrying on runner failure.
 //! The data path itself lives in the `dispatch` module; this module
 //! holds construction, lifecycle, and the accept loop.
 

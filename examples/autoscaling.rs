@@ -7,8 +7,8 @@
 
 use kaas::accel::{Device, DeviceId, GpuDevice, GpuProfile};
 use kaas::core::{
-    KaasClient, KaasNetwork, KaasServer, KernelRegistry, LeastLoaded, Scheduler, ServerConfig,
-    TargetUtilization, WarmFirst,
+    KaasClient, KaasNetwork, KaasServer, KernelRegistry, LeastLoaded, RunnerConfig, Scheduler,
+    ServerConfig, WarmFirst,
 };
 use kaas::kernels::{MonteCarlo, Value};
 use kaas::net::{LinkProfile, SharedMemory};
@@ -30,11 +30,10 @@ fn main() {
          clients on 7 of 8 GPUs).\n"
     );
 
-    // The scheduler is a pluggable policy. With a proactive autoscaler
-    // (TargetUtilization) a second runner spawns while the first still
-    // has spare capacity: LeastLoaded routes new work to the empty —
-    // but still cold-starting — slot and eats the cold start, while
-    // WarmFirst keeps placing on the warm runner.
+    // The scheduler is a pluggable policy. With a warm runner beside a
+    // second one that is still cold-starting, LeastLoaded routes new
+    // work to the empty — but cold — slot and eats the cold start,
+    // while WarmFirst keeps placing on the warm runner.
     println!("scheduler     cold_starts  mean_latency(ms)");
     let schedulers: [Box<dyn Scheduler>; 2] = [Box::new(LeastLoaded), Box::new(WarmFirst)];
     for scheduler in schedulers {
@@ -45,9 +44,9 @@ fn main() {
     println!("\nWarmFirst trades load balance for warm hits — fewer cold starts.");
 }
 
-/// One prewarmed runner and a proactive autoscaler (scale out at 25%
-/// utilization), then two clients issuing four invocations each.
-/// Returns (cold-started invocations, mean latency).
+/// One prewarmed runner plus a second one started but not yet warm,
+/// then two clients issuing four invocations each. Returns
+/// (cold-started invocations, mean latency).
 fn scheduler_burst(scheduler: Box<dyn Scheduler>) -> (usize, f64) {
     let mut sim = Simulation::new();
     sim.block_on(async move {
@@ -57,13 +56,17 @@ fn scheduler_burst(scheduler: Box<dyn Scheduler>) -> (usize, f64) {
             .map(|i| GpuDevice::new(DeviceId(i), GpuProfile::p100()).into())
             .collect();
         let shm = SharedMemory::host();
-        let config = ServerConfig::default()
-            .with_scheduler(scheduler)
-            .with_autoscaler(TargetUtilization { target: 0.25 });
+        let config = ServerConfig::default().with_scheduler(scheduler);
         let server = KaasServer::new(gpus, registry, shm.clone(), config);
         let net: KaasNetwork = KaasNetwork::new();
         spawn(server.clone().serve(net.listen("kaas").unwrap()));
         server.prewarm("mci", 1).await.unwrap();
+        // Start a second runner without waiting for it to warm up.
+        let mci = server.registry().lookup("mci").unwrap();
+        server
+            .pool()
+            .spawn_runner("mci", &mci, RunnerConfig::default())
+            .unwrap();
 
         let mut handles = Vec::new();
         for _ in 0..2 {

@@ -103,6 +103,9 @@ echo "==> cluster stage: sharded-dispatch tests + bench determinism"
 cargo test -q --release --test dispatch_shard
 # The dispatch A/B bench (serialized-router knee vs sharded+batched).
 replay_twice cluster "$bench" cluster --quick
+# Scale-out and the scheduler seam: the Fig. 13 timeline, then
+# WarmFirst vs LeastLoaded beside a still-cold-starting runner.
+replay_twice autoscaling cargo run -q --release --example autoscaling
 
 echo "==> overload stage: overload-control tests + bench determinism"
 cargo test -q --release --test overload

@@ -618,50 +618,63 @@ fn every_error_kind_is_inducible_and_counted() {
     });
 }
 
+/// Scale-out is capped by hardware; with it off, the fleet stays at
+/// the bootstrap runner.
 #[test]
 fn autoscaler_never_exceeds_device_count() {
-    let mut sim = Simulation::new();
-    sim.block_on(async {
-        let devices = 2u32;
-        let (server, net, shm) = boot(gpus(devices), vec![Rc::new(MonteCarlo::default())]);
-        // Far more concurrent requests than 2 devices × default
-        // per-runner capacity can absorb: the autoscaler wants to grow
-        // on every saturated placement but is capped by hardware.
-        let mut handles = Vec::new();
-        for _ in 0..64 {
-            let shm = shm.clone();
-            let net = net.clone();
-            handles.push(spawn(async move {
-                let mut client = connect(&net, shm).await;
-                client
-                    .call("mci")
-                    .arg(Value::U64(10_000))
-                    .send()
-                    .await
-                    .unwrap();
-            }));
+    let devices = 2u32;
+    for autoscale in [true, false] {
+        let mut sim = Simulation::new();
+        let peak = sim.block_on(async move {
+            let (server, net, shm) = boot_with(
+                gpus(devices),
+                vec![Rc::new(MonteCarlo::default())],
+                ServerConfig::default().with_autoscale(autoscale),
+            );
+            // Far more concurrent requests than 2 devices × default
+            // per-runner capacity can absorb: the autoscaler wants to
+            // grow on every saturated placement but is capped by
+            // hardware.
+            let mut handles = Vec::new();
+            for _ in 0..64 {
+                let shm = shm.clone();
+                let net = net.clone();
+                handles.push(spawn(async move {
+                    let mut client = connect(&net, shm).await;
+                    client
+                        .call("mci")
+                        .arg(Value::U64(10_000))
+                        .send()
+                        .await
+                        .unwrap();
+                }));
+            }
+            let watcher = {
+                let server = server.clone();
+                spawn(async move {
+                    let mut peak = 0;
+                    for _ in 0..1000 {
+                        peak = peak.max(server.snapshot().runners("mci"));
+                        kaas::simtime::sleep(std::time::Duration::from_micros(50)).await;
+                    }
+                    peak
+                })
+            };
+            for h in handles {
+                h.await;
+            }
+            watcher.await
+        });
+        if autoscale {
+            assert!(peak >= 2, "load this heavy should use every device");
+            assert!(
+                peak <= devices as usize,
+                "runner fleet ({peak}) exceeded physical device count ({devices})"
+            );
+        } else {
+            assert_eq!(peak, 1, "autoscale off keeps only the bootstrap runner");
         }
-        let watcher = {
-            let server = server.clone();
-            spawn(async move {
-                let mut peak = 0;
-                for _ in 0..1000 {
-                    peak = peak.max(server.snapshot().runners("mci"));
-                    kaas::simtime::sleep(std::time::Duration::from_micros(50)).await;
-                }
-                peak
-            })
-        };
-        for h in handles {
-            h.await;
-        }
-        let peak = watcher.await;
-        assert!(peak >= 2, "load this heavy should use every device");
-        assert!(
-            peak <= devices as usize,
-            "runner fleet ({peak}) exceeded physical device count ({devices})"
-        );
-    });
+    }
 }
 
 #[test]

@@ -81,7 +81,6 @@ fn scenario() -> String {
         let shard = ShardConfig {
             shards: 1,
             queue_cap: Some(1),
-            seed: 11,
             ..ShardConfig::default()
         };
         let config = ServerConfig::default()
