@@ -32,6 +32,7 @@
 //! ```
 
 use std::cell::OnceCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -48,7 +49,8 @@ use crate::metrics::handles::ClientMetrics;
 use crate::metrics::registry::MetricsRegistry;
 use crate::metrics::InvocationReport;
 use crate::protocol::{
-    Control, DataRef, InvokeError, Request, RequestFrame, Response, ResponseFrame, Target,
+    Control, DataRef, InvokeError, Request, RequestContext, RequestFrame, Response, ResponseFrame,
+    Target,
 };
 use crate::resilience::{NoBackoff, RetryBudget, RetryPolicy};
 use crate::workflow::{FlowError, Workflow, WorkflowHandle, WorkflowReport, WorkflowRun};
@@ -128,7 +130,10 @@ pub struct KaasClient {
     conn: Connection<RequestFrame, ResponseFrame>,
     serialization: SerializationProfile,
     shm: Option<SharedMemory>,
-    tenant: Option<String>,
+    tenant: Option<Rc<str>>,
+    /// Every kernel name this client has called, allocated once and
+    /// shared by each request that names it.
+    kernels: BTreeSet<Rc<str>>,
     id: u64,
     next_seq: u64,
     tracer: Option<SpanSink>,
@@ -171,6 +176,7 @@ impl KaasClient {
             serialization: SerializationProfile::python_pickle(),
             shm: None,
             tenant: None,
+            kernels: BTreeSet::new(),
             id,
             next_seq: 0,
             tracer: None,
@@ -215,7 +221,7 @@ impl KaasClient {
     /// Tags every request with a tenant identity (enables per-tenant
     /// fairness quotas on the server).
     pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
+        self.tenant = Some(tenant.into().into());
         self
     }
 
@@ -253,7 +259,18 @@ impl KaasClient {
     /// Starts building an invocation of `kernel`; finish with
     /// [`InvokeBuilder::send`].
     pub fn call(&mut self, kernel: &str) -> InvokeBuilder<'_> {
-        InvokeBuilder::new(self, Target::Kernel(kernel.to_owned()))
+        let kernel = self.intern(kernel);
+        InvokeBuilder::new(self, Target::Kernel(kernel))
+    }
+
+    /// The shared copy of kernel name `name`, allocated on first use.
+    fn intern(&mut self, name: &str) -> Rc<str> {
+        if let Some(interned) = self.kernels.get(name) {
+            return Rc::clone(interned);
+        }
+        let interned: Rc<str> = name.into();
+        self.kernels.insert(Rc::clone(&interned));
+        interned
     }
 
     /// Starts building a control operation: the same builder as
@@ -474,16 +491,15 @@ impl KaasClient {
         id: u64,
         target: Target,
         data: DataRef,
-        tenant: Option<String>,
+        tenant: Option<Rc<str>>,
         deadline: Option<Duration>,
     ) -> Request {
         Request {
             id,
             target,
             data,
-            tenant: tenant.or_else(|| self.tenant.clone()),
             deadline: deadline.map(|d| now() + d),
-            span: None,
+            context: RequestContext::boxed(tenant.or_else(|| self.tenant.clone()), None),
             reply_out_of_band: false,
             reply_to_store: false,
         }
@@ -540,7 +556,7 @@ impl KaasClient {
             // The server parents its spans under the round trip's id.
             let rt = root.child("roundtrip");
             let mut req = self.request(id, target.clone(), data, opts.tenant, opts.deadline);
-            req.span = rt.as_ref().map(OpenSpan::id);
+            req.set_span(rt.as_ref().map(OpenSpan::id));
             req.reply_out_of_band = transport.out_of_band;
             // A hedge is a second, identical request under its own id,
             // untraced: two server span trees under one roundtrip span
@@ -555,7 +571,7 @@ impl KaasClient {
                         DataRef::OutOfBand(_) => unreachable!("in-band calls stage no shm handle"),
                     };
                     let id = self.next_id();
-                    let tenant = req.tenant.clone();
+                    let tenant = req.context.as_ref().and_then(|c| c.tenant.clone());
                     let dup = self.request(id, target.clone(), data, tenant, opts.deadline);
                     Some((dup, delay))
                 }
@@ -620,7 +636,7 @@ impl KaasClient {
         hedge: Option<(Request, Duration)>,
     ) -> Result<Response, InvokeError> {
         let primary = req.id;
-        let span = req.span;
+        let span = req.span();
         let frame = RequestFrame::One(req);
         let bytes = frame.wire_bytes();
         self.conn
@@ -697,7 +713,7 @@ impl KaasClient {
 struct CallOptions {
     input: Value,
     object: Option<ObjectRef>,
-    tenant: Option<String>,
+    tenant: Option<Rc<str>>,
     deadline: Option<Duration>,
 }
 
@@ -781,7 +797,7 @@ struct Reply {
     output: Output,
     report: Option<InvocationReport>,
     /// The per-step report of a flow trigger.
-    flow: Option<WorkflowReport>,
+    flow: Option<Box<WorkflowReport>>,
     latency: Duration,
 }
 
@@ -836,7 +852,7 @@ impl<'c> InvokeBuilder<'c> {
 
     /// Overrides the client's tenant identity for this call only.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.opts.tenant = Some(tenant.into());
+        self.opts.tenant = Some(tenant.into().into());
         self
     }
 
@@ -902,11 +918,11 @@ impl<'c> InvokeBuilder<'c> {
     /// [`InvokeError::BadHandle`] in out-of-band mode without an
     /// attached shared-memory region.
     pub async fn send(mut self) -> Result<Invocation, InvokeError> {
-        let retry = self.client.retry.clone();
-        if let Some(budget) = retry.as_ref().and_then(|r| r.budget.as_ref()) {
+        let retry = self.client.retry.as_ref();
+        if let Some(budget) = retry.and_then(|r| r.budget.as_ref()) {
             budget.note_fresh();
         }
-        let max_attempts = retry.as_ref().map_or(1, |r| r.max_attempts);
+        let max_attempts = retry.map_or(1, |r| r.max_attempts);
         // Deterministic jitter key: the id this call's first attempt
         // will draw. Stable across attempts so backoff policies see one
         // request, not N.
@@ -919,7 +935,9 @@ impl<'c> InvokeBuilder<'c> {
                 Err(e) if attempt < max_attempts && ClientRetryConfig::retryable(&e) => e,
                 Err(e) => return Err(e),
             };
-            let cfg = retry
+            let cfg = self
+                .client
+                .retry
                 .as_ref()
                 .expect("max_attempts > 1 only with a retry config");
             if let Some(budget) = &cfg.budget {
@@ -1006,7 +1024,7 @@ impl FlowBuilder<'_> {
 
     /// Overrides the client's tenant identity for this run only.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.opts.tenant = Some(tenant.into());
+        self.opts.tenant = Some(tenant.into().into());
         self
     }
 
@@ -1053,7 +1071,7 @@ impl FlowBuilder<'_> {
         };
         Ok(WorkflowRun {
             output,
-            report: reply.flow.ok_or(InvokeError::Disconnected)?,
+            report: *reply.flow.ok_or(InvokeError::Disconnected)?,
             latency: reply.latency,
             round_trips: 1,
         })
@@ -1073,7 +1091,7 @@ impl FlowBuilder<'_> {
         let Output::Ref(r) = reply.output else {
             return Err(InvokeError::BadHandle.into());
         };
-        Ok((r, reply.flow.ok_or(InvokeError::Disconnected)?))
+        Ok((r, *reply.flow.ok_or(InvokeError::Disconnected)?))
     }
 
     /// Sends the trigger as the input of a [`Control::FlowRun`] call,
@@ -1140,7 +1158,7 @@ impl BatchCall {
 
     /// Overrides the client's tenant identity for this member.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.opts.tenant = Some(tenant.into());
+        self.opts.tenant = Some(tenant.into().into());
         self
     }
 
@@ -1243,7 +1261,7 @@ impl BatchBuilder<'_> {
                     None => DataRef::InBand(c.opts.input),
                 };
                 let id = client.next_id();
-                let target = Target::Kernel(c.kernel);
+                let target = Target::Kernel(client.intern(&c.kernel));
                 client.request(id, target, data, c.opts.tenant, c.opts.deadline)
             })
             .collect();

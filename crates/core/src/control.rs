@@ -28,7 +28,7 @@ impl KaasServer {
         &self,
         op: Control,
         req: Request,
-        flow: &mut Option<WorkflowReport>,
+        flow: &mut Option<Box<WorkflowReport>>,
     ) -> Result<(DataRef, InvocationReport), InvokeError> {
         let inner = self.inner();
         let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
@@ -124,14 +124,15 @@ impl KaasServer {
                     .get(flow_id)
                     .ok_or_else(|| InvokeError::UnknownFlow(flow_id.to_string()))?;
                 let t0 = now();
+                let (span, tenant) = req.context.map_or((None, None), |c| (c.span, c.tenant));
                 let run = self
-                    .run_flow(flow_id, &wf, trigger, req.span, req.tenant, req.deadline)
+                    .run_flow(flow_id, &wf, trigger, span, tenant, req.deadline)
                     .await;
                 let (final_ref, report) = match run {
                     Ok(ok) => ok,
                     Err((e, report)) => {
                         m.workflow_failures.inc();
-                        *flow = Some(report);
+                        *flow = Some(Box::new(report));
                         return Err(e);
                     }
                 };
@@ -139,7 +140,7 @@ impl KaasServer {
                 m.workflow_steps.add(report.steps.len() as u64);
                 m.workflow_chained_hits.add(report.chained_hits() as u64);
                 m.workflow_latency.observe((now() - t0).as_secs_f64());
-                *flow = Some(report);
+                *flow = Some(Box::new(report));
                 if flags & FLOW_REPLY_REF != 0 {
                     // Segment handoff: only the 24-byte address travels;
                     // the value stays server-side.
@@ -156,7 +157,7 @@ impl KaasServer {
     /// device was involved.
     fn control_report(&self, op: Control) -> InvocationReport {
         InvocationReport {
-            kernel: op.name().to_owned(),
+            kernel: op.name().into(),
             runner: RunnerId(u32::MAX),
             device: DeviceId(u32::MAX),
             cold_start: false,

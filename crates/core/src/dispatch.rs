@@ -39,7 +39,7 @@ use kaas_accel::{DeviceClass, DeviceId};
 use kaas_kernels::{Kernel, Value};
 use kaas_simtime::channel::{self, OneshotReceiver, OneshotSender, Receiver};
 use kaas_simtime::sync::Semaphore;
-use kaas_simtime::{now, sleep, spawn, SimTime, SpanId};
+use kaas_simtime::{now, sleep, spawn, spawn_detached, SimTime, SpanId};
 
 use crate::admission::AdmissionPermit;
 use crate::config::{ServerConfig, ShardConfig};
@@ -259,8 +259,8 @@ async fn shard_worker(
             .handles
             .dispatch_shard_ns
             .observe((now() - enqueued).as_nanos() as f64);
-        server.span(job.req.span, "dispatch", t_dispatch, now());
-        spawn(run_job(server, job, reply));
+        server.span(job.req.span(), "dispatch", t_dispatch, now());
+        spawn_detached(run_job(server, job, reply));
     }
 }
 
@@ -352,7 +352,7 @@ impl KaasServer {
     fn serve_request<T>(
         &self,
         req: Request,
-        finish: impl FnOnce(&KaasServer, Outcome, Option<WorkflowReport>) -> T + 'static,
+        finish: impl FnOnce(&KaasServer, Outcome, Option<Box<WorkflowReport>>) -> T + 'static,
     ) -> impl Future<Output = T> + 'static {
         let server = self.clone();
         async move {
@@ -379,7 +379,7 @@ impl KaasServer {
     async fn front_door(&self, req: &Request) -> Result<Admitted, InvokeError> {
         let inner = self.inner();
         let submitted = now();
-        let permit = match inner.admission.admit(req.tenant.as_deref()).await {
+        let permit = match inner.admission.admit(req.tenant()).await {
             Ok(permit) => permit,
             Err(InvokeError::Overloaded { retry_after: None }) => {
                 // Cooperative backpressure: attach a deterministic
@@ -396,7 +396,7 @@ impl KaasServer {
         if let Some(limit) = inner.admission.current_limit() {
             inner.handles.admission_limit.set(limit as f64);
         }
-        self.span(req.span, "admission", submitted, now());
+        self.span(req.span(), "admission", submitted, now());
         // Request parsing stays on the front door: resolve the kernel
         // before any dispatch cost so unknown names never consume
         // router capacity.
@@ -541,7 +541,7 @@ impl KaasServer {
     pub(crate) async fn execute(&self, job: &ExecJob) -> Outcome {
         let inner = self.inner();
         let req = &job.req;
-        let parent = req.span;
+        let parent = req.span();
         let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
         // Scoped so the fetched input is gone before the reply is shaped.
         let (output, report) = {
@@ -592,8 +592,12 @@ impl KaasServer {
                 degraded,
             } = self.run_attempts(job, input, cacheable).await?;
 
+            let kernel = match &req.target {
+                Target::Kernel(name) => Rc::clone(name),
+                Target::Control(op) => op.name().into(),
+            };
             let report = InvocationReport {
-                kernel: req.target.name().to_owned(),
+                kernel,
                 runner,
                 device,
                 cold_start: timings.first_invocation,
@@ -676,7 +680,7 @@ impl KaasServer {
     ) -> Result<Ran, InvokeError> {
         let inner = self.inner();
         let tracer = &inner.config.tracer;
-        let parent = job.req.span;
+        let parent = job.req.span();
         let kernel = &job.kernel;
         let retry = &inner.config.retry;
         let m = &inner.handles;
@@ -899,10 +903,9 @@ impl KaasServer {
         m.runners.set(inner.pool.total_runners() as f64);
         let elapsed = now().as_secs_f64();
         if elapsed > 0.0 {
-            for d in inner.pool.devices() {
-                m.device(d.id())
-                    .utilization
-                    .set((d.busy_seconds() / elapsed).min(1.0));
+            // The handles were built from the pool's fleet, in its order.
+            for (d, dm) in inner.pool.devices().iter().zip(m.devices()) {
+                dm.utilization.set((d.busy_seconds() / elapsed).min(1.0));
             }
         }
     }
@@ -973,9 +976,8 @@ impl KaasServer {
         let config = &inner.config;
         let breakers = &inner.breakers;
         let slot_ok = |s: &RunnerSlot| {
-            pool.device(s.device())
-                .is_some_and(|d| d.class() == class && d.is_online())
-                && breakers.allows(s.device())
+            let d = pool.slot_device(s);
+            d.class() == class && d.is_online() && breakers.allows(s.device())
         };
         let dev_ok = |d: &kaas_accel::Device| breakers.allows(d.id());
         if pool.runner_count(name) == 0 {
@@ -1074,9 +1076,8 @@ mod tests {
             id: 0,
             target: Target::Kernel(target.into()),
             data: DataRef::InBand(Value::U64(1_000)),
-            tenant: None,
             deadline: None,
-            span: None,
+            context: None,
             reply_out_of_band: false,
             reply_to_store: false,
         }
@@ -1095,7 +1096,7 @@ mod tests {
             ServerConfig::default(),
         );
         let size = std::mem::size_of_val(&server.handle(request("mci")));
-        assert!(size <= 536, "handle() future is {size} B");
+        assert!(size <= 432, "handle() future is {size} B");
     }
 
     /// Every dispatched job holds one `run_job` task, and `execute` is
@@ -1125,8 +1126,8 @@ mod tests {
             let execute = std::mem::size_of_val(&server.execute(&job));
             let (reply, _rx) = channel::oneshot();
             let task = std::mem::size_of_val(&run_job(server.clone(), job, reply));
-            assert!(execute <= 912, "execute() future is {execute} B");
-            assert!(task <= 1_136, "run_job() future is {task} B");
+            assert!(execute <= 848, "execute() future is {execute} B");
+            assert!(task <= 1_032, "run_job() future is {task} B");
         });
     }
 

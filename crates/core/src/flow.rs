@@ -33,11 +33,11 @@ use std::time::Duration;
 
 use kaas_kernels::Value;
 use kaas_simtime::channel::{self, Sender};
-use kaas_simtime::{spawn, SimTime, SpanId};
+use kaas_simtime::{spawn_detached, SimTime, SpanId};
 
 use crate::dataplane::ObjectRef;
 use crate::metrics::InvocationReport;
-use crate::protocol::{DataRef, InvokeError, Request, Target};
+use crate::protocol::{DataRef, InvokeError, Request, RequestContext, Target};
 use crate::server::KaasServer;
 use crate::workflow::{Edge, EdgeTransfer, StepReport, Workflow, WorkflowReport};
 
@@ -141,7 +141,7 @@ struct FlowRun<'a> {
     server: &'a KaasServer,
     wf: &'a Workflow,
     run_no: u64,
-    tenant: Option<String>,
+    tenant: Option<Rc<str>>,
     deadline: Option<SimTime>,
     /// The flow's trace track and root span. Linear chains run strictly
     /// one step at a time, so their step spans tile on this track;
@@ -257,7 +257,7 @@ impl FlowRun<'_> {
     fn spawn_step(&mut self, i: usize, data: DataRef) {
         let server = self.server.clone();
         let tracer = server.inner().config.tracer.clone();
-        let kernel = self.wf.steps()[i].kernel().to_owned();
+        let kernel: Rc<str> = self.wf.steps()[i].kernel().into();
         let step_track = if self.linear {
             self.track.clone()
         } else {
@@ -268,26 +268,23 @@ impl FlowRun<'_> {
             // Internal correlation id: the flow-step namespace (high
             // bit) never collides with client ids.
             id: 0x8000_0000_0000_0000 | (self.run_no << 16) | i as u64,
-            target: Target::Kernel(kernel.clone()),
+            target: Target::Kernel(Rc::clone(&kernel)),
             data,
-            tenant: self.tenant.clone(),
             deadline: self.deadline,
-            span: None,
+            context: RequestContext::boxed(self.tenant.clone(), None),
             reply_out_of_band: false,
             reply_to_store: true,
         };
         self.in_flight += 1;
-        spawn(async move {
+        spawn_detached(async move {
             let span = tracer.as_ref().map(|t| {
                 let mut s = t.open(&step_track, "step", root);
-                s.push_arg("kernel", kernel);
+                s.push_arg("kernel", kernel.to_string());
                 s.push_arg("step", i.to_string());
                 s
             });
-            let req = Request {
-                span: span.as_ref().map(|s| s.id()),
-                ..req
-            };
+            let mut req = req;
+            req.set_span(span.as_ref().map(|s| s.id()));
             let outcome = match server.invoke(req).await {
                 Ok((DataRef::InBand(v), report)) => Ok((v, report)),
                 // `reply_to_store` replies are always in-band.
@@ -356,7 +353,7 @@ impl KaasServer {
         wf: &Rc<Workflow>,
         input: Value,
         parent: Option<SpanId>,
-        tenant: Option<String>,
+        tenant: Option<Rc<str>>,
         deadline: Option<SimTime>,
     ) -> Result<(ObjectRef, WorkflowReport), (InvokeError, WorkflowReport)> {
         let inner = self.inner();

@@ -97,8 +97,8 @@ pub use metrics::registry::MetricsRegistry;
 pub use metrics::{mean_ci95, percentile, InvocationReport, MeanCi, RunnerId};
 pub use pool::{RunnerPool, RunnerSlot};
 pub use protocol::{
-    Control, DataRef, InvokeError, Request, RequestFrame, Response, ResponseFrame, Target,
-    BATCH_MEMBER_BYTES, FRAME_BYTES,
+    Control, DataRef, InvokeError, Request, RequestContext, RequestFrame, Response, ResponseFrame,
+    Target, BATCH_MEMBER_BYTES, FRAME_BYTES,
 };
 pub use registry::{KernelRegistry, RegistryError};
 pub use resilience::{

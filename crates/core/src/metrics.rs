@@ -17,6 +17,7 @@ pub(crate) mod handles;
 pub mod histogram;
 pub mod registry;
 
+use std::rc::Rc;
 use std::time::Duration;
 
 use kaas_accel::DeviceId;
@@ -36,8 +37,8 @@ impl std::fmt::Display for RunnerId {
 /// response and fed into the server's registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvocationReport {
-    /// Kernel name.
-    pub kernel: String,
+    /// Kernel name, shared with the request that named it.
+    pub kernel: Rc<str>,
     /// Runner that served the invocation.
     pub runner: RunnerId,
     /// Device the runner occupies.

@@ -225,6 +225,12 @@ impl ServerMetrics {
         km
     }
 
+    /// The handles of every device, in the fleet's order (the order of
+    /// the devices the server was built with).
+    pub(crate) fn devices(&self) -> &[DeviceMetrics] {
+        &self.devices
+    }
+
     /// The handles of `device`.
     pub(crate) fn device(&self, device: DeviceId) -> &DeviceMetrics {
         self.devices

@@ -31,6 +31,9 @@ use crate::scheduler::SlotView;
 /// asynchronous cold start.
 pub struct RunnerSlot {
     device: DeviceId,
+    /// The device's position in the pool's fleet, so placement reads it
+    /// without searching the fleet by id.
+    position: usize,
     claimed: Cell<usize>,
     ready: Event,
     runner: RefCell<Option<Rc<TaskRunner>>>,
@@ -361,6 +364,11 @@ impl RunnerPool {
         self.devices.iter().find(|d| d.id() == id)
     }
 
+    /// The device hosting `slot`, looked up by its position.
+    pub(crate) fn slot_device(&self, slot: &RunnerSlot) -> &Device {
+        &self.devices[slot.position]
+    }
+
     /// Fault injection: the next cold start pays an extra `extra` of
     /// process-spawn time (a slow-starting runner — contended host,
     /// cold page cache). One-shot; consumed by the next spawn.
@@ -416,17 +424,13 @@ impl RunnerPool {
         kernel: &str,
         pred: impl Fn(&RunnerSlot) -> bool,
     ) -> (Vec<Rc<RunnerSlot>>, Vec<SlotView>) {
-        let slots: Vec<Rc<RunnerSlot>> = self
-            .slots
-            .borrow()
-            .get(kernel)
-            .map(|v| {
-                v.iter()
-                    .filter(|s| s.is_usable() && pred(s))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
+        let mut slots = Vec::new();
+        if let Some(v) = self.slots.borrow().get(kernel) {
+            // Sized for every slot up front: one allocation, not one per
+            // doubling.
+            slots.reserve_exact(v.len());
+            slots.extend(v.iter().filter(|s| s.is_usable() && pred(s)).cloned());
+        }
         let views = slots.iter().enumerate().map(|(i, s)| s.view(i)).collect();
         (slots, views)
     }
@@ -478,10 +482,11 @@ impl RunnerPool {
         config.spawn_process += self.slow_start.replace(Duration::ZERO);
         let mut slots = self.slots.borrow_mut();
         let list = slots.entry(name.to_owned()).or_default();
-        let device = self
+        let (position, device) = self
             .devices
             .iter()
-            .find(|d| {
+            .enumerate()
+            .find(|(_, d)| {
                 if d.class() != class || !d.is_online() || !pred(d) {
                     return false;
                 }
@@ -495,7 +500,7 @@ impl RunnerPool {
                 };
                 occupied < capacity
             })
-            .cloned()
+            .map(|(position, d)| (position, d.clone()))
             .ok_or_else(|| InvokeError::NoDevice(class.to_string()))?;
 
         let chip = list
@@ -504,6 +509,7 @@ impl RunnerPool {
             .count() as u32;
         let slot = Rc::new(RunnerSlot {
             device: device.id(),
+            position,
             claimed: Cell::new(0),
             ready: Event::new(),
             runner: RefCell::new(None),

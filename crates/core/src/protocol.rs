@@ -2,6 +2,7 @@
 //! request/response with in-band (serialized) or out-of-band
 //! (shared-memory) data transfer.
 
+use std::rc::Rc;
 use std::time::Duration;
 
 use kaas_kernels::Value;
@@ -107,7 +108,9 @@ impl Control {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Target {
     /// A registered kernel (compiled-in, or a guest `tenant/name[@vN]`).
-    Kernel(String),
+    /// Shared: a client interns each name once, and every request and
+    /// report naming the kernel holds the same string.
+    Kernel(Rc<str>),
     /// A control operation.
     Control(Control),
 }
@@ -131,16 +134,14 @@ pub struct Request {
     pub target: Target,
     /// Input payload.
     pub data: DataRef,
-    /// Tenant identity for fairness accounting (§3.1: "fairness, data
-    /// isolation, scheduling, and service-level agreements").
-    pub tenant: Option<String>,
     /// Absolute virtual-time deadline for *starting* device work: the
     /// server sheds the request with [`InvokeError::DeadlineExceeded`]
     /// if it is still undispatched past this instant.
     pub deadline: Option<SimTime>,
-    /// Client-side trace context: the span the server should parent its
-    /// own spans under (the client's `roundtrip` span).
-    pub span: Option<SpanId>,
+    /// Tenant and trace context, boxed because most requests carry
+    /// neither: `None` when both are unset. Read it through
+    /// [`tenant`](Request::tenant) and [`span`](Request::span).
+    pub context: Option<Box<RequestContext>>,
     /// The client wants the *output* returned through shared memory
     /// even when the input did not travel that way — the common case
     /// for [`DataRef::Object`] requests, where the input is a 24-byte
@@ -158,6 +159,44 @@ impl Request {
     /// Total on-wire size.
     pub fn wire_bytes(&self) -> u64 {
         FRAME_BYTES + self.target.name().len() as u64 + self.data.wire_bytes()
+    }
+
+    /// The tenant identity, if the request carries one.
+    pub fn tenant(&self) -> Option<&str> {
+        self.context.as_ref()?.tenant.as_deref()
+    }
+
+    /// The span the server parents its own spans under, if traced.
+    pub fn span(&self) -> Option<SpanId> {
+        self.context.as_ref()?.span
+    }
+
+    /// Sets the trace context, keeping the tenant.
+    pub fn set_span(&mut self, span: Option<SpanId>) {
+        match &mut self.context {
+            Some(context) => context.span = span,
+            None => self.context = RequestContext::boxed(None, span),
+        }
+    }
+}
+
+/// The rarely set part of a [`Request`], kept out of line so an
+/// untraced, tenant-less request stays small.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RequestContext {
+    /// Tenant identity for fairness accounting (§3.1: "fairness, data
+    /// isolation, scheduling, and service-level agreements").
+    pub tenant: Option<Rc<str>>,
+    /// Client-side trace context: the span the server should parent its
+    /// own spans under (the client's `roundtrip` span).
+    pub span: Option<SpanId>,
+}
+
+impl RequestContext {
+    /// The boxed context holding `tenant` and `span`, or `None` when
+    /// neither is set.
+    pub fn boxed(tenant: Option<Rc<str>>, span: Option<SpanId>) -> Option<Box<RequestContext>> {
+        (tenant.is_some() || span.is_some()).then(|| Box::new(RequestContext { tenant, span }))
     }
 }
 
@@ -321,8 +360,8 @@ pub struct Response {
     pub report: Option<InvocationReport>,
     /// Per-step breakdown of a flow trigger (responses to
     /// [`Control::FlowRun`] only; present even for failed flows,
-    /// carrying the partial results).
-    pub flow: Option<WorkflowReport>,
+    /// carrying the partial results). Boxed: no other reply sets it.
+    pub flow: Option<Box<WorkflowReport>>,
 }
 
 impl Response {
@@ -405,9 +444,8 @@ mod tests {
             id: 1,
             target: Target::Kernel("matmul".into()),
             data: DataRef::InBand(Value::F64s(vec![0.0; 1000])),
-            tenant: None,
             deadline: None,
-            span: None,
+            context: None,
             reply_out_of_band: false,
             reply_to_store: false,
         };
@@ -438,9 +476,8 @@ mod tests {
                 id: 1,
                 target: Target::Control(op),
                 data,
-                tenant: None,
                 deadline: None,
-                span: None,
+                context: None,
                 reply_out_of_band: false,
                 reply_to_store: false,
             };
@@ -450,6 +487,26 @@ mod tests {
                 "{op:?}"
             );
         }
+    }
+
+    /// Frames move by value from the client through the wire to the
+    /// server and back: their sizes are what each hop copies.
+    #[test]
+    fn frames_stay_small() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Request>(), 104);
+        assert_eq!(size_of::<Response>(), 168);
+        assert_eq!(size_of::<InvocationReport>(), 104);
+        assert_eq!(size_of::<kaas_net::Frame<RequestFrame>>(), 112);
+    }
+
+    /// Every request and reply in transmission holds one of these.
+    #[test]
+    fn wire_send_future_stays_small() {
+        let (tx, _rx) = kaas_net::wire::<RequestFrame>(kaas_net::LinkProfile::loopback());
+        let send = tx.send(kaas_net::Frame::new(RequestFrame::Batch(Vec::new()), 0));
+        let size = std::mem::size_of_val(&send);
+        assert!(size <= 176, "WireSender::send future is {size} B");
     }
 
     #[test]

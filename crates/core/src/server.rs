@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use kaas_accel::{Device, DeviceClass, DeviceId};
 use kaas_net::{Frame, Listener, SharedMemory};
-use kaas_simtime::{join_all, spawn};
+use kaas_simtime::{join_all, spawn, spawn_detached};
 
 use crate::admission::AdmissionController;
 use crate::config::ServerConfig;
@@ -261,10 +261,10 @@ impl KaasServer {
                 while let Some(frame) = rx.recv().await {
                     let server = server.clone();
                     let tx = tx.clone();
-                    spawn(async move {
+                    spawn_detached(async move {
                         match frame.body {
                             RequestFrame::One(req) => {
-                                let parent = req.span;
+                                let parent = req.span();
                                 let resp = server.handle(req).await;
                                 let out = ResponseFrame::One(resp);
                                 let bytes = out.wire_bytes();

@@ -11,6 +11,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::rc::Rc;
 
 use kaas_simtime::channel::{self, Receiver, Sender};
@@ -36,8 +37,12 @@ impl<Out: 'static, In: 'static> Connection<Out, In> {
     /// # Errors
     ///
     /// Returns [`Disconnected`] if the peer is gone.
-    pub async fn send(&self, body: Out, bytes: u64) -> Result<(), Disconnected> {
-        self.tx.send(Frame::new(body, bytes)).await
+    pub fn send(
+        &self,
+        body: Out,
+        bytes: u64,
+    ) -> impl Future<Output = Result<(), Disconnected>> + '_ {
+        self.tx.send(Frame::new(body, bytes))
     }
 
     /// Attaches a span sink: every traced send records a `net_send` span
@@ -54,16 +59,19 @@ impl<Out: 'static, In: 'static> Connection<Out, In> {
     /// # Errors
     ///
     /// Returns [`Disconnected`] if the peer is gone.
-    pub async fn send_traced(
+    // An `async fn` would hold `body` in its own slot beside the send
+    // future that also holds it.
+    #[allow(clippy::manual_async_fn)]
+    pub fn send_traced(
         &self,
         body: Out,
         bytes: u64,
         parent: Option<SpanId>,
-    ) -> Result<(), Disconnected> {
-        match &self.tracer {
-            Some((sink, track)) => {
-                let t0 = now();
-                let result = self.tx.send(Frame::new(body, bytes)).await;
+    ) -> impl Future<Output = Result<(), Disconnected>> + '_ {
+        async move {
+            let t0 = now();
+            let result = self.tx.send(Frame::new(body, bytes)).await;
+            if let Some((sink, track)) = &self.tracer {
                 sink.record(
                     track.clone(),
                     "net_send",
@@ -72,9 +80,8 @@ impl<Out: 'static, In: 'static> Connection<Out, In> {
                     parent,
                     vec![("bytes".into(), bytes.to_string())],
                 );
-                result
             }
-            None => self.send(body, bytes).await,
+            result
         }
     }
 

@@ -13,12 +13,13 @@
 //! call; its `bytes` field is the coalesced wire size.
 
 use std::cell::Cell;
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
 use kaas_simtime::channel::{self, Receiver, Sender};
 use kaas_simtime::sync::Semaphore;
-use kaas_simtime::{sleep, spawn};
+use kaas_simtime::{sleep, spawn_detached};
 
 use crate::profile::LinkProfile;
 
@@ -181,26 +182,33 @@ impl<T: 'static> WireSender<T> {
     /// # Errors
     ///
     /// Returns [`Disconnected`] if the receiver is gone.
-    pub async fn send(&self, frame: Frame<T>) -> Result<(), Disconnected> {
-        if !self.tx.is_open() {
-            return Err(Disconnected);
+    // An `async fn` would move `frame` into a second slot of its future,
+    // so the frame would be stored twice.
+    #[allow(clippy::manual_async_fn)]
+    pub fn send(&self, frame: Frame<T>) -> impl Future<Output = Result<(), Disconnected>> + '_ {
+        async move {
+            if !self.tx.is_open() {
+                return Err(Disconnected);
+            }
+            let _guard = self.link.acquire(1).await;
+            sleep(self.profile.transmission_time(frame.bytes)).await;
+            if self.fault.take_drop() {
+                // The frame is lost past the NIC: the sender already paid
+                // the transmission time, the receiver never hears about it.
+                return Ok(());
+            }
+            let latency = self.profile.latency + self.fault.extra_delay();
+            let tx = self.tx.clone();
+            // Propagation happens off the sender's critical path so the
+            // link can pipeline subsequent transmissions. The channel is
+            // unbounded, so delivery never waits: `try_send` is the
+            // `send().await` it would otherwise be, minus the future.
+            spawn_detached(async move {
+                sleep(latency).await;
+                let _ = tx.try_send(frame);
+            });
+            Ok(())
         }
-        let _guard = self.link.acquire(1).await;
-        sleep(self.profile.transmission_time(frame.bytes)).await;
-        if self.fault.take_drop() {
-            // The frame is lost past the NIC: the sender already paid the
-            // transmission time, the receiver never hears about it.
-            return Ok(());
-        }
-        let latency = self.profile.latency + self.fault.extra_delay();
-        let tx = self.tx.clone();
-        // Propagation happens off the sender's critical path so the link
-        // can pipeline subsequent transmissions.
-        spawn(async move {
-            sleep(latency).await;
-            let _ = tx.send(frame).await;
-        });
-        Ok(())
     }
 
     /// Transmits and waits for full delivery (transmission + propagation).
@@ -255,7 +263,7 @@ impl<T> WireReceiver<T> {
 mod tests {
     use super::*;
     use crate::profile::LinkProfile;
-    use kaas_simtime::{now, Simulation};
+    use kaas_simtime::{now, spawn, Simulation};
     use std::time::Duration;
 
     fn test_link() -> LinkProfile {

@@ -335,9 +335,28 @@ impl Handle {
             fut: Some(fut),
             state: Rc::clone(&state),
         });
+        self.insert(task);
+        JoinHandle::new(state)
+    }
+
+    /// Spawns a task whose output nobody awaits.
+    ///
+    /// It runs exactly as a [`spawn`](Handle::spawn)ed task would, from
+    /// the same point of the ready queue, but it is stored as the boxed
+    /// future alone: no join state is allocated. The future is dropped
+    /// as soon as it completes, before the task leaves the
+    /// [`live_tasks`](Handle::live_tasks) count.
+    pub fn spawn_detached<F>(&self, fut: F)
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        self.insert(Box::pin(fut));
+    }
+
+    /// Stores `task` in a free slot and queues its first poll.
+    fn insert(&self, task: LocalFuture) {
         let id = self.shared.core.borrow_mut().insert_task(task);
         self.shared.ready.borrow_mut().push_back(id);
-        JoinHandle::new(state)
     }
 
     /// Number of tasks that have been spawned and not yet completed.
@@ -552,6 +571,10 @@ impl Simulation {
         let mut cx = Context::from_waker(&waker);
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
+                // The finished task is dropped before it leaves the
+                // live count and before the step hooks run, with the
+                // core unborrowed: its destructors may cancel timers.
+                drop(fut);
                 let mut core = core.borrow_mut();
                 core.free.push(id);
                 core.live -= 1;
@@ -616,6 +639,19 @@ where
     F::Output: 'static,
 {
     Handle::with_current(|h| h.spawn(fut))
+}
+
+/// Spawns a task whose output nobody awaits onto the ambient
+/// simulation; see [`Handle::spawn_detached`].
+///
+/// # Panics
+///
+/// Panics outside a running simulation; see [`Handle::current`].
+pub fn spawn_detached<F>(fut: F)
+where
+    F: Future<Output = ()> + 'static,
+{
+    Handle::with_current(|h| h.spawn_detached(fut))
 }
 
 #[cfg(test)]
@@ -774,6 +810,144 @@ mod tests {
             state: Rc::new(RefCell::new(JoinState::new())),
         };
         assert!(std::mem::size_of_val(&task) <= size + 16);
+    }
+
+    /// Records, when dropped, how many tasks its simulation counted
+    /// live at that moment.
+    struct DropProbe(Rc<Cell<Option<usize>>>);
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            self.0.set(Some(Handle::current().live_tasks()));
+        }
+    }
+
+    /// Sleeps 1 ms, flagging `finishing` as it completes. The probe is
+    /// a field, so it drops with the task's box, not when the sleep
+    /// returns (an `async` block would drop its locals on return).
+    struct Probed {
+        sleep: crate::Sleep,
+        finishing: Rc<Cell<bool>>,
+        _probe: DropProbe,
+    }
+
+    impl Probed {
+        fn new(finishing: &Rc<Cell<bool>>, dropped: &Rc<Cell<Option<usize>>>) -> Self {
+            Probed {
+                sleep: sleep(Duration::from_millis(1)),
+                finishing: Rc::clone(finishing),
+                _probe: DropProbe(Rc::clone(dropped)),
+            }
+        }
+    }
+
+    impl Future for Probed {
+        type Output = ();
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let out = Pin::new(&mut self.sleep).poll(cx);
+            self.finishing.set(out.is_ready());
+            out
+        }
+    }
+
+    #[test]
+    fn detached_future_drops_before_the_task_leaves_the_live_count() {
+        let mut sim = Simulation::new();
+        let finishing = Rc::new(Cell::new(false));
+        let live_at_drop = Rc::new(Cell::new(None));
+        sim.handle()
+            .spawn_detached(Probed::new(&finishing, &live_at_drop));
+        assert_eq!(sim.live_tasks(), 1);
+        sim.run();
+        assert!(finishing.get());
+        assert_eq!(live_at_drop.get(), Some(1), "dropped while still live");
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[cfg(feature = "sim-sanitizer")]
+    #[test]
+    fn detached_future_drops_before_the_step_hooks_run() {
+        let mut sim = Simulation::new();
+        let finishing = Rc::new(Cell::new(false));
+        let dropped = Rc::new(Cell::new(None));
+        let checked = Rc::new(Cell::new(0u32));
+        sim.handle().add_step_hook(Rc::new({
+            let (finishing, dropped, checked) = (
+                Rc::clone(&finishing),
+                Rc::clone(&dropped),
+                Rc::clone(&checked),
+            );
+            move || {
+                if finishing.get() {
+                    assert!(dropped.get().is_some(), "hook ran before the drop");
+                    checked.set(checked.get() + 1);
+                }
+            }
+        }));
+        sim.handle()
+            .spawn_detached(Probed::new(&finishing, &dropped));
+        sim.run();
+        assert_eq!(checked.get(), 1, "exactly one step follows the last poll");
+    }
+
+    #[test]
+    fn detached_tasks_reuse_slots() {
+        let mut sim = Simulation::new();
+        let handle = sim.handle();
+        sim.block_on(async move {
+            for _ in 0..100 {
+                handle.spawn_detached(async { sleep(Duration::from_millis(1)).await });
+                sleep(Duration::from_millis(2)).await;
+            }
+        });
+        assert_eq!(sim.live_tasks(), 0);
+        assert_eq!(
+            sim.handle().task_slots(),
+            2,
+            "the root task and one reused slot"
+        );
+    }
+
+    /// Three tasks logging at same-instant wakes, timers and yields;
+    /// `detach` picks which of them are spawned detached.
+    fn interleaving(detach: [bool; 3]) -> (Vec<(u64, usize, u32)>, usize) {
+        let mut sim = Simulation::new();
+        let log: Rc<RefCell<Vec<(u64, usize, u32)>>> = Rc::default();
+        for (task, detach) in detach.into_iter().enumerate() {
+            let log = Rc::clone(&log);
+            let fut = async move {
+                for step in 0..4u32 {
+                    log.borrow_mut().push((now().as_nanos(), task, step));
+                    if step % 2 == 0 {
+                        crate::yield_now().await;
+                    }
+                    sleep(Duration::from_millis(
+                        1 + (task as u64 + u64::from(step)) % 2,
+                    ))
+                    .await;
+                }
+            };
+            if detach {
+                sim.handle().spawn_detached(fut);
+            } else {
+                drop(sim.spawn(fut));
+            }
+        }
+        sim.run();
+        let log = log.borrow().clone();
+        (log, sim.handle().task_slots())
+    }
+
+    #[test]
+    fn detached_and_joined_tasks_interleave_as_joined_ones_do() {
+        let joined = interleaving([false; 3]);
+        assert_eq!(joined.0.len(), 12);
+        let same_instant = joined.0.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        assert!(same_instant >= 4, "the log exercises same-instant order");
+        for detach in [[false, true, false], [true, false, true], [true; 3]] {
+            assert_eq!(interleaving(detach), joined, "{detach:?}");
+        }
     }
 
     #[test]

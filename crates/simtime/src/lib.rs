@@ -53,7 +53,8 @@
 //! ## Tasks, wakers and timers
 //!
 //! * A spawned task is one allocation at the size of its future (plus
-//!   its join state), polled in place.
+//!   its join state), polled in place. A task spawned with
+//!   [`spawn_detached`] has no join state and is the boxed future alone.
 //! * A task's [`Waker`](std::task::Waker) carries its simulation's tag
 //!   and its slot id. Cloning, dropping and waking allocate nothing and
 //!   touch no lock or atomic. Tags are process-unique: a wake after the
@@ -77,7 +78,7 @@ mod time;
 pub mod trace;
 
 pub use combinators::{join_all, race, Either, Race};
-pub use executor::{now, spawn, try_now, Handle, Simulation};
+pub use executor::{now, spawn, spawn_detached, try_now, Handle, Simulation};
 pub use join::JoinHandle;
 pub use sleep::{sleep, sleep_until, timeout, yield_now, Elapsed, Sleep, Timeout, YieldNow};
 pub use time::SimTime;

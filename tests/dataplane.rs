@@ -129,9 +129,8 @@ fn a_reserved_looking_kernel_name_is_not_a_control_op() {
                 id: 1,
                 target: Target::Kernel("_kaas/data/put".into()),
                 data: DataRef::InBand(payload()),
-                tenant: None,
                 deadline: None,
-                span: None,
+                context: None,
                 reply_out_of_band: false,
                 reply_to_store: false,
             })

@@ -347,9 +347,8 @@ fn every_error_kind_is_inducible_and_counted() {
                 id: u64::MAX,
                 target: Target::Kernel("matmul".into()),
                 data: DataRef::OutOfBand(stale),
-                tenant: None,
                 deadline: None,
-                span: None,
+                context: None,
                 reply_out_of_band: false,
                 reply_to_store: false,
             })
