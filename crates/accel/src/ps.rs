@@ -20,10 +20,12 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use kaas_simtime::sync::Event;
 use kaas_simtime::{now, timeout, SimTime};
 
 /// Work smaller than one nanosecond at full capacity counts as done
@@ -44,7 +46,13 @@ struct PsState {
     total_demand: f64,
     next_id: u64,
     last_settle: SimTime,
-    epoch: Event,
+    /// Bumped on every arrival and departure: a job waiting on an older
+    /// epoch re-estimates its finish time.
+    epoch: u64,
+    /// One waker per pending poll of an [`EpochWait`] in the current
+    /// epoch, in poll order; drained, keeping its capacity, by every
+    /// bump.
+    waiters: Vec<Waker>,
     busy_seconds: f64,
 }
 
@@ -72,10 +80,13 @@ impl PsState {
         }
     }
 
-    /// Signals a rate change to every waiting job.
+    /// Signals a rate change to every waiting job, in the order they
+    /// parked. Waking only queues a task, so it is safe under the borrow.
     fn bump_epoch(&mut self) {
-        let old = std::mem::replace(&mut self.epoch, Event::new());
-        old.set();
+        self.epoch += 1;
+        for w in self.waiters.drain(..) {
+            w.wake();
+        }
     }
 
     fn recompute_demand(&mut self) {
@@ -136,7 +147,8 @@ impl SharedProcessor {
                 total_demand: 0.0,
                 next_id: 0,
                 last_settle: SimTime::ZERO,
-                epoch: Event::new(),
+                epoch: 0,
+                waiters: Vec::new(),
                 busy_seconds: 0.0,
             })),
         }
@@ -212,12 +224,13 @@ impl SharedProcessor {
             let (epoch, finish_in) = {
                 let s = self.state.borrow();
                 let job = s.jobs[&id];
-                (
-                    s.epoch.clone(),
-                    Duration::from_secs_f64(job.remaining / s.rate()),
-                )
+                (s.epoch, Duration::from_secs_f64(job.remaining / s.rate()))
             };
-            match timeout(finish_in, epoch.wait()).await {
+            let bumped = EpochWait {
+                state: &self.state,
+                epoch,
+            };
+            match timeout(finish_in, bumped).await {
                 Err(_) => {
                     // Ran undisturbed until our estimated finish: settle and
                     // check we are really done (guards rounding).
@@ -237,6 +250,29 @@ impl SharedProcessor {
                     // epoch bumper already settled the state.
                 }
             }
+        }
+    }
+}
+
+/// Resolves once the processor's epoch moves past `epoch`. Each pending
+/// poll parks one more waker; nothing is unregistered on drop, so a job
+/// whose timer fired first is woken once more, spuriously, by the next
+/// bump.
+struct EpochWait<'a> {
+    state: &'a RefCell<PsState>,
+    epoch: u64,
+}
+
+impl Future for EpochWait<'_> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let mut s = self.state.borrow_mut();
+        if s.epoch != self.epoch {
+            Poll::Ready(())
+        } else {
+            s.waiters.push(cx.waker().clone());
+            Poll::Pending
         }
     }
 }
@@ -416,6 +452,65 @@ mod tests {
         assert!((small.as_secs_f64() - 2.0).abs() < 1e-6, "small={small:?}");
         // Large: 100 done by t=2, 200 left alone at 100/s => done at t=4.
         assert!((large.as_secs_f64() - 4.0).abs() < 1e-6, "large={large:?}");
+    }
+
+    /// Counts its polls, and stays pending once `fut` is done, so a
+    /// duplicate wake would show as one more poll.
+    struct CountPolls<F> {
+        fut: Option<Pin<Box<F>>>,
+        polls: Rc<std::cell::Cell<u32>>,
+    }
+
+    impl<F: Future<Output = ()>> Future for CountPolls<F> {
+        type Output = ();
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            self.polls.set(self.polls.get() + 1);
+            if let Some(fut) = self.fut.as_mut() {
+                if fut.as_mut().poll(cx).is_ready() {
+                    self.fut = None;
+                }
+            }
+            Poll::Pending
+        }
+    }
+
+    #[test]
+    fn one_rate_change_wakes_every_parked_job_once_in_arrival_order() {
+        let mut sim = Simulation::new();
+        sim.block_on(async {
+            let ps = SharedProcessor::new(100.0);
+            let woken: Rc<RefCell<Vec<u32>>> = Rc::default();
+            let polls: Vec<Rc<std::cell::Cell<u32>>> = (0..4).map(|_| Rc::default()).collect();
+            for (i, polls) in (0u32..).zip(&polls) {
+                let (ps, woken) = (ps.clone(), Rc::clone(&woken));
+                let parked = async move {
+                    let epoch = ps.state.borrow().epoch;
+                    EpochWait {
+                        state: &ps.state,
+                        epoch,
+                    }
+                    .await;
+                    woken.borrow_mut().push(i);
+                };
+                spawn(CountPolls {
+                    fut: Some(Box::pin(parked)),
+                    polls: Rc::clone(polls),
+                });
+            }
+            sleep(Duration::from_millis(1)).await;
+            assert_eq!(ps.state.borrow().waiters.len(), 4);
+            // An arrival is a rate change.
+            let capacity = ps.state.borrow().waiters.capacity();
+            ps.execute(1.0).await;
+            assert_eq!(*woken.borrow(), [0, 1, 2, 3]);
+            for p in &polls {
+                assert_eq!(p.get(), 2, "parked once, woken once");
+            }
+            let s = ps.state.borrow();
+            assert!(s.waiters.is_empty());
+            assert_eq!(s.waiters.capacity(), capacity, "the list is reused");
+        });
     }
 
     #[test]

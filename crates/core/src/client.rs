@@ -467,7 +467,7 @@ impl KaasClient {
     /// simtime tick". Replies coalesce symmetrically; each member still
     /// succeeds or fails on its own. Finish with
     /// [`BatchBuilder::send`].
-    pub fn batch(&mut self) -> BatchBuilder<'_> {
+    pub fn batch<'k>(&mut self) -> BatchBuilder<'_, 'k> {
         BatchBuilder {
             client: self,
             calls: Vec::new(),
@@ -1124,19 +1124,20 @@ impl FlowBuilder<'_> {
 
 /// One member of a batched invocation (see [`KaasClient::batch`]):
 /// kernel name, input, and per-member overrides. Built standalone so a
-/// batch can be assembled before the client is borrowed.
+/// batch can be assembled before the client is borrowed. The name is
+/// borrowed until [`send`](BatchBuilder::send) interns it.
 #[derive(Debug, Clone)]
-pub struct BatchCall {
-    kernel: String,
+pub struct BatchCall<'k> {
+    kernel: &'k str,
     opts: CallOptions,
 }
 
-impl BatchCall {
+impl<'k> BatchCall<'k> {
     /// Starts a batch member invoking `kernel` (input defaults to
     /// [`Value::Unit`]).
-    pub fn new(kernel: &str) -> Self {
+    pub fn new(kernel: &'k str) -> Self {
         BatchCall {
-            kernel: kernel.to_owned(),
+            kernel,
             opts: CallOptions::default(),
         }
     }
@@ -1182,15 +1183,15 @@ impl BatchCall {
 /// admission all see ordinary individual invocations.
 #[must_use = "a batch does nothing until .send() is awaited"]
 #[derive(Debug)]
-pub struct BatchBuilder<'c> {
+pub struct BatchBuilder<'c, 'k> {
     client: &'c mut KaasClient,
-    calls: Vec<BatchCall>,
+    calls: Vec<BatchCall<'k>>,
     timeout: Option<Duration>,
 }
 
-impl BatchBuilder<'_> {
+impl<'k> BatchBuilder<'_, 'k> {
     /// Appends one member.
-    pub fn call(mut self, call: BatchCall) -> Self {
+    pub fn call(mut self, call: BatchCall<'k>) -> Self {
         self.calls.push(call);
         self
     }
@@ -1261,7 +1262,7 @@ impl BatchBuilder<'_> {
                     None => DataRef::InBand(c.opts.input),
                 };
                 let id = client.next_id();
-                let target = Target::Kernel(client.intern(&c.kernel));
+                let target = Target::Kernel(client.intern(c.kernel));
                 client.request(id, target, data, c.opts.tenant, c.opts.deadline)
             })
             .collect();

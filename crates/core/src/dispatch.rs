@@ -1084,9 +1084,10 @@ mod tests {
     }
 
     /// Under a wide batch every member's future is live at once, and a
-    /// member is the `handle()` future itself, spawned without a
-    /// wrapper: it holds the request and the server handle, and past
-    /// the front door only the reply receiver.
+    /// member task is the `handle()` future held once inside
+    /// `join_all`'s member, which adds only its index and the shared
+    /// output table: the future holds the request and the server
+    /// handle, and past the front door only the reply receiver.
     #[test]
     fn handle_future_stays_small() {
         let server = KaasServer::new(

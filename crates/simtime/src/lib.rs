@@ -55,6 +55,10 @@
 //! * A spawned task is one allocation at the size of its future (plus
 //!   its join state), polled in place. A task spawned with
 //!   [`spawn_detached`] has no join state and is the boxed future alone.
+//!   [`join_all`] spawns its members detached, into one shared output
+//!   table.
+//! * Waiting on a [`sync::Semaphore`] allocates nothing once its waiter
+//!   table has grown to the peak number of parked acquirers.
 //! * A task's [`Waker`](std::task::Waker) carries its simulation's tag
 //!   and its slot id. Cloning, dropping and waking allocate nothing and
 //!   touch no lock or atomic. Tags are process-unique: a wake after the

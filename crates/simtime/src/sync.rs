@@ -2,7 +2,7 @@
 //! counting semaphore with RAII permits) and [`Event`] (one-shot broadcast
 //! flag).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -17,42 +17,64 @@ use std::task::{Context, Poll, Waker};
 enum WaiterPhase {
     Queued,
     Granted,
-    Consumed,
-    Cancelled,
 }
 
+/// A parked [`Acquire`], from its first pending poll until it observes
+/// its grant or is dropped. Its slot is then free for the next waiter.
 struct Waiter {
     n: usize,
-    phase: Rc<Cell<WaiterPhase>>,
+    phase: WaiterPhase,
     waker: Option<Waker>,
 }
 
 struct SemState {
     permits: usize,
-    waiters: VecDeque<Waiter>,
+    /// The slots of queued waiters, in FIFO order. A cancelled waiter
+    /// leaves at once, so the length is the number of queued waiters.
+    queue: VecDeque<u32>,
+    /// Waiter slots, reused: a semaphore allocates only when more
+    /// `Acquire`s are parked at once than ever before.
+    slots: Vec<Waiter>,
+    free: Vec<u32>,
 }
 
 impl SemState {
-    /// Grants permits to waiters strictly in FIFO order.
-    fn grant(&mut self) -> Vec<Waker> {
-        let mut woken = Vec::new();
-        while let Some(front) = self.waiters.front() {
-            match front.phase.get() {
-                WaiterPhase::Cancelled => {
-                    self.waiters.pop_front();
-                }
-                WaiterPhase::Queued if front.n <= self.permits => {
-                    let mut w = self.waiters.pop_front().expect("front exists");
-                    self.permits -= w.n;
-                    w.phase.set(WaiterPhase::Granted);
-                    if let Some(waker) = w.waker.take() {
-                        woken.push(waker);
-                    }
-                }
-                _ => break,
-            }
+    fn park(&mut self, n: usize, waker: Waker) -> u32 {
+        let waiter = Waiter {
+            n,
+            phase: WaiterPhase::Queued,
+            waker: Some(waker),
+        };
+        let slot = if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = waiter;
+            slot
+        } else {
+            let slot = u32::try_from(self.slots.len()).expect("semaphore waiter table full");
+            self.slots.push(waiter);
+            slot
+        };
+        self.queue.push_back(slot);
+        slot
+    }
+
+    fn free_slot(&mut self, slot: u32) {
+        self.slots[slot as usize].waker = None;
+        self.free.push(slot);
+    }
+
+    /// Grants the head waiter its permits if they are available, and
+    /// returns its waker.
+    fn grant_head(&mut self) -> Option<Waker> {
+        let &slot = self.queue.front()?;
+        let waiter = &mut self.slots[slot as usize];
+        if waiter.n > self.permits {
+            return None;
         }
-        woken
+        self.permits -= waiter.n;
+        waiter.phase = WaiterPhase::Granted;
+        let waker = waiter.waker.take();
+        self.queue.pop_front();
+        waker
     }
 }
 
@@ -89,7 +111,7 @@ impl std::fmt::Debug for Semaphore {
         let s = self.state.borrow();
         f.debug_struct("Semaphore")
             .field("available", &s.permits)
-            .field("waiters", &s.waiters.len())
+            .field("waiters", &s.queue.len())
             .finish()
     }
 }
@@ -100,7 +122,9 @@ impl Semaphore {
         Semaphore {
             state: Rc::new(RefCell::new(SemState {
                 permits,
-                waiters: VecDeque::new(),
+                queue: VecDeque::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
             })),
         }
     }
@@ -112,12 +136,7 @@ impl Semaphore {
 
     /// Number of queued waiters.
     pub fn waiters(&self) -> usize {
-        self.state
-            .borrow()
-            .waiters
-            .iter()
-            .filter(|w| w.phase.get() == WaiterPhase::Queued)
-            .count()
+        self.state.borrow().queue.len()
     }
 
     /// Acquires `n` permits, waiting in FIFO order; the returned
@@ -126,7 +145,7 @@ impl Semaphore {
         Acquire {
             sem: self.clone(),
             n,
-            waiter: None,
+            phase: AcquirePhase::Idle,
         }
     }
 
@@ -136,11 +155,7 @@ impl Semaphore {
     /// earlier waiters are queued (FIFO fairness is never bypassed).
     pub fn try_acquire(&self, n: usize) -> Option<SemaphoreGuard> {
         let mut s = self.state.borrow_mut();
-        let blocked = s
-            .waiters
-            .iter()
-            .any(|w| w.phase.get() == WaiterPhase::Queued);
-        if blocked || s.permits < n {
+        if !s.queue.is_empty() || s.permits < n {
             return None;
         }
         s.permits -= n;
@@ -153,13 +168,18 @@ impl Semaphore {
 
     /// Adds `n` new permits to the semaphore (capacity growth).
     pub fn add_permits(&self, n: usize) {
-        let wakers = {
-            let mut s = self.state.borrow_mut();
-            s.permits += n;
-            s.grant()
-        };
-        for w in wakers {
-            w.wake();
+        self.state.borrow_mut().permits += n;
+        self.grant();
+    }
+
+    /// Grants permits to waiters strictly in FIFO order, waking each
+    /// as it is granted.
+    fn grant(&self) {
+        loop {
+            let Some(waker) = self.state.borrow_mut().grant_head() else {
+                return;
+            };
+            waker.wake();
         }
     }
 
@@ -168,83 +188,86 @@ impl Semaphore {
     }
 }
 
+/// Where an [`Acquire`] stands. A parked one names its waiter slot.
+#[derive(Clone, Copy, Debug)]
+enum AcquirePhase {
+    Idle,
+    Parked(u32),
+    Done,
+}
+
 /// Future returned by [`Semaphore::acquire`].
 #[must_use = "futures do nothing unless awaited"]
 #[derive(Debug)]
 pub struct Acquire {
     sem: Semaphore,
     n: usize,
-    waiter: Option<Rc<Cell<WaiterPhase>>>,
+    phase: AcquirePhase,
+}
+
+impl Acquire {
+    fn ready(&mut self) -> Poll<SemaphoreGuard> {
+        self.phase = AcquirePhase::Done;
+        Poll::Ready(SemaphoreGuard {
+            sem: self.sem.clone(),
+            n: self.n,
+        })
+    }
 }
 
 impl Future for Acquire {
     type Output = SemaphoreGuard;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Some(phase) = &self.waiter {
-            match phase.get() {
-                WaiterPhase::Granted => {
-                    phase.set(WaiterPhase::Consumed);
-                    return Poll::Ready(SemaphoreGuard {
-                        sem: self.sem.clone(),
-                        n: self.n,
-                    });
-                }
-                WaiterPhase::Queued => {
-                    // Refresh our stored waker.
-                    let phase = Rc::clone(phase);
-                    let mut s = self.sem.state.borrow_mut();
-                    if let Some(w) = s.waiters.iter_mut().find(|w| Rc::ptr_eq(&w.phase, &phase)) {
-                        w.waker = Some(cx.waker().clone());
-                    }
-                    return Poll::Pending;
-                }
-                WaiterPhase::Consumed | WaiterPhase::Cancelled => {
-                    panic!("Acquire polled after completion")
-                }
-            }
-        }
         let mut s = self.sem.state.borrow_mut();
-        let blocked = s
-            .waiters
-            .iter()
-            .any(|w| w.phase.get() == WaiterPhase::Queued);
-        if !blocked && s.permits >= self.n {
-            s.permits -= self.n;
-            drop(s);
-            return Poll::Ready(SemaphoreGuard {
-                sem: self.sem.clone(),
-                n: self.n,
-            });
+        match self.phase {
+            AcquirePhase::Idle => {
+                if s.queue.is_empty() && s.permits >= self.n {
+                    s.permits -= self.n;
+                    drop(s);
+                    return self.ready();
+                }
+                let slot = s.park(self.n, cx.waker().clone());
+                drop(s);
+                self.phase = AcquirePhase::Parked(slot);
+                Poll::Pending
+            }
+            AcquirePhase::Parked(slot) => {
+                let waiter = &mut s.slots[slot as usize];
+                if waiter.phase == WaiterPhase::Granted {
+                    s.free_slot(slot);
+                    drop(s);
+                    return self.ready();
+                }
+                // Refresh our stored waker.
+                waiter.waker = Some(cx.waker().clone());
+                Poll::Pending
+            }
+            AcquirePhase::Done => panic!("Acquire polled after completion"),
         }
-        let phase = Rc::new(Cell::new(WaiterPhase::Queued));
-        s.waiters.push_back(Waiter {
-            n: self.n,
-            phase: Rc::clone(&phase),
-            waker: Some(cx.waker().clone()),
-        });
-        drop(s);
-        self.waiter = Some(phase);
-        Poll::Pending
     }
 }
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        if let Some(phase) = self.waiter.take() {
-            match phase.get() {
-                WaiterPhase::Queued => {
-                    phase.set(WaiterPhase::Cancelled);
-                    // Lazily removed by `grant`; but trigger a grant pass in
-                    // case we were at the head blocking others.
-                    self.sem.add_permits(0);
-                }
-                WaiterPhase::Granted => {
-                    // Granted but never observed: return the permits.
-                    self.sem.release(self.n);
-                }
-                WaiterPhase::Consumed | WaiterPhase::Cancelled => {}
+        let AcquirePhase::Parked(slot) = self.phase else {
+            return;
+        };
+        let mut s = self.sem.state.borrow_mut();
+        let granted = s.slots[slot as usize].phase == WaiterPhase::Granted;
+        s.free_slot(slot);
+        if !granted {
+            if let Some(at) = s.queue.iter().position(|&q| q == slot) {
+                s.queue.remove(at);
             }
+        }
+        drop(s);
+        if granted {
+            // Granted but never observed: return the permits.
+            self.sem.release(self.n);
+        } else {
+            // Leaving may unblock the waiters behind us.
+            self.sem.grant();
         }
     }
 }
@@ -392,6 +415,7 @@ impl Future for EventWait {
 mod tests {
     use super::*;
     use crate::{now, sleep, spawn, Simulation};
+    use std::cell::Cell;
     use std::time::Duration;
 
     #[test]
@@ -523,6 +547,92 @@ mod tests {
             drop(g);
             let got_at = tail.await;
             assert_eq!(got_at.as_secs_f64(), 3.0);
+        });
+    }
+
+    /// Slots in the waiter table, and how many of them are free.
+    fn slot_table(sem: &Semaphore) -> (usize, usize) {
+        let s = sem.state.borrow();
+        (s.slots.len(), s.free.len())
+    }
+
+    #[test]
+    fn sequential_parking_reuses_one_slot() {
+        let mut sim = Simulation::new();
+        sim.block_on(async {
+            let sem = Semaphore::new(1);
+            for _ in 0..1_000 {
+                let g = sem.try_acquire(1).expect("free");
+                let sem2 = sem.clone();
+                let h = spawn(async move { drop(sem2.acquire(1).await) });
+                crate::yield_now().await;
+                assert_eq!(sem.waiters(), 1);
+                drop(g);
+                h.await;
+            }
+            assert_eq!(slot_table(&sem), (1, 1));
+            assert_eq!(sem.available(), 1);
+        });
+    }
+
+    #[test]
+    fn waiter_cancelled_mid_queue_frees_its_slot() {
+        let mut sim = Simulation::new();
+        sim.block_on(async {
+            let sem = Semaphore::new(1);
+            let g = sem.try_acquire(1).expect("free");
+            let order: Rc<RefCell<Vec<&str>>> = Rc::default();
+            let waiter = |name: &'static str| {
+                let (sem, order) = (sem.clone(), Rc::clone(&order));
+                spawn(async move {
+                    let _g = sem.acquire(1).await;
+                    order.borrow_mut().push(name);
+                })
+            };
+            let a = waiter("a");
+            let sem2 = sem.clone();
+            let b = spawn(async move {
+                crate::timeout(Duration::from_secs(1), sem2.acquire(1))
+                    .await
+                    .is_err()
+            });
+            let c = waiter("c");
+            crate::yield_now().await;
+            assert_eq!((sem.waiters(), slot_table(&sem)), (3, (3, 0)));
+            assert!(b.await, "b gave up waiting");
+            assert_eq!((sem.waiters(), slot_table(&sem)), (2, (3, 1)));
+            // A later waiter reuses b's slot and still queues behind c.
+            let d = waiter("d");
+            crate::yield_now().await;
+            assert_eq!((sem.waiters(), slot_table(&sem)), (3, (3, 0)));
+            drop(g);
+            a.await;
+            c.await;
+            d.await;
+            assert_eq!(*order.borrow(), ["a", "c", "d"]);
+            assert_eq!(slot_table(&sem), (3, 3));
+        });
+    }
+
+    #[test]
+    fn acquire_dropped_after_grant_returns_permits_and_slot() {
+        let mut sim = Simulation::new();
+        sim.block_on(async {
+            let sem = Semaphore::new(1);
+            let g = sem.try_acquire(1).expect("free");
+            let mut acquire = sem.acquire(1);
+            std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut acquire).poll(cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            assert_eq!((sem.waiters(), slot_table(&sem)), (1, (1, 0)));
+            // Granted while nobody polls it.
+            drop(g);
+            assert_eq!((sem.available(), sem.waiters()), (0, 0));
+            drop(acquire);
+            assert_eq!(sem.available(), 1);
+            assert_eq!(slot_table(&sem), (1, 1));
         });
     }
 

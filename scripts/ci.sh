@@ -75,9 +75,11 @@ matches_archive() {
 
 echo "==> executor stage: simtime scheduling contract in the debug profile"
 # The debug profile runs the executor's debug assertions (a popped
-# timer's slot still holds that timer) over the crate's own suites and
-# the seeded timer-order golden.
+# timer's slot still holds that timer) over the crate's own suites,
+# the processor-sharing model's wake-order tests and the seeded
+# timer-order golden.
 cargo test -q -p kaas-simtime
+cargo test -q -p kaas-accel
 cargo test -q --test simtime_executor
 
 echo "==> chaos stage: seeded fault storm + determinism replay"
@@ -129,7 +131,7 @@ replay_twice verify "$bench" verify --quick
 
 echo "==> results stage: fresh full runs match the committed archives"
 # A change that moves one of these numbers must refresh the archive.
-# Archives not listed here still drift from the code (ROADMAP item 2).
+# Archives not listed here still drift from the code (ROADMAP item 4).
 matches_archive cluster.json cluster
 matches_archive coldstart.json coldstart
 matches_archive dataflow.csv dataflow
