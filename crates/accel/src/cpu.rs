@@ -44,18 +44,6 @@ impl CpuProfile {
         }
     }
 
-    /// Two 32-core AMD EPYC 7513 (the §5.3 remote-client host).
-    pub fn epyc_7513_dual() -> Self {
-        CpuProfile {
-            name: "2x EPYC 7513",
-            cores: 64,
-            effective_flops: 260.0e9,
-            power: PowerProfile::new(70.0, 330.0),
-            python_launch: Duration::from_millis(110),
-            runtime_import: Duration::from_millis(350),
-        }
-    }
-
     /// Two 10-core Xeon E5-2650 v3 (the Fig. 2 motivating-example host).
     pub fn xeon_e5_2650v3_dual() -> Self {
         CpuProfile {

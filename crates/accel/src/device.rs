@@ -281,7 +281,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected a GPU")]
     fn wrong_downcast_panics() {
-        let d: Device = CpuDevice::new(DeviceId(0), CpuProfile::epyc_7513_dual()).into();
+        let d: Device = CpuDevice::new(DeviceId(0), CpuProfile::xeon_e5_2698v4_dual()).into();
         let _ = d.as_gpu();
     }
 

@@ -249,7 +249,8 @@ impl GpuDevice {
     }
 
     /// Number of live contexts (≈ resident processes/runners).
-    pub fn context_count(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn context_count(&self) -> u32 {
         self.inner.contexts.get()
     }
 

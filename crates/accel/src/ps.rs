@@ -160,7 +160,8 @@ impl SharedProcessor {
     }
 
     /// Number of currently resident jobs.
-    pub fn active_jobs(&self) -> usize {
+    #[cfg(test)]
+    fn active_jobs(&self) -> usize {
         self.state.borrow().jobs.len()
     }
 

@@ -176,13 +176,6 @@ impl TpuDevice {
             .await
     }
 
-    /// Runs `work` using the whole board (exclusive mode): acquires every
-    /// chip, then computes at `chips ×` per-chip rate.
-    pub async fn run_exclusive(&self, work: &WorkUnits) -> Duration {
-        let _board = self.lock_board().await;
-        self.run_board(work).await
-    }
-
     /// Executes `work` across all chips **without acquiring the board
     /// lock** — the caller must hold the [`TpuDevice::lock_board`] guard
     /// (this split lets baselines hold the board across TensorFlow import
@@ -255,7 +248,8 @@ mod tests {
             let tpu = v3_8();
             let w = WorkUnits::new(1.68e14);
             let c = tpu.run_on_chip(0, &w).await;
-            let b = tpu.run_exclusive(&w).await;
+            let _board = tpu.lock_board().await;
+            let b = tpu.run_board(&w).await;
             (c, b)
         });
         assert!((chip.as_secs_f64() - 4.0).abs() < 1e-6);
@@ -269,7 +263,10 @@ mod tests {
             let tpu = v3_8();
             let t2 = tpu.clone();
             let w = WorkUnits::new(1.68e14);
-            let h = spawn(async move { t2.run_exclusive(&w).await });
+            let h = spawn(async move {
+                let _board = t2.lock_board().await;
+                t2.run_board(&w).await
+            });
             kaas_simtime::yield_now().await;
             // A chip-slot user must wait for the exclusive run to finish.
             let _slot = tpu.acquire_chip_slot().await;

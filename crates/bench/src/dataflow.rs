@@ -96,6 +96,7 @@ pub fn run_pipeline(mode: Driver, n: u64, steps: usize) -> FlowRunStats {
                 let wf = Workflow::linear("evolve", vec!["ga"; steps]).expect("non-empty");
                 let handle = client.register_workflow(&wf).await.expect("registration");
                 let t0 = now();
+                let sent = client.requests_sent();
                 let run = client
                     .flow(&handle)
                     .input(Value::U64(n))
@@ -111,7 +112,7 @@ pub fn run_pipeline(mode: Driver, n: u64, steps: usize) -> FlowRunStats {
                     .sum();
                 FlowRunStats {
                     total: (now() - t0).as_secs_f64(),
-                    round_trips: run.round_trips(),
+                    round_trips: (client.requests_sent() - sent) as usize,
                     copy_in,
                     chained: run.chained_hits(),
                 }

@@ -40,11 +40,6 @@ impl BaselineReport {
     pub fn computation(&self) -> Duration {
         self.device_init + self.kernel_time
     }
-
-    /// The Fig. 7 "overhead" time: everything else.
-    pub fn overhead(&self) -> Duration {
-        self.total.saturating_sub(self.computation())
-    }
 }
 
 fn bad_input(e: kaas_kernels::KernelError) -> InvokeError {

@@ -52,7 +52,7 @@ use crate::protocol::{
     Control, DataRef, InvokeError, Request, RequestContext, RequestFrame, Response, ResponseFrame,
     Target,
 };
-use crate::resilience::{NoBackoff, RetryBudget, RetryPolicy};
+use crate::resilience::{ExponentialBackoff, RetryBudget};
 use crate::workflow::{FlowError, Workflow, WorkflowHandle, WorkflowReport, WorkflowRun};
 
 /// Result of a successful invocation, as observed by the client.
@@ -73,7 +73,7 @@ pub struct Invocation {
 /// the caller immediately. With one, transient overload-shaped errors
 /// ([`InvokeError::Overloaded`], [`InvokeError::TimedOut`],
 /// [`InvokeError::DeadlineExceeded`]) are retried up to `max_attempts`
-/// total attempts. Each retry waits the [`RetryPolicy`] backoff or the
+/// total attempts. Each retry waits the [`ExponentialBackoff`] (if any) or the
 /// server's `retry_after` hint, **whichever is longer** — cooperative
 /// backpressure: an overloaded server names its price and compliant
 /// clients pay it.
@@ -88,7 +88,7 @@ pub struct Invocation {
 #[derive(Debug, Clone)]
 pub struct ClientRetryConfig {
     max_attempts: u32,
-    backoff: Box<dyn RetryPolicy>,
+    backoff: Option<ExponentialBackoff>,
     budget: Option<Rc<RetryBudget>>,
 }
 
@@ -98,15 +98,15 @@ impl ClientRetryConfig {
     pub fn new(max_attempts: u32) -> Self {
         ClientRetryConfig {
             max_attempts: max_attempts.max(1),
-            backoff: Box::new(NoBackoff),
+            backoff: None,
             budget: None,
         }
     }
 
-    /// Sets the wait policy between attempts (the server's `retry_after`
+    /// Sets the backoff between attempts (the server's `retry_after`
     /// hint still wins when it is longer).
-    pub fn with_backoff(mut self, policy: impl RetryPolicy + 'static) -> Self {
-        self.backoff = Box::new(policy);
+    pub fn with_backoff(mut self, backoff: ExponentialBackoff) -> Self {
+        self.backoff = Some(backoff);
         self
     }
 
@@ -948,7 +948,9 @@ impl<'c> InvokeBuilder<'c> {
             }
             // Cooperative backpressure: wait at least what the server
             // asked for, even when our own backoff would retry sooner.
-            let mut wait = cfg.backoff.backoff(attempt, retry_key);
+            let mut wait = cfg
+                .backoff
+                .map_or(Duration::ZERO, |b| b.backoff(attempt, retry_key));
             if let InvokeError::Overloaded {
                 retry_after: Some(hint),
             } = &err
@@ -1073,15 +1075,14 @@ impl FlowBuilder<'_> {
             output,
             report: *reply.flow.ok_or(InvokeError::Disconnected)?,
             latency: reply.latency,
-            round_trips: 1,
         })
     }
 
     /// Triggers the run but leaves the final output server-resident,
     /// returning its content address plus the per-step report. The next
     /// hop — another flow via [`FlowBuilder::input_ref`], a
-    /// [`get`](KaasClient::get), a federated segment handoff — chains
-    /// off the ref without the value ever crossing this wire.
+    /// [`get`](KaasClient::get) — chains off the ref without the value
+    /// ever crossing this wire.
     ///
     /// # Errors
     ///

@@ -1,5 +1,5 @@
 //! Control operations: one handler serving every [`Control`] op — data
-//! plane, guest code, workflows and discovery.
+//! plane, guest code and workflows.
 //!
 //! Control ops bypass admission and placement (no device work happens)
 //! but pay the same transport costs as a kernel invocation: the input
@@ -33,8 +33,6 @@ impl KaasServer {
         let inner = self.inner();
         let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
         let input = match req.data {
-            // Discovery reads nothing from its request.
-            _ if op == Control::Discover => Value::Unit,
             DataRef::InBand(v) => {
                 sleep(inner.config.serialization.time(v.wire_bytes())).await;
                 v
@@ -53,12 +51,6 @@ impl KaasServer {
             _ => Err(InvokeError::BadInput(format!("expected {what} as text"))),
         };
         let output = match op {
-            Control::Discover => {
-                // Answered in-band as is: no reply shaping either.
-                let names = inner.registry.names().into_iter().map(Value::Text);
-                let data = DataRef::InBand(Value::List(names.collect()));
-                return Ok((data, self.control_report(op)));
-            }
             Control::DataPut => {
                 let r = dp.put(input);
                 m.dataplane_puts.inc();

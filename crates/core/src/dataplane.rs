@@ -31,7 +31,7 @@
 //! shared-memory region); only *device* residency is capacity-managed.
 //!
 //! On the wire `put`/`get`/`seal`/`pin` are the `Data*` [`Control`]
-//! ops (like discovery), with payloads in-band or through shared memory
+//! ops, with payloads in-band or through shared memory
 //! (the fast path).
 //!
 //! [`Control`]: crate::Control

@@ -842,7 +842,9 @@ impl KaasServer {
                         if attempts >= retry.max_attempts {
                             return Err(InvokeError::RunnerFailed(reason));
                         }
-                        let mut wait = retry.backoff.backoff(attempts, job.req.id);
+                        let mut wait = retry
+                            .backoff
+                            .map_or(Duration::ZERO, |b| b.backoff(attempts, job.req.id));
                         if let Some(budget) = retry.budget {
                             let remaining = budget.saturating_sub(backoff_spent);
                             if remaining.is_zero() && !wait.is_zero() {

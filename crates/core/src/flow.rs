@@ -42,7 +42,7 @@ use crate::server::KaasServer;
 use crate::workflow::{Edge, EdgeTransfer, StepReport, Workflow, WorkflowReport};
 
 /// Trigger flag: reply with the final output's [`ObjectRef`] instead of
-/// the materialized value (federated segment handoff).
+/// the materialized value ([`FlowBuilder::send_ref`](crate::FlowBuilder::send_ref)).
 pub(crate) const FLOW_REPLY_REF: u64 = 1;
 
 const FLOW_RUN_TAG: &str = "kaas.flow.run";

@@ -4,7 +4,7 @@
 //! model for heterogeneous hardware accelerators.
 //!
 //! * Developers [`register`](KernelRegistry::register) kernels.
-//! * A [`KaasServer`] wraps them in [`TaskRunner`]s on a shared pool of
+//! * A [`KaasServer`] wraps them in task runners on a shared pool of
 //!   devices, cold-starting runners on demand and keeping them warm.
 //! * Applications [`call`](KaasClient::call) kernels over the network
 //!   with in-band or out-of-band data transfer, via a builder-style
@@ -65,7 +65,6 @@ mod control;
 pub mod dataplane;
 mod dispatch;
 pub mod fault;
-mod federation;
 mod flow;
 mod fusion;
 mod guest;
@@ -90,11 +89,10 @@ pub use client::{
 pub use config::{DispatchMode, ServerConfig, ShardConfig};
 pub use dataplane::{content_hash, DataPlane, ObjectRef, ObjectStore, OBJECT_REF_WIRE_BYTES};
 pub use fault::{AppliedFault, Fault, FaultEvent, FaultInjector, FaultLog, FaultPlan, StormConfig};
-pub use federation::{FederatedClient, FederatedFlow, SiteHandle, SiteSpec};
 pub use fusion::{fuse, FusedKernel, FusionError};
 pub use metrics::histogram::{Histogram, HistogramSummary};
 pub use metrics::registry::MetricsRegistry;
-pub use metrics::{mean_ci95, percentile, InvocationReport, MeanCi, RunnerId};
+pub use metrics::{percentile, InvocationReport, RunnerId};
 pub use pool::{RunnerPool, RunnerSlot};
 pub use protocol::{
     Control, DataRef, InvokeError, Request, RequestContext, RequestFrame, Response, ResponseFrame,
@@ -103,9 +101,9 @@ pub use protocol::{
 pub use registry::{KernelRegistry, RegistryError};
 pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, EvictionConfig, ExponentialBackoff,
-    FallbackConfig, NoBackoff, RetryBudget, RetryBudgetConfig, RetryConfig, RetryPolicy,
+    FallbackConfig, RetryBudget, RetryBudgetConfig, RetryConfig,
 };
-pub use runner::{RunnerConfig, RunnerTimings, TaskRunner};
+pub use runner::RunnerConfig;
 pub use scheduler::{
     FillFirst, LeastLoaded, RoundRobin, SchedCtx, Scheduler, SlotChoice, SlotView, WarmFirst,
 };

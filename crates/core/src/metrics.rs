@@ -79,16 +79,6 @@ impl InvocationReport {
     }
 }
 
-/// Mean and 95 % confidence half-width of a sample (the paper plots mean
-/// and 95 % CI over ten samples).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeanCi {
-    /// Sample mean.
-    pub mean: f64,
-    /// Half-width of the 95 % confidence interval.
-    pub ci95: f64,
-}
-
 /// The `q`-quantile (0 ≤ q ≤ 1) of `samples` by linear interpolation.
 ///
 /// # Panics
@@ -104,25 +94,6 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// Computes mean and normal-approximation 95 % CI of `samples`.
-///
-/// # Panics
-///
-/// Panics on an empty sample.
-pub fn mean_ci95(samples: &[f64]) -> MeanCi {
-    assert!(!samples.is_empty(), "need at least one sample");
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    if samples.len() == 1 {
-        return MeanCi { mean, ci95: 0.0 };
-    }
-    let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    MeanCi {
-        mean,
-        ci95: 1.96 * (var / n).sqrt(),
-    }
 }
 
 #[cfg(test)]
@@ -147,25 +118,6 @@ mod tests {
         assert_eq!(r.kernel_time(), Duration::from_millis(13));
         assert_eq!(r.queue_time(), Duration::from_millis(500));
         assert_eq!(r.server_latency(), Duration::from_secs(1));
-    }
-
-    #[test]
-    fn mean_ci_of_constant_sample_is_tight() {
-        let m = mean_ci95(&[2.0, 2.0, 2.0, 2.0]);
-        assert_eq!(m.mean, 2.0);
-        assert_eq!(m.ci95, 0.0);
-    }
-
-    #[test]
-    fn mean_ci_widens_with_spread() {
-        let tight = mean_ci95(&[1.0, 1.1, 0.9, 1.0]);
-        let wide = mean_ci95(&[0.1, 2.0, 0.5, 1.9]);
-        assert!(wide.ci95 > tight.ci95);
-    }
-
-    #[test]
-    fn single_sample_has_zero_ci() {
-        assert_eq!(mean_ci95(&[5.0]).ci95, 0.0);
     }
 
     #[test]

@@ -184,7 +184,8 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(lo, hi, count)` triples, in value order.
-    pub fn buckets(&self) -> Vec<(f64, f64, u64)> {
+    #[cfg(test)]
+    fn buckets(&self) -> Vec<(f64, f64, u64)> {
         self.counts
             .iter()
             .enumerate()

@@ -37,29 +37,18 @@ impl DataRef {
             DataRef::Object(_) => OBJECT_REF_WIRE_BYTES,
         }
     }
-
-    /// Logical payload size (regardless of transfer mode).
-    pub fn payload_bytes(&self) -> u64 {
-        match self {
-            DataRef::InBand(v) => v.wire_bytes(),
-            DataRef::OutOfBand(h) => h.bytes(),
-            DataRef::Object(r) => r.bytes,
-        }
-    }
 }
 
 /// Fixed protocol framing overhead per message.
 pub const FRAME_BYTES: u64 = 128;
 
 /// A server-side operation outside the paper's kernel namespace: the
-/// data plane, guest code, workflows and discovery. Each op is served
+/// data plane, guest code and workflows. Each op is served
 /// by one control handler that bypasses admission and placement (no
 /// device work happens) but pays the same transport costs as a kernel
 /// invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
-    /// Lists the kernels the site serves (federated clients route by it).
-    Discover,
     /// Stores the payload in the object store, answering with its
     /// [`ObjectRef`].
     DataPut,
@@ -90,7 +79,6 @@ impl Control {
     /// reports.
     pub fn name(self) -> &'static str {
         match self {
-            Control::Discover => "_kaas/list",
             Control::DataPut => "_kaas/data/put",
             Control::DataGet => "_kaas/data/get",
             Control::DataSeal => "_kaas/data/seal",
@@ -458,7 +446,6 @@ mod tests {
         // under before requests were typed: virtual time depends on
         // them, so they must not move.
         let ops = [
-            (Control::Discover, 10),
             (Control::DataPut, 14),
             (Control::DataGet, 14),
             (Control::DataSeal, 15),
@@ -587,14 +574,6 @@ mod tests {
             bytes: 1_000_000,
         };
         assert_eq!(DataRef::Object(r).wire_bytes(), OBJECT_REF_WIRE_BYTES);
-        assert_eq!(DataRef::Object(r).payload_bytes(), 1_000_000);
-    }
-
-    #[test]
-    fn payload_bytes_reports_logical_size() {
-        let h = dummy_handle();
-        assert_eq!(DataRef::OutOfBand(h).payload_bytes(), 1_000_000);
-        assert_eq!(DataRef::InBand(Value::U64(1)).payload_bytes(), 16);
     }
 
     #[test]

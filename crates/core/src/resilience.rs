@@ -6,9 +6,10 @@
 //! pre-resilience behaviour so existing simulations replay unchanged:
 //!
 //! * [`RetryConfig`] — how many attempts a failed invocation gets and how
-//!   long to wait between them ([`RetryPolicy`]). Backoff jitter is a
-//!   pure function of `(seed, request id, attempt)`, so identical runs
-//!   produce identical waits.
+//!   long to wait between them (an optional [`ExponentialBackoff`];
+//!   none retries at once). Backoff jitter is a pure function of
+//!   `(seed, request id, attempt)`, so identical runs produce identical
+//!   waits.
 //! * [`BreakerConfig`] / [`CircuitBreaker`] — per-device failure
 //!   accounting. A device whose breaker is open receives no placements
 //!   until a cooldown elapses; a half-open breaker admits probes and
@@ -19,6 +20,10 @@
 //!   device class has no usable device, dispatch may fall back to a
 //!   slower class (e.g. GPU→CPU) instead of failing, surfacing the fact
 //!   via [`InvocationReport::degraded`](crate::InvocationReport).
+//!
+//! Clients retry with the same [`ExponentialBackoff`] through
+//! [`ClientRetryConfig`](crate::ClientRetryConfig), optionally gated by a
+//! shared [`RetryBudget`].
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -29,49 +34,6 @@ use std::time::Duration;
 use kaas_accel::{DeviceClass, DeviceId};
 use kaas_simtime::rng::stream_rng;
 use kaas_simtime::{now, SimTime};
-
-/// Decides how long to wait before retry attempt `attempt` (1-based: the
-/// wait before the second try is `backoff(1, ..)`).
-///
-/// Policies must be deterministic: any jitter has to derive from the
-/// `(request, attempt)` arguments, never from shared mutable state, so
-/// that identical simulations replay identical schedules regardless of
-/// task interleaving.
-pub trait RetryPolicy: fmt::Debug {
-    /// Human-readable policy name (used in traces).
-    fn name(&self) -> &'static str;
-
-    /// The wait before retry `attempt` (1-based) of request `request`.
-    fn backoff(&self, attempt: u32, request: u64) -> Duration;
-
-    /// Clones the policy into a new box ([`Box<dyn RetryPolicy>`] itself
-    /// implements [`Clone`] through this).
-    fn box_clone(&self) -> Box<dyn RetryPolicy>;
-}
-
-impl Clone for Box<dyn RetryPolicy> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
-}
-
-/// Retry immediately, no wait — the pre-resilience behaviour.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoBackoff;
-
-impl RetryPolicy for NoBackoff {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn backoff(&self, _attempt: u32, _request: u64) -> Duration {
-        Duration::ZERO
-    }
-
-    fn box_clone(&self) -> Box<dyn RetryPolicy> {
-        Box::new(*self)
-    }
-}
 
 /// Exponential backoff with a cap and deterministic jitter.
 ///
@@ -107,12 +69,6 @@ impl ExponentialBackoff {
         }
     }
 
-    /// Sets the cap on any single wait.
-    pub fn with_cap(mut self, cap: Duration) -> Self {
-        self.cap = cap;
-        self
-    }
-
     /// Enables deterministic jitter: waits scale by a factor drawn from
     /// `[1 - jitter, 1]`, seeded per `(request, attempt)`.
     pub fn with_jitter(mut self, jitter: f64, seed: u64) -> Self {
@@ -120,14 +76,10 @@ impl ExponentialBackoff {
         self.seed = seed;
         self
     }
-}
 
-impl RetryPolicy for ExponentialBackoff {
-    fn name(&self) -> &'static str {
-        "exponential"
-    }
-
-    fn backoff(&self, attempt: u32, request: u64) -> Duration {
+    /// The wait before retry `attempt` (1-based: the wait before the
+    /// second try is `backoff(1, ..)`) of request `request`.
+    pub fn backoff(&self, attempt: u32, request: u64) -> Duration {
         let exp = self.multiplier.powi(attempt.saturating_sub(1) as i32);
         let raw = self.base.as_secs_f64() * exp;
         let capped = raw.min(self.cap.as_secs_f64());
@@ -139,10 +91,6 @@ impl RetryPolicy for ExponentialBackoff {
         };
         Duration::from_secs_f64(capped * scale)
     }
-
-    fn box_clone(&self) -> Box<dyn RetryPolicy> {
-        Box::new(*self)
-    }
 }
 
 /// Retry behaviour of the dispatch path.
@@ -153,8 +101,8 @@ impl RetryPolicy for ExponentialBackoff {
 pub struct RetryConfig {
     /// Total attempts per invocation (1 = no retries).
     pub max_attempts: u32,
-    /// Wait policy between attempts.
-    pub backoff: Box<dyn RetryPolicy>,
+    /// Wait between attempts; `None` retries immediately.
+    pub backoff: Option<ExponentialBackoff>,
     /// Cap on the *summed* backoff wait per invocation; when the next
     /// wait would exceed the remaining budget it is truncated to fit, and
     /// a zero remaining budget stops retrying early. `None` = unbounded.
@@ -165,7 +113,7 @@ impl Default for RetryConfig {
     fn default() -> Self {
         RetryConfig {
             max_attempts: 3,
-            backoff: Box::new(NoBackoff),
+            backoff: None,
             budget: None,
         }
     }
@@ -178,9 +126,9 @@ impl RetryConfig {
         self
     }
 
-    /// Sets the backoff policy.
-    pub fn with_backoff(mut self, policy: impl RetryPolicy + 'static) -> Self {
-        self.backoff = Box::new(policy);
+    /// Sets the backoff between attempts.
+    pub fn with_backoff(mut self, backoff: ExponentialBackoff) -> Self {
+        self.backoff = Some(backoff);
         self
     }
 
@@ -357,12 +305,6 @@ impl BreakerConfig {
         self.cooldown = cooldown;
         self
     }
-
-    /// Sets the half-open success threshold (at least 1).
-    pub fn with_success_threshold(mut self, n: u32) -> Self {
-        self.success_threshold = n.max(1);
-        self
-    }
 }
 
 /// A per-device circuit breaker (closed → open → half-open → closed).
@@ -482,11 +424,6 @@ impl BreakerBank {
         Self::default()
     }
 
-    /// Whether circuit breaking is enabled.
-    pub fn enabled(&self) -> bool {
-        self.config.is_some()
-    }
-
     /// The breaker for `device` (allocated on first use); `None` when
     /// the bank is disabled.
     pub fn for_device(&self, device: DeviceId) -> Option<Rc<CircuitBreaker>> {
@@ -589,14 +526,16 @@ mod tests {
     fn default_retry_config_matches_historical_behaviour() {
         let c = RetryConfig::default();
         assert_eq!(c.max_attempts, 3);
-        assert_eq!(c.backoff.backoff(1, 42), Duration::ZERO);
+        assert!(c.backoff.is_none(), "retries are immediate");
         assert!(c.budget.is_none());
     }
 
     #[test]
     fn exponential_backoff_grows_and_caps() {
-        let p = ExponentialBackoff::new(Duration::from_millis(100))
-            .with_cap(Duration::from_millis(350));
+        let p = ExponentialBackoff {
+            cap: Duration::from_millis(350),
+            ..ExponentialBackoff::new(Duration::from_millis(100))
+        };
         assert_eq!(p.backoff(1, 0), Duration::from_millis(100));
         assert_eq!(p.backoff(2, 0), Duration::from_millis(200));
         // 400 ms capped to 350 ms.
@@ -621,11 +560,14 @@ mod tests {
 
     #[test]
     fn cloned_policy_boxes_agree() {
-        let p: Box<dyn RetryPolicy> =
-            Box::new(ExponentialBackoff::new(Duration::from_millis(50)).with_jitter(0.3, 3));
+        // A config carries its policy by value: the policy it holds, and
+        // any clone of the config, draw exactly the bare policy's waits.
+        let policy = ExponentialBackoff::new(Duration::from_millis(50)).with_jitter(0.3, 3);
+        let p = RetryConfig::default().with_backoff(policy);
         let q = p.clone();
-        assert_eq!(p.backoff(3, 9), q.backoff(3, 9));
-        assert_eq!(p.name(), "exponential");
+        let wait = |c: &RetryConfig| c.backoff.map(|b| b.backoff(3, 9));
+        assert_eq!(wait(&p), Some(policy.backoff(3, 9)));
+        assert_eq!(wait(&q), wait(&p));
     }
 
     #[test]
@@ -676,8 +618,7 @@ mod tests {
             let b = CircuitBreaker::new(
                 BreakerConfig::default()
                     .with_failure_threshold(3)
-                    .with_cooldown(Duration::from_secs(1))
-                    .with_success_threshold(2),
+                    .with_cooldown(Duration::from_secs(1)),
             );
             assert_eq!(b.state(), BreakerState::Closed);
             b.record_failure();
@@ -738,7 +679,6 @@ mod tests {
     #[test]
     fn disabled_bank_always_allows() {
         let bank = BreakerBank::disabled();
-        assert!(!bank.enabled());
         assert!(bank.allows(DeviceId(3)));
         assert!(bank.for_device(DeviceId(3)).is_none());
         assert!(bank.states().is_empty());

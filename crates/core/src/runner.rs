@@ -128,18 +128,14 @@ impl TaskRunner {
         self.device.id()
     }
 
-    /// Bound TPU chip (0 on other devices).
-    pub fn chip(&self) -> u32 {
-        self.chip
-    }
-
     /// Simulates a runner crash: subsequent invocations fail.
     pub fn kill(&self) {
         self.alive.set(false);
     }
 
     /// Whether the runner is alive.
-    pub fn is_alive(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive.get()
     }
 

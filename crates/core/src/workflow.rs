@@ -536,9 +536,6 @@ pub struct WorkflowRun {
     pub report: WorkflowReport,
     /// Client-observed end-to-end latency.
     pub latency: Duration,
-    /// Client↔server round trips the run cost (1 for a single-site
-    /// flow; one per segment for federated flows).
-    pub round_trips: usize,
 }
 
 impl WorkflowRun {
@@ -562,12 +559,6 @@ impl WorkflowRun {
             .filter_map(|s| s.report.as_ref())
             .filter(|r| r.cold_start)
             .count()
-    }
-
-    /// Client↔server round trips the run cost.
-    #[must_use]
-    pub fn round_trips(&self) -> usize {
-        self.round_trips
     }
 
     /// Steps that chained device-resident with zero `copy_in`.

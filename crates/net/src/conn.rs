@@ -114,7 +114,7 @@ impl<Out: 'static, In: 'static> Connection<Out, In> {
 
 /// Creates a directly-wired connection pair (no listener involved), with
 /// symmetric link timing.
-pub fn pair<A: 'static, B: 'static>(profile: LinkProfile) -> (Connection<A, B>, Connection<B, A>) {
+fn pair<A: 'static, B: 'static>(profile: LinkProfile) -> (Connection<A, B>, Connection<B, A>) {
     let (atx, arx) = wire::<A>(profile);
     let (btx, brx) = wire::<B>(profile);
     (

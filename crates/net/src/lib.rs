@@ -42,7 +42,7 @@ mod profile;
 mod shm;
 mod wire;
 
-pub use conn::{pair, Connection, Listener, NetError, Network};
+pub use conn::{Connection, Listener, NetError, Network};
 pub use profile::{size, LinkProfile, MemcpyProfile, SerializationProfile};
 pub use shm::{SharedMemory, ShmHandle, HANDLE_WIRE_BYTES};
 pub use wire::{wire, Disconnected, Frame, LinkFault, WireReceiver, WireSender};

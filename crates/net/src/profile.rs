@@ -122,7 +122,8 @@ impl SerializationProfile {
     }
 
     /// A fast binary serializer (bincode class).
-    pub fn binary() -> Self {
+    #[cfg(test)]
+    fn binary() -> Self {
         SerializationProfile {
             bytes_per_sec: 2.0e9,
             per_call: Duration::from_micros(5),

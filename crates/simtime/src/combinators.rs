@@ -1,5 +1,4 @@
-//! Small future combinators for simulation code: [`join_all`] (await a
-//! batch concurrently) and [`race`] (first of two).
+//! [`join_all`]: await a batch of futures concurrently.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -143,62 +142,6 @@ impl<T> Future for JoinAll<T> {
     }
 }
 
-/// The winner of a [`race`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Either<A, B> {
-    /// The first future finished first.
-    Left(A),
-    /// The second future finished first.
-    Right(B),
-}
-
-/// Future returned by [`race`].
-#[derive(Debug)]
-#[must_use = "futures do nothing unless awaited"]
-pub struct Race<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: Future + Unpin, B: Future + Unpin> Future for Race<A, B> {
-    type Output = Either<A::Output, B::Output>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = Pin::into_inner(self);
-        if let Poll::Ready(v) = Pin::new(&mut this.a).poll(cx) {
-            return Poll::Ready(Either::Left(v));
-        }
-        if let Poll::Ready(v) = Pin::new(&mut this.b).poll(cx) {
-            return Poll::Ready(Either::Right(v));
-        }
-        Poll::Pending
-    }
-}
-
-/// Races two futures; the loser is dropped when the winner resolves.
-/// The first future wins ties (checked first at each poll).
-///
-/// # Examples
-///
-/// ```
-/// use kaas_simtime::{race, sleep, Either, Simulation};
-/// use std::time::Duration;
-///
-/// let mut sim = Simulation::new();
-/// let won = sim.block_on(async {
-///     race(sleep(Duration::from_secs(1)), sleep(Duration::from_secs(5))).await
-/// });
-/// assert!(matches!(won, Either::Left(())));
-/// assert_eq!(sim.now().as_secs_f64(), 1.0);
-/// ```
-pub fn race<A, B>(a: A, b: B) -> Race<A, B>
-where
-    A: Future + Unpin,
-    B: Future + Unpin,
-{
-    Race { a, b }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,35 +279,5 @@ mod tests {
         let outs: Vec<u8> =
             sim.block_on(async { join_all(Vec::<std::future::Ready<u8>>::new()).await });
         assert!(outs.is_empty());
-    }
-
-    #[test]
-    fn race_right_can_win() {
-        let mut sim = Simulation::new();
-        let won = sim.block_on(async {
-            race(sleep(Duration::from_secs(9)), sleep(Duration::from_secs(2))).await
-        });
-        assert!(matches!(won, Either::Right(())));
-        assert_eq!(sim.now().as_secs_f64(), 2.0);
-    }
-
-    #[test]
-    fn race_does_not_advance_past_the_winner() {
-        let mut sim = Simulation::new();
-        sim.block_on(async {
-            race(sleep(Duration::from_secs(3)), sleep(Duration::from_secs(7))).await;
-            assert_eq!(now().as_secs_f64(), 3.0);
-        });
-        // The loser's timer was cancelled on drop: the clock stops at 3 s.
-        assert_eq!(sim.now().as_secs_f64(), 3.0);
-    }
-
-    #[test]
-    fn tie_goes_to_the_left() {
-        let mut sim = Simulation::new();
-        let won = sim.block_on(async {
-            race(sleep(Duration::from_secs(1)), sleep(Duration::from_secs(1))).await
-        });
-        assert!(matches!(won, Either::Left(())));
     }
 }

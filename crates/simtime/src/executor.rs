@@ -15,7 +15,6 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
-use std::time::Duration;
 
 use crate::join::{JoinHandle, JoinState};
 use crate::time::SimTime;
@@ -523,12 +522,6 @@ impl Simulation {
         self.now()
     }
 
-    /// Advances the simulation by `d` of virtual time.
-    pub fn run_for(&mut self, d: Duration) -> SimTime {
-        let limit = self.now() + d;
-        self.run_until(limit)
-    }
-
     /// Spawns `fut`, runs the simulation to completion, and returns the
     /// future's output.
     ///
@@ -659,6 +652,7 @@ mod tests {
     use super::*;
     use crate::sleep;
     use std::cell::Cell;
+    use std::time::Duration;
 
     #[test]
     fn empty_simulation_finishes_at_zero() {
@@ -724,18 +718,6 @@ mod tests {
         sim.run();
         assert!(done.get());
         assert_eq!(sim.now(), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn run_for_advances_relative() {
-        let mut sim = Simulation::new();
-        sim.spawn(async {
-            sleep(Duration::from_secs(100)).await;
-        });
-        sim.run_for(Duration::from_secs(30));
-        assert_eq!(sim.now(), SimTime::from_secs(30));
-        sim.run_for(Duration::from_secs(30));
-        assert_eq!(sim.now(), SimTime::from_secs(60));
     }
 
     #[test]

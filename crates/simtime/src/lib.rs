@@ -81,7 +81,7 @@ pub mod sync;
 mod time;
 pub mod trace;
 
-pub use combinators::{join_all, race, Either, Race};
+pub use combinators::join_all;
 pub use executor::{now, spawn, spawn_detached, try_now, Handle, Simulation};
 pub use join::JoinHandle;
 pub use sleep::{sleep, sleep_until, timeout, yield_now, Elapsed, Sleep, Timeout, YieldNow};

@@ -153,7 +153,8 @@ impl Semaphore {
     ///
     /// Fails (returns `None`) if fewer than `n` permits are available *or*
     /// earlier waiters are queued (FIFO fairness is never bypassed).
-    pub fn try_acquire(&self, n: usize) -> Option<SemaphoreGuard> {
+    #[cfg(test)]
+    fn try_acquire(&self, n: usize) -> Option<SemaphoreGuard> {
         let mut s = self.state.borrow_mut();
         if !s.queue.is_empty() || s.permits < n {
             return None;
@@ -272,8 +273,8 @@ impl Drop for Acquire {
     }
 }
 
-/// RAII permit holder returned by [`Semaphore::acquire`] /
-/// [`Semaphore::try_acquire`]; releases its permits on drop.
+/// RAII permit holder returned by [`Semaphore::acquire`]; releases its
+/// permits on drop.
 #[derive(Debug)]
 pub struct SemaphoreGuard {
     sem: Semaphore,

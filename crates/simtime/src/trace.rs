@@ -160,17 +160,6 @@ impl SpanSink {
         self.state.borrow_mut().spans.push(span);
     }
 
-    /// Records an instant (zero-length) span at the current virtual time.
-    pub fn mark(
-        &self,
-        track: impl Into<String>,
-        name: impl Into<String>,
-        parent: Option<SpanId>,
-    ) -> SpanId {
-        let at = crate::try_now().unwrap_or(SimTime::ZERO);
-        self.record(track, name, at, at, parent, Vec::new())
-    }
-
     /// Snapshot of all spans, in record order.
     pub fn spans(&self) -> Vec<Span> {
         self.state.borrow().spans.clone()
@@ -435,7 +424,7 @@ mod tests {
                 let t0 = crate::now();
                 sleep(Duration::from_millis(7)).await;
                 let root = s.record("x", "outer", t0, crate::now(), None, vec![]);
-                s.mark("y", "tick", Some(root));
+                s.record("y", "tick", crate::now(), crate::now(), Some(root), vec![]);
             });
             sink.to_chrome_json()
         };

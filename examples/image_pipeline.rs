@@ -65,6 +65,7 @@ fn main() {
         let handle = client.register_workflow(&wf).await.expect("registration");
 
         let t0 = now();
+        let sent = client.requests_sent();
         let run = client
             .flow(&handle)
             .input(frame)
@@ -93,7 +94,7 @@ fn main() {
                 whites,
                 pixels.len(),
                 run.latency.as_secs_f64() * 1e3,
-                run.round_trips(),
+                client.requests_sent() - sent,
             );
         }
 

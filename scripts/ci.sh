@@ -95,10 +95,8 @@ replay_twice dataplane "$bench" dataplane --quick
 echo "==> dataflow stage: workflow DAG tests + bench determinism"
 cargo test -q --release --test workflow_dataflow
 replay_twice dataflow "$bench" dataflow --quick
-# Registered flows end to end: federated_workflow splits a chain into
-# per-site segments handed over by send_ref/input_ref, and
-# workflow_fusion runs a 10-step and a 2-step chain.
-replay_twice federated_workflow cargo run -q --release --example federated_workflow
+# Registered flows end to end: workflow_fusion runs a 10-step and a
+# 2-step chain.
 replay_twice workflow_fusion cargo run -q --release --example workflow_fusion
 
 echo "==> cluster stage: sharded-dispatch tests + bench determinism"

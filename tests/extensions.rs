@@ -58,7 +58,6 @@ fn workflows_thread_outputs_through_steps() {
         let sent_before = c.requests_sent();
         let run = c.flow(&handle).input(Value::U64(64)).send().await.unwrap();
         assert_eq!(c.requests_sent() - sent_before, 1, "one trigger round trip");
-        assert_eq!(run.round_trips(), 1);
         assert_eq!(run.report.steps.len(), 3);
         assert_eq!(run.cold_starts(), 1, "only the first step cold-starts");
         assert_eq!(

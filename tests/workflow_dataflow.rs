@@ -6,12 +6,14 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use kaas::accel::{Device, DeviceId, GpuDevice, GpuProfile};
+use kaas::accel::{
+    CpuDevice, CpuProfile, Device, DeviceId, FpgaDevice, FpgaProfile, GpuDevice, GpuProfile,
+};
 use kaas::core::{
     InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry, ObjectRef, ServerConfig,
     SpanSink, Workflow,
 };
-use kaas::kernels::{GaGeneration, Kernel, SoftDtw, Value};
+use kaas::kernels::{BitmapConversion, GaGeneration, Kernel, Preprocess, SoftDtw, Value};
 use kaas::net::{LinkProfile, SharedMemory};
 use kaas::simtime::Simulation;
 use kaas::simtime::{sleep, spawn};
@@ -119,13 +121,18 @@ fn dag_fan_out_fan_in_matches_client_driven_baseline() {
             .with_shared_memory(shm);
         let sent1 = c.requests_sent();
         let handle = c.register_workflow(&diamond()).await.unwrap();
+        let sent2 = c.requests_sent();
         let run = c.flow(&handle).input(Value::U64(16)).send().await.unwrap();
+        assert_eq!(
+            c.requests_sent() - sent2,
+            1,
+            "the trigger is one round trip"
+        );
         assert_eq!(
             c.requests_sent() - sent1,
             2,
             "register + trigger is the whole conversation"
         );
-        assert_eq!(run.round_trips(), 1);
         assert_eq!(run.report.steps.len(), 4);
         assert_eq!(run.report.name, "diamond");
         assert!(
@@ -157,9 +164,14 @@ fn chained_steps_skip_the_host_copy_entirely() {
             .unwrap();
         let wf = Workflow::linear("evolve", vec!["ga"; 4]).unwrap();
         let handle = c.register_workflow(&wf).await.unwrap();
+        let sent = c.requests_sent();
         let run = c.flow(&handle).input(Value::U64(64)).send().await.unwrap();
 
-        assert_eq!(run.round_trips(), 1, "an N-step pipeline is one round trip");
+        assert_eq!(
+            c.requests_sent() - sent,
+            1,
+            "an N-step pipeline is one round trip"
+        );
         assert_eq!(run.chained_hits(), 3, "every downstream step chains");
         for step in &run.report.steps[1..] {
             assert!(step.chained);
@@ -327,6 +339,79 @@ fn trigger_with_an_unknown_input_ref_fails_before_staging() {
             0.0,
             "the early exit pins nothing"
         );
+    });
+}
+
+#[test]
+fn a_ref_handed_between_servers_chains_two_flows() {
+    // Flow A leaves its output server-resident; the value is fetched
+    // once, stored and sealed on a second server, and flow B there
+    // consumes it by ref. The chain must compute exactly what one
+    // A→B flow on a single server does.
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let net: KaasNetwork = KaasNetwork::new();
+        let cpu =
+            || -> Device { CpuDevice::new(DeviceId(0), CpuProfile::xeon_e5_2650v3_dual()).into() };
+        let fpga = || -> Device { FpgaDevice::new(DeviceId(1), FpgaProfile::alveo_u250()).into() };
+        let boot = |addr: &str, devices: Vec<Device>, kernels: Vec<Rc<dyn Kernel>>| {
+            let registry = KernelRegistry::new();
+            for k in kernels {
+                registry.register_rc(k).unwrap();
+            }
+            let server = KaasServer::new(
+                devices,
+                registry,
+                SharedMemory::host(),
+                ServerConfig::default(),
+            );
+            spawn(server.serve(net.listen(addr).unwrap()));
+        };
+        boot("edge", vec![cpu()], vec![Rc::new(Preprocess::new())]);
+        boot(
+            "dc",
+            vec![fpga()],
+            vec![Rc::new(BitmapConversion::default())],
+        );
+        boot(
+            "whole",
+            vec![cpu(), fpga()],
+            vec![
+                Rc::new(Preprocess::new()),
+                Rc::new(BitmapConversion::default()),
+            ],
+        );
+        let connect =
+            |addr: &'static str| KaasClient::connect(&net, addr, LinkProfile::lan_1gbps());
+        let frame: Vec<u8> = (0..96 * 96 * 3).map(|i| (i * 7 % 251) as u8).collect();
+        let frame = Value::image(frame, 96, 96, 3);
+
+        let mut whole = connect("whole").await.unwrap();
+        let both = Workflow::linear("a-then-b", ["preprocess", "bitmap"]).unwrap();
+        let handle = whole.register_workflow(&both).await.unwrap();
+        let expected = whole
+            .flow(&handle)
+            .input(frame.clone())
+            .send()
+            .await
+            .unwrap();
+
+        let mut edge = connect("edge").await.unwrap();
+        let a = Workflow::linear("a", ["preprocess"]).unwrap();
+        let a = edge.register_workflow(&a).await.unwrap();
+        let (r, report) = edge.flow(&a).input(frame).send_ref().await.unwrap();
+        assert_eq!(report.steps.len(), 1);
+        let value = edge.get(r).await.unwrap();
+
+        let mut dc = connect("dc").await.unwrap();
+        let shipped = dc.put(value).await.unwrap();
+        dc.seal(shipped).await.unwrap();
+        let b = Workflow::linear("b", ["bitmap"]).unwrap();
+        let b = dc.register_workflow(&b).await.unwrap();
+        let run = dc.flow(&b).input_ref(shipped).send().await.unwrap();
+
+        assert_eq!(run.output, expected.output);
+        assert!(matches!(&run.output, Value::Image { channels: 1, .. }));
     });
 }
 
