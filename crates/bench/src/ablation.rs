@@ -15,12 +15,8 @@ use crate::fig06::mm_input;
 
 /// Makespan of a burst of `tasks` concurrent matmuls under a scheduler,
 /// plus how many runners ended up used.
-pub fn scheduler_burst(
-    scheduler: impl Into<Box<dyn Scheduler>>,
-    tasks: usize,
-    n: u64,
-) -> (f64, usize) {
-    let scheduler: Box<dyn Scheduler> = scheduler.into();
+pub fn scheduler_burst(scheduler: impl Into<Scheduler>, tasks: usize, n: u64) -> (f64, usize) {
+    let scheduler = scheduler.into();
     let mut sim = Simulation::new();
     sim.block_on(async move {
         let config = experiment_server_config().with_scheduler(scheduler);
@@ -165,11 +161,11 @@ pub fn run(_quick: bool) -> Vec<Figure> {
     );
 
     let mut sched = Series::new("scheduler makespan (12 tasks, MM 5000)");
-    let policies: [Box<dyn Scheduler>; 4] = [
-        Box::new(FillFirst),
-        Box::new(RoundRobin::default()),
-        Box::new(LeastLoaded),
-        Box::new(WarmFirst),
+    let policies = [
+        FillFirst,
+        RoundRobin::default().into(),
+        LeastLoaded,
+        WarmFirst,
     ];
     for (i, policy) in policies.into_iter().enumerate() {
         let name = policy.name();

@@ -1,11 +1,10 @@
-//! Server configuration: tuning knobs plus the pluggable placement
-//! policy ([`Scheduler`]).
+//! Server configuration: tuning knobs plus the placement policy
+//! ([`Scheduler`]).
 //!
 //! `ServerConfig` stays [`Default`]-constructible and clonable; the
-//! scheduler field holds a trait object, set from a built-in policy
-//! struct ([`WarmFirst`](crate::WarmFirst), …) or a custom
-//! implementation. Scale-out is one switch, the paper's §5.5 rule
-//! ([`ServerConfig::autoscale`]):
+//! scheduler field holds one of the four policies
+//! ([`WarmFirst`](crate::WarmFirst), …). Scale-out is one switch, the
+//! paper's §5.5 rule ([`ServerConfig::autoscale`]):
 //!
 //! ```
 //! use kaas_core::{ServerConfig, WarmFirst};
@@ -96,7 +95,7 @@ pub struct ServerConfig {
     /// Runner settings.
     pub runner: RunnerConfig,
     /// Placement policy (default: [`FillFirst`](crate::FillFirst)).
-    pub scheduler: Box<dyn Scheduler>,
+    pub scheduler: Scheduler,
     /// Scale-out (default: `true`, the paper's §5.5 rule): when the
     /// scheduler declines because the kernel's in-flight requests fill
     /// every runner to its cap, start one more runner on a free device.
@@ -134,7 +133,7 @@ impl Default for ServerConfig {
             dispatch_overhead: Duration::from_micros(35),
             dispatch: ShardConfig::default(),
             runner: RunnerConfig::default(),
-            scheduler: Box::new(crate::scheduler::FillFirst),
+            scheduler: Scheduler::default(),
             autoscale: true,
             idle_timeout: None,
             admission: AdmissionConfig::default(),
@@ -168,11 +167,9 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the placement policy — a built-in policy struct
-    /// ([`FillFirst`](crate::FillFirst),
-    /// [`RoundRobin`][crate::RoundRobin], …) or any custom
-    /// [`Scheduler`] implementation.
-    pub fn with_scheduler(mut self, scheduler: impl Into<Box<dyn Scheduler>>) -> Self {
+    /// Sets the placement policy ([`FillFirst`](crate::FillFirst),
+    /// [`RoundRobin::default()`](crate::RoundRobin), …).
+    pub fn with_scheduler(mut self, scheduler: impl Into<Scheduler>) -> Self {
         self.scheduler = scheduler.into();
         self
     }
@@ -261,7 +258,7 @@ impl ServerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{RoundRobin, SchedCtx, SlotChoice};
+    use crate::scheduler::RoundRobin;
 
     #[test]
     fn default_matches_the_paper_setup() {
@@ -311,26 +308,5 @@ mod tests {
             AdmissionPolicy::Adaptive(AimdConfig::default()),
             "adaptive is the default limiter policy"
         );
-    }
-
-    #[test]
-    fn custom_policies_plug_in() {
-        #[derive(Debug, Clone)]
-        struct Always0;
-        impl Scheduler for Always0 {
-            fn name(&self) -> &'static str {
-                "always-0"
-            }
-            fn pick(&self, _ctx: &SchedCtx) -> Option<SlotChoice> {
-                Some(SlotChoice { index: 0 })
-            }
-            fn box_clone(&self) -> Box<dyn Scheduler> {
-                Box::new(self.clone())
-            }
-        }
-        let c = ServerConfig::default().with_scheduler(Always0);
-        assert_eq!(c.scheduler.name(), "always-0");
-        // Clone preserves the policy.
-        assert_eq!(c.clone().scheduler.name(), "always-0");
     }
 }

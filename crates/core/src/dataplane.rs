@@ -309,13 +309,6 @@ impl ObjectStore {
         }
     }
 
-    /// Takes a flow-lifetime pin on the object (released with
-    /// [`flow_unpin`](ObjectStore::flow_unpin) when the flow
-    /// completes). Returns whether the object exists.
-    pub fn flow_pin(&self, hash: u64) -> bool {
-        self.pin(hash)
-    }
-
     /// Releases one flow-lifetime pin, returning the remaining pin
     /// count (0 also when the object does not exist).
     pub fn flow_unpin(&self, hash: u64) -> u32 {
@@ -446,20 +439,6 @@ impl DataPlane {
     /// whether the object exists.
     pub fn seal(&self, hash: u64) -> bool {
         self.store.seal(hash)
-    }
-
-    /// Takes a flow-lifetime pin: the object survives device eviction
-    /// (and store GC) until [`flow_unpin`](DataPlane::flow_unpin)
-    /// releases it. Pins every currently-resident device copy; future
-    /// admissions inherit the pin via [`admit`](DataPlane::admit).
-    pub fn flow_pin(&self, hash: u64) -> bool {
-        if !self.store.flow_pin(hash) {
-            return false;
-        }
-        for mgr in self.devices.values() {
-            mgr.pin(hash);
-        }
-        true
     }
 
     /// Releases one flow-lifetime pin; when the last pin drops, the
@@ -799,7 +778,7 @@ mod tests {
         assert!(created);
         let (_, again) = store.put_tracked(Value::U64(9));
         assert!(!again, "dedup is not creation");
-        assert!(store.flow_pin(r.hash));
+        assert!(store.pin(r.hash));
         assert!(store.is_pinned(r.hash));
         assert_eq!(store.pins(r.hash), 1);
         assert!(!store.remove(r.hash), "pinned objects cannot be removed");
@@ -815,7 +794,7 @@ mod tests {
         let dp = DataPlane::new(&[tiny_gpu(0, 200)]);
         let heavy = dp.put(Value::F64s(vec![1.0; 20])); // 176 B
         dp.admit(DeviceId(0), &heavy).unwrap();
-        assert!(dp.flow_pin(heavy.hash));
+        assert!(dp.pin(heavy.hash));
         let rival = dp.put(Value::F64s(vec![2.0; 20]));
         assert!(
             dp.admit(DeviceId(0), &rival).is_err(),

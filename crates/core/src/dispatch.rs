@@ -49,7 +49,6 @@ use crate::pool::{InFlightGuard, RunnerSlot};
 use crate::protocol::{DataRef, InvokeError, Request, Response, Target};
 use crate::resilience::BreakerState;
 use crate::runner::RunnerTimings;
-use crate::scheduler::SchedCtx;
 use crate::server::KaasServer;
 use crate::workflow::WorkflowReport;
 
@@ -311,11 +310,11 @@ struct Ran {
 }
 
 impl KaasServer {
-    /// Handles one request end to end (public for in-process use and
-    /// tests; network callers go through [`KaasServer::serve`]).
+    /// Handles one request end to end; the accept loop
+    /// ([`KaasServer::serve`]) calls it per request.
     ///
     /// The future owns a handle to the server, so it can be spawned.
-    pub fn handle(&self, req: Request) -> impl Future<Output = Response> + 'static {
+    pub(crate) fn handle(&self, req: Request) -> impl Future<Output = Response> + 'static {
         let id = req.id;
         self.serve_request(req, move |server, result, flow| {
             let (result, report) = match result {
@@ -697,7 +696,7 @@ impl KaasServer {
                 // the requested name: a guest bare name re-resolves over
                 // time, and a warm runner must never serve a superseded
                 // version.
-                let (slot, degraded) = self.place(kernel.name(), kernel, cacheable.as_ref())?;
+                let (slot, degraded) = self.place(kernel, cacheable.as_ref())?;
                 // Data-plane cache step: a sealed operand either already
                 // sits in the chosen device's memory (hit — the host→device
                 // copy is skipped) or is admitted now (miss — this
@@ -941,16 +940,15 @@ impl KaasServer {
     /// placement was degraded.
     fn place(
         &self,
-        name: &str,
         kernel: &Rc<dyn Kernel>,
         operand: Option<&ObjectRef>,
     ) -> Result<(Rc<RunnerSlot>, bool), InvokeError> {
         let preferred = kernel.device_class();
-        match self.place_on(name, kernel, preferred, operand) {
+        match self.place_on(kernel, preferred, operand) {
             Ok(slot) => Ok((slot, false)),
             Err(e @ (InvokeError::NoDevice(_) | InvokeError::CircuitOpen(_))) => {
                 if let Some(fallback) = self.inner().config.fallback.next(preferred) {
-                    if let Ok(slot) = self.place_on(name, kernel, fallback, operand) {
+                    if let Ok(slot) = self.place_on(kernel, fallback, operand) {
                         return Ok((slot, true));
                     }
                 }
@@ -964,11 +962,11 @@ impl KaasServer {
     /// scheduler first, a new runner on cold fleets or (with
     /// [`autoscale`](crate::ServerConfig::autoscale)) full ones, queueing
     /// as the fallback. Only slots on online devices of `class` whose
-    /// circuit breaker allows placements are eligible. Claims nothing —
-    /// the caller takes the in-flight guard.
+    /// circuit breaker allows placements are eligible. One walk of the
+    /// kernel's slot list decides, so a pick allocates nothing. Claims
+    /// nothing — the caller takes the in-flight guard.
     fn place_on(
         &self,
-        name: &str,
         kernel: &Rc<dyn Kernel>,
         class: DeviceClass,
         operand: Option<&ObjectRef>,
@@ -976,64 +974,46 @@ impl KaasServer {
         let inner = self.inner();
         let pool = &inner.pool;
         let config = &inner.config;
-        let breakers = &inner.breakers;
-        let slot_ok = |s: &RunnerSlot| {
+        let cap = config.runner.max_inflight;
+        let eligible = |s: &RunnerSlot| {
             let d = pool.slot_device(s);
-            d.class() == class && d.is_online() && breakers.allows(s.device())
+            d.class() == class && d.is_online() && inner.breakers.allows(s.device())
         };
-        let dev_ok = |d: &kaas_accel::Device| breakers.allows(d.id());
-        if pool.runner_count(name) == 0 {
-            // Bootstrap: a cold deployment always starts its first
-            // runner, even with autoscale off.
-            if let Ok(slot) = pool.spawn_runner_where(name, kernel, config.runner, class, dev_ok) {
+        let resident = |s: &RunnerSlot| {
+            operand.is_some_and(|r| inner.dataplane.is_resident(s.device(), r.hash))
+        };
+        // The pick, or else the slot to queue on and whether to try
+        // starting a runner first.
+        let (slot, grow) = pool.with_slots(kernel.name(), |slots| {
+            if let Some(slot) = config.scheduler.pick(slots, eligible, cap, resident) {
+                return (Some(Rc::clone(slot)), false);
+            }
+            let usable = slots.iter().filter(|s| s.is_usable());
+            let queue = usable
+                .clone()
+                .filter(|s| eligible(s))
+                .min_by_key(|s| s.claimed());
+            // No eligible slot: start one. That covers a cold deployment's
+            // first runner, which starts even with autoscale off, and
+            // runners that all sit offline, behind open breakers or on
+            // another class. Otherwise the scheduler declined, and the
+            // fleet grows only under the §5.5 rule.
+            let grow = queue.is_none()
+                || scale_out(
+                    config.autoscale,
+                    usable.count(),
+                    slots.iter().map(|s| s.claimed()).sum(),
+                    cap,
+                );
+            (queue.cloned(), grow)
+        });
+        if grow {
+            let dev_ok = |d: &kaas_accel::Device| inner.breakers.allows(d.id());
+            if let Ok(slot) = pool.spawn_runner_where(kernel, config.runner, class, dev_ok) {
                 return Ok(slot);
             }
-        } else {
-            let (slots, mut views) = pool.usable_slots_where(name, slot_ok);
-            if !slots.is_empty() {
-                // Overlay the data-plane residency hint so cache-aware
-                // schedulers ([`WarmFirst`](crate::WarmFirst)) can route
-                // to the device that already holds the operand.
-                if let Some(r) = operand {
-                    for v in &mut views {
-                        v.resident = inner.dataplane.is_resident(v.device, r.hash);
-                    }
-                }
-                let ctx = SchedCtx {
-                    kernel: name,
-                    slots: &views,
-                    cap: config.runner.max_inflight,
-                };
-                if let Some(choice) = config.scheduler.pick(&ctx) {
-                    return Ok(Rc::clone(&slots[choice.index]));
-                }
-                // The scheduler declined: grow the fleet if it is full.
-                if scale_out(
-                    config.autoscale,
-                    pool.runner_count(name),
-                    pool.in_flight(name),
-                    config.runner.max_inflight,
-                ) {
-                    if let Ok(slot) =
-                        pool.spawn_runner_where(name, kernel, config.runner, class, dev_ok)
-                    {
-                        return Ok(slot);
-                    }
-                }
-            } else {
-                // The kernel has runners, but none on an eligible device
-                // of this class (offline / breaker-open / fallback class
-                // not yet started): try starting one.
-                if let Ok(slot) =
-                    pool.spawn_runner_where(name, kernel, config.runner, class, dev_ok)
-                {
-                    return Ok(slot);
-                }
-            }
         }
-        // Fall back to queueing on the least-claimed eligible slot.
-        pool.least_claimed_where(name, slot_ok)
-            .ok_or_else(|| self.placement_error(class))
+        slot.ok_or_else(|| self.placement_error(class))
     }
 
     /// The error reported when no placement on `class` was possible:
@@ -1068,6 +1048,7 @@ fn scale_out(autoscale: bool, runners: usize, in_flight: usize, cap: usize) -> b
 
 #[cfg(test)]
 mod tests {
+    use kaas_accel::{GpuDevice, GpuProfile};
     use kaas_net::SharedMemory;
 
     use super::*;
@@ -1131,6 +1112,37 @@ mod tests {
             let task = std::mem::size_of_val(&run_job(server.clone(), job, reply));
             assert!(execute <= 848, "execute() future is {execute} B");
             assert!(task <= 1_032, "run_job() future is {task} B");
+        });
+    }
+
+    /// Idle reaping and the next call's respawn, cycle after cycle: the
+    /// kernel's slot list drops each reaped slot when the respawn joins
+    /// it, so it never outgrows the fleet.
+    #[test]
+    fn reap_respawn_cycles_keep_the_slot_list_bounded() {
+        let mut sim = kaas_simtime::Simulation::new();
+        sim.block_on(async {
+            let registry = KernelRegistry::new();
+            registry
+                .register(kaas_kernels::MonteCarlo::default())
+                .expect("fresh registry");
+            let gpus = (0..2)
+                .map(|i| GpuDevice::new(DeviceId(i), GpuProfile::p100()).into())
+                .collect();
+            let config = ServerConfig::default().with_idle_timeout(Duration::from_secs(1));
+            let server = KaasServer::new(gpus, registry, SharedMemory::host(), config);
+            for cycle in 1..=8 {
+                server
+                    .handle(request("mci"))
+                    .await
+                    .result
+                    .expect("mci runs");
+                kaas_simtime::sleep(Duration::from_secs(5)).await;
+                assert_eq!(server.snapshot().reaped, cycle);
+                let len = server.inner().pool.with_slots("mci", <[_]>::len);
+                assert!(len <= 2, "cycle {cycle}: {len} slots on 2 devices");
+            }
+            assert_eq!(server.snapshot().kernels["mci"].runners, 0);
         });
     }
 

@@ -173,7 +173,7 @@ impl FlowRun<'_> {
     fn keep(&mut self, (r, created): (ObjectRef, bool)) -> ObjectRef {
         let inner = self.server.inner();
         inner.dataplane.seal(r.hash);
-        inner.dataplane.flow_pin(r.hash);
+        inner.dataplane.pin(r.hash);
         self.tracked.push((r.hash, created));
         let flows = &inner.flows;
         flows.intermediates.set(flows.intermediates.get() + 1);

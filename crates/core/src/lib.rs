@@ -23,20 +23,19 @@
 //! | Module | Responsibility | Policy hook |
 //! |---|---|---|
 //! | [`admission`] | tenant quotas, overload shedding | [`AdmissionConfig`] |
-//! | [`scheduler`] | route an invocation to a runner slot | [`Scheduler`] trait |
+//! | [`scheduler`] | route an invocation to a runner slot | [`Scheduler`] enum |
 //! | [`pool`] | runner lifecycle: spawn, warm lookup, idle reaping | mechanism only |
 //!
-//! Per invocation: admission ⇒ dispatch overhead ⇒ `scheduler.pick()`
-//! over the pool's usable slots ⇒ on decline, the paper's §5.5 rule
-//! ([`ServerConfig::autoscale`]) spawns a runner once in-flight work
-//! fills every runner (bounded by physical devices) ⇒ execute, retrying
-//! on runner failure. Scale-down is the pool's idle reaper
+//! Per invocation: admission ⇒ dispatch overhead ⇒ the scheduler's
+//! pick, walking the kernel's slot list in place ⇒ on decline, the
+//! paper's §5.5 rule ([`ServerConfig::autoscale`]) spawns a runner once
+//! in-flight work fills every runner (bounded by physical devices) ⇒
+//! execute, retrying on runner failure. Scale-down is the pool's idle reaper
 //! ([`ServerConfig::idle_timeout`]).
 //!
-//! Built-in schedulers: [`FillFirst`], [`RoundRobin`], [`LeastLoaded`],
-//! [`WarmFirst`]. Custom schedulers implement the trait and plug in
-//! through [`ServerConfig::with_scheduler`]; see the [`scheduler`]
-//! module docs for a worked example.
+//! Schedulers: [`FillFirst`], [`RoundRobin`], [`LeastLoaded`],
+//! [`WarmFirst`], set through [`ServerConfig::with_scheduler`]; see the
+//! [`scheduler`] module docs.
 //!
 //! ```
 //! use kaas_core::{baseline, KernelRegistry};
@@ -104,9 +103,7 @@ pub use resilience::{
     FallbackConfig, RetryBudget, RetryBudgetConfig, RetryConfig,
 };
 pub use runner::RunnerConfig;
-pub use scheduler::{
-    FillFirst, LeastLoaded, RoundRobin, SchedCtx, Scheduler, SlotChoice, SlotView, WarmFirst,
-};
+pub use scheduler::{FillFirst, LeastLoaded, RoundRobin, Scheduler, WarmFirst};
 pub use server::{KaasServer, KernelStats, ServerSnapshot};
 pub use trace::{Span, SpanId, SpanSink};
 pub use workflow::{

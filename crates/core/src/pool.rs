@@ -25,7 +25,6 @@ use crate::metrics::handles::ColdStartMetrics;
 use crate::metrics::RunnerId;
 use crate::protocol::InvokeError;
 use crate::runner::{RunnerConfig, TaskRunner};
-use crate::scheduler::SlotView;
 
 /// A runner slot: claimed synchronously at dispatch time, filled by an
 /// asynchronous cold start.
@@ -116,17 +115,26 @@ impl RunnerSlot {
         n >= threshold
     }
 
-    /// A scheduler-facing snapshot of this slot. `resident` starts
-    /// false; the dispatcher overlays data-plane residency when the
-    /// request references a sealed object.
-    fn view(&self, index: usize) -> SlotView {
-        SlotView {
-            index,
-            claimed: self.claimed.get(),
-            device: self.device,
-            warm: self.is_warm(),
-            resident: false,
+    /// A slot on `device` holding `claimed` claims, warm or still
+    /// cold-starting, for placement tests.
+    #[cfg(test)]
+    pub(crate) fn for_test(device: DeviceId, claimed: usize, warm: bool) -> Rc<RunnerSlot> {
+        let slot = RunnerSlot {
+            device,
+            position: device.0 as usize,
+            claimed: Cell::new(claimed),
+            ready: Event::new(),
+            runner: RefCell::new(None),
+            dead: Cell::new(false),
+            last_used: Cell::new(SimTime::ZERO),
+            consecutive_failures: Cell::new(0),
+            #[cfg(feature = "sim-sanitizer")]
+            device_ledger: Rc::new(Cell::new(0)),
+        };
+        if warm {
+            slot.ready.set();
         }
+        Rc::new(slot)
     }
 }
 
@@ -308,37 +316,6 @@ impl RunnerPool {
         classes
     }
 
-    /// Total runner capacity across devices of `class` (one runner per
-    /// device; one per chip on TPUs).
-    pub fn class_capacity(&self, class: DeviceClass) -> usize {
-        self.devices
-            .iter()
-            .filter(|d| d.class() == class)
-            .map(|d| match d {
-                Device::Tpu(t) => t.chips() as usize,
-                _ => 1,
-            })
-            .sum()
-    }
-
-    /// Number of runner slots (starting or ready) for `kernel`.
-    pub fn runner_count(&self, kernel: &str) -> usize {
-        self.slots
-            .borrow()
-            .get(kernel)
-            .map(|v| v.iter().filter(|s| s.is_usable()).count())
-            .unwrap_or(0)
-    }
-
-    /// Total in-flight (claimed) invocations for `kernel`.
-    pub fn in_flight(&self, kernel: &str) -> usize {
-        self.slots
-            .borrow()
-            .get(kernel)
-            .map(|v| v.iter().map(|s| s.claimed.get()).sum())
-            .unwrap_or(0)
-    }
-
     /// Number of runners reaped by the idle timeout so far.
     pub fn reaped(&self) -> usize {
         self.reaped.get()
@@ -415,43 +392,16 @@ impl RunnerPool {
             .count()
     }
 
-    /// Usable slots for `kernel` in start order, additionally filtered
-    /// by `pred` (resilience: skip offline devices and open breakers),
-    /// plus their scheduler-facing views. Views are built over the
-    /// filtered list so their indices stay valid.
-    pub(crate) fn usable_slots_where(
-        &self,
-        kernel: &str,
-        pred: impl Fn(&RunnerSlot) -> bool,
-    ) -> (Vec<Rc<RunnerSlot>>, Vec<SlotView>) {
-        let mut slots = Vec::new();
-        if let Some(v) = self.slots.borrow().get(kernel) {
-            // Sized for every slot up front: one allocation, not one per
-            // doubling.
-            slots.reserve_exact(v.len());
-            slots.extend(v.iter().filter(|s| s.is_usable() && pred(s)).cloned());
-        }
-        let views = slots.iter().enumerate().map(|(i, s)| s.view(i)).collect();
-        (slots, views)
-    }
-
-    /// The usable slot passing `pred` with the fewest claims (queueing
-    /// fallback when scale-out is denied or impossible).
-    pub(crate) fn least_claimed_where(
-        &self,
-        kernel: &str,
-        pred: impl Fn(&RunnerSlot) -> bool,
-    ) -> Option<Rc<RunnerSlot>> {
-        self.slots.borrow().get(kernel).and_then(|v| {
-            v.iter()
-                .filter(|s| s.is_usable() && pred(s))
-                .min_by_key(|s| s.claimed.get())
-                .cloned()
-        })
+    /// Runs `f` over `kernel`'s runner slots in start order (empty for
+    /// a kernel the pool has not seen) under one lookup and one borrow:
+    /// placement reads the list in place. `f` must not spawn runners.
+    pub(crate) fn with_slots<R>(&self, kernel: &str, f: impl FnOnce(&[Rc<RunnerSlot>]) -> R) -> R {
+        f(self.slots.borrow().get(kernel).map_or(&[], Vec::as_slice))
     }
 
     /// Starts a new runner for `kernel` on a free device (synchronously
     /// reserving the slot, asynchronously cold-starting the runner).
+    /// Runners are keyed by [`Kernel::name`].
     ///
     /// # Errors
     ///
@@ -459,20 +409,22 @@ impl RunnerPool {
     /// this kernel (one runner per device; one per chip on TPUs).
     pub fn spawn_runner(
         &self,
-        name: &str,
         kernel: &Rc<dyn Kernel>,
         config: RunnerConfig,
     ) -> Result<Rc<RunnerSlot>, InvokeError> {
-        self.spawn_runner_where(name, kernel, config, kernel.device_class(), |_| true)
+        self.spawn_runner_where(kernel, config, kernel.device_class(), |_| true)
     }
 
     /// Like [`spawn_runner`](RunnerPool::spawn_runner), but targeting an
     /// explicit device `class` (degraded fallback may differ from the
     /// kernel's preferred class) and only considering online devices for
     /// which `pred` holds (resilience: skip open breakers).
+    ///
+    /// The new slot joins the kernel's list after the list drops its
+    /// dead slots that hold no claims, so reaped, quarantined and
+    /// crashed runners do not pile up across respawns.
     pub fn spawn_runner_where(
         &self,
-        name: &str,
         kernel: &Rc<dyn Kernel>,
         config: RunnerConfig,
         class: DeviceClass,
@@ -481,7 +433,7 @@ impl RunnerPool {
         let mut config = config;
         config.spawn_process += self.slow_start.replace(Duration::ZERO);
         let mut slots = self.slots.borrow_mut();
-        let list = slots.entry(name.to_owned()).or_default();
+        let list = slots.entry(kernel.name().to_owned()).or_default();
         let (position, device) = self
             .devices
             .iter()
@@ -519,6 +471,7 @@ impl RunnerPool {
             #[cfg(feature = "sim-sanitizer")]
             device_ledger: self.device_ledger(device.id()),
         });
+        list.retain(|s| s.is_usable() || s.claimed.get() > 0);
         list.push(Rc::clone(&slot));
         drop(slots);
 
@@ -529,7 +482,7 @@ impl RunnerPool {
         let tracer = self.tracer.clone();
         let metrics = self.metrics.clone();
         let warmup = kernel.warmup();
-        let kernel_name = name.to_owned();
+        let kernel_name = kernel.name().to_owned();
         spawn(async move {
             let t0 = now();
             let runner = TaskRunner::cold_start(id, kernel, device, chip, config).await;
@@ -680,14 +633,10 @@ mod tests {
         sim.block_on(async {
             let pool = Rc::new(RunnerPool::new(gpus(2)));
             let k = mci();
-            pool.spawn_runner("mci", &k, RunnerConfig::default())
-                .unwrap();
-            pool.spawn_runner("mci", &k, RunnerConfig::default())
-                .unwrap();
-            assert_eq!(pool.runner_count("mci"), 2);
-            let err = pool
-                .spawn_runner("mci", &k, RunnerConfig::default())
-                .unwrap_err();
+            pool.spawn_runner(&k, RunnerConfig::default()).unwrap();
+            pool.spawn_runner(&k, RunnerConfig::default()).unwrap();
+            assert_eq!(pool.per_kernel_stats()["mci"].runners, 2);
+            let err = pool.spawn_runner(&k, RunnerConfig::default()).unwrap_err();
             assert!(matches!(err, InvokeError::NoDevice(_)));
         });
     }
@@ -698,15 +647,13 @@ mod tests {
         sim.block_on(async {
             let pool = Rc::new(RunnerPool::new(gpus(1)));
             let k = mci();
-            let slot = pool
-                .spawn_runner("mci", &k, RunnerConfig::default())
-                .unwrap();
+            let slot = pool.spawn_runner(&k, RunnerConfig::default()).unwrap();
             {
                 let _a = InFlightGuard::claim(&slot);
                 let _b = InFlightGuard::claim(&slot);
-                assert_eq!(pool.in_flight("mci"), 2);
+                assert_eq!(pool.per_kernel_stats()["mci"].in_flight, 2);
             }
-            assert_eq!(pool.in_flight("mci"), 0);
+            assert_eq!(pool.per_kernel_stats()["mci"].in_flight, 0);
         });
     }
 
@@ -716,9 +663,7 @@ mod tests {
         sim.block_on(async {
             let pool = Rc::new(RunnerPool::new(gpus(1)));
             let k = mci();
-            let slot = pool
-                .spawn_runner("mci", &k, RunnerConfig::default())
-                .unwrap();
+            let slot = pool.spawn_runner(&k, RunnerConfig::default()).unwrap();
             slot.wait_ready().await;
             // An invocation is in flight while the idle check fires.
             let guard = InFlightGuard::claim(&slot);
@@ -741,9 +686,7 @@ mod tests {
         sim.block_on(async {
             let pool = Rc::new(RunnerPool::new(gpus(1)));
             let k = mci();
-            let slot = pool
-                .spawn_runner("mci", &k, RunnerConfig::default())
-                .unwrap();
+            let slot = pool.spawn_runner(&k, RunnerConfig::default()).unwrap();
             slot.wait_ready().await;
             pool.arm_reaper(&slot, Duration::from_secs(10));
             // A completion touches the slot before the check fires.
@@ -752,12 +695,5 @@ mod tests {
             sleep(Duration::from_secs(6)).await;
             assert!(slot.is_usable(), "freshly used slot must not be reaped");
         });
-    }
-
-    #[test]
-    fn class_capacity_counts_devices() {
-        let pool = RunnerPool::new(gpus(3));
-        assert_eq!(pool.class_capacity(DeviceClass::Gpu), 3);
-        assert_eq!(pool.class_capacity(DeviceClass::Cpu), 0);
     }
 }

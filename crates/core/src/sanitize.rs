@@ -406,7 +406,7 @@ mod tests {
             let k: Rc<dyn kaas_kernels::Kernel> = Rc::new(MonteCarlo::default());
             let slot = server
                 .pool()
-                .spawn_runner("mci", &k, RunnerConfig::default())
+                .spawn_runner(&k, RunnerConfig::default())
                 .unwrap();
             std::mem::forget(InFlightGuard::claim(&slot));
             // The server drops here with the claim still open.

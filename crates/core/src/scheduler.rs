@@ -1,350 +1,234 @@
-//! Pluggable invocation scheduling: how the server chooses a runner
-//! slot for each request.
+//! Invocation scheduling: how the server chooses a runner slot for each
+//! request.
 //!
-//! The [`Scheduler`] trait sees an immutable snapshot of the usable
-//! slots for one kernel ([`SchedCtx`]) and either picks one
-//! ([`SlotChoice`]) or declines, signalling that every eligible runner
+//! A [`Scheduler`] is one of four fixed policies — [`FillFirst`],
+//! [`RoundRobin`], [`LeastLoaded`] (the paper's §5.4–§5.5 behaviours)
+//! and [`WarmFirst`] (prefers runners that finished cold-starting). Its
+//! pick walks one kernel's runner slots in start order, in place, and
+//! either returns one or declines, signalling that every eligible runner
 //! is saturated. On a decline the server may start a fresh runner
 //! ([`ServerConfig::autoscale`](crate::ServerConfig::autoscale)).
 //!
-//! Four policies ship in-tree — [`FillFirst`], [`RoundRobin`],
-//! [`LeastLoaded`] (the paper's §5.4–§5.5 behaviours) and
-//! [`WarmFirst`] (prefers runners that finished cold-starting).
-//! Custom policies implement the trait:
-//!
 //! ```
-//! use kaas_core::{SchedCtx, Scheduler, SlotChoice};
+//! use kaas_core::{RoundRobin, ServerConfig, WarmFirst};
 //!
-//! /// Sends everything to the most recently started runner.
-//! #[derive(Debug, Clone)]
-//! struct NewestFirst;
-//!
-//! impl Scheduler for NewestFirst {
-//!     fn name(&self) -> &'static str {
-//!         "newest-first"
-//!     }
-//!     fn pick(&self, ctx: &SchedCtx) -> Option<SlotChoice> {
-//!         ctx.slots
-//!             .iter()
-//!             .rev()
-//!             .find(|s| s.claimed < ctx.cap)
-//!             .map(|s| SlotChoice { index: s.index })
-//!     }
-//!     fn box_clone(&self) -> Box<dyn Scheduler> {
-//!         Box::new(self.clone())
-//!     }
-//! }
+//! let config = ServerConfig::default().with_scheduler(WarmFirst);
+//! assert_eq!(config.scheduler.name(), "warm-first");
+//! let config = config.with_scheduler(RoundRobin::default());
+//! assert_eq!(config.scheduler.name(), "round-robin");
 //! ```
 
 use std::cell::Cell;
+use std::rc::Rc;
 
-use kaas_accel::DeviceId;
+use crate::pool::RunnerSlot;
 
-/// One usable runner slot as the scheduler sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotView {
-    /// Position in [`SchedCtx::slots`], in runner start order. Return
-    /// this in [`SlotChoice::index`] to pick the slot.
-    pub index: usize,
-    /// In-flight invocations currently claimed against the slot.
-    pub claimed: usize,
-    /// Device hosting the runner.
-    pub device: DeviceId,
-    /// Whether the runner finished its cold start (a cold slot can be
-    /// picked — the invocation waits for readiness).
-    pub warm: bool,
-    /// Whether the invocation's referenced operand is already resident
-    /// in this slot's device memory (data-plane cache hint; always
-    /// `false` when the request carries no sealed object ref).
-    pub resident: bool,
-}
-
-/// Everything a scheduler may consult for one placement decision.
-#[derive(Debug, Clone)]
-pub struct SchedCtx<'a> {
-    /// Kernel being invoked.
-    pub kernel: &'a str,
-    /// Usable (non-dead) slots for this kernel, in start order.
-    pub slots: &'a [SlotView],
-    /// Per-runner in-flight cap
-    /// ([`RunnerConfig::max_inflight`][crate::RunnerConfig::max_inflight]).
-    pub cap: usize,
-}
-
-/// A scheduler's verdict: the index (into [`SchedCtx::slots`]) of the
-/// chosen slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotChoice {
-    /// Index of the chosen [`SlotView`].
-    pub index: usize,
-}
+pub use Scheduler::{FillFirst, LeastLoaded, WarmFirst};
 
 /// Placement policy: routes an invocation to one of a kernel's runner
 /// slots, or declines when all eligible runners are saturated.
 ///
-/// Implementations must be deterministic functions of their own state
-/// and the [`SchedCtx`] — the whole simulation replays bit-for-bit, so
-/// schedulers cannot consult wall clocks or ambient randomness.
-pub trait Scheduler {
-    /// Short policy name (used in `Debug` output).
-    fn name(&self) -> &'static str;
-
-    /// Chooses a slot, or `None` to decline (the server may then scale
-    /// out).
+/// Every policy is a deterministic function of its own state and the
+/// slots it sees, so the whole simulation replays bit-for-bit.
+#[derive(Debug, Clone, Default)]
+pub enum Scheduler {
+    /// Fill the earliest-started runner to its in-flight cap before
+    /// spilling to the next (the paper's §5.5 autoscaling behaviour).
+    #[default]
+    FillFirst,
+    /// Rotate across all runners (the paper's §5.4 weak-scaling
+    /// "round-robin scheduler"). Never declines: a saturated runner
+    /// simply queues the invocation, so round-robin deployments scale
+    /// out only through explicit prewarming.
+    RoundRobin(RoundRobin),
+    /// Pick the runner with the fewest in-flight invocations (first such
+    /// runner in start order on ties); declines when even the
+    /// least-loaded runner is at the cap.
+    LeastLoaded,
+    /// Prefer runners that finished their cold start, and among the warm
+    /// ones, runners whose device already holds the invocation's operand
+    /// (the data-plane cache hint — a resident hit skips the host→device
+    /// copy entirely). Order: warm + resident → warm → cold (its cold
+    /// start is already underway, which beats paying a fresh one).
+    /// Declines only when everything is saturated.
     ///
-    /// `ctx.slots` is never empty — the server handles the zero-runner
-    /// bootstrap case before consulting the scheduler.
-    fn pick(&self, ctx: &SchedCtx) -> Option<SlotChoice>;
-
-    /// Clones the policy, preserving its internal state.
-    fn box_clone(&self) -> Box<dyn Scheduler>;
+    /// Compared to fill-first this avoids stacking invocations behind a
+    /// still-starting runner while warm capacity sits idle, and avoids
+    /// re-uploading operands another device already holds.
+    WarmFirst,
 }
 
-impl Clone for Box<dyn Scheduler> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
-}
-
-impl<S: Scheduler + 'static> From<S> for Box<dyn Scheduler> {
-    fn from(scheduler: S) -> Self {
-        Box::new(scheduler)
-    }
-}
-
-impl std::fmt::Debug for Box<dyn Scheduler> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Scheduler({})", self.name())
-    }
-}
-
-/// Fill the earliest-started runner to its in-flight cap before
-/// spilling to the next (the paper's §5.5 autoscaling behaviour).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FillFirst;
-
-impl Scheduler for FillFirst {
-    fn name(&self) -> &'static str {
-        "fill-first"
-    }
-
-    fn pick(&self, ctx: &SchedCtx) -> Option<SlotChoice> {
-        ctx.slots
-            .iter()
-            .find(|s| s.claimed < ctx.cap)
-            .map(|s| SlotChoice { index: s.index })
-    }
-
-    fn box_clone(&self) -> Box<dyn Scheduler> {
-        Box::new(*self)
-    }
-}
-
-/// Rotate across all runners (the paper's §5.4 weak-scaling
-/// "round-robin scheduler"). Never declines: a saturated runner simply
-/// queues the invocation, so round-robin deployments scale out only
-/// through explicit prewarming.
+/// The round-robin policy's cursor: one per server, advanced by every
+/// placement that finds an eligible slot, whatever the kernel.
 #[derive(Debug, Clone, Default)]
 pub struct RoundRobin {
     cursor: Cell<usize>,
 }
 
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn pick(&self, ctx: &SchedCtx) -> Option<SlotChoice> {
-        let i = self.cursor.get();
-        self.cursor.set(i + 1);
-        Some(SlotChoice {
-            index: ctx.slots[i % ctx.slots.len()].index,
-        })
-    }
-
-    fn box_clone(&self) -> Box<dyn Scheduler> {
-        Box::new(self.clone())
+impl From<RoundRobin> for Scheduler {
+    fn from(rr: RoundRobin) -> Self {
+        Scheduler::RoundRobin(rr)
     }
 }
 
-/// Pick the runner with the fewest in-flight invocations (first such
-/// runner in start order on ties); declines when even the least-loaded
-/// runner is at the cap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeastLoaded;
-
-impl Scheduler for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
+impl Scheduler {
+    /// Short policy name (printed by the scheduler ablation).
+    pub fn name(&self) -> &'static str {
+        match self {
+            FillFirst => "fill-first",
+            Scheduler::RoundRobin(_) => "round-robin",
+            LeastLoaded => "least-loaded",
+            WarmFirst => "warm-first",
+        }
     }
 
-    fn pick(&self, ctx: &SchedCtx) -> Option<SlotChoice> {
-        let slot = ctx.slots.iter().min_by_key(|s| s.claimed)?;
-        (slot.claimed < ctx.cap).then_some(SlotChoice { index: slot.index })
-    }
-
-    fn box_clone(&self) -> Box<dyn Scheduler> {
-        Box::new(*self)
-    }
-}
-
-/// Prefer runners that finished their cold start, and among the warm
-/// ones, runners whose device already holds the invocation's operands
-/// ([`SlotView::resident`], the data-plane cache hint — a resident hit
-/// skips the host→device copy entirely). Order: warm + resident →
-/// warm → cold (its cold start is already underway, which beats paying
-/// a fresh one). Declines only when everything is saturated.
-///
-/// Compared to [`FillFirst`] this avoids stacking invocations behind a
-/// still-starting runner while warm capacity sits idle, and avoids
-/// re-uploading operands another device already holds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmFirst;
-
-impl Scheduler for WarmFirst {
-    fn name(&self) -> &'static str {
-        "warm-first"
-    }
-
-    fn pick(&self, ctx: &SchedCtx) -> Option<SlotChoice> {
-        let under_cap = |s: &&SlotView| s.claimed < ctx.cap;
-        ctx.slots
-            .iter()
-            .filter(|s| s.warm && s.resident)
-            .find(under_cap)
-            .or_else(|| ctx.slots.iter().filter(|s| s.warm).find(under_cap))
-            .or_else(|| ctx.slots.iter().filter(|s| !s.warm).find(under_cap))
-            .map(|s| SlotChoice { index: s.index })
-    }
-
-    fn box_clone(&self) -> Box<dyn Scheduler> {
-        Box::new(*self)
+    /// Picks one of `slots` — a kernel's runner slots in start order —
+    /// among the usable ones that `eligible` admits, or declines with
+    /// `None` (the server may then scale out). `cap` is the per-runner
+    /// in-flight cap; `resident` tells whether a slot's device holds the
+    /// request's operand, and only warm-first asks it. With no eligible
+    /// slot every policy declines and round-robin's cursor stays put.
+    pub(crate) fn pick<'a>(
+        &self,
+        slots: &'a [Rc<RunnerSlot>],
+        eligible: impl Fn(&RunnerSlot) -> bool,
+        cap: usize,
+        resident: impl Fn(&RunnerSlot) -> bool,
+    ) -> Option<&'a Rc<RunnerSlot>> {
+        let mut usable = slots.iter().filter(|s| s.is_usable() && eligible(s));
+        let open = |s: &&Rc<RunnerSlot>| s.claimed() < cap;
+        match self {
+            FillFirst => usable.find(open),
+            Scheduler::RoundRobin(rr) => {
+                let n = usable.clone().count();
+                if n == 0 {
+                    return None;
+                }
+                let i = rr.cursor.get();
+                rr.cursor.set(i + 1);
+                usable.nth(i % n)
+            }
+            LeastLoaded => usable.min_by_key(|s| s.claimed()).filter(open),
+            WarmFirst => usable
+                .clone()
+                .find(|s| s.is_warm() && resident(s) && open(s))
+                .or_else(|| usable.clone().find(|s| s.is_warm() && open(s)))
+                .or_else(|| usable.find(|s| !s.is_warm() && open(s))),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use kaas_accel::DeviceId;
+
     use super::*;
 
-    fn views(claims: &[usize], warm: &[bool]) -> Vec<SlotView> {
+    /// One slot per entry, on device `index`, in start order.
+    fn slots(claims: &[usize], warm: &[bool]) -> Vec<Rc<RunnerSlot>> {
         claims
             .iter()
             .zip(warm)
             .enumerate()
-            .map(|(index, (&claimed, &warm))| SlotView {
-                index,
-                claimed,
-                device: DeviceId(index as u32),
-                warm,
-                resident: false,
-            })
+            .map(|(i, (&claimed, &warm))| RunnerSlot::for_test(DeviceId(i as u32), claimed, warm))
             .collect()
     }
 
-    fn ctx<'a>(slots: &'a [SlotView], cap: usize) -> SchedCtx<'a> {
-        SchedCtx {
-            kernel: "k",
-            slots,
-            cap,
-        }
+    /// The index of `policy`'s pick among `slots`, every slot eligible.
+    fn pick(
+        policy: &Scheduler,
+        slots: &[Rc<RunnerSlot>],
+        cap: usize,
+        resident: &[usize],
+    ) -> Option<usize> {
+        let resident = |s: &RunnerSlot| resident.contains(&(s.device().0 as usize));
+        let chosen = policy.pick(slots, |_| true, cap, resident)?;
+        slots.iter().position(|s| Rc::ptr_eq(s, chosen))
     }
 
     #[test]
     fn fill_first_packs_the_earliest_runner() {
-        let slots = views(&[3, 0, 0], &[true, true, true]);
-        assert_eq!(
-            FillFirst.pick(&ctx(&slots, 4)),
-            Some(SlotChoice { index: 0 })
-        );
-        let full = views(&[4, 4], &[true, true]);
-        assert_eq!(FillFirst.pick(&ctx(&full, 4)), None);
+        let s = slots(&[3, 0, 0], &[true, true, true]);
+        assert_eq!(pick(&FillFirst, &s, 4, &[]), Some(0));
+        let full = slots(&[4, 4], &[true, true]);
+        assert_eq!(pick(&FillFirst, &full, 4, &[]), None);
     }
 
     #[test]
     fn round_robin_rotates_and_never_declines() {
-        let rr = RoundRobin::default();
-        let slots = views(&[9, 9, 9], &[true, true, true]);
+        let rr = Scheduler::from(RoundRobin::default());
+        let s = slots(&[9, 9, 9], &[true, true, true]);
         let picks: Vec<usize> = (0..6)
-            .map(|_| rr.pick(&ctx(&slots, 4)).expect("never declines").index)
+            .map(|_| pick(&rr, &s, 4, &[]).expect("never declines"))
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
+    fn round_robin_skips_ineligible_slots_without_moving_the_cursor() {
+        let rr = Scheduler::from(RoundRobin::default());
+        let s = slots(&[0, 0, 0], &[true, true, true]);
+        let not_1 = |slot: &RunnerSlot| slot.device() != DeviceId(1);
+        let chosen = |c: Option<&Rc<RunnerSlot>>| c.map(|c| c.device().0);
+        assert_eq!(chosen(rr.pick(&s, not_1, 4, |_| false)), Some(0));
+        assert_eq!(chosen(rr.pick(&s, not_1, 4, |_| false)), Some(2));
+        assert_eq!(chosen(rr.pick(&s, |_| false, 4, |_| false)), None);
+        assert_eq!(chosen(rr.pick(&s, |_| true, 4, |_| false)), Some(2));
+    }
+
+    #[test]
     fn least_loaded_breaks_ties_by_start_order() {
-        let slots = views(&[2, 1, 1], &[true, true, true]);
-        assert_eq!(
-            LeastLoaded.pick(&ctx(&slots, 4)),
-            Some(SlotChoice { index: 1 })
-        );
-        let full = views(&[4, 4, 4], &[true, true, true]);
-        assert_eq!(LeastLoaded.pick(&ctx(&full, 4)), None);
+        let s = slots(&[2, 1, 1], &[true, true, true]);
+        assert_eq!(pick(&LeastLoaded, &s, 4, &[]), Some(1));
+        let full = slots(&[4, 4, 4], &[true, true, true]);
+        assert_eq!(pick(&LeastLoaded, &full, 4, &[]), None);
     }
 
     #[test]
     fn warm_first_prefers_started_runners() {
         // Slot 0 is still cold-starting; 1 is warm.
-        let slots = views(&[1, 0], &[false, true]);
-        assert_eq!(
-            WarmFirst.pick(&ctx(&slots, 4)),
-            Some(SlotChoice { index: 1 })
-        );
+        let s = slots(&[1, 0], &[false, true]);
+        assert_eq!(pick(&WarmFirst, &s, 4, &[]), Some(1));
         // All warm slots saturated: fall back to the cold one.
-        let slots = views(&[1, 4], &[false, true]);
-        assert_eq!(
-            WarmFirst.pick(&ctx(&slots, 4)),
-            Some(SlotChoice { index: 0 })
-        );
+        let s = slots(&[1, 4], &[false, true]);
+        assert_eq!(pick(&WarmFirst, &s, 4, &[]), Some(0));
         // Everything saturated: decline so the server can scale out.
-        let slots = views(&[4, 4], &[false, true]);
-        assert_eq!(WarmFirst.pick(&ctx(&slots, 4)), None);
+        let s = slots(&[4, 4], &[false, true]);
+        assert_eq!(pick(&WarmFirst, &s, 4, &[]), None);
     }
 
     #[test]
     fn warm_first_prefers_resident_operands() {
         // Slots 0 and 1 are warm; only 1 holds the operand.
-        let mut slots = views(&[0, 0, 0], &[true, true, false]);
-        slots[1].resident = true;
-        assert_eq!(
-            WarmFirst.pick(&ctx(&slots, 4)),
-            Some(SlotChoice { index: 1 })
-        );
+        let s = slots(&[0, 0, 0], &[true, true, false]);
+        assert_eq!(pick(&WarmFirst, &s, 4, &[1]), Some(1));
         // Resident slot saturated: fall back to any warm slot.
-        slots[1].claimed = 4;
-        assert_eq!(
-            WarmFirst.pick(&ctx(&slots, 4)),
-            Some(SlotChoice { index: 0 })
-        );
+        let s = slots(&[0, 4, 0], &[true, true, false]);
+        assert_eq!(pick(&WarmFirst, &s, 4, &[1]), Some(0));
         // A resident-but-cold slot never beats a warm one: the cold
         // start would cost more than the copy it saves.
-        let mut slots = views(&[0, 0], &[false, true]);
-        slots[0].resident = true;
-        assert_eq!(
-            WarmFirst.pick(&ctx(&slots, 4)),
-            Some(SlotChoice { index: 1 })
-        );
+        let s = slots(&[0, 0], &[false, true]);
+        assert_eq!(pick(&WarmFirst, &s, 4, &[0]), Some(1));
     }
 
     #[test]
     fn identical_runs_produce_identical_placement_sequences() {
-        // Same policy state + same contexts ⇒ same choices, for every
-        // built-in policy (the determinism contract).
-        let policies: [fn() -> Box<dyn Scheduler>; 4] = [
-            || Box::new(FillFirst),
-            || Box::<RoundRobin>::default(),
-            || Box::new(LeastLoaded),
-            || Box::new(WarmFirst),
+        // Same policy state + same slots ⇒ same choices, for every
+        // policy (the determinism contract).
+        let policies = [
+            FillFirst,
+            RoundRobin::default().into(),
+            LeastLoaded,
+            WarmFirst,
         ];
-        for make in policies {
-            let a: Box<dyn Scheduler> = make();
-            let b: Box<dyn Scheduler> = make();
+        for policy in policies {
+            let (a, b) = (policy.clone(), policy);
             let mut claims = vec![0usize, 2, 1, 3];
             let warm = [true, false, true, true];
             for step in 0..32 {
-                let slots = views(&claims, &warm);
-                let c = ctx(&slots, 4);
-                let pa = a.pick(&c).map(|s| s.index);
-                let pb = b.pick(&c).map(|s| s.index);
+                let s = slots(&claims, &warm);
+                let pa = pick(&a, &s, 4, &[2]);
+                let pb = pick(&b, &s, 4, &[2]);
                 assert_eq!(pa, pb, "{} diverged at step {step}", a.name());
                 if let Some(i) = pa {
                     claims[i] = (claims[i] + step) % 5;
@@ -355,11 +239,11 @@ mod tests {
 
     #[test]
     fn cloning_preserves_round_robin_state() {
-        let rr = RoundRobin::default();
-        let slots = views(&[0, 0, 0], &[true, true, true]);
-        rr.pick(&ctx(&slots, 4));
-        let cloned = rr.box_clone();
-        assert_eq!(cloned.pick(&ctx(&slots, 4)).unwrap().index, 1);
-        assert_eq!(rr.pick(&ctx(&slots, 4)).unwrap().index, 1);
+        let rr = Scheduler::from(RoundRobin::default());
+        let s = slots(&[0, 0, 0], &[true, true, true]);
+        pick(&rr, &s, 4, &[]);
+        let cloned = rr.clone();
+        assert_eq!(pick(&cloned, &s, 4, &[]), Some(1));
+        assert_eq!(pick(&rr, &s, 4, &[]), Some(1));
     }
 }

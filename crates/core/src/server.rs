@@ -233,11 +233,7 @@ impl KaasServer {
             .ok_or_else(|| InvokeError::UnknownKernel(kernel.to_owned()))?;
         let mut slots = Vec::new();
         for _ in 0..count {
-            slots.push(
-                self.inner
-                    .pool
-                    .spawn_runner(kernel, &k, self.inner.config.runner)?,
-            );
+            slots.push(self.inner.pool.spawn_runner(&k, self.inner.config.runner)?);
         }
         for slot in slots {
             slot.wait_ready().await;
@@ -249,7 +245,7 @@ impl KaasServer {
     ///
     /// Single requests ([`RequestFrame::One`]) walk the historical
     /// per-frame path. Batched frames ([`RequestFrame::Batch`]) fan out
-    /// into concurrent [`handle`](KaasServer::handle) calls — so the
+    /// into concurrent per-request handlers — so the
     /// resilience machinery (retry, breakers, eviction) treats each
     /// member individually — and the replies coalesce symmetrically
     /// into one [`ResponseFrame::Batch`] in request order.

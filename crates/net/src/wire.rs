@@ -211,24 +211,6 @@ impl<T: 'static> WireSender<T> {
         }
     }
 
-    /// Transmits and waits for full delivery (transmission + propagation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Disconnected`] if the receiver is gone.
-    pub async fn send_and_flush(&self, frame: Frame<T>) -> Result<(), Disconnected> {
-        if !self.tx.is_open() {
-            return Err(Disconnected);
-        }
-        let _guard = self.link.acquire(1).await;
-        sleep(self.profile.transmission_time(frame.bytes)).await;
-        if self.fault.take_drop() {
-            return Ok(());
-        }
-        sleep(self.profile.latency + self.fault.extra_delay()).await;
-        self.tx.send(frame).await.map_err(|_| Disconnected)
-    }
-
     /// The link timing profile.
     pub fn profile(&self) -> LinkProfile {
         self.profile
@@ -320,17 +302,6 @@ mod tests {
             (t.as_secs_f64() - 1.0).abs() < 1e-9,
             "send resolves pre-latency"
         );
-    }
-
-    #[test]
-    fn send_and_flush_includes_latency() {
-        let mut sim = Simulation::new();
-        let t = sim.block_on(async {
-            let (tx, _rx) = wire::<u8>(test_link());
-            tx.send_and_flush(Frame::new(1, 1_000_000)).await.unwrap();
-            now()
-        });
-        assert!((t.as_secs_f64() - 1.01).abs() < 1e-9);
     }
 
     #[test]

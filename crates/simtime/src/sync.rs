@@ -286,12 +286,6 @@ impl SemaphoreGuard {
     pub fn permits(&self) -> usize {
         self.n
     }
-
-    /// Releases the permits permanently (they are *not* returned to the
-    /// semaphore) — used to model capacity that is consumed, not borrowed.
-    pub fn forget(mut self) {
-        self.n = 0;
-    }
 }
 
 impl Drop for SemaphoreGuard {
@@ -498,14 +492,6 @@ mod tests {
         assert!(sem.try_acquire(1).is_none());
         drop(g);
         assert!(sem.try_acquire(1).is_some());
-    }
-
-    #[test]
-    fn guard_forget_consumes_permits() {
-        let sem = Semaphore::new(2);
-        let g = sem.try_acquire(2).expect("free");
-        g.forget();
-        assert_eq!(sem.available(), 0);
     }
 
     #[test]

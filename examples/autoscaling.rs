@@ -1,7 +1,7 @@
 //! Autoscaling demo (§5.5): clients arrive every ten seconds; the KaaS
 //! server spills work to new task runners on fresh GPUs as existing
 //! runners hit their in-flight cap. Prints the Fig. 13 timeline, then
-//! contrasts two pluggable schedulers on a mixed warm/cold fleet.
+//! contrasts two schedulers on a mixed warm/cold fleet.
 //!
 //! Run with: `cargo run --example autoscaling`
 
@@ -30,13 +30,12 @@ fn main() {
          clients on 7 of 8 GPUs).\n"
     );
 
-    // The scheduler is a pluggable policy. With a warm runner beside a
+    // The scheduler is a placement policy. With a warm runner beside a
     // second one that is still cold-starting, LeastLoaded routes new
     // work to the empty — but cold — slot and eats the cold start,
     // while WarmFirst keeps placing on the warm runner.
     println!("scheduler     cold_starts  mean_latency(ms)");
-    let schedulers: [Box<dyn Scheduler>; 2] = [Box::new(LeastLoaded), Box::new(WarmFirst)];
-    for scheduler in schedulers {
+    for scheduler in [LeastLoaded, WarmFirst] {
         let name = scheduler.name();
         let (cold, mean_ms) = scheduler_burst(scheduler);
         println!("{name:<12}  {cold:>11}  {mean_ms:>16.2}");
@@ -47,7 +46,7 @@ fn main() {
 /// One prewarmed runner plus a second one started but not yet warm,
 /// then two clients issuing four invocations each. Returns
 /// (cold-started invocations, mean latency).
-fn scheduler_burst(scheduler: Box<dyn Scheduler>) -> (usize, f64) {
+fn scheduler_burst(scheduler: Scheduler) -> (usize, f64) {
     let mut sim = Simulation::new();
     sim.block_on(async move {
         let registry = KernelRegistry::new();
@@ -65,7 +64,7 @@ fn scheduler_burst(scheduler: Box<dyn Scheduler>) -> (usize, f64) {
         let mci = server.registry().lookup("mci").unwrap();
         server
             .pool()
-            .spawn_runner("mci", &mci, RunnerConfig::default())
+            .spawn_runner(&mci, RunnerConfig::default())
             .unwrap();
 
         let mut handles = Vec::new();

@@ -103,7 +103,7 @@ echo "==> cluster stage: sharded-dispatch tests + bench determinism"
 cargo test -q --release --test dispatch_shard
 # The dispatch A/B bench (serialized-router knee vs sharded+batched).
 replay_twice cluster "$bench" cluster --quick
-# Scale-out and the scheduler seam: the Fig. 13 timeline, then
+# Scale-out and the schedulers: the Fig. 13 timeline, then
 # WarmFirst vs LeastLoaded beside a still-cold-starting runner.
 replay_twice autoscaling cargo run -q --release --example autoscaling
 
@@ -130,17 +130,21 @@ replay_twice verify "$bench" verify --quick
 echo "==> results stage: fresh full runs match the committed archives"
 # A change that moves one of these numbers must refresh the archive.
 # Archives not listed here still drift from the code (ROADMAP item 4).
+# The scheduler rows (ablation, fig12–fig14, fig16) pin every placement:
+# a policy that picks a different slot moves their numbers.
+matches_archive ablation.csv ablation
 matches_archive cluster.json cluster
 matches_archive coldstart.json coldstart
 matches_archive dataflow.csv dataflow
 matches_archive fig02.csv fig02
 matches_archive fig09.csv fig09
+matches_archive fig12.csv fig12
+matches_archive fig13.csv fig13
+matches_archive fig14.csv fig14
+matches_archive fig16.csv fig16
 matches_archive overload.json overload
 matches_archive trace.csv trace
 matches_archive verify.json verify
-# The full fig12 sweep is not pinned yet (its archive still drifts), but
-# it must replay exactly.
-replay_twice fig12 "$bench" fig12
 
 echo "==> perfbench stage: benchmark same-seed and correctness tests"
 # The benchmark is its own Cargo workspace; its tests check that outputs

@@ -11,7 +11,8 @@ use std::time::Duration;
 use kaas::accel::{Device, DeviceId, GpuDevice, GpuProfile, MemoryManager};
 use kaas::core::{
     BatchCall, DataRef, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry,
-    ObjectRef, Request, ServerConfig, Span, SpanSink, Target, WarmFirst,
+    ObjectRef, Request, RequestFrame, Response, ResponseFrame, ServerConfig, Span, SpanSink,
+    Target, WarmFirst,
 };
 use kaas::kernels::{Kernel, MatMul, Value};
 use kaas::net::{LinkProfile, SharedMemory};
@@ -58,6 +59,24 @@ async fn connect(net: &KaasNetwork, shm: SharedMemory) -> KaasClient {
         .await
         .expect("listening")
         .with_shared_memory(shm)
+}
+
+/// Sends `req` as its own frame over a fresh connection, the way no
+/// client call would, and returns the server's reply.
+async fn send_raw(net: &KaasNetwork, req: Request) -> Response {
+    let mut conn = net
+        .connect("kaas", LinkProfile::loopback())
+        .await
+        .expect("listening");
+    let frame = RequestFrame::One(req);
+    let bytes = frame.wire_bytes();
+    conn.send_traced(frame, bytes, None)
+        .await
+        .expect("server is up");
+    match conn.recv().await.expect("server replies").body {
+        ResponseFrame::One(resp) => resp,
+        ResponseFrame::Batch(_) => panic!("one request, one reply"),
+    }
 }
 
 #[test]
@@ -113,7 +132,8 @@ fn put_get_seal_pin_roundtrip() {
 
 /// Control ops are typed, not names: a kernel request spelled like the
 /// put op's historical label is an ordinary (unknown) kernel, whether it
-/// reaches the server directly, through `call`, or as a batch member.
+/// reaches the server in a raw frame, through `call`, or as a batch
+/// member.
 #[test]
 fn a_reserved_looking_kernel_name_is_not_a_control_op() {
     let mut sim = Simulation::new();
@@ -124,8 +144,9 @@ fn a_reserved_looking_kernel_name_is_not_a_control_op() {
             ServerConfig::default(),
         );
         let payload = || Value::F64s(vec![1.5; 64]);
-        let resp = server
-            .handle(Request {
+        let resp = send_raw(
+            &net,
+            Request {
                 id: 1,
                 target: Target::Kernel("_kaas/data/put".into()),
                 data: DataRef::InBand(payload()),
@@ -133,8 +154,9 @@ fn a_reserved_looking_kernel_name_is_not_a_control_op() {
                 context: None,
                 reply_out_of_band: false,
                 reply_to_store: false,
-            })
-            .await;
+            },
+        )
+        .await;
         // The name is tenant-shaped (`_kaas/…`), so it resolves as a
         // guest kernel that was never registered.
         let err = resp.result.unwrap_err();

@@ -10,7 +10,7 @@ use kaas::core::{
     fuse, FillFirst, KaasClient, KaasNetwork, KaasServer, KernelRegistry, RoundRobin, Scheduler,
     ServerConfig, Workflow,
 };
-use kaas::kernels::{GaGeneration, Kernel, MatMul, Value, GENERATIONS};
+use kaas::kernels::{GaGeneration, Kernel, MatMul, MonteCarlo, Value, GENERATIONS};
 use kaas::net::{LinkProfile, SharedMemory};
 use kaas::simtime::{now, sleep, spawn, Simulation};
 
@@ -196,7 +196,7 @@ fn rdma_transport_cuts_remote_invocation_latency() {
 #[test]
 fn scheduler_policies_trade_consolidation_for_balance() {
     // FillFirst packs work onto few runners; RoundRobin spreads it.
-    let distinct_runners = |scheduler: Box<dyn Scheduler>| {
+    let distinct_runners = |scheduler: Scheduler| {
         let mut sim = Simulation::new();
         sim.block_on(async move {
             let config = ServerConfig::default().with_scheduler(scheduler);
@@ -217,8 +217,59 @@ fn scheduler_policies_trade_consolidation_for_balance() {
             runners.len()
         })
     };
-    assert_eq!(distinct_runners(Box::new(FillFirst)), 1);
+    assert_eq!(distinct_runners(FillFirst), 1);
     assert_eq!(distinct_runners(RoundRobin::default().into()), 2);
+}
+
+/// Round-robin keeps one cursor for the whole server: two kernels
+/// interleaved on one server share it, so each kernel's picks depend on
+/// the other's calls. The picks were recorded before the scheduler
+/// became an enum; a per-kernel cursor gives `matmul runner1` third.
+#[test]
+fn round_robin_shares_one_cursor_across_kernels() {
+    let mut sim = Simulation::new();
+    let picks = sim.block_on(async move {
+        let config = ServerConfig::default().with_scheduler(RoundRobin::default());
+        let kernels: Vec<Rc<dyn Kernel>> =
+            vec![Rc::new(MatMul::new()), Rc::new(MonteCarlo::default())];
+        let (server, net, shm) = boot_with(kernels, config);
+        server.prewarm("matmul", 2).await.unwrap();
+        server.prewarm("mci", 2).await.unwrap();
+        let mut c = client(&net, shm).await;
+        let mut picks = Vec::new();
+        for kernel in [
+            "matmul", "mci", "matmul", "mci", "mci", "matmul", "matmul", "mci", "matmul", "mci",
+            "mci", "mci",
+        ] {
+            let arg = if kernel == "matmul" { 64 } else { 1_000 };
+            let inv = c
+                .call(kernel)
+                .arg(Value::U64(arg))
+                .out_of_band()
+                .send()
+                .await
+                .unwrap();
+            picks.push(format!("{kernel} {}", inv.report.runner));
+        }
+        picks
+    });
+    assert_eq!(
+        picks,
+        [
+            "matmul runner0",
+            "mci runner3",
+            "matmul runner0",
+            "mci runner3",
+            "mci runner2",
+            "matmul runner1",
+            "matmul runner0",
+            "mci runner3",
+            "matmul runner0",
+            "mci runner3",
+            "mci runner2",
+            "mci runner3",
+        ]
+    );
 }
 
 #[test]

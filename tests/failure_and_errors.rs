@@ -7,7 +7,8 @@ use std::time::Duration;
 use kaas::accel::{Device, DeviceClass, DeviceId, GpuDevice, GpuProfile};
 use kaas::core::{
     BreakerConfig, DataRef, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry,
-    Request, RetryConfig, ServerConfig, Target, Workflow, WorkflowHandle,
+    Request, RequestFrame, Response, ResponseFrame, RetryConfig, ServerConfig, Target, Workflow,
+    WorkflowHandle,
 };
 use kaas::guest::{GuestProgram, Op};
 use kaas::kernels::{Kernel, MatMul, MonteCarlo, Value};
@@ -48,6 +49,24 @@ async fn connect(net: &KaasNetwork, shm: SharedMemory) -> KaasClient {
         .await
         .expect("listening")
         .with_shared_memory(shm)
+}
+
+/// Sends `req` as its own frame over a fresh connection, the way no
+/// client call would, and returns the server's reply.
+async fn send_raw(net: &KaasNetwork, req: Request) -> Response {
+    let mut conn = net
+        .connect("kaas", LinkProfile::loopback())
+        .await
+        .expect("listening");
+    let frame = RequestFrame::One(req);
+    let bytes = frame.wire_bytes();
+    conn.send_traced(frame, bytes, None)
+        .await
+        .expect("server is up");
+    match conn.recv().await.expect("server replies").body {
+        ResponseFrame::One(resp) => resp,
+        ResponseFrame::Batch(_) => panic!("one request, one reply"),
+    }
 }
 
 #[test]
@@ -338,12 +357,13 @@ fn every_error_kind_is_inducible_and_counted() {
             .unwrap_err();
         induced.insert(err.kind());
 
-        // A stale shared-memory handle, fed straight into the server's
-        // request handler (the client API never produces one).
+        // A stale shared-memory handle, sent as a raw frame (the client
+        // API never produces one).
         let stale = shm.put(Value::U64(1), 8).await;
         shm.take(stale).await.unwrap();
-        let resp = server
-            .handle(Request {
+        let resp = send_raw(
+            &net,
+            Request {
                 id: u64::MAX,
                 target: Target::Kernel("matmul".into()),
                 data: DataRef::OutOfBand(stale),
@@ -351,8 +371,9 @@ fn every_error_kind_is_inducible_and_counted() {
                 context: None,
                 reply_out_of_band: false,
                 reply_to_store: false,
-            })
-            .await;
+            },
+        )
+        .await;
         let err = resp.result.unwrap_err();
         induced.insert(err.kind());
 
