@@ -1175,8 +1175,8 @@ impl<'k> BatchCall<'k> {
 /// A batch of invocations under construction; create via
 /// [`KaasClient::batch`], dispatch with [`send`](BatchBuilder::send).
 ///
-/// All members ride **one** request frame: one [`FRAME_BYTES`](crate::FRAME_BYTES)
-/// header plus a small per-member sub-header, and
+/// All members ride **one** request frame: one frame header plus a small
+/// per-member sub-header (see [`RequestFrame::wire_bytes`]), and
 /// one serialization pass over the concatenated in-band payloads — the
 /// §4.1 per-call wire costs are paid once per batch instead of once per
 /// call. Replies coalesce symmetrically. Server-side, members execute

@@ -44,7 +44,7 @@ use kaas_accel::{Device, DeviceId, MemoryManager, OomError};
 use kaas_kernels::Value;
 
 /// On-wire size of an [`ObjectRef`]: hash + length + framing tag.
-pub const OBJECT_REF_WIRE_BYTES: u64 = 24;
+pub(crate) const OBJECT_REF_WIRE_BYTES: u64 = 24;
 
 const REF_TAG: &str = "kaas.ref";
 

@@ -30,14 +30,15 @@
 //! (crate::MetricsRegistry): counters (`invocations`, `cold_starts`,
 //! `errors.*`), latency histograms, and level gauges.
 
-use std::cell::Cell;
-use std::future::Future;
+use std::cell::{Cell, RefCell};
+use std::future::{poll_fn, Future};
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use kaas_accel::{DeviceClass, DeviceId};
 use kaas_kernels::{Kernel, Value};
-use kaas_simtime::channel::{self, OneshotReceiver, OneshotSender, Receiver};
+use kaas_simtime::channel::{self, Receiver};
 use kaas_simtime::sync::Semaphore;
 use kaas_simtime::{now, sleep, spawn, spawn_detached, SimTime, SpanId};
 
@@ -64,10 +65,12 @@ pub(crate) struct ExecJob {
 }
 
 /// One enqueued dispatch: the job plus what the shard worker needs to
-/// finish the request and wake the front door's waiter. Carries a
-/// strong server handle (a bounded `Rc` cycle while queued: the job
-/// keeps the server alive, never the reverse — workers hold only the
-/// receiving half, so they exit when the server drops its senders).
+/// finish the request and wake its waiter. It is the only record of a
+/// queued call: the front-door task that enqueued it has ended or waits
+/// on the reply table. Carries a strong server handle (a bounded `Rc`
+/// cycle while queued: the job keeps the server alive, never the
+/// reverse — workers hold only the receiving half, so they exit when
+/// the server drops its senders).
 struct DispatchJob {
     server: KaasServer,
     job: ExecJob,
@@ -75,7 +78,311 @@ struct DispatchJob {
     t_dispatch: SimTime,
     /// When the front door enqueued it (the `dispatch.shard_ns` origin).
     enqueued: SimTime,
-    reply: OneshotSender<Outcome>,
+    reply: ReplySlot,
+}
+
+/// The replies of one frame's calls (every member of a batch, or one
+/// call), in request order, and the one task that waits for them all.
+///
+/// A call's [`ReplySlot`] travels with it: the front door fills it on a
+/// reject, otherwise the shard job carries it and the worker's deadline
+/// ejection or [`run_job`] fills it. The waiter is woken as
+/// [`join_all`](kaas_simtime::join_all) wakes its joiner: when the
+/// lowest-index unfilled entry is filled.
+pub(crate) struct ReplyTable {
+    /// The server whose `errors` counters a failed reply bumps when its
+    /// entry is filled; `None` for flow steps, whose executor counts
+    /// their failures itself.
+    errors: Option<KaasServer>,
+    state: RefCell<ReplyState>,
+}
+
+struct ReplyState {
+    entries: Entries,
+    /// The lowest index the waiter has not seen filled: the one entry it
+    /// waits for.
+    next: usize,
+    /// The waiter's waker, while it waits for entry `next`.
+    waker: Option<Waker>,
+}
+
+/// A table's entries. A one-call table keeps its entry inline, so it
+/// costs one allocation.
+enum Entries {
+    One(Entry),
+    Many(Vec<Entry>),
+}
+
+impl Entries {
+    fn as_slice(&self) -> &[Entry] {
+        match self {
+            Entries::One(entry) => std::slice::from_ref(entry),
+            Entries::Many(entries) => entries,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Entry] {
+        match self {
+            Entries::One(entry) => std::slice::from_mut(entry),
+            Entries::Many(entries) => entries,
+        }
+    }
+}
+
+/// One call's reply: its request id until the reply is filled.
+enum Entry {
+    Pending(u64),
+    Filled(Response),
+}
+
+impl Entry {
+    fn into_response(self) -> Response {
+        match self {
+            Entry::Filled(resp) => resp,
+            Entry::Pending(_) => unreachable!("every reply is filled"),
+        }
+    }
+}
+
+impl ReplyTable {
+    /// A table for calls with request ids `ids`, in request order.
+    /// `errors` is the server whose `errors` counters failed replies
+    /// bump.
+    pub(crate) fn new(
+        mut ids: impl ExactSizeIterator<Item = u64>,
+        errors: Option<KaasServer>,
+    ) -> Rc<Self> {
+        let entries = if ids.len() == 1 {
+            Entries::One(Entry::Pending(ids.next().expect("one id")))
+        } else {
+            Entries::Many(ids.map(Entry::Pending).collect())
+        };
+        Rc::new(ReplyTable {
+            errors,
+            state: RefCell::new(ReplyState {
+                entries,
+                next: 0,
+                waker: None,
+            }),
+        })
+    }
+
+    /// The slot entry `index` is filled through.
+    pub(crate) fn slot(self: &Rc<Self>, index: usize) -> ReplySlot {
+        ReplySlot {
+            table: Rc::clone(self),
+            index: u32::try_from(index).expect("a frame holds fewer than 2^32 calls"),
+        }
+    }
+
+    /// Resolves once every entry is filled.
+    fn filled(&self) -> impl Future<Output = ()> + '_ {
+        poll_fn(|cx| self.poll_filled(cx))
+    }
+
+    /// Every reply, in request order, once every entry is filled.
+    pub(crate) async fn responses(self: Rc<Self>) -> Vec<Response> {
+        self.filled().await;
+        self.take_all()
+    }
+
+    /// The first reply, once every entry is filled.
+    pub(crate) async fn response(self: Rc<Self>) -> Response {
+        self.filled().await;
+        let mut state = self.state.borrow_mut();
+        let entry = &mut state.entries.as_mut_slice()[0];
+        std::mem::replace(entry, Entry::Pending(0)).into_response()
+    }
+
+    fn poll_filled(&self, cx: &mut Context<'_>) -> Poll<()> {
+        let mut state = self.state.borrow_mut();
+        let state = &mut *state;
+        while let Some(entry) = state.entries.as_slice().get(state.next) {
+            if let Entry::Pending(_) = entry {
+                state.waker = Some(cx.waker().clone());
+                return Poll::Pending;
+            }
+            state.next += 1;
+        }
+        Poll::Ready(())
+    }
+
+    /// Every reply, in request order, once [`filled`](Self::filled).
+    fn take_all(&self) -> Vec<Response> {
+        let entries = std::mem::replace(
+            &mut self.state.borrow_mut().entries,
+            Entries::Many(Vec::new()),
+        );
+        match entries {
+            Entries::One(entry) => vec![entry.into_response()],
+            Entries::Many(entries) => entries.into_iter().map(Entry::into_response).collect(),
+        }
+    }
+}
+
+/// Where one call's reply goes: an entry of a [`ReplyTable`]. Only the
+/// first fill of an entry counts; a slot dropped unfilled resolves its
+/// entry to [`InvokeError::Disconnected`].
+pub(crate) struct ReplySlot {
+    table: Rc<ReplyTable>,
+    index: u32,
+}
+
+impl ReplySlot {
+    /// Fills the entry with a kernel invocation's outcome.
+    pub(crate) fn fill(self, out: Outcome) {
+        self.put(out, None);
+    }
+
+    fn put(&self, out: Outcome, flow: Option<Box<WorkflowReport>>) {
+        let table = &self.table;
+        let index = self.index as usize;
+        let waker = {
+            let mut state = table.state.borrow_mut();
+            let entry = &mut state.entries.as_mut_slice()[index];
+            let Entry::Pending(id) = *entry else {
+                return;
+            };
+            *entry = Entry::Filled(response(table.errors.as_ref(), id, out, flow));
+            if state.next == index {
+                state.waker.take()
+            } else {
+                None
+            }
+        };
+        if let Some(w) = waker {
+            w.wake();
+        }
+    }
+}
+
+impl Drop for ReplySlot {
+    fn drop(&mut self) {
+        self.put(Err(InvokeError::Disconnected), None);
+    }
+}
+
+/// Shapes call `id`'s outcome into the [`Response`] its frame carries,
+/// counting a failure on `errors`, the server whose counters it bumps.
+fn response(
+    errors: Option<&KaasServer>,
+    id: u64,
+    out: Outcome,
+    flow: Option<Box<WorkflowReport>>,
+) -> Response {
+    let (result, report) = match out {
+        Ok((data, report)) => (Ok(data), Some(report)),
+        Err(e) => {
+            if let Some(server) = errors {
+                server.inner().handles.error(e.kind());
+            }
+            (Err(e), None)
+        }
+    };
+    Response {
+        id,
+        result,
+        report,
+        flow,
+    }
+}
+
+/// Where [`KaasServer::serve_request`] sends a call's reply.
+pub(crate) trait ReplyTo: 'static {
+    /// What the call's future resolves to.
+    type Output;
+
+    /// The reply of call `id` when the front door answers it itself:
+    /// a control operation's outcome (with a flow trigger's per-step
+    /// report), or a reject.
+    fn answer(
+        self,
+        server: &KaasServer,
+        id: u64,
+        out: Outcome,
+        flow: Option<Box<WorkflowReport>>,
+    ) -> Self::Output;
+
+    /// The slot the job of queued call `id` carries, and the wait for
+    /// its reply.
+    fn queue(
+        self,
+        server: &KaasServer,
+        id: u64,
+    ) -> (ReplySlot, impl Future<Output = Self::Output> + 'static);
+}
+
+/// A batch member's reply fills its entry of the frame's table, so the
+/// member's future ends at its enqueue.
+impl ReplyTo for ReplySlot {
+    type Output = ();
+
+    fn answer(self, _: &KaasServer, _: u64, out: Outcome, flow: Option<Box<WorkflowReport>>) {
+        self.put(out, flow);
+    }
+
+    fn queue(self, _: &KaasServer, _: u64) -> (ReplySlot, impl Future<Output = ()> + 'static) {
+        (self, std::future::ready(()))
+    }
+}
+
+/// A single-call frame's reply: the [`Response`] its frame task sends.
+/// Only a queued call gets a reply table, of one slot.
+pub(crate) struct Caller;
+
+impl ReplyTo for Caller {
+    type Output = Response;
+
+    fn answer(
+        self,
+        server: &KaasServer,
+        id: u64,
+        out: Outcome,
+        flow: Option<Box<WorkflowReport>>,
+    ) -> Response {
+        response(Some(server), id, out, flow)
+    }
+
+    fn queue(
+        self,
+        server: &KaasServer,
+        id: u64,
+    ) -> (ReplySlot, impl Future<Output = Response> + 'static) {
+        let table = ReplyTable::new(std::iter::once(id), Some(server.clone()));
+        (table.slot(0), table.response())
+    }
+}
+
+/// A flow step's reply: the bare outcome, whose failures the flow
+/// executor counts. Only a queued step gets a reply table, of one slot.
+pub(crate) struct FlowStep;
+
+impl ReplyTo for FlowStep {
+    type Output = Outcome;
+
+    fn answer(
+        self,
+        _: &KaasServer,
+        _: u64,
+        out: Outcome,
+        _: Option<Box<WorkflowReport>>,
+    ) -> Outcome {
+        out
+    }
+
+    fn queue(
+        self,
+        _: &KaasServer,
+        id: u64,
+    ) -> (ReplySlot, impl Future<Output = Outcome> + 'static) {
+        let table = ReplyTable::new(std::iter::once(id), None);
+        let slot = table.slot(0);
+        let outcome = async move {
+            let Response { result, report, .. } = table.response().await;
+            result.map(|data| (data, report.expect("a served call carries its report")))
+        };
+        (slot, outcome)
+    }
 }
 
 /// One shard's queue: the sending half plus its depth counter (the
@@ -240,7 +547,7 @@ async fn shard_worker(
                 ejected_total.set(ejected_total.get() + 1);
                 m.dispatch_ejected.inc();
                 m.shards[shard].ejected.inc();
-                let _ = reply.send(Err(InvokeError::DeadlineExceeded));
+                reply.fill(Err(InvokeError::DeadlineExceeded));
                 continue;
             }
             // The observed queue wait is the adaptive admission
@@ -269,19 +576,13 @@ async fn shard_worker(
 // An `async fn` would move each argument into a second slot of its
 // future, so the job would be stored twice.
 #[allow(clippy::manual_async_fn)]
-fn run_job(
-    server: KaasServer,
-    job: ExecJob,
-    reply: OneshotSender<Outcome>,
-) -> impl Future<Output = ()> {
+fn run_job(server: KaasServer, job: ExecJob, reply: ReplySlot) -> impl Future<Output = ()> {
     async move {
         let out = server.execute(&job).await;
         // The admission permit is released before the reply wakes the
         // waiter.
         drop(job);
-        // A dropped receiver means the front-door waiter is gone; the
-        // work still completed, so the result is simply unread.
-        let _ = reply.send(out);
+        reply.fill(out);
     }
 }
 
@@ -311,65 +612,50 @@ struct Ran {
 
 impl KaasServer {
     /// Handles one request end to end; the accept loop
-    /// ([`KaasServer::serve`]) calls it per request.
+    /// ([`KaasServer::serve`]) calls it per single-request frame.
     ///
     /// The future owns a handle to the server, so it can be spawned.
     pub(crate) fn handle(&self, req: Request) -> impl Future<Output = Response> + 'static {
-        let id = req.id;
-        self.serve_request(req, move |server, result, flow| {
-            let (result, report) = match result {
-                Ok((data, report)) => (Ok(data), Some(report)),
-                Err(e) => {
-                    server.inner().handles.error(e.kind());
-                    (Err(e), None)
-                }
-            };
-            Response {
-                id,
-                result,
-                report,
-                flow,
-            }
-        })
+        self.serve_request(req, Caller)
     }
 
     /// Runs one kernel invocation without shaping a [`Response`]: the
     /// entry point of flow steps.
     pub(crate) fn invoke(&self, req: Request) -> impl Future<Output = Outcome> + 'static {
-        self.serve_request(req, |_, result, _| result)
+        self.serve_request(req, FlowStep)
     }
 
     /// The one path every request takes: a control operation, or
     /// admission, name resolution and the front door's enqueue onto a
-    /// shard, then the wait for the shard's reply. `finish` shapes the
-    /// outcome.
+    /// shard, then the wait for the shard's reply. `reply` says where
+    /// the reply goes; a batch member's future ends at its enqueue.
     ///
-    /// Only the request and the server handle live for the whole call.
-    /// The front door borrows the request and the enqueue moves it into
-    /// the job, so a request waiting for its reply holds just the
-    /// receiver. Every member of a wide batch holds one of these.
-    fn serve_request<T>(
+    /// Only the request, the server handle and `reply` live for the
+    /// whole call. The front door borrows the request and the enqueue
+    /// moves it into the job, so a single call waiting for its reply
+    /// holds just the wait on its reply table.
+    pub(crate) fn serve_request<R: ReplyTo>(
         &self,
         req: Request,
-        finish: impl FnOnce(&KaasServer, Outcome, Option<Box<WorkflowReport>>) -> T + 'static,
-    ) -> impl Future<Output = T> + 'static {
+        reply: R,
+    ) -> impl Future<Output = R::Output> + 'static {
         let server = self.clone();
         async move {
             if let Target::Control(op) = req.target {
+                let id = req.id;
                 let mut flow = None;
                 // Boxed so the control handler's state stays out of this
                 // future.
                 let result = Box::pin(server.control(op, req, &mut flow)).await;
-                return finish(&server, result, flow);
+                return reply.answer(&server, id, result, flow);
             }
-            let result = match server.front_door(&req).await {
-                Ok(admitted) => match server.enqueue(req, admitted) {
-                    Ok(reply) => reply.await.unwrap_or(Err(InvokeError::Disconnected)),
-                    Err(e) => Err(e),
-                },
-                Err(e) => Err(e),
+            let admitted = match server.front_door(&req).await {
+                Ok(admitted) => admitted,
+                Err(e) => return reply.answer(&server, req.id, Err(e), None),
             };
-            finish(&server, result, None)
+            let (slot, wait) = reply.queue(&server, req.id);
+            server.enqueue(req, admitted, slot);
+            wait.await
         }
     }
 
@@ -447,14 +733,10 @@ impl KaasServer {
         }
     }
 
-    /// Sheds or enqueues an admitted request on its shard, returning
-    /// the receiver its reply will arrive on. Synchronous: the shard
-    /// queues are unbounded, so the send never waits.
-    fn enqueue(
-        &self,
-        req: Request,
-        admitted: Admitted,
-    ) -> Result<OneshotReceiver<Outcome>, InvokeError> {
+    /// Sheds an admitted request, filling `reply`, or enqueues it on its
+    /// shard with `reply` riding the job. Synchronous: the shard queues
+    /// are unbounded, so the send never waits.
+    fn enqueue(&self, req: Request, admitted: Admitted, reply: ReplySlot) {
         let inner = self.inner();
         let d = &inner.dispatch;
         let m = &inner.handles;
@@ -471,20 +753,19 @@ impl KaasServer {
             err
         };
         if req.deadline.is_some_and(|at| now() > at) {
-            return Err(eject(InvokeError::DeadlineExceeded));
+            return reply.fill(Err(eject(InvokeError::DeadlineExceeded)));
         }
         if d.config.queue_cap.is_some_and(|cap| q.depth.get() >= cap) {
             let hint = self.retry_after_hint(q.depth.get());
-            return Err(eject(InvokeError::Overloaded {
+            return reply.fill(Err(eject(InvokeError::Overloaded {
                 retry_after: Some(hint),
-            }));
+            })));
         }
         // Paired increments with no await in between: the sanitizer
         // checks `sum(depths) == queued` after every executor step.
         q.depth.set(q.depth.get() + 1);
         d.queued.set(d.queued.get() + 1);
         m.shards[shard].depth.set(q.depth.get() as f64);
-        let (reply_tx, reply_rx) = channel::oneshot();
         let Admitted {
             kernel,
             permit,
@@ -501,17 +782,15 @@ impl KaasServer {
             },
             t_dispatch,
             enqueued: now(),
-            reply: reply_tx,
+            reply,
         };
         if q.tx.try_send(dj).is_err() {
             // No worker drains this queue (the server was built outside
-            // a running simulation): undo the enqueue accounting and
-            // report the path unavailable.
+            // a running simulation): the dropped job's unfilled reply
+            // reports the path unavailable. Undo the enqueue accounting.
             q.depth.set(q.depth.get() - 1);
             d.queued.set(d.queued.get() - 1);
-            return Err(InvokeError::Disconnected);
         }
-        Ok(reply_rx)
     }
 
     /// The deterministic drain-time estimate attached to `Overloaded`
@@ -537,121 +816,126 @@ impl KaasServer {
     /// materialization, deadline shedding, placement + cache step +
     /// retry, report/metrics recording, and reply shaping. Runs on a
     /// task the shard worker spawns per job, which owns the job.
-    pub(crate) async fn execute(&self, job: &ExecJob) -> Outcome {
-        let inner = self.inner();
-        let req = &job.req;
-        let parent = req.span();
-        let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
-        // Scoped so the fetched input is gone before the reply is shaped.
-        let (output, report) = {
-            // Materialize the input. An in-band payload is read in place.
-            let t_input = now();
-            let fetched;
-            let input = match &req.data {
-                DataRef::InBand(v) => {
-                    // Runner-side deserialization of the in-band payload.
-                    sleep(inner.config.serialization.time(v.wire_bytes())).await;
-                    self.span(parent, "deserialize", t_input, now());
-                    v
-                }
-                DataRef::OutOfBand(h) => {
-                    fetched = inner.shm.take(*h).await.ok_or(InvokeError::BadHandle)?;
-                    self.span(parent, "shm_take", t_input, now());
-                    &fetched
-                }
-                DataRef::Object(r) => {
-                    // A content address resolves against the host object
-                    // store — no deserialization at all.
-                    fetched = inner.dataplane.resolve(r).ok_or(InvokeError::BadHandle)?;
-                    self.span(parent, "ref_resolve", t_input, now());
-                    &fetched
-                }
-            };
-            let object = match &req.data {
-                DataRef::Object(r) => Some(*r),
-                _ => None,
-            };
+    // Not an `async fn`, which would store `self` and `job` twice (see
+    // `run_job`).
+    #[allow(clippy::manual_async_fn)]
+    pub(crate) fn execute<'a>(&'a self, job: &'a ExecJob) -> impl Future<Output = Outcome> + 'a {
+        async move {
+            let inner = self.inner();
+            let req = &job.req;
+            let parent = req.span();
+            let oob = matches!(req.data, DataRef::OutOfBand(_)) || req.reply_out_of_band;
+            // Scoped so the fetched input is gone before the reply is shaped.
+            let (output, report) = {
+                // Materialize the input. An in-band payload is read in place.
+                let t_input = now();
+                let fetched;
+                let input = match &req.data {
+                    DataRef::InBand(v) => {
+                        // Runner-side deserialization of the in-band payload.
+                        sleep(inner.config.serialization.time(v.wire_bytes())).await;
+                        self.span(parent, "deserialize", t_input, now());
+                        v
+                    }
+                    DataRef::OutOfBand(h) => {
+                        fetched = inner.shm.take(*h).await.ok_or(InvokeError::BadHandle)?;
+                        self.span(parent, "shm_take", t_input, now());
+                        &fetched
+                    }
+                    DataRef::Object(r) => {
+                        // A content address resolves against the host object
+                        // store — no deserialization at all.
+                        fetched = inner.dataplane.resolve(r).ok_or(InvokeError::BadHandle)?;
+                        self.span(parent, "ref_resolve", t_input, now());
+                        &fetched
+                    }
+                };
+                let object = match &req.data {
+                    DataRef::Object(r) => Some(*r),
+                    _ => None,
+                };
 
-            // The deadline bounds time-to-start: shed rather than
-            // dispatch work the client has already given up on.
-            if req.deadline.is_some_and(|d| now() > d) {
-                return Err(InvokeError::DeadlineExceeded);
+                // The deadline bounds time-to-start: shed rather than
+                // dispatch work the client has already given up on.
+                if req.deadline.is_some_and(|d| now() > d) {
+                    return Err(InvokeError::DeadlineExceeded);
+                }
+
+                // Only sealed (immutable) objects may be cached in device
+                // memory; an unsealed ref still resolves but re-uploads
+                // every time.
+                let cacheable = object.filter(|r| inner.dataplane.store().is_sealed(r.hash));
+                let Ran {
+                    output,
+                    timings,
+                    runner,
+                    device,
+                    started,
+                    degraded,
+                } = self.run_attempts(job, input, cacheable).await?;
+
+                let kernel = match &req.target {
+                    Target::Kernel(name) => Rc::clone(name),
+                    Target::Control(op) => op.name().into(),
+                };
+                let report = InvocationReport {
+                    kernel,
+                    runner,
+                    device,
+                    cold_start: timings.first_invocation,
+                    submitted: job.submitted,
+                    started,
+                    completed: now(),
+                    copy_in: timings.copy_in,
+                    kernel_exec: timings.kernel_exec,
+                    copy_out: timings.copy_out,
+                    degraded,
+                };
+                self.record_registry(&report);
+                let m = &inner.handles;
+                // Guest usage accounting: bill whatever this kernel metered
+                // since the last bill into the per-tenant `guest.*`
+                // counters. The resolved name (`tenant/name@vN`) is the
+                // billing key even when the request used a bare
+                // latest-version name.
+                let kernel = &job.kernel;
+                if crate::guest::is_guest_name(kernel.name()) {
+                    inner.guests.account(kernel.name(), m);
+                }
+                if object.is_some() {
+                    m.dataplane_bytes_resident
+                        .set(inner.dataplane.bytes_resident() as f64);
+                    for (dev, bytes) in inner.dataplane.residency() {
+                        m.device(dev).bytes_resident.set(bytes as f64);
+                    }
+                }
+
+                // Descriptor-mode requests get descriptor-sized responses:
+                // the logical result size is the kernel's device→host
+                // volume.
+                let output = if matches!(input, Value::Sized { .. }) {
+                    let bytes_out = kernel
+                        .work(input.payload())
+                        .map(|w| w.bytes_out)
+                        .unwrap_or(0)
+                        .max(output.wire_bytes());
+                    Value::sized(bytes_out, output)
+                } else {
+                    output
+                };
+                (output, report)
+            };
+            // Internal flow-executor handoff: the output goes straight to
+            // the object store, so skip reply shaping — no serialization,
+            // no shm hop, nothing crosses the wire.
+            if req.reply_to_store {
+                return Ok((DataRef::InBand(output), report));
             }
-
-            // Only sealed (immutable) objects may be cached in device
-            // memory; an unsealed ref still resolves but re-uploads
-            // every time.
-            let cacheable = object.filter(|r| inner.dataplane.store().is_sealed(r.hash));
-            let Ran {
-                output,
-                timings,
-                runner,
-                device,
-                started,
-                degraded,
-            } = self.run_attempts(job, input, cacheable).await?;
-
-            let kernel = match &req.target {
-                Target::Kernel(name) => Rc::clone(name),
-                Target::Control(op) => op.name().into(),
-            };
-            let report = InvocationReport {
-                kernel,
-                runner,
-                device,
-                cold_start: timings.first_invocation,
-                submitted: job.submitted,
-                started,
-                completed: now(),
-                copy_in: timings.copy_in,
-                kernel_exec: timings.kernel_exec,
-                copy_out: timings.copy_out,
-                degraded,
-            };
-            self.record_registry(&report);
-            let m = &inner.handles;
-            // Guest usage accounting: bill whatever this kernel metered
-            // since the last bill into the per-tenant `guest.*`
-            // counters. The resolved name (`tenant/name@vN`) is the
-            // billing key even when the request used a bare
-            // latest-version name.
-            let kernel = &job.kernel;
-            if crate::guest::is_guest_name(kernel.name()) {
-                inner.guests.account(kernel.name(), m);
-            }
-            if object.is_some() {
-                m.dataplane_bytes_resident
-                    .set(inner.dataplane.bytes_resident() as f64);
-                for (dev, bytes) in inner.dataplane.residency() {
-                    m.device(dev).bytes_resident.set(bytes as f64);
-                }
-            }
-
-            // Descriptor-mode requests get descriptor-sized responses:
-            // the logical result size is the kernel's device→host
-            // volume.
-            let output = if matches!(input, Value::Sized { .. }) {
-                let bytes_out = kernel
-                    .work(input.payload())
-                    .map(|w| w.bytes_out)
-                    .unwrap_or(0)
-                    .max(output.wire_bytes());
-                Value::sized(bytes_out, output)
-            } else {
-                output
-            };
-            (output, report)
-        };
-        // Internal flow-executor handoff: the output goes straight to
-        // the object store, so skip reply shaping — no serialization,
-        // no shm hop, nothing crosses the wire.
-        if req.reply_to_store {
-            return Ok((DataRef::InBand(output), report));
+            let t_reply = now();
+            let data = self.reply_data(output, oob).await;
+            self.span(parent, "reply", t_reply, now());
+            Ok((data, report))
         }
-        let t_reply = now();
-        let data = self.reply_data(output, oob).await;
-        self.span(parent, "reply", t_reply, now());
-        Ok((data, report))
     }
 
     /// Returns `output` the same way the input came in: through shared
@@ -1066,11 +1350,11 @@ mod tests {
         }
     }
 
-    /// Under a wide batch every member's future is live at once, and a
-    /// member task is the `handle()` future held once inside
-    /// `join_all`'s member, which adds only its index and the shared
-    /// output table: the future holds the request and the server
-    /// handle, and past the front door only the reply receiver.
+    /// Under a wide batch every member's task is live until its enqueue.
+    /// A member task is the `serve_request` future alone: the request,
+    /// the server handle and the reply slot, plus the front door's state
+    /// while it waits there. A single call's `handle()` future swaps the
+    /// slot for the wait on its one-slot reply table.
     #[test]
     fn handle_future_stays_small() {
         let server = KaasServer::new(
@@ -1079,8 +1363,19 @@ mod tests {
             SharedMemory::host(),
             ServerConfig::default(),
         );
-        let size = std::mem::size_of_val(&server.handle(request("mci")));
-        assert!(size <= 432, "handle() future is {size} B");
+        let replies = ReplyTable::new(std::iter::once(0), None);
+        let member = std::mem::size_of_val(&server.serve_request(request("mci"), replies.slot(0)));
+        let single = std::mem::size_of_val(&server.handle(request("mci")));
+        assert!(member <= 432, "member future is {member} B");
+        assert!(single <= 432, "handle() future is {single} B");
+    }
+
+    /// A queued call is one `DispatchJob`; its reply slot adds at most
+    /// one word to what a reply sender took.
+    #[test]
+    fn dispatch_job_stays_small() {
+        let size = std::mem::size_of::<DispatchJob>();
+        assert!(size <= 200, "DispatchJob is {size} B");
     }
 
     /// Every dispatched job holds one `run_job` task, and `execute` is
@@ -1108,8 +1403,8 @@ mod tests {
                 submitted: admitted.submitted,
             };
             let execute = std::mem::size_of_val(&server.execute(&job));
-            let (reply, _rx) = channel::oneshot();
-            let task = std::mem::size_of_val(&run_job(server.clone(), job, reply));
+            let replies = ReplyTable::new(std::iter::once(0), None);
+            let task = std::mem::size_of_val(&run_job(server.clone(), job, replies.slot(0)));
             assert!(execute <= 848, "execute() future is {execute} B");
             assert!(task <= 1_032, "run_job() future is {task} B");
         });
@@ -1144,6 +1439,119 @@ mod tests {
             }
             assert_eq!(server.snapshot().kernels["mci"].runners, 0);
         });
+    }
+
+    /// Counts the wakes of a hand-polled waiter.
+    struct CountWakes(std::sync::atomic::AtomicUsize);
+
+    impl std::task::Wake for CountWakes {
+        fn wake(self: std::sync::Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    fn outcome_ok() -> Outcome {
+        let report = InvocationReport {
+            kernel: "mci".into(),
+            runner: RunnerId(0),
+            device: DeviceId(0),
+            cold_start: false,
+            submitted: SimTime::ZERO,
+            started: SimTime::ZERO,
+            completed: SimTime::ZERO,
+            copy_in: Duration::ZERO,
+            kernel_exec: Duration::ZERO,
+            copy_out: Duration::ZERO,
+            degraded: false,
+        };
+        Ok((DataRef::InBand(Value::U64(1)), report))
+    }
+
+    /// The waiter is woken exactly when the lowest unfilled entry fills,
+    /// as `join_all` wakes its joiner; an entry keeps its first fill.
+    #[test]
+    fn reply_table_wakes_on_the_lowest_unfilled_entry() {
+        let table = ReplyTable::new([10, 11, 12].into_iter(), None);
+        let wakes = std::sync::Arc::new(CountWakes(Default::default()));
+        let waker = Waker::from(std::sync::Arc::clone(&wakes));
+        let mut cx = Context::from_waker(&waker);
+        let count = || wakes.0.load(std::sync::atomic::Ordering::Relaxed);
+        let mut slots: Vec<_> = (0..3).map(|i| Some(table.slot(i))).collect();
+
+        assert!(table.poll_filled(&mut cx).is_pending());
+        slots[2]
+            .take()
+            .unwrap()
+            .fill(Err(InvokeError::DeadlineExceeded));
+        slots[1].take().unwrap().fill(outcome_ok());
+        assert_eq!(count(), 0, "entry 0 is still pending");
+        assert!(table.poll_filled(&mut cx).is_pending());
+        // Dropped unfilled: the lowest entry resolves, and wakes.
+        drop(slots[0].take());
+        assert_eq!(count(), 1);
+        assert!(table.poll_filled(&mut cx).is_ready());
+
+        let resps = table.take_all();
+        let ids: Vec<u64> = resps.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [10, 11, 12]);
+        assert_eq!(
+            resps[0].result.as_ref().err(),
+            Some(&InvokeError::Disconnected)
+        );
+        assert!(resps[1].result.is_ok() && resps[1].report.is_some());
+        assert_eq!(
+            resps[2].result.as_ref().err(),
+            Some(&InvokeError::DeadlineExceeded)
+        );
+    }
+
+    /// A shard job dropped before a worker ran it (here: no worker
+    /// drains the queue, because the server was built outside a
+    /// simulation) resolves its member to `Disconnected`, counted once,
+    /// and the batch still replies in full.
+    #[test]
+    fn dropped_job_resolves_its_member_to_disconnected() {
+        let registry = KernelRegistry::new();
+        registry
+            .register(kaas_kernels::MonteCarlo::default())
+            .expect("fresh registry");
+        let gpu = GpuDevice::new(DeviceId(0), GpuProfile::p100()).into();
+        let server = KaasServer::new(
+            vec![gpu],
+            registry,
+            SharedMemory::host(),
+            ServerConfig::default(),
+        );
+        let mut sim = kaas_simtime::Simulation::new();
+        let resps = sim.block_on({
+            let server = server.clone();
+            async move {
+                let table = ReplyTable::new([10, 11, 12].into_iter(), Some(server.clone()));
+                for (i, name) in ["mci", "no-such-kernel", "mci"].into_iter().enumerate() {
+                    spawn_detached(server.serve_request(request(name), table.slot(i)));
+                }
+                table.responses().await
+            }
+        });
+        let results: Vec<_> = resps
+            .iter()
+            .map(|r| (r.id, r.result.as_ref().err()))
+            .collect();
+        assert_eq!(
+            results,
+            [
+                (10, Some(&InvokeError::Disconnected)),
+                (
+                    11,
+                    Some(&InvokeError::UnknownKernel("no-such-kernel".into()))
+                ),
+                (12, Some(&InvokeError::Disconnected)),
+            ]
+        );
+        let m = server.metrics_registry();
+        assert_eq!(m.counter("errors"), 3);
+        assert_eq!(m.counter("errors.disconnected"), 2);
+        assert_eq!(server.snapshot().dispatch_queued, 0);
     }
 
     #[test]

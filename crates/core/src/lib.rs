@@ -86,7 +86,7 @@ pub use client::{
     BatchBuilder, BatchCall, ClientRetryConfig, FlowBuilder, Invocation, InvokeBuilder, KaasClient,
 };
 pub use config::{DispatchMode, ServerConfig, ShardConfig};
-pub use dataplane::{content_hash, DataPlane, ObjectRef, ObjectStore, OBJECT_REF_WIRE_BYTES};
+pub use dataplane::{content_hash, DataPlane, ObjectRef, ObjectStore};
 pub use fault::{AppliedFault, Fault, FaultEvent, FaultInjector, FaultLog, FaultPlan, StormConfig};
 pub use fusion::{fuse, FusedKernel, FusionError};
 pub use metrics::histogram::{Histogram, HistogramSummary};
@@ -95,7 +95,7 @@ pub use metrics::{percentile, InvocationReport, RunnerId};
 pub use pool::{RunnerPool, RunnerSlot};
 pub use protocol::{
     Control, DataRef, InvokeError, Request, RequestContext, RequestFrame, Response, ResponseFrame,
-    Target, BATCH_MEMBER_BYTES, FRAME_BYTES,
+    Target,
 };
 pub use registry::{KernelRegistry, RegistryError};
 pub use resilience::{

@@ -433,7 +433,14 @@ impl RunnerPool {
         let mut config = config;
         config.spawn_process += self.slow_start.replace(Duration::ZERO);
         let mut slots = self.slots.borrow_mut();
-        let list = slots.entry(kernel.name().to_owned()).or_default();
+        // Copy the name only for a kernel's first runner: a respawn finds
+        // the entry.
+        if !slots.contains_key(kernel.name()) {
+            slots.insert(kernel.name().to_owned(), Vec::new());
+        }
+        let list = slots
+            .get_mut(kernel.name())
+            .expect("the kernel's entry exists");
         let (position, device) = self
             .devices
             .iter()
@@ -482,7 +489,8 @@ impl RunnerPool {
         let tracer = self.tracer.clone();
         let metrics = self.metrics.clone();
         let warmup = kernel.warmup();
-        let kernel_name = kernel.name().to_owned();
+        // Only the cold-start span reads the name.
+        let kernel_name = tracer.as_ref().map(|_| kernel.name().to_owned());
         spawn(async move {
             let t0 = now();
             let runner = TaskRunner::cold_start(id, kernel, device, chip, config).await;
@@ -504,7 +512,7 @@ impl RunnerPool {
                     );
                 }
             }
-            if let Some(tracer) = &tracer {
+            if let (Some(tracer), Some(kernel_name)) = (&tracer, kernel_name) {
                 tracer.record(
                     id.to_string(),
                     "cold_start",

@@ -40,7 +40,7 @@ impl DataRef {
 }
 
 /// Fixed protocol framing overhead per message.
-pub const FRAME_BYTES: u64 = 128;
+pub(crate) const FRAME_BYTES: u64 = 128;
 
 /// A server-side operation outside the paper's kernel namespace: the
 /// data plane, guest code and workflows. Each op is served
@@ -365,7 +365,7 @@ impl Response {
 
 /// Per-member framing cost inside a batched frame: a correlation id and
 /// a length prefix, far smaller than a full [`FRAME_BYTES`] header.
-pub const BATCH_MEMBER_BYTES: u64 = 16;
+pub(crate) const BATCH_MEMBER_BYTES: u64 = 16;
 
 /// The request-direction wire envelope: a single invocation, or a
 /// coalesced batch of invocations from one client that share one frame
@@ -380,9 +380,9 @@ pub enum RequestFrame {
 }
 
 impl RequestFrame {
-    /// Total on-wire size: a batch pays one [`FRAME_BYTES`] header plus
-    /// a small [`BATCH_MEMBER_BYTES`] sub-header per member instead of a
-    /// full frame header each.
+    /// Total on-wire size: a batch pays one 128-byte frame header plus
+    /// a 16-byte sub-header (correlation id and length prefix) per
+    /// member instead of a full frame header each.
     pub fn wire_bytes(&self) -> u64 {
         match self {
             RequestFrame::One(r) => r.wire_bytes(),

@@ -17,12 +17,12 @@ use std::rc::Rc;
 
 use kaas_accel::{Device, DeviceClass, DeviceId};
 use kaas_net::{Frame, Listener, SharedMemory};
-use kaas_simtime::{join_all, spawn, spawn_detached};
+use kaas_simtime::{spawn, spawn_detached};
 
 use crate::admission::AdmissionController;
 use crate::config::ServerConfig;
 use crate::dataplane::DataPlane;
-use crate::dispatch::DispatchState;
+use crate::dispatch::{DispatchState, ReplyTable};
 use crate::flow::FlowState;
 use crate::guest::GuestState;
 use crate::metrics::handles::ServerMetrics;
@@ -245,10 +245,10 @@ impl KaasServer {
     ///
     /// Single requests ([`RequestFrame::One`]) walk the historical
     /// per-frame path. Batched frames ([`RequestFrame::Batch`]) fan out
-    /// into concurrent per-request handlers — so the
-    /// resilience machinery (retry, breakers, eviction) treats each
-    /// member individually — and the replies coalesce symmetrically
-    /// into one [`ResponseFrame::Batch`] in request order.
+    /// into concurrent per-request front doors, so the resilience
+    /// machinery (retry, breakers, eviction) treats each member
+    /// individually. Their replies fill one table and coalesce
+    /// symmetrically into one [`ResponseFrame::Batch`] in request order.
     pub async fn serve(self, mut listener: Listener<RequestFrame, ResponseFrame>) {
         while let Some(conn) = listener.accept().await {
             let server = self.clone();
@@ -287,11 +287,17 @@ impl KaasServer {
                                     m.dispatch_batch_members.add(reqs.len() as u64);
                                 }
                                 // Members run concurrently and fail
-                                // independently; `join_all` preserves
-                                // request order for the coalesced reply.
-                                let members = reqs.into_iter().map(|req| server.handle(req));
-                                let resps = join_all(members).await;
-                                let out = ResponseFrame::Batch(resps);
+                                // independently. Each member's task ends
+                                // at its enqueue; the table keeps request
+                                // order for the coalesced reply.
+                                let replies = ReplyTable::new(
+                                    reqs.iter().map(|req| req.id),
+                                    Some(server.clone()),
+                                );
+                                for (index, req) in reqs.into_iter().enumerate() {
+                                    spawn_detached(server.serve_request(req, replies.slot(index)));
+                                }
+                                let out = ResponseFrame::Batch(replies.responses().await);
                                 let bytes = out.wire_bytes();
                                 let _ = tx.send(Frame::new(out, bytes)).await;
                             }

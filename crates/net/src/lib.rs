@@ -43,6 +43,6 @@ mod shm;
 mod wire;
 
 pub use conn::{Connection, Listener, NetError, Network};
-pub use profile::{size, LinkProfile, MemcpyProfile, SerializationProfile};
+pub use profile::{size, LinkProfile, SerializationProfile};
 pub use shm::{SharedMemory, ShmHandle, HANDLE_WIRE_BYTES};
 pub use wire::{wire, Disconnected, Frame, LinkFault, WireReceiver, WireSender};

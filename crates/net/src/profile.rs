@@ -22,7 +22,8 @@ pub mod size {
 ///
 /// let lan = LinkProfile::lan_1gbps();
 /// // A 1 MB message takes ~8 ms of transmission plus 75 µs propagation.
-/// assert!(lan.transfer_time(1_000_000).as_secs_f64() > 0.008);
+/// let one_way = lan.transmission_time(1_000_000) + lan.latency;
+/// assert!(one_way.as_secs_f64() > 0.008);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProfile {
@@ -82,7 +83,8 @@ impl LinkProfile {
     }
 
     /// End-to-end time for a single message of `bytes` on an idle link.
-    pub fn transfer_time(&self, bytes: u64) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn transfer_time(&self, bytes: u64) -> Duration {
         self.transmission_time(bytes) + self.latency
     }
 }
@@ -143,21 +145,21 @@ impl SerializationProfile {
 /// Calibrated so KaaS invocation overhead equals the baseline's at
 /// 20 000 × 20 000 matrices (Fig. 7): ≈ 17 GB/s effective copy bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemcpyProfile {
+pub(crate) struct MemcpyProfile {
     /// Copy throughput in bytes per second.
-    pub bytes_per_sec: f64,
+    pub(crate) bytes_per_sec: f64,
 }
 
 impl MemcpyProfile {
     /// Host DDR4 shared-memory copy.
-    pub fn host_ddr4() -> Self {
+    pub(crate) fn host_ddr4() -> Self {
         MemcpyProfile {
             bytes_per_sec: 17.0e9,
         }
     }
 
     /// Time to copy `bytes`.
-    pub fn time(&self, bytes: u64) -> Duration {
+    pub(crate) fn time(&self, bytes: u64) -> Duration {
         Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
     }
 }

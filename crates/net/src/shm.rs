@@ -95,7 +95,7 @@ impl SharedMemory {
     }
 
     /// A region with custom copy bandwidth.
-    pub fn with_profile(memcpy: MemcpyProfile) -> Self {
+    pub(crate) fn with_profile(memcpy: MemcpyProfile) -> Self {
         SharedMemory {
             state: Rc::new(RefCell::new(ShmState {
                 slots: HashMap::new(), // audit:allow(unordered): keyed lookups only; iteration order never observed

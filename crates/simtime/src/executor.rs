@@ -253,7 +253,7 @@ impl Core {
 
 /// Handle to a running (or constructed) simulation.
 ///
-/// Obtainable inside tasks via [`Handle::current`], or from
+/// Obtainable inside tasks via [`Handle::try_current`], or from
 /// [`Simulation::handle`]. Cloning is cheap.
 #[derive(Clone)]
 pub struct Handle {
@@ -300,11 +300,13 @@ impl Handle {
     ///
     /// Panics when called outside [`Simulation::run`] /
     /// [`Simulation::block_on`] (there is no ambient simulation).
-    pub fn current() -> Handle {
+    #[cfg(test)]
+    pub(crate) fn current() -> Handle {
         Handle::try_current().expect(NO_CONTEXT)
     }
 
-    /// Like [`Handle::current`] but returns `None` instead of panicking.
+    /// The handle of the simulation currently running on this thread, or
+    /// `None` outside [`Simulation::run`] / [`Simulation::block_on`].
     pub fn try_current() -> Option<Handle> {
         CONTEXT.with(|c| c.borrow().clone())
     }
@@ -593,7 +595,7 @@ impl Simulation {
 ///
 /// # Panics
 ///
-/// Panics outside a running simulation; see [`Handle::current`].
+/// Panics outside [`Simulation::run`] / [`Simulation::block_on`].
 pub fn now() -> SimTime {
     Handle::with_current(Handle::now)
 }
@@ -625,7 +627,7 @@ pub(crate) fn cancel_timer(tag: usize, seq: u64, slot: u32) {
 ///
 /// # Panics
 ///
-/// Panics outside a running simulation; see [`Handle::current`].
+/// Panics outside [`Simulation::run`] / [`Simulation::block_on`].
 pub fn spawn<F>(fut: F) -> JoinHandle<F::Output>
 where
     F: Future + 'static,
@@ -639,7 +641,7 @@ where
 ///
 /// # Panics
 ///
-/// Panics outside a running simulation; see [`Handle::current`].
+/// Panics outside [`Simulation::run`] / [`Simulation::block_on`].
 pub fn spawn_detached<F>(fut: F)
 where
     F: Future<Output = ()> + 'static,

@@ -56,7 +56,7 @@
 //!   its join state), polled in place. A task spawned with
 //!   [`spawn_detached`] has no join state and is the boxed future alone.
 //!   [`join_all`] spawns its members detached, into one shared output
-//!   table.
+//!   table: one allocation per member plus the table.
 //! * Waiting on a [`sync::Semaphore`] allocates nothing once its waiter
 //!   table has grown to the peak number of parked acquirers.
 //! * A task's [`Waker`](std::task::Waker) carries its simulation's tag

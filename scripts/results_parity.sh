@@ -13,6 +13,13 @@
 # committed ones stay untouched. The tree runs `kaas-bench <id> <args>`;
 # a base revision that predates that dispatcher runs its per-id binary
 # `<id> <args>` instead.
+# Then both sides run the host-performance benchmark (perfbench/run.sh)
+# on every workload at one seed with its minimum pass count, and the
+# virtual-time metrics of its JSON line (virt_p50_ms, virt_p99_ms,
+# slo_pct, virt_throughput_inv_s) must match to the last digit; host
+# metrics vary from run to run and are not compared. The base side builds
+# its benchmark into the temporary directory, the tree side into
+# perfbench/run.sh's usual target directory.
 # The exit status is non-zero when anything differs (or a run fails on
 # one side). Set KEEP_PARITY_DIR=1 to keep the temporary directory
 # with both sides' outputs.
@@ -103,8 +110,40 @@ else
     differ=1
 fi
 
+# The benchmark's virtual-time metrics, one line per workload.
+virt_metrics() {
+    local json="$1" m
+    grep -q '"correct": true' <<<"$json" || return 1
+    for m in virt_p50_ms virt_p99_ms slo_pct virt_throughput_inv_s; do
+        grep -o "\"$m\": {\"value\": [^,}]*" <<<"$json" |
+            sed 's/^"\([a-z0-9_]*\)": {"value": /\1=/' || return 1
+    done
+}
+
+if [[ -f "$work/base/perfbench/run.sh" ]]; then
+    for workload in storm diurnal pipeline burst; do
+        args=(--workload "$workload" --seed 7 --seconds 0 --trace 0)
+        base_json="$(cd "$work/base" && CARGO_TARGET_DIR="$work/bench_target" \
+            bash perfbench/run.sh "${args[@]}" 2>/dev/null | tail -n 1)" || true
+        tree_json="$(bash perfbench/run.sh "${args[@]}" 2>/dev/null | tail -n 1)" || true
+        if ! base_virt="$(virt_metrics "$base_json")" ||
+            ! tree_virt="$(virt_metrics "$tree_json")"; then
+            echo "FAILED     perfbench $workload (no correct result on one side)"
+            differ=1
+        elif [[ "$base_virt" == "$tree_virt" ]]; then
+            echo "identical  perfbench $workload: $(tr '\n' ' ' <<<"$tree_virt")"
+        else
+            echo "DIFFERS    perfbench $workload virtual metrics"
+            diff <(printf '%s\n' "$base_virt") <(printf '%s\n' "$tree_virt") || true
+            differ=1
+        fi
+    done
+else
+    echo "skipped    perfbench virtual metrics ($rev has no perfbench/run.sh)"
+fi
+
 if [[ $differ == 0 ]]; then
-    echo "results parity OK: every kaas-bench experiment matches $rev"
+    echo "results parity OK: every kaas-bench experiment and perfbench virtual metric matches $rev"
 else
     echo "results parity FAILED against $rev" >&2
     exit 1

@@ -1,10 +1,12 @@
 //! Integration: the sharded dispatch engine and wire batching.
 //!
-//! Covers the PR-6 refactor guarantees: per-shard queue accounting in
-//! [`ServerSnapshot`] stays consistent even mid-storm, same-seed runs
-//! replay byte-identically, batch members succeed and fail
-//! individually, and the serialized router baseline (a one-shard
-//! layout behind a zero-cost front door) still works end to end.
+//! Covers the sharded dispatcher's guarantees: per-shard queue
+//! accounting in [`ServerSnapshot`] stays consistent even mid-storm,
+//! same-seed runs replay byte-identically, batch members succeed and
+//! fail individually and reply in request order, a queued batch member
+//! holds no task of its own, and the serialized router baseline (a
+//! one-shard layout behind a zero-cost front door) still works end to
+//! end.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -13,13 +15,14 @@ use std::time::Duration;
 
 use kaas::accel::{CpuDevice, CpuProfile, Device, DeviceId, GpuDevice, GpuProfile};
 use kaas::core::{
-    BatchCall, BreakerConfig, DispatchMode, EvictionConfig, ExponentialBackoff, FallbackConfig,
-    FaultInjector, FaultPlan, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry,
-    RetryConfig, ServerConfig, ShardConfig, StormConfig,
+    BatchCall, BreakerConfig, Control, DataRef, DispatchMode, EvictionConfig, ExponentialBackoff,
+    FallbackConfig, FaultInjector, FaultPlan, InvokeError, KaasClient, KaasNetwork, KaasServer,
+    KernelRegistry, Request, RequestFrame, Response, ResponseFrame, RetryConfig, ServerConfig,
+    ShardConfig, StormConfig, Target,
 };
 use kaas::kernels::{MonteCarlo, Value};
 use kaas::net::{LinkProfile, SharedMemory};
-use kaas::simtime::{sleep, spawn, Simulation, SpanSink};
+use kaas::simtime::{now, sleep, spawn, SimTime, Simulation, SpanSink};
 
 const SEED: u64 = 2026;
 
@@ -346,5 +349,158 @@ fn serialized_baseline_still_works_end_to_end() {
         let snap = server.snapshot();
         assert_eq!(snap.shard_depths, vec![0], "one drained shard: {snap:?}");
         assert_eq!(snap.dispatch_queued, 0);
+    });
+}
+
+/// One GPU behind one dispatch shard, with `mci` prewarmed on it.
+async fn one_gpu_one_shard(queue_cap: Option<usize>) -> (KaasServer, KaasNetwork) {
+    let registry = KernelRegistry::new();
+    registry.register(MonteCarlo::default()).unwrap();
+    let gpu: Device = GpuDevice::new(DeviceId(0), GpuProfile::p100()).into();
+    let config = ServerConfig::default().with_dispatch(DispatchMode::Sharded(ShardConfig {
+        shards: 1,
+        queue_cap,
+        ..ShardConfig::default()
+    }));
+    let server = KaasServer::new(vec![gpu], registry, SharedMemory::host(), config);
+    let net: KaasNetwork = KaasNetwork::new();
+    spawn(server.clone().serve(net.listen("kaas").unwrap()));
+    server.prewarm("mci", 1).await.unwrap();
+    (server, net)
+}
+
+fn mci_request(id: u64, deadline: Option<SimTime>) -> Request {
+    Request {
+        id,
+        target: Target::Kernel("mci".into()),
+        data: DataRef::InBand(Value::U64(1_000)),
+        deadline,
+        context: None,
+        reply_out_of_band: false,
+        reply_to_store: false,
+    }
+}
+
+/// Sends `reqs` as one raw batch frame and returns the coalesced
+/// replies, ids included.
+async fn send_batch(net: &KaasNetwork, reqs: Vec<Request>) -> Vec<Response> {
+    let mut conn = net
+        .connect("kaas", LinkProfile::loopback())
+        .await
+        .expect("listening");
+    let frame = RequestFrame::Batch(reqs);
+    let bytes = frame.wire_bytes();
+    conn.send_traced(frame, bytes, None)
+        .await
+        .expect("server is up");
+    match conn.recv().await.expect("server replies").body {
+        ResponseFrame::Batch(resps) => resps,
+        ResponseFrame::One(_) => panic!("a batch gets a batch reply"),
+    }
+}
+
+/// A batch member's task ends at its enqueue: while a 256-member batch
+/// waits in one shard's queue, the queued calls are shard jobs, not
+/// live tasks.
+#[test]
+fn queued_batch_members_hold_no_task() {
+    const MEMBERS: u64 = 256;
+    let mut sim = Simulation::new();
+    let handle = sim.handle();
+    let (live, queued) = sim.block_on(async move {
+        let (server, net) = one_gpu_one_shard(None).await;
+        let probe = {
+            let server = server.clone();
+            spawn(async move {
+                let m = server.metrics_registry();
+                let passed = || m.summary("dispatch.front_door_ns").map_or(0, |s| s.count);
+                while passed() < MEMBERS {
+                    sleep(Duration::from_micros(10)).await;
+                }
+                sleep(Duration::from_millis(1)).await;
+                (handle.live_tasks(), server.snapshot().dispatch_queued)
+            })
+        };
+        let reqs = (0..MEMBERS).map(|id| mci_request(id, None)).collect();
+        let resps = send_batch(&net, reqs).await;
+        assert!(resps.iter().all(|r| r.result.is_ok()));
+        probe.await
+    });
+    assert!(
+        queued > 64,
+        "most members still wait in the shard queue: {queued} queued"
+    );
+    assert!(
+        live <= 32,
+        "{live} live tasks with {queued} calls queued: members outlive their enqueue"
+    );
+}
+
+/// Every kind of member outcome in one frame: each reply comes back in
+/// request order under its request's id, and every reject is counted
+/// once, on the error counters and (sheds and ejections) on
+/// `dispatch.ejected`.
+#[test]
+fn mixed_batch_replies_in_order_with_every_outcome() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let (server, net) = one_gpu_one_shard(Some(3)).await;
+        // Passes the front door, then expires while two routing slots
+        // (35 µs each) run ahead of it on the shard.
+        let deadline = now() + Duration::from_micros(50);
+        let unknown = Request {
+            target: Target::Kernel("no-such-kernel".into()),
+            ..mci_request(101, None)
+        };
+        let put = Request {
+            target: Target::Control(Control::DataPut),
+            ..mci_request(102, None)
+        };
+        let reqs = vec![
+            mci_request(100, None),
+            unknown,
+            put,
+            mci_request(103, None),
+            mci_request(104, Some(deadline)),
+            mci_request(105, None),
+            // The shard already holds three jobs: shed.
+            mci_request(106, None),
+        ];
+        let resps = send_batch(&net, reqs).await;
+        let ids: Vec<u64> = resps.iter().map(|r| r.id).collect();
+        assert_eq!(ids, (100..107).collect::<Vec<_>>());
+        let errors: Vec<Option<&InvokeError>> =
+            resps.iter().map(|r| r.result.as_ref().err()).collect();
+        assert_eq!(
+            errors,
+            vec![
+                None,
+                Some(&InvokeError::UnknownKernel("no-such-kernel".into())),
+                None,
+                None,
+                Some(&InvokeError::DeadlineExceeded),
+                None,
+                Some(&InvokeError::Overloaded {
+                    retry_after: Some(Duration::from_micros(140)),
+                }),
+            ]
+        );
+        let put_report = resps[2].report.as_ref().expect("the put succeeded");
+        assert_eq!(&*put_report.kernel, Control::DataPut.name());
+        for r in &resps {
+            assert_eq!(r.report.is_some(), r.result.is_ok(), "member {}", r.id);
+        }
+
+        let m = server.metrics_registry();
+        assert_eq!(m.counter("errors"), 3);
+        assert_eq!(m.counter("errors.unknown-kernel"), 1);
+        assert_eq!(m.counter("errors.deadline-exceeded"), 1);
+        assert_eq!(m.counter("errors.overloaded"), 1);
+        assert_eq!(m.counter("dispatch.ejected"), 2);
+        assert_eq!(m.counter("dispatch.batch_members"), 7);
+        let snap = server.snapshot();
+        assert_eq!(snap.dispatch_ejected, 2);
+        assert_eq!(snap.dispatch_queued, 0);
+        assert_eq!(snap.total_in_flight(), 0);
     });
 }
