@@ -129,19 +129,26 @@ replay_twice verify "$bench" verify --quick
 
 echo "==> results stage: fresh full runs match the committed archives"
 # A change that moves one of these numbers must refresh the archive.
-# Archives not listed here still drift from the code (ROADMAP item 4).
-# The scheduler rows (ablation, fig12–fig14, fig16) pin every placement:
-# a policy that picks a different slot moves their numbers.
+# Every figure and bench archive is listed. The scheduler rows
+# (ablation, fig12–fig14, fig16) pin every placement: a policy that
+# picks a different slot moves their numbers.
 matches_archive ablation.csv ablation
 matches_archive cluster.json cluster
 matches_archive coldstart.json coldstart
 matches_archive dataflow.csv dataflow
 matches_archive fig02.csv fig02
+matches_archive fig06.csv fig06
+matches_archive fig07.csv fig07
+matches_archive fig08.csv fig08
 matches_archive fig09.csv fig09
+matches_archive fig10.csv fig10
+matches_archive fig11.csv fig11
 matches_archive fig12.csv fig12
 matches_archive fig13.csv fig13
 matches_archive fig14.csv fig14
+matches_archive fig15.csv fig15
 matches_archive fig16.csv fig16
+matches_archive fig17.csv fig17
 matches_archive overload.json overload
 matches_archive trace.csv trace
 matches_archive verify.json verify
