@@ -3,16 +3,19 @@
 //! into shared memory (out-of-band) and speaks the request/response
 //! protocol over the network.
 //!
-//! Invocations are built fluently: [`KaasClient::call`] returns an
-//! [`InvokeBuilder`] that collects the input, per-call tenant/deadline
-//! overrides, transfer mode, and tracing choice before
-//! [`send`](InvokeBuilder::send) runs the round trip. Invocations,
-//! control operations and flow triggers ([`KaasClient::flow`], a
+//! Calls are built fluently: [`KaasClient::call`] returns an
+//! [`InvokeBuilder`] and [`KaasClient::flow`] a [`FlowBuilder`], two
+//! faces of one [`CallBuilder`] that collects the input and the per-call
+//! tenant, deadline, timeout and transfer mode before `send` runs the
+//! call. Invocations, control operations and flow triggers (a
 //! [`Control::FlowRun`] call) all take the same private path: stage the
 //! input (serialize it in-band, `shm.put` it out-of-band, or carry an
 //! object ref in the frame), build one request and do the round trip,
-//! then materialize the reply. A traced call records its root span on
-//! every exit, errors included:
+//! then materialize the reply. Batches ([`KaasClient::batch`]) share
+//! that one round trip: it sends a frame and returns the reply that
+//! answers it, dropping stale replies to calls that timed out. When the
+//! client has a tracer, every call records a root span on every exit,
+//! errors included:
 //!
 //! ```no_run
 //! # async fn demo(client: &mut kaas_core::KaasClient) {
@@ -49,8 +52,7 @@ use crate::metrics::handles::ClientMetrics;
 use crate::metrics::registry::MetricsRegistry;
 use crate::metrics::InvocationReport;
 use crate::protocol::{
-    Control, DataRef, InvokeError, Request, RequestContext, RequestFrame, Response, ResponseFrame,
-    Target,
+    Control, DataRef, InvokeError, Request, RequestContext, RequestFrame, ResponseFrame, Target,
 };
 use crate::resilience::{ExponentialBackoff, RetryBudget};
 use crate::workflow::{FlowError, Workflow, WorkflowHandle, WorkflowReport, WorkflowRun};
@@ -139,7 +141,7 @@ pub struct KaasClient {
     tracer: Option<SpanSink>,
     retry: Option<ClientRetryConfig>,
     /// Resolved at first use, so connecting a client resolves no
-    /// metric names: most clients never hedge or exhaust a budget.
+    /// metric names: most clients never exhaust a retry budget.
     metrics: OnceCell<ClientMetrics>,
 }
 
@@ -200,7 +202,7 @@ impl KaasClient {
 
     /// The fault-injection handle of this client's **sending** wire
     /// direction (request frames). Dropping frames here loses requests
-    /// past the NIC; pair with [`InvokeBuilder::timeout`] so lost
+    /// past the NIC; pair with [`CallBuilder::timeout`] so lost
     /// requests resolve as [`InvokeError::TimedOut`].
     pub fn link_fault(&self) -> LinkFault {
         self.conn.fault()
@@ -225,8 +227,8 @@ impl KaasClient {
         self
     }
 
-    /// Attaches a span sink: every traced invocation records a span tree
-    /// (root `invoke` with `serialize`/`shm_put` → `roundtrip` →
+    /// Attaches a span sink: every call records a span tree (root
+    /// `invoke` with `serialize`/`shm_put` → `roundtrip` →
     /// `deserialize`/`shm_take` children) on the `client{N}` track.
     /// Attach the same sink to the server config to see one invocation
     /// across every hop.
@@ -245,9 +247,8 @@ impl KaasClient {
         self
     }
 
-    /// Client-local metrics: `retries.budget_exhausted` (a retry was
-    /// abandoned because the [`RetryBudget`] ran dry), `hedges.sent`
-    /// and `hedges.won` (see [`InvokeBuilder::hedge`]).
+    /// Client-local metrics: `retries.budget_exhausted` counts retries
+    /// abandoned because the [`RetryBudget`] ran dry.
     pub fn metrics_registry(&self) -> &MetricsRegistry {
         self.metrics().registry()
     }
@@ -260,7 +261,7 @@ impl KaasClient {
     /// [`InvokeBuilder::send`].
     pub fn call(&mut self, kernel: &str) -> InvokeBuilder<'_> {
         let kernel = self.intern(kernel);
-        InvokeBuilder::new(self, Target::Kernel(kernel))
+        CallBuilder::new(self, Target::Kernel(kernel))
     }
 
     /// The shared copy of kernel name `name`, allocated on first use.
@@ -273,10 +274,15 @@ impl KaasClient {
         interned
     }
 
-    /// Starts building a control operation: the same builder as
-    /// [`call`](KaasClient::call), aimed at a [`Control`] op.
-    pub(crate) fn control(&mut self, op: Control) -> InvokeBuilder<'_> {
-        InvokeBuilder::new(self, Target::Control(op))
+    /// Runs control operation `op` on `arg` through the call path and
+    /// returns the reply's output. The data-plane ops ship their payload
+    /// through shared memory when it is attached; every other op travels
+    /// in-band.
+    async fn control(&mut self, op: Control, arg: Value) -> Result<Value, InvokeError> {
+        let out_of_band = self.shm.is_some() && matches!(op, Control::DataPut | Control::DataGet);
+        let mut call = CallBuilder::new(self, Target::Control(op)).arg(arg);
+        call.transport.out_of_band = out_of_band;
+        Ok(call.send().await?.output)
     }
 
     /// Stores `value` in the server's object store and returns its
@@ -289,13 +295,8 @@ impl KaasClient {
     ///
     /// Any transport-level [`InvokeError`].
     pub async fn put(&mut self, value: Value) -> Result<ObjectRef, InvokeError> {
-        let oob = self.shm.is_some();
-        let mut call = self.control(Control::DataPut).arg(value);
-        if oob {
-            call = call.out_of_band();
-        }
-        let inv = call.send().await?;
-        ObjectRef::from_value(&inv.output).ok_or(InvokeError::BadHandle)
+        let output = self.control(Control::DataPut, value).await?;
+        ObjectRef::from_value(&output).ok_or(InvokeError::BadHandle)
     }
 
     /// Fetches a stored object back from the server.
@@ -304,12 +305,7 @@ impl KaasClient {
     ///
     /// [`InvokeError::BadHandle`] when `r` does not resolve.
     pub async fn get(&mut self, r: ObjectRef) -> Result<Value, InvokeError> {
-        let oob = self.shm.is_some();
-        let mut call = self.control(Control::DataGet).arg(r.to_value());
-        if oob {
-            call = call.out_of_band();
-        }
-        Ok(call.send().await?.output)
+        self.control(Control::DataGet, r.to_value()).await
     }
 
     /// Seals a stored object: declares it immutable, making it eligible
@@ -320,10 +316,7 @@ impl KaasClient {
     ///
     /// [`InvokeError::BadHandle`] when `r` does not resolve.
     pub async fn seal(&mut self, r: ObjectRef) -> Result<(), InvokeError> {
-        self.control(Control::DataSeal)
-            .arg(r.to_value())
-            .send()
-            .await?;
+        self.control(Control::DataSeal, r.to_value()).await?;
         Ok(())
     }
 
@@ -334,10 +327,7 @@ impl KaasClient {
     ///
     /// [`InvokeError::BadHandle`] when `r` does not resolve.
     pub async fn pin(&mut self, r: ObjectRef) -> Result<(), InvokeError> {
-        self.control(Control::DataPin)
-            .arg(r.to_value())
-            .send()
-            .await?;
+        self.control(Control::DataPin, r.to_value()).await?;
         Ok(())
     }
 
@@ -367,12 +357,8 @@ impl KaasClient {
         tenant: &str,
         program: &GuestProgram,
     ) -> Result<String, InvokeError> {
-        let inv = self
-            .control(Control::CodeRegister)
-            .arg(crate::guest::encode_register(tenant, program))
-            .send()
-            .await?;
-        match inv.output.payload() {
+        let arg = crate::guest::encode_register(tenant, program);
+        match self.control(Control::CodeRegister, arg).await?.payload() {
             Value::Text(full) => Ok(full.clone()),
             _ => Err(InvokeError::BadHandle),
         }
@@ -384,12 +370,8 @@ impl KaasClient {
     ///
     /// Transport errors as usual.
     pub async fn list_guest_kernels(&mut self, tenant: &str) -> Result<Vec<String>, InvokeError> {
-        let inv = self
-            .control(Control::CodeList)
-            .arg(Value::Text(tenant.to_owned()))
-            .send()
-            .await?;
-        match inv.output.payload() {
+        let arg = Value::Text(tenant.to_owned());
+        match self.control(Control::CodeList, arg).await?.payload() {
             Value::List(items) => Ok(items
                 .iter()
                 .filter_map(|v| match v {
@@ -410,12 +392,8 @@ impl KaasClient {
     /// [`InvokeError::UnknownGuestKernel`] when nothing was live under
     /// that name; transport errors as usual.
     pub async fn remove_kernel(&mut self, name: &str) -> Result<u64, InvokeError> {
-        let inv = self
-            .control(Control::CodeRemove)
-            .arg(Value::Text(name.to_owned()))
-            .send()
-            .await?;
-        match inv.output.payload() {
+        let arg = Value::Text(name.to_owned());
+        match self.control(Control::CodeRemove, arg).await?.payload() {
             Value::U64(n) => Ok(*n),
             _ => Err(InvokeError::BadHandle),
         }
@@ -435,12 +413,11 @@ impl KaasClient {
         &mut self,
         workflow: &Workflow,
     ) -> Result<WorkflowHandle, InvokeError> {
-        let inv = self
-            .control(Control::FlowRegister)
-            .arg(workflow.to_value())
-            .send()
-            .await?;
-        match inv.output.payload() {
+        match self
+            .control(Control::FlowRegister, workflow.to_value())
+            .await?
+            .payload()
+        {
             Value::U64(id) => Ok(WorkflowHandle::new(*id, workflow.name(), workflow.len())),
             _ => Err(InvokeError::BadHandle),
         }
@@ -452,13 +429,7 @@ impl KaasClient {
     /// round trip: the server walks the steps itself, chaining
     /// intermediates device-to-device.
     pub fn flow(&mut self, handle: &WorkflowHandle) -> FlowBuilder<'_> {
-        FlowBuilder {
-            client: self,
-            id: handle.id(),
-            name: handle.name().to_owned(),
-            opts: CallOptions::default(),
-            transport: Transport::default(),
-        }
+        CallBuilder::new(self, handle.clone())
     }
 
     /// Opens a batch scope: calls added to it coalesce into **one**
@@ -510,8 +481,8 @@ impl KaasClient {
     ///
     /// 1. Stage the input: an object ref rides in the frame; any other
     ///    input is serialized in-band or shm-put out-of-band.
-    /// 2. Build the request and do the round trip, hedged and bounded
-    ///    by the timeout when asked.
+    /// 2. Build the request and do the round trip, bounded by the
+    ///    timeout when asked.
     /// 3. Materialize the reply: deserialize it or shm-take it. A bare
     ///    content address comes back as is.
     ///
@@ -522,7 +493,6 @@ impl KaasClient {
         target: &Target,
         opts: CallOptions,
         transport: Transport,
-        hedge: Option<Duration>,
         mut root: RootSpan,
     ) -> Result<Reply, FlowError> {
         let id = self.next_id();
@@ -536,54 +506,40 @@ impl KaasClient {
                 .then(|| self.shm.as_ref().ok_or(InvokeError::BadHandle))
                 .transpose()?;
             let t0 = now();
-            let data = match (opts.object, shm) {
+            let data = match (opts.input, shm) {
                 // A content address is part of the request frame itself:
                 // no payload to serialize, nothing to stage in shm.
-                (Some(r), _) => DataRef::Object(r),
-                (None, Some(shm)) => {
-                    let bytes = opts.input.wire_bytes();
-                    let handle = shm.put(opts.input, bytes).await;
+                (Input::Object(r), _) => DataRef::Object(r),
+                (Input::Value(input), Some(shm)) => {
+                    let bytes = input.wire_bytes();
+                    let handle = shm.put(input, bytes).await;
                     root.step("shm_put", t0);
                     DataRef::OutOfBand(handle)
                 }
-                (None, None) => {
-                    sleep(self.serialization.time(opts.input.wire_bytes())).await;
+                (Input::Value(input), None) => {
+                    sleep(self.serialization.time(input.wire_bytes())).await;
                     root.step("serialize", t0);
-                    DataRef::InBand(opts.input)
+                    DataRef::InBand(input)
                 }
             };
 
             // The server parents its spans under the round trip's id.
             let rt = root.child("roundtrip");
+            let span = rt.as_ref().map(OpenSpan::id);
             let mut req = self.request(id, target.clone(), data, opts.tenant, opts.deadline);
-            req.set_span(rt.as_ref().map(OpenSpan::id));
+            req.set_span(span);
             req.reply_out_of_band = transport.out_of_band;
-            // A hedge is a second, identical request under its own id,
-            // untraced: two server span trees under one roundtrip span
-            // would overlap. Out-of-band calls never hedge, as their
-            // input is a consume-once shm handle; object refs are plain
-            // content addresses and duplicate safely.
-            let hedge = match hedge.filter(|_| !transport.out_of_band) {
-                Some(delay) => {
-                    let data = match &req.data {
-                        DataRef::InBand(v) => DataRef::InBand(v.clone()),
-                        DataRef::Object(r) => DataRef::Object(*r),
-                        DataRef::OutOfBand(_) => unreachable!("in-band calls stage no shm handle"),
-                    };
-                    let id = self.next_id();
-                    let tenant = req.context.as_ref().and_then(|c| c.tenant.clone());
-                    let dup = self.request(id, target.clone(), data, tenant, opts.deadline);
-                    Some((dup, delay))
-                }
-                None => None,
-            };
-            let round_trip = self.roundtrip_hedged(req, hedge);
-            let resp = match transport.timeout {
-                Some(d) => timeout(d, round_trip)
-                    .await
-                    .unwrap_or(Err(InvokeError::TimedOut)),
-                None => round_trip.await,
-            };
+            let resp = self
+                .roundtrip(
+                    transport.timeout,
+                    span,
+                    || RequestFrame::One(req),
+                    |reply| match reply {
+                        ResponseFrame::One(resp) if resp.id == id => Some(resp),
+                        _ => None,
+                    },
+                )
+                .await;
             if let Some(rt) = rt {
                 rt.finish();
             }
@@ -601,15 +557,15 @@ impl KaasClient {
                 DataRef::InBand(v) => {
                     sleep(self.serialization.time(v.wire_bytes())).await;
                     root.step("deserialize", t2);
-                    Output::Value(v)
+                    DataRef::InBand(v)
                 }
                 DataRef::OutOfBand(h) => {
                     let shm = self.shm.as_ref().ok_or(InvokeError::BadHandle)?;
                     let v = shm.take(h).await.ok_or(InvokeError::BadHandle)?;
                     root.step("shm_take", t2);
-                    Output::Value(v)
+                    DataRef::InBand(v)
                 }
-                DataRef::Object(r) => Output::Ref(r),
+                r @ DataRef::Object(_) => r,
             };
             Ok::<_, FlowError>((output, resp.report, resp.flow))
         }
@@ -624,136 +580,88 @@ impl KaasClient {
         })
     }
 
-    /// The round trip: sends `req` and waits for the response with its
-    /// id, dropping responses to older (abandoned) requests and to
-    /// timed-out batches. With a `hedge`, if no response arrives within
-    /// its delay, the pre-built duplicate is sent too, and the first
-    /// response matching **either** id wins; the loser's reply is
-    /// dropped like any other stale response.
-    async fn roundtrip_hedged(
+    /// The one round trip, for single calls and batches alike: sends
+    /// the frame `frame` builds and returns what `accept` makes of the
+    /// first reply it takes. Every reply `accept` refuses is a stale one,
+    /// to a call or batch that timed out earlier, and is dropped. With
+    /// `within`, a reply that has not arrived that long after the send
+    /// started resolves as [`InvokeError::TimedOut`].
+    ///
+    /// The frame is built here, from what `frame` captures, and the
+    /// reply is unpacked by `accept`, so neither a whole
+    /// [`RequestFrame`] nor a whole [`ResponseFrame`] is held in the
+    /// caller's future.
+    async fn roundtrip<R>(
         &mut self,
-        req: Request,
-        hedge: Option<(Request, Duration)>,
-    ) -> Result<Response, InvokeError> {
-        let primary = req.id;
-        let span = req.span();
-        let frame = RequestFrame::One(req);
-        let bytes = frame.wire_bytes();
-        self.conn
-            .send_traced(frame, bytes, span)
-            .await
-            .map_err(|_| InvokeError::Disconnected)?;
-        let fire_at = now() + hedge.as_ref().map_or(Duration::ZERO, |(_, delay)| *delay);
-        let mut hedge = hedge.map(|(h, _)| h);
-        let mut hedge_id = None;
-        loop {
-            let frame = match &hedge {
-                // Armed: wait for the primary, but only until the hedge
-                // fires. The deadline is absolute so stale frames
-                // draining through the loop cannot push it out.
-                Some(_) => match timeout(fire_at.saturating_since(now()), self.conn.recv()).await {
-                    Ok(frame) => frame,
-                    Err(_) => {
-                        let h = hedge.take().expect("armed branch requires a pending hedge");
-                        hedge_id = Some(h.id);
-                        self.metrics().hedges_sent.inc();
-                        let frame = RequestFrame::One(h);
-                        let bytes = frame.wire_bytes();
-                        self.conn
-                            .send_traced(frame, bytes, None)
-                            .await
-                            .map_err(|_| InvokeError::Disconnected)?;
-                        continue;
-                    }
-                },
-                None => self.conn.recv().await,
-            };
-            let frame = frame.ok_or(InvokeError::Disconnected)?;
-            match frame.body {
-                ResponseFrame::One(resp) if resp.id == primary => return Ok(resp),
-                ResponseFrame::One(resp) if Some(resp.id) == hedge_id => {
-                    self.metrics().hedges_won.inc();
-                    return Ok(resp);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Sends a coalesced batch frame and waits for its coalesced reply,
-    /// correlated by the first member's id.
-    async fn batch_roundtrip(
-        &mut self,
-        reqs: Vec<Request>,
+        within: Option<Duration>,
         span: Option<SpanId>,
-    ) -> Result<Vec<Response>, InvokeError> {
-        let first = reqs[0].id;
-        let frame = RequestFrame::Batch(reqs);
-        let bytes = frame.wire_bytes();
-        self.conn
-            .send_traced(frame, bytes, span)
-            .await
-            .map_err(|_| InvokeError::Disconnected)?;
-        loop {
-            let frame = self.conn.recv().await.ok_or(InvokeError::Disconnected)?;
-            match frame.body {
-                ResponseFrame::Batch(resps) if resps.first().is_some_and(|r| r.id == first) => {
-                    return Ok(resps)
+        frame: impl FnOnce() -> RequestFrame,
+        mut accept: impl FnMut(ResponseFrame) -> Option<R>,
+    ) -> Result<R, InvokeError> {
+        let exchange = async {
+            // The frame lives only inside the send future.
+            let send = {
+                let frame = frame();
+                let bytes = frame.wire_bytes();
+                self.conn.send_traced(frame, bytes, span)
+            };
+            send.await.map_err(|_| InvokeError::Disconnected)?;
+            loop {
+                let reply = self.conn.recv().await.ok_or(InvokeError::Disconnected)?;
+                if let Some(accepted) = accept(reply.body) {
+                    return Ok(accepted);
                 }
-                // A stale single response or an abandoned batch's reply.
-                _ => {}
             }
+        };
+        match within {
+            Some(d) => timeout(d, exchange)
+                .await
+                .unwrap_or(Err(InvokeError::TimedOut)),
+            None => exchange.await,
         }
     }
 }
 
-/// A call's input and server-side options, shared by [`InvokeBuilder`],
-/// [`FlowBuilder`] and [`BatchCall`].
+/// A call's input: a value to stage (default: [`Value::Unit`]), or a
+/// stored object's address.
 #[derive(Debug, Clone)]
+enum Input {
+    Value(Value),
+    Object(ObjectRef),
+}
+
+impl Default for Input {
+    fn default() -> Self {
+        Input::Value(Value::Unit)
+    }
+}
+
+/// A call's input and server-side options, shared by [`CallBuilder`]
+/// and [`BatchCall`].
+#[derive(Debug, Clone, Default)]
 struct CallOptions {
-    input: Value,
-    object: Option<ObjectRef>,
+    input: Input,
     tenant: Option<Rc<str>>,
     deadline: Option<Duration>,
 }
 
-impl Default for CallOptions {
-    fn default() -> Self {
-        CallOptions {
-            input: Value::Unit,
-            object: None,
-            tenant: None,
-            deadline: None,
-        }
-    }
-}
-
-/// How a call crosses the wire, shared by [`InvokeBuilder`] and
-/// [`FlowBuilder`].
-#[derive(Debug, Clone, Copy)]
+/// How a [`CallBuilder`]'s call crosses the wire. A batch member has
+/// neither option: the whole frame shares one timeout and travels
+/// in-band.
+#[derive(Debug, Clone, Copy, Default)]
 struct Transport {
     timeout: Option<Duration>,
-    trace: bool,
     out_of_band: bool,
 }
 
-impl Default for Transport {
-    fn default() -> Self {
-        Transport {
-            timeout: None,
-            trace: true,
-            out_of_band: false,
-        }
-    }
-}
-
 /// A call's root span on the client's `client{N}` track, or nothing
-/// when the call is untraced. The client-side steps record under it.
+/// when the client has no tracer. The client-side steps record under
+/// it.
 struct RootSpan(Option<(SpanSink, String, OpenSpan)>);
 
 impl RootSpan {
-    fn open(client: &KaasClient, name: &str, trace: bool) -> RootSpan {
-        RootSpan(client.tracer.as_ref().filter(|_| trace).map(|sink| {
+    fn open(client: &KaasClient, name: &str) -> RootSpan {
+        RootSpan(client.tracer.as_ref().map(|sink| {
             let track = format!("client{}", client.id);
             let span = sink.open(&track, name, None);
             (sink.clone(), track, span)
@@ -794,60 +702,46 @@ impl RootSpan {
 /// What one call brought back: the materialized output and the
 /// response's reports.
 struct Reply {
-    output: Output,
+    /// A value, deserialized or taken from shared memory, is `InBand`;
+    /// a bare content address (the reply to a `send_ref` flow trigger)
+    /// is `Object`.
+    output: DataRef,
     report: Option<InvocationReport>,
     /// The per-step report of a flow trigger.
     flow: Option<Box<WorkflowReport>>,
     latency: Duration,
 }
 
-/// A materialized reply payload.
-enum Output {
-    /// Deserialized in-band or taken from shared memory.
-    Value(Value),
-    /// A bare content address: the reply to a `send_ref` flow trigger.
-    Ref(ObjectRef),
-}
-
-/// A pending invocation under construction; create via
-/// [`KaasClient::call`], dispatch with [`send`](InvokeBuilder::send).
-#[must_use = "an invocation does nothing until .send() is awaited"]
+/// A pending call under construction, of a kernel or control op
+/// ([`InvokeBuilder`], from [`KaasClient::call`]) or of a registered
+/// workflow ([`FlowBuilder`], from [`KaasClient::flow`]). The tenant,
+/// deadline, timeout and transfer-mode setters are shared; the input
+/// setters and `send` belong to each kind.
+#[must_use = "a call does nothing until .send() is awaited"]
 #[derive(Debug)]
-pub struct InvokeBuilder<'c> {
+pub struct CallBuilder<'c, K> {
     client: &'c mut KaasClient,
-    target: Target,
+    callee: K,
     opts: CallOptions,
     transport: Transport,
-    hedge: Option<Duration>,
 }
 
-impl<'c> InvokeBuilder<'c> {
-    fn new(client: &'c mut KaasClient, target: Target) -> Self {
-        InvokeBuilder {
+/// A pending invocation of a kernel or control op; create via
+/// [`KaasClient::call`], dispatch with [`send`](InvokeBuilder::send).
+pub type InvokeBuilder<'c> = CallBuilder<'c, Target>;
+
+/// A pending trigger of a registered workflow; create via
+/// [`KaasClient::flow`], dispatch with [`send`](FlowBuilder::send).
+pub type FlowBuilder<'c> = CallBuilder<'c, WorkflowHandle>;
+
+impl<'c, K> CallBuilder<'c, K> {
+    fn new(client: &'c mut KaasClient, callee: K) -> Self {
+        CallBuilder {
             client,
-            target,
+            callee,
             opts: CallOptions::default(),
             transport: Transport::default(),
-            hedge: None,
         }
-    }
-
-    /// Sets the kernel input (default: [`Value::Unit`]).
-    pub fn arg(mut self, input: Value) -> Self {
-        self.opts.input = input;
-        self.opts.object = None;
-        self
-    }
-
-    /// Sets the kernel input to a stored object by content address
-    /// (see [`KaasClient::put`]): only the 24-byte ref crosses the
-    /// wire, and — once the object is sealed and uploaded — repeat
-    /// invocations on the same device skip the host→device copy
-    /// entirely. Overrides any previous [`arg`](InvokeBuilder::arg).
-    pub fn arg_ref(mut self, r: ObjectRef) -> Self {
-        self.opts.object = Some(r);
-        self.opts.input = Value::Unit;
-        self
     }
 
     /// Overrides the client's tenant identity for this call only.
@@ -858,7 +752,8 @@ impl<'c> InvokeBuilder<'c> {
 
     /// Gives the server a deadline (relative to send time) for
     /// *starting* device work; requests still undispatched past it are
-    /// shed with [`InvokeError::DeadlineExceeded`].
+    /// shed with [`InvokeError::DeadlineExceeded`]. A flow's steps each
+    /// carry it, and one shed step aborts the flow.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.opts.deadline = Some(deadline);
         self
@@ -874,35 +769,33 @@ impl<'c> InvokeBuilder<'c> {
         self
     }
 
-    /// Opts this call in or out of span recording (default: on, a no-op
-    /// unless a sink was attached via [`KaasClient::with_tracer`]).
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.transport.trace = trace;
-        self
-    }
-
     /// Passes the input **out-of-band** through shared memory: only a
     /// small handle crosses the connection ("transferring larger data
     /// without copying over the network", §4.1), and the output comes
-    /// back the same way. With [`arg_ref`](InvokeBuilder::arg_ref) the
-    /// input is already just a content address, so this mode applies to
-    /// the reply — pair them whenever the kernel's output is large.
-    /// Requires [`KaasClient::with_shared_memory`].
+    /// back the same way. With a stored-object input the input is
+    /// already just a content address, so this mode applies to the
+    /// reply — pair them whenever the output is large. Requires
+    /// [`KaasClient::with_shared_memory`].
     pub fn out_of_band(mut self) -> Self {
         self.transport.out_of_band = true;
         self
     }
+}
 
-    /// Hedges this call against tail latency: if no response arrives
-    /// within `delay`, a duplicate request (its own id) is sent and the
-    /// **first** response — original or hedge — wins. The loser keeps
-    /// running server-side and its reply is discarded; `hedges.sent` /
-    /// `hedges.won` on [`KaasClient::metrics_registry`] account for
-    /// both halves. Ignored in [`out_of_band`](InvokeBuilder::out_of_band)
-    /// mode, where the shm input handle is consume-once and cannot be
-    /// duplicated.
-    pub fn hedge(mut self, delay: Duration) -> Self {
-        self.hedge = Some(delay);
+impl InvokeBuilder<'_> {
+    /// Sets the kernel input (default: [`Value::Unit`]).
+    pub fn arg(mut self, input: Value) -> Self {
+        self.opts.input = Input::Value(input);
+        self
+    }
+
+    /// Sets the kernel input to a stored object by content address
+    /// (see [`KaasClient::put`]): only the 24-byte ref crosses the
+    /// wire, and — once the object is sealed and uploaded — repeat
+    /// invocations on the same device skip the host→device copy
+    /// entirely. Overrides any previous [`arg`](InvokeBuilder::arg).
+    pub fn arg_ref(mut self, r: ObjectRef) -> Self {
+        self.opts.input = Input::Object(r);
         self
     }
 
@@ -966,17 +859,17 @@ impl<'c> InvokeBuilder<'c> {
     /// One attempt through the client's call path, with a fresh request
     /// id and a copy of the input.
     async fn attempt(&mut self) -> Result<Invocation, InvokeError> {
-        let mut root = RootSpan::open(self.client, "invoke", self.transport.trace);
-        root.push_arg("kernel", self.target.name());
+        let mut root = RootSpan::open(self.client, "invoke");
+        root.push_arg("kernel", self.callee.name());
         let opts = self.opts.clone();
         let reply = self
             .client
-            .call_once(&self.target, opts, self.transport, self.hedge, root)
+            .call_once(&self.callee, opts, self.transport, root)
             .await
             .map_err(|e| e.error)?;
         // Servers answer a call with a value, never a bare address.
         let Reply {
-            output: Output::Value(output),
+            output: DataRef::InBand(output),
             report,
             latency,
             ..
@@ -992,24 +885,11 @@ impl<'c> InvokeBuilder<'c> {
     }
 }
 
-/// A pending trigger of a registered workflow; create via
-/// [`KaasClient::flow`], dispatch with [`send`](FlowBuilder::send).
-#[must_use = "a flow trigger does nothing until .send() is awaited"]
-#[derive(Debug)]
-pub struct FlowBuilder<'c> {
-    client: &'c mut KaasClient,
-    id: u64,
-    name: String,
-    opts: CallOptions,
-    transport: Transport,
-}
-
 impl FlowBuilder<'_> {
     /// Sets the trigger input fed to the flow's source steps (default:
     /// [`Value::Unit`]).
     pub fn input(mut self, input: Value) -> Self {
-        self.opts.input = input;
-        self.opts.object = None;
+        self.opts.input = Input::Value(input);
         self
     }
 
@@ -1019,41 +899,7 @@ impl FlowBuilder<'_> {
     /// intermediate. Overrides any previous
     /// [`input`](FlowBuilder::input).
     pub fn input_ref(mut self, r: ObjectRef) -> Self {
-        self.opts.object = Some(r);
-        self.opts.input = Value::Unit;
-        self
-    }
-
-    /// Overrides the client's tenant identity for this run only.
-    pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.opts.tenant = Some(tenant.into().into());
-        self
-    }
-
-    /// Gives every step of the run a server-side start deadline
-    /// (relative to send time); a step still undispatched past it sheds
-    /// with [`InvokeError::DeadlineExceeded`], aborting the flow.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.opts.deadline = Some(deadline);
-        self
-    }
-
-    /// Bounds the network round trip, like [`InvokeBuilder::timeout`].
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.transport.timeout = Some(timeout);
-        self
-    }
-
-    /// Opts this run in or out of span recording (default: on).
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.transport.trace = trace;
-        self
-    }
-
-    /// Ships the trigger (and the final output) through shared memory.
-    /// Requires [`KaasClient::with_shared_memory`].
-    pub fn out_of_band(mut self) -> Self {
-        self.transport.out_of_band = true;
+        self.opts.input = Input::Object(r);
         self
     }
 
@@ -1068,7 +914,7 @@ impl FlowBuilder<'_> {
     /// with [`InvokeError::UnknownFlow`], never a panic.
     pub async fn send(self) -> Result<WorkflowRun, FlowError> {
         let reply = self.trigger(0).await?;
-        let Output::Value(output) = reply.output else {
+        let DataRef::InBand(output) = reply.output else {
             return Err(InvokeError::BadHandle.into());
         };
         Ok(WorkflowRun {
@@ -1089,37 +935,35 @@ impl FlowBuilder<'_> {
     /// As [`send`](FlowBuilder::send).
     pub async fn send_ref(self) -> Result<(ObjectRef, WorkflowReport), FlowError> {
         let reply = self.trigger(FLOW_REPLY_REF).await?;
-        let Output::Ref(r) = reply.output else {
+        let DataRef::Object(r) = reply.output else {
             return Err(InvokeError::BadHandle.into());
         };
         Ok((r, *reply.flow.ok_or(InvokeError::Disconnected)?))
     }
 
     /// Sends the trigger as the input of a [`Control::FlowRun`] call,
-    /// fire-once: no retry, no hedge. A ref input travels inside the
+    /// fire-once: no client retry. A ref input travels inside the
     /// trigger envelope; the payload itself stays server-side.
     async fn trigger(self, flags: u64) -> Result<Reply, FlowError> {
-        let FlowBuilder {
+        let CallBuilder {
             client,
-            id,
-            name,
+            callee: flow,
             opts,
             transport,
         } = self;
-        let mut root = RootSpan::open(client, "flow", transport.trace);
-        root.push_arg("flow", id);
-        root.push_arg("name", &name);
-        let input = match opts.object {
-            Some(r) => r.to_value(),
-            None => opts.input,
+        let mut root = RootSpan::open(client, "flow");
+        root.push_arg("flow", flow.id());
+        root.push_arg("name", flow.name());
+        let input = match opts.input {
+            Input::Object(r) => r.to_value(),
+            Input::Value(v) => v,
         };
         let opts = CallOptions {
-            input: encode_trigger(id, flags, input),
-            object: None,
+            input: Input::Value(encode_trigger(flow.id(), flags, input)),
             ..opts
         };
         let target = Target::Control(Control::FlowRun);
-        client.call_once(&target, opts, transport, None, root).await
+        client.call_once(&target, opts, transport, root).await
     }
 }
 
@@ -1145,16 +989,14 @@ impl<'k> BatchCall<'k> {
 
     /// Sets the member's in-band input.
     pub fn arg(mut self, input: Value) -> Self {
-        self.opts.input = input;
-        self.opts.object = None;
+        self.opts.input = Input::Value(input);
         self
     }
 
     /// Sets the member's input to a stored object by content address
     /// (overrides any previous [`arg`](BatchCall::arg)).
     pub fn arg_ref(mut self, r: ObjectRef) -> Self {
-        self.opts.object = Some(r);
-        self.opts.input = Value::Unit;
+        self.opts.input = Input::Object(r);
         self
     }
 
@@ -1165,7 +1007,7 @@ impl<'k> BatchCall<'k> {
     }
 
     /// Gives this member a server-side start deadline (relative to
-    /// send time), like [`InvokeBuilder::deadline`].
+    /// send time), like [`CallBuilder::deadline`].
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.opts.deadline = Some(deadline);
         self
@@ -1205,16 +1047,6 @@ impl<'k> BatchBuilder<'_, 'k> {
         self
     }
 
-    /// Members added so far.
-    pub fn len(&self) -> usize {
-        self.calls.len()
-    }
-
-    /// Whether the batch is still empty.
-    pub fn is_empty(&self) -> bool {
-        self.calls.is_empty()
-    }
-
     /// Runs the batch: one coalesced serialization, one round trip, one
     /// coalesced deserialization. Returns per-member results in call
     /// order — members succeed or fail independently.
@@ -1228,14 +1060,14 @@ impl<'k> BatchBuilder<'_, 'k> {
         let BatchBuilder {
             client,
             calls,
-            timeout: rt_timeout,
+            timeout: within,
         } = self;
         if calls.is_empty() {
             return Ok(Vec::new());
         }
         let n = calls.len();
         let start = now();
-        let mut root = RootSpan::open(client, "batch", true);
+        let mut root = RootSpan::open(client, "batch");
         root.push_arg("members", n);
 
         // One serialization pass covers every in-band member payload
@@ -1243,8 +1075,10 @@ impl<'k> BatchBuilder<'_, 'k> {
         let t0 = now();
         let in_band: u64 = calls
             .iter()
-            .filter(|c| c.opts.object.is_none())
-            .map(|c| c.opts.input.wire_bytes())
+            .filter_map(|c| match &c.opts.input {
+                Input::Value(v) => Some(v.wire_bytes()),
+                Input::Object(_) => None,
+            })
             .sum();
         if in_band > 0 {
             sleep(client.serialization.time(in_band)).await;
@@ -1258,32 +1092,41 @@ impl<'k> BatchBuilder<'_, 'k> {
         let reqs: Vec<Request> = calls
             .into_iter()
             .map(|c| {
-                let data = match c.opts.object {
-                    Some(r) => DataRef::Object(r),
-                    None => DataRef::InBand(c.opts.input),
+                let data = match c.opts.input {
+                    Input::Object(r) => DataRef::Object(r),
+                    Input::Value(v) => DataRef::InBand(v),
                 };
                 let id = client.next_id();
                 let target = Target::Kernel(client.intern(c.kernel));
                 client.request(id, target, data, c.opts.tenant, c.opts.deadline)
             })
             .collect();
+        // The coalesced reply is correlated by the first member's id.
+        let first = reqs[0].id;
 
         let t1 = now();
-        let resps = match rt_timeout {
-            Some(d) => match timeout(d, client.batch_roundtrip(reqs, root.id())).await {
-                Ok(resps) => resps,
-                Err(_) => {
-                    // The frame (or its reply) is lost past the
-                    // deadline: the members failed individually.
-                    root.step("roundtrip", t1);
-                    root.finish();
-                    return Ok((0..n).map(|_| Err(InvokeError::TimedOut)).collect());
-                }
-            },
-            None => client.batch_roundtrip(reqs, root.id()).await,
-        };
+        let resps = client
+            .roundtrip(
+                within,
+                root.id(),
+                || RequestFrame::Batch(reqs),
+                |reply| match reply {
+                    ResponseFrame::Batch(resps) if resps.first().is_some_and(|r| r.id == first) => {
+                        Some(resps)
+                    }
+                    _ => None,
+                },
+            )
+            .await;
         let resps = match resps {
             Ok(resps) => resps,
+            // The frame (or its reply) is lost past the deadline: the
+            // members failed individually.
+            Err(InvokeError::TimedOut) => {
+                root.step("roundtrip", t1);
+                root.finish();
+                return Ok((0..n).map(|_| Err(InvokeError::TimedOut)).collect());
+            }
             Err(e) => {
                 root.finish();
                 return Err(e);
@@ -1323,5 +1166,32 @@ impl<'k> BatchBuilder<'_, 'k> {
             .collect();
         root.finish();
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every client loop holds one `send()` future for as long as its
+    /// call is out, and a batch holds its members until the frame is
+    /// built.
+    #[test]
+    fn call_futures_stay_small() {
+        let mut sim = kaas_simtime::Simulation::new();
+        let (single, batch) = sim.block_on(async {
+            let net = Network::new();
+            let _listener = net.listen("kaas").expect("fresh network");
+            let mut client = KaasClient::connect(&net, "kaas", LinkProfile::loopback())
+                .await
+                .expect("kaas listens");
+            let single = std::mem::size_of_val(&client.call("mci").arg(Value::U64(1)).send());
+            let batch = std::mem::size_of_val(&client.batch().call(BatchCall::new("mci")).send());
+            (single, batch)
+        });
+        let member = std::mem::size_of::<BatchCall>();
+        assert!(single <= 2_304, "invocation send() future is {single} B");
+        assert!(batch <= 888, "batch send() future is {batch} B");
+        assert!(member <= 120, "BatchCall is {member} B");
     }
 }

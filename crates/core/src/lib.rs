@@ -83,7 +83,8 @@ mod workflow;
 pub use admission::{AdmissionConfig, AdmissionPolicy, AimdConfig};
 pub use baseline::{run_cpu_only, run_space_sharing, run_time_sharing, BaselineReport};
 pub use client::{
-    BatchBuilder, BatchCall, ClientRetryConfig, FlowBuilder, Invocation, InvokeBuilder, KaasClient,
+    BatchBuilder, BatchCall, CallBuilder, ClientRetryConfig, FlowBuilder, Invocation,
+    InvokeBuilder, KaasClient,
 };
 pub use config::{DispatchMode, ServerConfig, ShardConfig};
 pub use dataplane::{content_hash, DataPlane, ObjectRef, ObjectStore};

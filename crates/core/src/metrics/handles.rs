@@ -279,8 +279,6 @@ impl ServerMetrics {
 /// returns.
 pub(crate) struct ClientMetrics {
     reg: MetricsRegistry,
-    pub(crate) hedges_sent: Counter,
-    pub(crate) hedges_won: Counter,
     pub(crate) retries_budget_exhausted: Counter,
 }
 
@@ -288,8 +286,6 @@ impl ClientMetrics {
     pub(crate) fn new() -> Self {
         let reg = MetricsRegistry::new();
         ClientMetrics {
-            hedges_sent: reg.counter_handle("hedges.sent"),
-            hedges_won: reg.counter_handle("hedges.won"),
             retries_budget_exhausted: reg.counter_handle("retries.budget_exhausted"),
             reg,
         }

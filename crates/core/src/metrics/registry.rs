@@ -135,7 +135,7 @@ fn find_or_create<H: Clone + Default>(map: &mut BTreeMap<String, H>, name: &str)
 ///     assert_eq!(s.count, 1);
 ///     assert!(reg.render().contains("cold_starts 1\n"));
 ///     // A name the server never wrote reads as zero and never renders.
-///     assert_eq!(reg.counter("hedges.sent"), 0);
+///     assert_eq!(reg.counter("retries.budget_exhausted"), 0);
 /// });
 /// ```
 #[derive(Clone, Default)]

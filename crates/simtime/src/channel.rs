@@ -1,5 +1,5 @@
-//! Virtual-time message passing: [`oneshot`] and multi-producer
-//! single-consumer queues ([`unbounded`], [`bounded`]).
+//! Virtual-time message passing: multi-producer single-consumer queues
+//! ([`unbounded`], [`bounded`]).
 //!
 //! All channels are single-threaded (the simulation never leaves its
 //! thread) but follow the familiar async-channel API shape so simulation
@@ -11,144 +11,6 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-
-// ---------------------------------------------------------------------------
-// oneshot
-// ---------------------------------------------------------------------------
-
-struct OneshotState<T> {
-    value: Option<T>,
-    tx_alive: bool,
-    rx_alive: bool,
-    waker: Option<Waker>,
-}
-
-/// Sending half of a [`oneshot`] channel.
-#[derive(Debug)]
-pub struct OneshotSender<T> {
-    state: Rc<RefCell<OneshotState<T>>>,
-}
-
-/// Receiving half of a [`oneshot`] channel; a future resolving to the sent
-/// value.
-#[derive(Debug)]
-#[must_use = "futures do nothing unless awaited"]
-pub struct OneshotReceiver<T> {
-    state: Rc<RefCell<OneshotState<T>>>,
-}
-
-impl<T> std::fmt::Debug for OneshotState<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OneshotState")
-            .field("has_value", &self.value.is_some())
-            .finish()
-    }
-}
-
-/// Error returned when awaiting a [`OneshotReceiver`] whose sender was
-/// dropped without sending.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sender dropped without sending a value")
-    }
-}
-
-impl std::error::Error for RecvError {}
-
-/// Creates a channel carrying a single value.
-///
-/// # Examples
-///
-/// ```
-/// use kaas_simtime::{Simulation, spawn, channel};
-///
-/// let mut sim = Simulation::new();
-/// let got = sim.block_on(async {
-///     let (tx, rx) = channel::oneshot();
-///     spawn(async move { tx.send(123).ok(); });
-///     rx.await.unwrap()
-/// });
-/// assert_eq!(got, 123);
-/// ```
-pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
-    let state = Rc::new(RefCell::new(OneshotState {
-        value: None,
-        tx_alive: true,
-        rx_alive: true,
-        waker: None,
-    }));
-    (
-        OneshotSender {
-            state: Rc::clone(&state),
-        },
-        OneshotReceiver { state },
-    )
-}
-
-impl<T> OneshotSender<T> {
-    /// Sends `value`, consuming the sender.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(value)` if the receiver has been dropped.
-    pub fn send(self, value: T) -> Result<(), T> {
-        let waker = {
-            let mut s = self.state.borrow_mut();
-            if !s.rx_alive {
-                return Err(value);
-            }
-            s.value = Some(value);
-            s.waker.take()
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-        Ok(())
-    }
-
-    /// Whether the receiving half is still alive.
-    pub fn is_open(&self) -> bool {
-        self.state.borrow().rx_alive
-    }
-}
-
-impl<T> Drop for OneshotSender<T> {
-    fn drop(&mut self) {
-        let waker = {
-            let mut s = self.state.borrow_mut();
-            s.tx_alive = false;
-            s.waker.take()
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-}
-
-impl<T> Drop for OneshotReceiver<T> {
-    fn drop(&mut self) {
-        self.state.borrow_mut().rx_alive = false;
-    }
-}
-
-impl<T> Future for OneshotReceiver<T> {
-    type Output = Result<T, RecvError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut s = self.state.borrow_mut();
-        if let Some(v) = s.value.take() {
-            return Poll::Ready(Ok(v));
-        }
-        if !s.tx_alive {
-            return Poll::Ready(Err(RecvError));
-        }
-        s.waker = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
 
 // ---------------------------------------------------------------------------
 // mpsc
@@ -527,42 +389,6 @@ mod tests {
     use super::*;
     use crate::{sleep, spawn, Simulation};
     use std::time::Duration;
-
-    #[test]
-    fn oneshot_roundtrip() {
-        let mut sim = Simulation::new();
-        let v = sim.block_on(async {
-            let (tx, rx) = oneshot::<u32>();
-            spawn(async move {
-                sleep(Duration::from_secs(1)).await;
-                tx.send(7).ok();
-            });
-            rx.await
-        });
-        assert_eq!(v, Ok(7));
-    }
-
-    #[test]
-    fn oneshot_sender_drop_errors() {
-        let mut sim = Simulation::new();
-        let v = sim.block_on(async {
-            let (tx, rx) = oneshot::<u32>();
-            spawn(async move {
-                sleep(Duration::from_secs(1)).await;
-                drop(tx);
-            });
-            rx.await
-        });
-        assert_eq!(v, Err(RecvError));
-    }
-
-    #[test]
-    fn oneshot_send_to_dropped_receiver_fails() {
-        let (tx, rx) = oneshot::<u32>();
-        drop(rx);
-        assert!(!tx.is_open());
-        assert_eq!(tx.send(5), Err(5));
-    }
 
     #[test]
     fn unbounded_fifo_order() {

@@ -739,10 +739,10 @@ mod tests {
     fn live_tasks_counts_unfinished() {
         let mut sim = Simulation::new();
         // A task that waits forever on a timerless pending future: model a
-        // deadlock with a never-completing oneshot.
-        let (_tx, rx) = crate::channel::oneshot::<()>();
+        // deadlock with a channel whose held sender never sends.
+        let (_tx, mut rx) = crate::channel::unbounded::<()>();
         sim.spawn(async move {
-            let _ = rx.await;
+            let _ = rx.recv().await;
         });
         sim.run();
         assert_eq!(sim.live_tasks(), 1);
@@ -751,10 +751,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "deadlock")]
     fn block_on_deadlock_panics() {
-        let (_tx, rx) = crate::channel::oneshot::<()>();
+        let (_tx, mut rx) = crate::channel::unbounded::<()>();
         let mut sim = Simulation::new();
         sim.block_on(async move {
-            let _ = rx.await;
+            let _ = rx.recv().await;
         });
     }
 

@@ -81,7 +81,7 @@ const SEED: u64 = 7;
 
 /// Heap allocations per invocation, and bytes they request.
 const ALLOCS_PER_INV: f64 = 2.65;
-const BYTES_PER_INV: f64 = 2_100.0;
+const BYTES_PER_INV: f64 = 2_050.0;
 
 async fn client_loop(mut client: KaasClient, seed: u64, id: u64) -> usize {
     let mut rng = stream_rng(seed, id);

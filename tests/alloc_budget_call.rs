@@ -86,7 +86,7 @@ const SEED: u64 = 7;
 const DEADLINE: Duration = Duration::from_millis(3);
 
 /// Heap allocations per call attempt (each retry is an attempt).
-const ALLOCS_PER_ATTEMPT: f64 = 4.2;
+const ALLOCS_PER_ATTEMPT: f64 = 4.05;
 
 /// What one client's loop saw.
 #[derive(Default)]

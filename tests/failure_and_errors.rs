@@ -6,14 +6,14 @@ use std::time::Duration;
 
 use kaas::accel::{Device, DeviceClass, DeviceId, GpuDevice, GpuProfile};
 use kaas::core::{
-    BreakerConfig, DataRef, InvokeError, KaasClient, KaasNetwork, KaasServer, KernelRegistry,
-    Request, RequestFrame, Response, ResponseFrame, RetryConfig, ServerConfig, Target, Workflow,
-    WorkflowHandle,
+    BatchCall, BreakerConfig, DataRef, Invocation, InvokeError, KaasClient, KaasNetwork,
+    KaasServer, KernelRegistry, Request, RequestFrame, Response, ResponseFrame, RetryConfig,
+    ServerConfig, Target, Workflow, WorkflowHandle,
 };
 use kaas::guest::{GuestProgram, Op};
 use kaas::kernels::{Kernel, MatMul, MonteCarlo, Value};
 use kaas::net::{LinkProfile, SharedMemory};
-use kaas::simtime::{sleep, spawn, timeout, Simulation};
+use kaas::simtime::{now, sleep, spawn, timeout, Simulation};
 
 fn gpus(n: u32) -> Vec<Device> {
     (0..n)
@@ -695,6 +695,60 @@ fn autoscaler_never_exceeds_device_count() {
             assert_eq!(peak, 1, "autoscale off keeps only the bootstrap runner");
         }
     }
+}
+
+/// Enough MCI samples that the kernel runs for about 150 µs.
+const SLOW: u64 = 2_000_000;
+
+/// One slow MCI call, as a single call or as a one-member batch,
+/// bounded by `within` when given.
+async fn slow_call(
+    client: &mut KaasClient,
+    batched: bool,
+    within: Option<Duration>,
+) -> Result<Invocation, InvokeError> {
+    if batched {
+        let mut batch = client
+            .batch()
+            .call(BatchCall::new("mci").arg(Value::U64(SLOW)));
+        if let Some(d) = within {
+            batch = batch.timeout(d);
+        }
+        return batch.send().await?.pop().expect("one member");
+    }
+    let mut call = client.call("mci").arg(Value::U64(SLOW));
+    if let Some(d) = within {
+        call = call.timeout(d);
+    }
+    call.send().await
+}
+
+/// A call that times out while its reply is still on the way leaves
+/// that reply to arrive during the client's next call. Every call and
+/// every batch takes only the reply that answers it, whichever of the
+/// two timed out before it.
+#[test]
+fn late_replies_to_timed_out_calls_are_skipped() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let (server, net, shm) = boot(gpus(1), vec![Rc::new(MonteCarlo::default())]);
+        server.prewarm("mci", 1).await.unwrap();
+        let mut client = connect(&net, shm).await;
+        let late = Duration::from_micros(50);
+        for (late_batched, next_batched) in
+            [(false, false), (false, true), (true, true), (true, false)]
+        {
+            let err = slow_call(&mut client, late_batched, Some(late)).await;
+            assert_eq!(err.unwrap_err(), InvokeError::TimedOut);
+            let sent = now();
+            let inv = slow_call(&mut client, next_batched, None).await.unwrap();
+            assert!(
+                inv.report.submitted >= sent,
+                "a stale reply answered the call (batched: {late_batched} then {next_batched})"
+            );
+        }
+        assert_eq!(client.requests_sent(), 8);
+    });
 }
 
 #[test]

@@ -11,8 +11,8 @@
 //!
 //! A second scenario covers the fault and recovery names the first one
 //! never writes — injected faults, server retries and evictions,
-//! degraded placement, adaptive admission, client hedges and retry
-//! budgets, guest removal and a failed flow — and renders the server
+//! degraded placement, adaptive admission, client timeouts, retries and
+//! retry budgets, guest removal and a failed flow — and renders the server
 //! and client registries of each sub-scenario under `# <scenario>`
 //! headers into `tests/golden/metrics_render_faults.txt`.
 //!
@@ -43,13 +43,11 @@ const FAULTS_GOLDEN: &str = "tests/golden/metrics_render_faults.txt";
 
 /// Names the first scenario never writes; the second must render each
 /// (`faults.runner-crash` stands for `faults.{kind}`).
-const FAULT_NAMES: [&str; 11] = [
+const FAULT_NAMES: [&str; 9] = [
     "faults.injected",
     "faults.runner-crash",
     "retries.attempted",
     "retries.budget_exhausted",
-    "hedges.sent",
-    "hedges.won",
     "degraded.served",
     "evictions",
     "admission.limit",
@@ -224,16 +222,18 @@ fn faults_scenario() -> String {
         );
         FaultInjector::new(&server, crash).run().await;
         mci(&mut client).await;
-        // A dropped request frame: only the hedge can answer.
+        // A dropped request frame: the call times out and its retry
+        // answers.
         let drop = FaultPlan::new(0).push(Duration::ZERO, Fault::LinkDrop { frames: 1 });
         FaultInjector::new(&server, drop)
             .with_link(client.link_fault())
             .run()
             .await;
+        let mut client = client.with_retry(ClientRetryConfig::new(2));
         client
             .call("mci")
             .arg(Value::U64(5_000))
-            .hedge(Duration::from_millis(1))
+            .timeout(Duration::from_millis(1))
             .send()
             .await
             .unwrap();

@@ -18,7 +18,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use kaas::simtime::channel::oneshot;
+use kaas::simtime::channel::unbounded;
 use kaas::simtime::rng::stream_rng;
 use kaas::simtime::{now, sleep, sleep_until, spawn, timeout, yield_now, SimTime, Simulation};
 
@@ -39,12 +39,12 @@ fn same_instant_tasks_run_in_fifo_wake_order() {
         let mut senders = Vec::new();
         let mut tasks = Vec::new();
         for name in ["a", "b", "c"] {
-            let (tx, rx) = oneshot::<()>();
+            let (tx, mut rx) = unbounded::<()>();
             senders.push(tx);
             let l = Rc::clone(&l);
             tasks.push(spawn(async move {
                 push(&l, format!("{name}:start"));
-                rx.await.unwrap();
+                rx.recv().await.unwrap();
                 for step in 0..2 {
                     push(&l, format!("{name}:{step}"));
                     yield_now().await;
@@ -53,8 +53,8 @@ fn same_instant_tasks_run_in_fifo_wake_order() {
         }
         // Let every task park on its channel, then wake c, b, a.
         yield_now().await;
-        for tx in senders.into_iter().rev() {
-            tx.send(()).unwrap();
+        for tx in senders.iter().rev() {
+            tx.try_send(()).unwrap();
         }
         for t in tasks {
             t.await;
@@ -116,9 +116,9 @@ fn a_task_keeps_one_waker_across_polls() {
         let after_yield = CurrentWaker.await;
         sleep(Duration::from_millis(5)).await;
         let after_timer = CurrentWaker.await;
-        let (tx, rx) = oneshot::<()>();
-        spawn(async move { tx.send(()).unwrap() });
-        rx.await.unwrap();
+        let (tx, mut rx) = unbounded::<()>();
+        spawn(async move { tx.try_send(()).unwrap() });
+        rx.recv().await.unwrap();
         let after_channel = CurrentWaker.await;
         let other = spawn(CurrentWaker).await;
         (
