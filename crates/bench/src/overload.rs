@@ -169,7 +169,7 @@ fn overload_config(controlled: bool) -> ServerConfig {
                 .with_cooldown(Duration::from_millis(5)),
         )
     } else {
-        config.with_admission_policy(None)
+        config
     }
 }
 

@@ -10,11 +10,12 @@
 //! * **Limiter** — a ceiling on concurrently admitted requests (queued
 //!   or executing); beyond it the server sheds load with
 //!   [`InvokeError::Overloaded`] instead of building an unbounded
-//!   queue. The default policy when one is enabled is
-//!   [`AdmissionPolicy::Adaptive`]: an AIMD controller that moves the
-//!   ceiling against observed dispatch queue-wait, so the server finds
-//!   its own knee instead of trusting a hand-tuned constant. The old
-//!   static cap survives as [`AdmissionPolicy::FixedCap`] for A/B runs.
+//!   queue. The limiter is an AIMD controller ([`AimdConfig`]) that
+//!   moves the ceiling against observed dispatch queue-wait, so the
+//!   server finds its own knee instead of trusting a hand-tuned
+//!   constant. A fixed cap `n` is the one-value band
+//!   `min_limit = max_limit = initial_limit = n`: every step clamps
+//!   back to `n`.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -26,26 +27,11 @@ use kaas_simtime::SimTime;
 
 use crate::protocol::InvokeError;
 
-/// How the server-wide concurrency ceiling is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// A hand-tuned static cap (the pre-adaptive behavior, kept for
-    /// A/B comparison).
-    FixedCap(usize),
-    /// AIMD on observed dispatch queue-wait: additive increase while
-    /// waits sit under the target, multiplicative decrease (rate
-    /// limited by a cooldown) when they overshoot.
-    Adaptive(AimdConfig),
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        AdmissionPolicy::Adaptive(AimdConfig::default())
-    }
-}
-
-/// Tuning for [`AdmissionPolicy::Adaptive`]. All fields are integral so
-/// the controller stays exactly reproducible across replays.
+/// Tuning for the admission limiter: AIMD on observed dispatch
+/// queue-wait, with additive increase while waits sit under the target
+/// and multiplicative decrease (rate limited by a cooldown) when they
+/// overshoot. All fields are integral so the controller stays exactly
+/// reproducible across replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AimdConfig {
     /// Queue-wait the controller steers toward: completions that waited
@@ -121,7 +107,7 @@ pub struct AdmissionConfig {
     /// Server-wide concurrency limiter; requests beyond its current
     /// ceiling are rejected with [`InvokeError::Overloaded`]. `None`
     /// (the default) admits everything.
-    pub limiter: Option<AdmissionPolicy>,
+    pub limiter: Option<AimdConfig>,
 }
 
 /// Applies [`AdmissionConfig`] to incoming requests.
@@ -166,11 +152,7 @@ impl Drop for AdmissionPermit {
 
 impl AdmissionController {
     pub(crate) fn new(config: AdmissionConfig) -> Self {
-        let limit = match config.limiter {
-            Some(AdmissionPolicy::FixedCap(cap)) => cap,
-            Some(AdmissionPolicy::Adaptive(aimd)) => aimd.initial_limit,
-            None => usize::MAX,
-        };
+        let limit = config.limiter.map_or(usize::MAX, |aimd| aimd.initial_limit);
         AdmissionController {
             config,
             tenants: std::cell::RefCell::new(BTreeMap::new()),
@@ -194,9 +176,9 @@ impl AdmissionController {
         self.config.limiter.map(|_| self.limit.get())
     }
 
-    /// The configured limiter policy, if any.
+    /// The configured limiter, if any.
     #[cfg(feature = "sim-sanitizer")]
-    pub(crate) fn policy(&self) -> Option<AdmissionPolicy> {
+    pub(crate) fn limiter(&self) -> Option<AimdConfig> {
         self.config.limiter
     }
 
@@ -213,11 +195,11 @@ impl AdmissionController {
     }
 
     /// Feeds one completed dispatch's observed queue wait into the
-    /// adaptive limiter: additive increase below the target,
-    /// cooldown-gated multiplicative decrease above it. No-op for
-    /// `FixedCap` / no limiter.
+    /// limiter: additive increase below the target, cooldown-gated
+    /// multiplicative decrease above it, both clamped to the band.
+    /// No-op without a limiter.
     pub(crate) fn observe_queue_wait(&self, wait: Duration) {
-        let Some(AdmissionPolicy::Adaptive(aimd)) = self.config.limiter else {
+        let Some(aimd) = self.config.limiter else {
             return;
         };
         let limit = self.limit.get();
@@ -303,7 +285,12 @@ mod tests {
         sim.block_on(async {
             let ctl = AdmissionController::new(AdmissionConfig {
                 tenant_quota: None,
-                limiter: Some(AdmissionPolicy::FixedCap(2)),
+                limiter: Some(AimdConfig {
+                    min_limit: 2,
+                    max_limit: 2,
+                    initial_limit: 2,
+                    ..AimdConfig::default()
+                }),
             });
             let a = ctl.admit(None).await.unwrap();
             let _b = ctl.admit(None).await.unwrap();
@@ -316,6 +303,8 @@ mod tests {
             assert!(ctl.admit(None).await.is_ok());
             // Queue-wait signal must not move a fixed cap.
             ctl.observe_queue_wait(Duration::from_secs(1));
+            assert_eq!(ctl.current_limit(), Some(2));
+            ctl.observe_queue_wait(Duration::ZERO);
             assert_eq!(ctl.current_limit(), Some(2));
         });
     }
@@ -330,7 +319,7 @@ mod tests {
                 .with_cooldown(Duration::from_millis(1));
             let ctl = AdmissionController::new(AdmissionConfig {
                 tenant_quota: None,
-                limiter: Some(AdmissionPolicy::Adaptive(aimd)),
+                limiter: Some(aimd),
             });
             assert_eq!(ctl.current_limit(), Some(64));
 
@@ -369,7 +358,7 @@ mod tests {
                 .with_initial_limit(2);
             let ctl = AdmissionController::new(AdmissionConfig {
                 tenant_quota: None,
-                limiter: Some(AdmissionPolicy::Adaptive(aimd)),
+                limiter: Some(aimd),
             });
             let _a = ctl.admit(None).await.unwrap();
             let _b = ctl.admit(None).await.unwrap();

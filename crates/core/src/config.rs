@@ -20,7 +20,7 @@ use std::time::Duration;
 use kaas_net::SerializationProfile;
 use kaas_simtime::SpanSink;
 
-use crate::admission::{AdmissionConfig, AdmissionPolicy, AimdConfig};
+use crate::admission::{AdmissionConfig, AimdConfig};
 use crate::resilience::{BreakerConfig, EvictionConfig, FallbackConfig, RetryConfig};
 use crate::runner::RunnerConfig;
 use crate::scheduler::Scheduler;
@@ -192,28 +192,12 @@ impl ServerConfig {
         self
     }
 
-    /// Sets (or clears, with `None`) a *static* server-wide
-    /// admitted-request ceiling ([`AdmissionPolicy::FixedCap`]); excess
-    /// requests fail with
-    /// [`InvokeError::Overloaded`][crate::InvokeError::Overloaded].
-    /// Prefer [`with_adaptive_admission`](Self::with_adaptive_admission)
-    /// unless you are A/B-ing against the historic fixed cap.
-    pub fn with_max_in_flight(mut self, max: impl Into<Option<usize>>) -> Self {
-        self.admission.limiter = max.into().map(AdmissionPolicy::FixedCap);
-        self
-    }
-
-    /// Enables the adaptive (AIMD-on-queue-wait) admission limiter —
-    /// the default [`AdmissionPolicy`] — with the given tuning.
+    /// Enables the adaptive (AIMD-on-queue-wait) admission limiter with
+    /// the given tuning; requests over its ceiling fail with
+    /// [`InvokeError::Overloaded`][crate::InvokeError::Overloaded]. A
+    /// band with `min_limit = max_limit` is a fixed cap.
     pub fn with_adaptive_admission(mut self, aimd: AimdConfig) -> Self {
-        self.admission.limiter = Some(AdmissionPolicy::Adaptive(aimd));
-        self
-    }
-
-    /// Sets (or clears, with `None`) the admission limiter policy
-    /// directly.
-    pub fn with_admission_policy(mut self, policy: impl Into<Option<AdmissionPolicy>>) -> Self {
-        self.admission.limiter = policy.into();
+        self.admission.limiter = Some(aimd);
         self
     }
 
@@ -286,27 +270,12 @@ mod tests {
             .with_scheduler(RoundRobin::default())
             .with_autoscale(false)
             .with_tenant_quota(3)
-            .with_max_in_flight(64)
+            .with_adaptive_admission(AimdConfig::default())
             .with_idle_timeout(Duration::from_secs(60));
         assert_eq!(c.scheduler.name(), "round-robin");
         assert!(!c.autoscale);
         assert_eq!(c.admission.tenant_quota, Some(3));
-        assert_eq!(
-            c.admission.limiter,
-            Some(AdmissionPolicy::FixedCap(64)),
-            "with_max_in_flight keeps the historic static-cap semantics"
-        );
+        assert_eq!(c.admission.limiter, Some(AimdConfig::default()));
         assert_eq!(c.idle_timeout, Some(Duration::from_secs(60)));
-
-        let c = c.with_adaptive_admission(AimdConfig::default());
-        assert_eq!(
-            c.admission.limiter,
-            Some(AdmissionPolicy::Adaptive(AimdConfig::default()))
-        );
-        assert_eq!(
-            AdmissionPolicy::default(),
-            AdmissionPolicy::Adaptive(AimdConfig::default()),
-            "adaptive is the default limiter policy"
-        );
     }
 }

@@ -86,9 +86,10 @@ struct DispatchJob {
 ///
 /// A call's [`ReplySlot`] travels with it: the front door fills it on a
 /// reject, otherwise the shard job carries it and the worker's deadline
-/// ejection or [`run_job`] fills it. The waiter is woken as
-/// [`join_all`](kaas_simtime::join_all) wakes its joiner: when the
-/// lowest-index unfilled entry is filled.
+/// ejection or [`run_job`] fills it. The waiter is woken exactly when
+/// the lowest-index unfilled entry is filled: when awaiting each call's
+/// [`JoinHandle`](kaas_simtime::JoinHandle) in order would wake it, had
+/// every call been a spawned task.
 pub(crate) struct ReplyTable {
     /// The server whose `errors` counters a failed reply bumps when its
     /// entry is filled; `None` for flow steps, whose executor counts
@@ -1468,7 +1469,7 @@ mod tests {
     }
 
     /// The waiter is woken exactly when the lowest unfilled entry fills,
-    /// as `join_all` wakes its joiner; an entry keeps its first fill.
+    /// and by no other fill; an entry keeps its first fill.
     #[test]
     fn reply_table_wakes_on_the_lowest_unfilled_entry() {
         let table = ReplyTable::new([10, 11, 12].into_iter(), None);
@@ -1503,6 +1504,82 @@ mod tests {
             resps[2].result.as_ref().err(),
             Some(&InvokeError::DeadlineExceeded)
         );
+    }
+
+    /// One entry per executor poll of a logged future: virtual time, the
+    /// future's name, and whether the poll completed it.
+    type PollLog = Rc<RefCell<Vec<(u64, u32, bool)>>>;
+
+    /// `fut`, recording each of its polls in `log`.
+    fn logged<F: Future>(name: u32, log: &PollLog, fut: F) -> impl Future<Output = F::Output> {
+        let (log, mut fut) = (Rc::clone(log), Box::pin(fut));
+        poll_fn(move |cx| {
+            let out = fut.as_mut().poll(cx);
+            let entry = (now().as_nanos(), name, out.is_ready());
+            log.borrow_mut().push(entry);
+            out
+        })
+    }
+
+    /// Six members that sleep, then yield, under a logged waiter that
+    /// spawns them and awaits their `JoinHandle`s in order, or spawns
+    /// them detached to fill one reply table's slots and waits on it.
+    /// Several members finish at one instant with a higher index first;
+    /// one finishes on its first poll.
+    fn waiter_poll_log(by_table: bool) -> Vec<(u64, u32, bool)> {
+        let log = PollLog::default();
+        let plan: [(u64, u32); 6] = [(2, 3), (1, 0), (2, 0), (0, 0), (2, 1), (1, 2)];
+        let members: Vec<_> = plan
+            .into_iter()
+            .zip(0u32..)
+            .map(|((ms, yields), name)| {
+                logged(name, &log, async move {
+                    sleep(Duration::from_millis(ms)).await;
+                    for _ in 0..yields {
+                        kaas_simtime::yield_now().await;
+                    }
+                    name
+                })
+            })
+            .collect();
+        let waiter = async move {
+            if by_table {
+                let table = ReplyTable::new((0..6u32).map(u64::from), None);
+                for (i, member) in members.into_iter().enumerate() {
+                    let slot = table.slot(i);
+                    spawn_detached(async move {
+                        member.await;
+                        slot.fill(outcome_ok());
+                    });
+                }
+                table.responses().await;
+            } else {
+                let handles: Vec<_> = members.into_iter().map(spawn).collect();
+                for h in handles {
+                    h.await;
+                }
+            }
+        };
+        kaas_simtime::Simulation::new().block_on(logged(99, &log, waiter));
+        log.take()
+    }
+
+    /// Every batch's replies, and so every archive, depend on this
+    /// order: a reply table's waiter is polled exactly as a task that
+    /// awaits each call's `JoinHandle` in order would be.
+    #[test]
+    fn reply_table_polls_as_in_order_awaited_join_handles_do() {
+        let by_handles = waiter_poll_log(false);
+        let done: Vec<(u64, u32)> = by_handles
+            .iter()
+            .filter(|&&(_, name, ready)| ready && name < 6)
+            .map(|&(at, name, _)| (at, name))
+            .collect();
+        assert!(
+            done.windows(2).any(|w| w[0].0 == w[1].0 && w[0].1 > w[1].1),
+            "some members finish at one instant out of index order: {done:?}"
+        );
+        assert_eq!(waiter_poll_log(true), by_handles);
     }
 
     /// A shard job dropped before a worker ran it (here: no worker

@@ -80,7 +80,7 @@ mod server;
 pub mod trace;
 mod workflow;
 
-pub use admission::{AdmissionConfig, AdmissionPolicy, AimdConfig};
+pub use admission::{AdmissionConfig, AimdConfig};
 pub use baseline::{run_cpu_only, run_space_sharing, run_time_sharing, BaselineReport};
 pub use client::{
     BatchBuilder, BatchCall, CallBuilder, ClientRetryConfig, FlowBuilder, Invocation,

@@ -203,8 +203,8 @@ pub enum InvokeError {
     Disconnected,
     /// An out-of-band handle did not resolve.
     BadHandle,
-    /// The server shed the request: the admission limiter (adaptive or
-    /// fixed-cap) or a bounded shard queue was already at its ceiling.
+    /// The server shed the request: the admission limiter or a bounded
+    /// shard queue was already at its ceiling.
     /// `retry_after` is the server's deterministic estimate of when the
     /// backlog will have drained — cooperative backpressure that retry
     /// policies must honor (wait *at least* this long before retrying).

@@ -246,21 +246,20 @@ fn check_ejection_accounting(inner: &ServerInner) {
     }
 }
 
-/// Admission-control sanity: the adaptive limit stays inside its
-/// configured `[min, max]` band, and the permit ledger conserves —
+/// Admission-control sanity: the limit stays inside its configured
+/// `[min, max]` band, and the permit ledger conserves —
 /// permits issued minus permits released equals the in-flight count.
 fn check_admission(inner: &ServerInner) {
-    use crate::admission::AdmissionPolicy;
-    if let Some(AdmissionPolicy::Adaptive(aimd)) = inner.admission.policy() {
+    if let Some(aimd) = inner.admission.limiter() {
         let limit = inner
             .admission
             .current_limit()
-            .expect("an adaptive policy always has a limit");
+            .expect("a limiter always has a limit");
         if limit < aimd.min_limit || limit > aimd.max_limit {
             violation(
                 "admission-limit",
                 &format!(
-                    "adaptive admission limit {limit} escaped its configured band \
+                    "admission limit {limit} escaped its configured band \
                      [{}, {}]",
                     aimd.min_limit, aimd.max_limit
                 ),

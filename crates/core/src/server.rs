@@ -361,8 +361,8 @@ pub struct ServerSnapshot {
     /// Requests shed or ejected across all shards so far.
     pub dispatch_ejected: u64,
     /// The admission limiter's current concurrency ceiling (`None`
-    /// when no limiter is configured; moves over time under
-    /// [`AdmissionPolicy::Adaptive`](crate::AdmissionPolicy)).
+    /// when no limiter is configured; moves over time inside its
+    /// [`AimdConfig`](crate::AimdConfig) band).
     pub admission_limit: Option<usize>,
 }
 

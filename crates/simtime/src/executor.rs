@@ -489,7 +489,7 @@ impl Simulation {
 
     /// Runs until the clock would pass `limit`, then stops with the clock
     /// at `limit` (or earlier if the event queue empties first).
-    pub fn run_until(&mut self, limit: SimTime) -> SimTime {
+    pub(crate) fn run_until(&mut self, limit: SimTime) -> SimTime {
         let _guard = ContextGuard::enter(self.handle());
         loop {
             self.drain_runnable();

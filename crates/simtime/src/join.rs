@@ -72,13 +72,13 @@ impl<T> JoinHandle<T> {
     }
 
     /// Whether the task has run to completion.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.state.borrow().finished
     }
 
     /// Takes the output if the task has completed and the output has not
     /// been taken yet (by `await` or a previous `try_take`).
-    pub fn try_take(&self) -> Option<T> {
+    pub(crate) fn try_take(&self) -> Option<T> {
         self.state.borrow_mut().result.take()
     }
 }

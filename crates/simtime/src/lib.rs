@@ -55,8 +55,10 @@
 //! * A spawned task is one allocation at the size of its future (plus
 //!   its join state), polled in place. A task spawned with
 //!   [`spawn_detached`] has no join state and is the boxed future alone.
-//!   [`join_all`] spawns its members detached, into one shared output
-//!   table: one allocation per member plus the table.
+//! * A task that awaits several [`JoinHandle`]s in order is woken
+//!   exactly when the lowest-index unfinished task completes, and by
+//!   no other completion. A table that collects results out of order
+//!   and wakes its one waiter by that rule is polled identically.
 //! * Waiting on a [`sync::Semaphore`] allocates nothing once its waiter
 //!   table has grown to the peak number of parked acquirers.
 //! * A task's [`Waker`](std::task::Waker) carries its simulation's tag
@@ -72,7 +74,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod channel;
-mod combinators;
 mod executor;
 mod join;
 pub mod rng;
@@ -81,7 +82,6 @@ pub mod sync;
 mod time;
 pub mod trace;
 
-pub use combinators::join_all;
 pub use executor::{now, spawn, spawn_detached, try_now, Handle, Simulation};
 pub use join::JoinHandle;
 pub use sleep::{sleep, sleep_until, timeout, yield_now, Elapsed, Sleep, Timeout, YieldNow};

@@ -168,7 +168,7 @@ impl Semaphore {
     }
 
     /// Adds `n` new permits to the semaphore (capacity growth).
-    pub fn add_permits(&self, n: usize) {
+    pub(crate) fn add_permits(&self, n: usize) {
         self.state.borrow_mut().permits += n;
         self.grant();
     }

@@ -305,7 +305,7 @@ impl OpenSpan {
 
     /// Records the span ending at `end` (clamped to its start) and
     /// returns its id.
-    pub fn finish_at(self, end: SimTime) -> SpanId {
+    pub(crate) fn finish_at(self, end: SimTime) -> SpanId {
         let id = self.id;
         let sink = self.sink.clone();
         sink.record_with_id(Span {

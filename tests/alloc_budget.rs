@@ -5,10 +5,10 @@
 //! seeded storm-shaped scenario runs: the storm server configuration,
 //! eight prewarmed V100s, 48 same-host clients in a closed loop, each
 //! sending 16-call MCI batches. The measured window covers only the
-//! batches, not deployment or connection set-up. Allocation counts in a
-//! deterministic simulation repeat exactly, so the budget is a
-//! regression gate on every layer the call walks: client, wire,
-//! front door, shard worker, runner, executor.
+//! batches, not deployment, connection set-up or spawning the client
+//! loops. Allocation counts in a deterministic simulation repeat
+//! exactly, so the budget is a regression gate on every layer the call
+//! walks: client, wire, front door, shard worker, runner, executor.
 //!
 //! This file holds a single test so that nothing else allocates in the
 //! process while it measures. The budget is for the default build: the
@@ -24,7 +24,7 @@ use std::time::Duration;
 use kaas::core::{BatchCall, DispatchMode, KaasClient, RoundRobin, RunnerConfig};
 use kaas::kernels::{MonteCarlo, Value};
 use kaas::simtime::rng::stream_rng;
-use kaas::simtime::{join_all, sleep, Simulation};
+use kaas::simtime::{sleep, spawn, Simulation};
 use kaas_bench::common::{deploy, experiment_server_config, v100_cluster};
 
 /// Forwards to the system allocator, counting allocations and bytes
@@ -80,8 +80,8 @@ const BATCH: usize = 16;
 const SEED: u64 = 7;
 
 /// Heap allocations per invocation, and bytes they request.
-const ALLOCS_PER_INV: f64 = 2.65;
-const BYTES_PER_INV: f64 = 2_050.0;
+const ALLOCS_PER_INV: f64 = 2.64;
+const BYTES_PER_INV: f64 = 2_035.0;
 
 async fn client_loop(mut client: KaasClient, seed: u64, id: u64) -> usize {
     let mut rng = stream_rng(seed, id);
@@ -127,12 +127,15 @@ fn batched_invocations_stay_within_heap_budget() {
         let loops: Vec<_> = clients
             .into_iter()
             .zip(0..)
-            .map(|(client, id)| client_loop(client, SEED, id))
+            .map(|(client, id)| spawn(client_loop(client, SEED, id)))
             .collect();
         ALLOCS.store(0, Ordering::Relaxed);
         BYTES.store(0, Ordering::Relaxed);
         COUNTING.store(true, Ordering::Relaxed);
-        let ok: usize = join_all(loops).await.into_iter().sum();
+        let mut ok = 0;
+        for client_loop in loops {
+            ok += client_loop.await;
+        }
         COUNTING.store(false, Ordering::Relaxed);
         (
             ok,

@@ -6,9 +6,9 @@ use std::time::Duration;
 
 use kaas::accel::{Device, DeviceClass, DeviceId, GpuDevice, GpuProfile};
 use kaas::core::{
-    BatchCall, BreakerConfig, DataRef, Invocation, InvokeError, KaasClient, KaasNetwork,
-    KaasServer, KernelRegistry, Request, RequestFrame, Response, ResponseFrame, RetryConfig,
-    ServerConfig, Target, Workflow, WorkflowHandle,
+    AimdConfig, BatchCall, BreakerConfig, DataRef, Invocation, InvokeError, KaasClient,
+    KaasNetwork, KaasServer, KernelRegistry, Request, RequestFrame, Response, ResponseFrame,
+    RetryConfig, ServerConfig, Target, Workflow, WorkflowHandle,
 };
 use kaas::guest::{GuestProgram, Op};
 use kaas::kernels::{Kernel, MatMul, MonteCarlo, Value};
@@ -42,6 +42,17 @@ fn boot(
     kernels: Vec<Rc<dyn Kernel>>,
 ) -> (KaasServer, KaasNetwork, SharedMemory) {
     boot_with(devices, kernels, ServerConfig::default())
+}
+
+/// A server config that admits at most `cap` requests at once: the
+/// admission limiter's one-value band.
+fn fixed_cap(cap: usize) -> ServerConfig {
+    ServerConfig::default().with_adaptive_admission(AimdConfig {
+        min_limit: cap,
+        max_limit: cap,
+        initial_limit: cap,
+        ..AimdConfig::default()
+    })
 }
 
 async fn connect(net: &KaasNetwork, shm: SharedMemory) -> KaasClient {
@@ -203,11 +214,7 @@ fn deadline_shed_releases_the_admission_slot() {
     sim.block_on(async {
         // A server-wide cap of one admitted request: any leaked
         // admission permit wedges the server permanently.
-        let (server, net, shm) = boot_with(
-            gpus(1),
-            vec![Rc::new(MatMul::new())],
-            ServerConfig::default().with_max_in_flight(1),
-        );
+        let (server, net, shm) = boot_with(gpus(1), vec![Rc::new(MatMul::new())], fixed_cap(1));
         let mut client = connect(&net, shm).await;
         let err = client
             .call("matmul")
@@ -232,11 +239,8 @@ fn deadline_shed_releases_the_admission_slot() {
 fn disconnect_mid_flight_does_not_wedge_the_server() {
     let mut sim = Simulation::new();
     sim.block_on(async {
-        let (server, net, shm) = boot_with(
-            gpus(1),
-            vec![Rc::new(MonteCarlo::default())],
-            ServerConfig::default().with_max_in_flight(1),
-        );
+        let (server, net, shm) =
+            boot_with(gpus(1), vec![Rc::new(MonteCarlo::default())], fixed_cap(1));
         // A client that gives up mid-flight and hangs up: the send
         // future is dropped while the server is still working, then the
         // connection itself is dropped with it.
@@ -446,11 +450,7 @@ fn every_error_kind_is_inducible_and_counted() {
         }
 
         // Server B: zero admission slots — everything is shed.
-        let (_b, net_b, shm_b) = boot_with(
-            gpus(1),
-            vec![Rc::new(MatMul::new())],
-            ServerConfig::default().with_max_in_flight(0),
-        );
+        let (_b, net_b, shm_b) = boot_with(gpus(1), vec![Rc::new(MatMul::new())], fixed_cap(0));
         let mut client_b = connect(&net_b, shm_b).await;
         let err = client_b
             .call("matmul")

@@ -286,7 +286,12 @@ fn faults_scenario() -> String {
         let registry = KernelRegistry::new();
         registry.register(MonteCarlo::default()).unwrap();
         let devices = vec![GpuDevice::new(DeviceId(0), GpuProfile::p100()).into()];
-        let config = ServerConfig::default().with_max_in_flight(0);
+        let config = ServerConfig::default().with_adaptive_admission(AimdConfig {
+            min_limit: 0,
+            max_limit: 0,
+            initial_limit: 0,
+            ..AimdConfig::default()
+        });
         let (server, client) = boot(devices, registry, config).await;
         let budget = Rc::new(RetryBudget::new(
             RetryBudgetConfig::default()

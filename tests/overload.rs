@@ -127,8 +127,7 @@ fn bounded_queue_ejects_expired_work_before_placement() {
         };
         let config = ServerConfig::default()
             .with_dispatch(DispatchMode::Sharded(shard))
-            .with_dispatch_overhead(Duration::from_micros(500))
-            .with_admission_policy(None);
+            .with_dispatch_overhead(Duration::from_micros(500));
         let (server, net) = boot(config).await;
         server.prewarm("mci", 1).await.unwrap();
 
@@ -207,7 +206,12 @@ fn retry_after_is_deterministic_and_budgets_cap_retries() {
     let mut sim = Simulation::new();
     sim.block_on(async {
         let overhead = ServerConfig::default().dispatch_overhead;
-        let config = ServerConfig::default().with_max_in_flight(0);
+        let config = ServerConfig::default().with_adaptive_admission(AimdConfig {
+            min_limit: 0,
+            max_limit: 0,
+            initial_limit: 0,
+            ..AimdConfig::default()
+        });
         let (_server, net) = boot(config).await;
 
         // Two back-to-back sheds from an idle server quote the same

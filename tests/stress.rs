@@ -11,7 +11,7 @@ use kaas::accel::{
 use kaas::core::{KaasClient, KaasNetwork, KaasServer, KernelRegistry, RunnerConfig, ServerConfig};
 use kaas::kernels::{Histogram, MatMul, MonteCarlo, Value, VqeEstimator};
 use kaas::net::{LinkProfile, SharedMemory};
-use kaas::simtime::{join_all, sleep, spawn, Simulation};
+use kaas::simtime::{sleep, spawn, Simulation};
 
 fn build() -> (KaasServer, KaasNetwork, SharedMemory) {
     let devices: Vec<Device> = vec![
@@ -75,7 +75,6 @@ fn run_chaos() -> (usize, u64, u64) {
                 ok
             });
         }
-        let worker_handles = join_all(workers);
 
         // Chaos: kill the first GPU's matmul runner mid-run.
         let saboteur = {
@@ -86,9 +85,12 @@ fn run_chaos() -> (usize, u64, u64) {
             })
         };
 
-        let oks = worker_handles.await;
+        let workers: Vec<_> = workers.into_iter().map(spawn).collect();
+        let mut total_ok = 0;
+        for worker in workers {
+            total_ok += worker.await;
+        }
         saboteur.await;
-        let total_ok: usize = oks.iter().sum();
         let reg = server.metrics_registry();
         (
             total_ok,
