@@ -36,6 +36,7 @@
 
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -47,12 +48,12 @@ use kaas_net::{
 use kaas_simtime::{now, sleep, timeout, OpenSpan, SimTime, SpanId, SpanSink};
 
 use crate::dataplane::ObjectRef;
-use crate::flow::{encode_trigger, FLOW_REPLY_REF};
 use crate::metrics::handles::ClientMetrics;
 use crate::metrics::registry::MetricsRegistry;
 use crate::metrics::InvocationReport;
 use crate::protocol::{
-    Control, DataRef, InvokeError, Request, RequestContext, RequestFrame, ResponseFrame, Target,
+    Control, DataRef, Input, InvokeError, Request, RequestContext, RequestFrame, ResponseFrame,
+    Target,
 };
 use crate::resilience::{ExponentialBackoff, RetryBudget};
 use crate::workflow::{FlowError, Workflow, WorkflowHandle, WorkflowReport, WorkflowRun};
@@ -274,15 +275,25 @@ impl KaasClient {
         interned
     }
 
-    /// Runs control operation `op` on `arg` through the call path and
-    /// returns the reply's output. The data-plane ops ship their payload
-    /// through shared memory when it is attached; every other op travels
-    /// in-band.
-    async fn control(&mut self, op: Control, arg: Value) -> Result<Value, InvokeError> {
-        let out_of_band = self.shm.is_some() && matches!(op, Control::DataPut | Control::DataGet);
-        let mut call = CallBuilder::new(self, Target::Control(op)).arg(arg);
+    /// Runs control operation `op` through the call path, with `payload`
+    /// as the request's data, and returns the reply's output. A put's
+    /// payload and a get's reply travel through shared memory when it is
+    /// attached; every other op travels in-band.
+    async fn control(&mut self, op: Control, payload: Value) -> Result<DataRef, InvokeError> {
+        let out_of_band =
+            self.shm.is_some() && matches!(op, Control::DataPut | Control::DataGet(_));
+        let mut call = CallBuilder::new(self, Target::Control(Box::new(op))).arg(payload);
         call.transport.out_of_band = out_of_band;
-        Ok(call.send().await?.output)
+        call.send_as(|reply| Ok(reply.output)).await
+    }
+
+    /// Runs argument-carrying control operation `op` and returns the
+    /// value it answers.
+    async fn control_value(&mut self, op: Control) -> Result<Value, InvokeError> {
+        match self.control(op, Value::Unit).await? {
+            DataRef::InBand(v) => Ok(v),
+            _ => Err(InvokeError::BadHandle),
+        }
     }
 
     /// Stores `value` in the server's object store and returns its
@@ -295,8 +306,10 @@ impl KaasClient {
     ///
     /// Any transport-level [`InvokeError`].
     pub async fn put(&mut self, value: Value) -> Result<ObjectRef, InvokeError> {
-        let output = self.control(Control::DataPut, value).await?;
-        ObjectRef::from_value(&output).ok_or(InvokeError::BadHandle)
+        match self.control(Control::DataPut, value).await? {
+            DataRef::Object(r) => Ok(r),
+            _ => Err(InvokeError::BadHandle),
+        }
     }
 
     /// Fetches a stored object back from the server.
@@ -305,7 +318,7 @@ impl KaasClient {
     ///
     /// [`InvokeError::BadHandle`] when `r` does not resolve.
     pub async fn get(&mut self, r: ObjectRef) -> Result<Value, InvokeError> {
-        self.control(Control::DataGet, r.to_value()).await
+        self.control_value(Control::DataGet(r)).await
     }
 
     /// Seals a stored object: declares it immutable, making it eligible
@@ -316,7 +329,7 @@ impl KaasClient {
     ///
     /// [`InvokeError::BadHandle`] when `r` does not resolve.
     pub async fn seal(&mut self, r: ObjectRef) -> Result<(), InvokeError> {
-        self.control(Control::DataSeal, r.to_value()).await?;
+        self.control_value(Control::DataSeal(r)).await?;
         Ok(())
     }
 
@@ -327,7 +340,7 @@ impl KaasClient {
     ///
     /// [`InvokeError::BadHandle`] when `r` does not resolve.
     pub async fn pin(&mut self, r: ObjectRef) -> Result<(), InvokeError> {
-        self.control(Control::DataPin, r.to_value()).await?;
+        self.control_value(Control::DataPin(r)).await?;
         Ok(())
     }
 
@@ -357,9 +370,12 @@ impl KaasClient {
         tenant: &str,
         program: &GuestProgram,
     ) -> Result<String, InvokeError> {
-        let arg = crate::guest::encode_register(tenant, program);
-        match self.control(Control::CodeRegister, arg).await?.payload() {
-            Value::Text(full) => Ok(full.clone()),
+        let op = Control::CodeRegister {
+            tenant: tenant.to_owned(),
+            program: program.clone(),
+        };
+        match self.control_value(op).await? {
+            Value::Text(full) => Ok(full),
             _ => Err(InvokeError::BadHandle),
         }
     }
@@ -370,12 +386,14 @@ impl KaasClient {
     ///
     /// Transport errors as usual.
     pub async fn list_guest_kernels(&mut self, tenant: &str) -> Result<Vec<String>, InvokeError> {
-        let arg = Value::Text(tenant.to_owned());
-        match self.control(Control::CodeList, arg).await?.payload() {
+        match self
+            .control_value(Control::CodeList(tenant.to_owned()))
+            .await?
+        {
             Value::List(items) => Ok(items
-                .iter()
+                .into_iter()
                 .filter_map(|v| match v {
-                    Value::Text(t) => Some(t.clone()),
+                    Value::Text(t) => Some(t),
                     _ => None,
                 })
                 .collect()),
@@ -392,9 +410,11 @@ impl KaasClient {
     /// [`InvokeError::UnknownGuestKernel`] when nothing was live under
     /// that name; transport errors as usual.
     pub async fn remove_kernel(&mut self, name: &str) -> Result<u64, InvokeError> {
-        let arg = Value::Text(name.to_owned());
-        match self.control(Control::CodeRemove, arg).await?.payload() {
-            Value::U64(n) => Ok(*n),
+        match self
+            .control_value(Control::CodeRemove(name.to_owned()))
+            .await?
+        {
+            Value::U64(n) => Ok(n),
             _ => Err(InvokeError::BadHandle),
         }
     }
@@ -407,18 +427,16 @@ impl KaasClient {
     /// # Errors
     ///
     /// [`InvokeError::UnknownKernel`] when a step names a kernel the
-    /// server does not serve; [`InvokeError::BadInput`] when the
-    /// definition does not decode; transport errors as usual.
+    /// server does not serve; transport errors as usual.
     pub async fn register_workflow(
         &mut self,
         workflow: &Workflow,
     ) -> Result<WorkflowHandle, InvokeError> {
         match self
-            .control(Control::FlowRegister, workflow.to_value())
+            .control_value(Control::FlowRegister(workflow.clone()))
             .await?
-            .payload()
         {
-            Value::U64(id) => Ok(WorkflowHandle::new(*id, workflow.name(), workflow.len())),
+            Value::U64(id) => Ok(WorkflowHandle::new(id, workflow.name(), workflow.len())),
             _ => Err(InvokeError::BadHandle),
         }
     }
@@ -622,20 +640,6 @@ impl KaasClient {
     }
 }
 
-/// A call's input: a value to stage (default: [`Value::Unit`]), or a
-/// stored object's address.
-#[derive(Debug, Clone)]
-enum Input {
-    Value(Value),
-    Object(ObjectRef),
-}
-
-impl Default for Input {
-    fn default() -> Self {
-        Input::Value(Value::Unit)
-    }
-}
-
 /// A call's input and server-side options, shared by [`CallBuilder`]
 /// and [`BatchCall`].
 #[derive(Debug, Clone, Default)]
@@ -782,7 +786,7 @@ impl<'c, K> CallBuilder<'c, K> {
     }
 }
 
-impl InvokeBuilder<'_> {
+impl<'c> InvokeBuilder<'c> {
     /// Sets the kernel input (default: [`Value::Unit`]).
     pub fn arg(mut self, input: Value) -> Self {
         self.opts.input = Input::Value(input);
@@ -810,7 +814,32 @@ impl InvokeBuilder<'_> {
     /// [`InvokeError::Disconnected`] if the connection closed;
     /// [`InvokeError::BadHandle`] in out-of-band mode without an
     /// attached shared-memory region.
-    pub async fn send(mut self) -> Result<Invocation, InvokeError> {
+    pub fn send(self) -> impl Future<Output = Result<Invocation, InvokeError>> + 'c {
+        self.send_as(|reply| {
+            // Servers answer a call with a value, never a bare address.
+            let Reply {
+                output: DataRef::InBand(output),
+                report,
+                latency,
+                ..
+            } = reply
+            else {
+                return Err(InvokeError::BadHandle);
+            };
+            Ok(Invocation {
+                output,
+                report: report.ok_or(InvokeError::Disconnected)?,
+                latency,
+            })
+        })
+    }
+
+    /// Runs the call, retrying under [`KaasClient::with_retry`], and
+    /// returns what `finish` makes of its reply.
+    async fn send_as<T>(
+        mut self,
+        finish: impl FnOnce(Reply) -> Result<T, InvokeError>,
+    ) -> Result<T, InvokeError> {
         let retry = self.client.retry.as_ref();
         if let Some(budget) = retry.and_then(|r| r.budget.as_ref()) {
             budget.note_fresh();
@@ -824,7 +853,7 @@ impl InvokeBuilder<'_> {
         loop {
             attempt += 1;
             let err = match self.attempt().await {
-                Ok(inv) => return Ok(inv),
+                Ok(reply) => return finish(reply),
                 Err(e) if attempt < max_attempts && ClientRetryConfig::retryable(&e) => e,
                 Err(e) => return Err(e),
             };
@@ -858,30 +887,14 @@ impl InvokeBuilder<'_> {
 
     /// One attempt through the client's call path, with a fresh request
     /// id and a copy of the input.
-    async fn attempt(&mut self) -> Result<Invocation, InvokeError> {
+    async fn attempt(&mut self) -> Result<Reply, InvokeError> {
         let mut root = RootSpan::open(self.client, "invoke");
         root.push_arg("kernel", self.callee.name());
         let opts = self.opts.clone();
-        let reply = self
-            .client
+        self.client
             .call_once(&self.callee, opts, self.transport, root)
             .await
-            .map_err(|e| e.error)?;
-        // Servers answer a call with a value, never a bare address.
-        let Reply {
-            output: DataRef::InBand(output),
-            report,
-            latency,
-            ..
-        } = reply
-        else {
-            return Err(InvokeError::BadHandle);
-        };
-        Ok(Invocation {
-            output,
-            report: report.ok_or(InvokeError::Disconnected)?,
-            latency,
-        })
+            .map_err(|e| e.error)
     }
 }
 
@@ -913,7 +926,7 @@ impl FlowBuilder<'_> {
     /// complete as partial results. A forged or expired handle fails
     /// with [`InvokeError::UnknownFlow`], never a panic.
     pub async fn send(self) -> Result<WorkflowRun, FlowError> {
-        let reply = self.trigger(0).await?;
+        let reply = self.trigger(false).await?;
         let DataRef::InBand(output) = reply.output else {
             return Err(InvokeError::BadHandle.into());
         };
@@ -934,17 +947,17 @@ impl FlowBuilder<'_> {
     ///
     /// As [`send`](FlowBuilder::send).
     pub async fn send_ref(self) -> Result<(ObjectRef, WorkflowReport), FlowError> {
-        let reply = self.trigger(FLOW_REPLY_REF).await?;
+        let reply = self.trigger(true).await?;
         let DataRef::Object(r) = reply.output else {
             return Err(InvokeError::BadHandle.into());
         };
         Ok((r, *reply.flow.ok_or(InvokeError::Disconnected)?))
     }
 
-    /// Sends the trigger as the input of a [`Control::FlowRun`] call,
-    /// fire-once: no client retry. A ref input travels inside the
-    /// trigger envelope; the payload itself stays server-side.
-    async fn trigger(self, flags: u64) -> Result<Reply, FlowError> {
+    /// Sends a [`Control::FlowRun`] call with the trigger input as its
+    /// payload, fire-once: no client retry. A ref input travels as
+    /// [`DataRef::Object`], as [`InvokeBuilder::arg_ref`]'s does.
+    async fn trigger(self, reply_ref: bool) -> Result<Reply, FlowError> {
         let CallBuilder {
             client,
             callee: flow,
@@ -954,15 +967,10 @@ impl FlowBuilder<'_> {
         let mut root = RootSpan::open(client, "flow");
         root.push_arg("flow", flow.id());
         root.push_arg("name", flow.name());
-        let input = match opts.input {
-            Input::Object(r) => r.to_value(),
-            Input::Value(v) => v,
-        };
-        let opts = CallOptions {
-            input: Input::Value(encode_trigger(flow.id(), flags, input)),
-            ..opts
-        };
-        let target = Target::Control(Control::FlowRun);
+        let target = Target::Control(Box::new(Control::FlowRun {
+            flow: flow.id(),
+            reply_ref,
+        }));
         client.call_once(&target, opts, transport, root).await
     }
 }

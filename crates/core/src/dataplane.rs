@@ -46,8 +46,6 @@ use kaas_kernels::Value;
 /// On-wire size of an [`ObjectRef`]: hash + length + framing tag.
 pub(crate) const OBJECT_REF_WIRE_BYTES: u64 = 24;
 
-const REF_TAG: &str = "kaas.ref";
-
 /// A content address into the server's object store: the
 /// [`content_hash`] of the object's canonical encoding plus its logical
 /// length. Obtained
@@ -65,35 +63,6 @@ pub struct ObjectRef {
 impl std::fmt::Display for ObjectRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "obj:{:016x}/{}B", self.hash, self.bytes)
-    }
-}
-
-impl ObjectRef {
-    /// Encodes the ref as a [`Value`] for transport through the existing
-    /// request/response payload channel.
-    pub fn to_value(self) -> Value {
-        Value::List(vec![
-            Value::Text(REF_TAG.to_owned()),
-            Value::U64(self.hash),
-            Value::U64(self.bytes),
-        ])
-    }
-
-    /// Decodes a ref previously encoded with
-    /// [`to_value`](ObjectRef::to_value).
-    pub fn from_value(v: &Value) -> Option<ObjectRef> {
-        match v.payload() {
-            Value::List(items) => match items.as_slice() {
-                [Value::Text(tag), Value::U64(hash), Value::U64(bytes)] if tag == REF_TAG => {
-                    Some(ObjectRef {
-                        hash: *hash,
-                        bytes: *bytes,
-                    })
-                }
-                _ => None,
-            },
-            _ => None,
-        }
     }
 }
 
@@ -715,17 +684,6 @@ mod tests {
             bytes: r.bytes + 1,
         };
         assert!(store.get(&forged).is_none());
-    }
-
-    #[test]
-    fn ref_value_roundtrip() {
-        let r = ObjectRef {
-            hash: 0xdead_beef,
-            bytes: 4096,
-        };
-        assert_eq!(ObjectRef::from_value(&r.to_value()), Some(r));
-        assert!(ObjectRef::from_value(&Value::U64(1)).is_none());
-        assert!(ObjectRef::from_value(&Value::List(vec![])).is_none());
     }
 
     #[test]

@@ -642,12 +642,12 @@ impl KaasServer {
     ) -> impl Future<Output = R::Output> + 'static {
         let server = self.clone();
         async move {
-            if let Target::Control(op) = req.target {
+            if let Target::Control(_) = req.target {
                 let id = req.id;
                 let mut flow = None;
                 // Boxed so the control handler's state stays out of this
                 // future.
-                let result = Box::pin(server.control(op, req, &mut flow)).await;
+                let result = Box::pin(server.control(req, &mut flow)).await;
                 return reply.answer(&server, id, result, flow);
             }
             let admitted = match server.front_door(&req).await {

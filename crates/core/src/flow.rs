@@ -37,38 +37,9 @@ use kaas_simtime::{spawn_detached, SimTime, SpanId};
 
 use crate::dataplane::ObjectRef;
 use crate::metrics::InvocationReport;
-use crate::protocol::{DataRef, InvokeError, Request, RequestContext, Target};
+use crate::protocol::{DataRef, Input, InvokeError, Request, RequestContext, Target};
 use crate::server::KaasServer;
 use crate::workflow::{Edge, EdgeTransfer, StepReport, Workflow, WorkflowReport};
-
-/// Trigger flag: reply with the final output's [`ObjectRef`] instead of
-/// the materialized value ([`FlowBuilder::send_ref`](crate::FlowBuilder::send_ref)).
-pub(crate) const FLOW_REPLY_REF: u64 = 1;
-
-const FLOW_RUN_TAG: &str = "kaas.flow.run";
-
-/// Encodes a flow trigger for the request payload channel.
-pub(crate) fn encode_trigger(id: u64, flags: u64, input: Value) -> Value {
-    Value::List(vec![
-        Value::Text(FLOW_RUN_TAG.to_owned()),
-        Value::U64(id),
-        Value::U64(flags),
-        input,
-    ])
-}
-
-/// Decodes a flow trigger: `(flow id, flags, trigger input)`.
-pub(crate) fn decode_trigger(v: &Value) -> Option<(u64, u64, Value)> {
-    match v.payload() {
-        Value::List(items) => match items.as_slice() {
-            [Value::Text(tag), Value::U64(id), Value::U64(flags), input] if tag == FLOW_RUN_TAG => {
-                Some((*id, *flags, input.clone()))
-            }
-            _ => None,
-        },
-        _ => None,
-    }
-}
 
 /// Per-server flow registry and run accounting.
 pub(crate) struct FlowState {
@@ -351,7 +322,7 @@ impl KaasServer {
         &self,
         flow_id: u64,
         wf: &Rc<Workflow>,
-        input: Value,
+        input: Input,
         parent: Option<SpanId>,
         tenant: Option<Rc<str>>,
         deadline: Option<SimTime>,
@@ -382,8 +353,8 @@ impl KaasServer {
         // trigger that is already a content address (the client `put`
         // the input earlier, or a previous segment produced it) is used
         // directly after a resolve check.
-        let staged = match ObjectRef::from_value(&input) {
-            Some(r) if dp.resolve(&r).is_none() => {
+        let staged = match input {
+            Input::Object(r) if dp.resolve(&r).is_none() => {
                 flows.active.set(flows.active.get() - 1);
                 m.workflow_active.set(flows.active.get() as f64);
                 if let Some(root) = root {
@@ -391,8 +362,8 @@ impl KaasServer {
                 }
                 return Err((InvokeError::BadHandle, report));
             }
-            Some(r) => (r, false),
-            None => dp.store().put_tracked(input),
+            Input::Object(r) => (r, false),
+            Input::Value(v) => dp.store().put_tracked(v),
         };
         let n = wf.len();
         let (done, mut done_rx) = channel::unbounded::<StepDone>();

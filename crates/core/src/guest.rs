@@ -21,39 +21,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use kaas_guest::{GuestKernel, GuestMeter, GuestProgram, Trap};
-use kaas_kernels::Value;
 
 use crate::metrics::handles::ServerMetrics;
 use crate::protocol::InvokeError;
-
-const CODE_REGISTER_TAG: &str = "kaas.code.register";
-
-/// Encodes a registration payload: tenant identity plus the program.
-pub(crate) fn encode_register(tenant: &str, program: &GuestProgram) -> Value {
-    Value::List(vec![
-        Value::Text(CODE_REGISTER_TAG.to_owned()),
-        Value::Text(tenant.to_owned()),
-        program.to_value(),
-    ])
-}
-
-pub(crate) fn decode_register(v: &Value) -> Result<(String, GuestProgram), InvokeError> {
-    match v.payload() {
-        Value::List(items) => match items.as_slice() {
-            [Value::Text(tag), Value::Text(tenant), program] if tag == CODE_REGISTER_TAG => {
-                let program = GuestProgram::from_value(program)
-                    .map_err(|e| InvokeError::BadInput(e.to_string()))?;
-                Ok((tenant.clone(), program))
-            }
-            _ => Err(InvokeError::BadInput(
-                "expected a tagged (tenant, program) registration".into(),
-            )),
-        },
-        _ => Err(InvokeError::BadInput(
-            "expected a tagged (tenant, program) registration".into(),
-        )),
-    }
-}
 
 /// Is `name` shaped like a guest kernel reference (`tenant/...`) rather
 /// than a compiled-in kernel?
@@ -239,7 +209,7 @@ mod tests {
     use super::*;
     use kaas_accel::DeviceClass;
     use kaas_guest::Op;
-    use kaas_kernels::Kernel;
+    use kaas_kernels::{Kernel, Value};
 
     fn program(name: &str) -> GuestProgram {
         GuestProgram::new(name, DeviceClass::Cpu)

@@ -5,13 +5,14 @@
 use std::rc::Rc;
 use std::time::Duration;
 
+use kaas_guest::GuestProgram;
 use kaas_kernels::Value;
 use kaas_net::{ShmHandle, HANDLE_WIRE_BYTES};
 use kaas_simtime::{SimTime, SpanId};
 
 use crate::dataplane::{ObjectRef, OBJECT_REF_WIRE_BYTES};
 use crate::metrics::InvocationReport;
-use crate::workflow::WorkflowReport;
+use crate::workflow::{Workflow, WorkflowReport};
 
 /// How a payload travels between client and kernel.
 #[derive(Debug)]
@@ -39,6 +40,21 @@ impl DataRef {
     }
 }
 
+/// A call's input before it is staged, or a control op's payload after
+/// it is unpacked: a value, or a stored object's address.
+#[derive(Debug, Clone)]
+pub(crate) enum Input {
+    Value(Value),
+    Object(ObjectRef),
+}
+
+impl Default for Input {
+    /// [`Value::Unit`], the input of an argument-less call.
+    fn default() -> Self {
+        Input::Value(Value::Unit)
+    }
+}
+
 /// Fixed protocol framing overhead per message.
 pub(crate) const FRAME_BYTES: u64 = 128;
 
@@ -47,60 +63,112 @@ pub(crate) const FRAME_BYTES: u64 = 128;
 /// by one control handler that bypasses admission and placement (no
 /// device work happens) but pays the same transport costs as a kernel
 /// invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// An op carries its arguments as typed fields; they ride in the
+/// request frame, as an [`ObjectRef`] input does, and are never
+/// serialized (see [`Request::wire_bytes`]). The request's
+/// [`data`](Request::data) carries only a real payload: the value to
+/// store, or a flow's trigger input. Every other op sends
+/// [`Value::Unit`], as an argument-less kernel call does.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Control {
     /// Stores the payload in the object store, answering with its
-    /// [`ObjectRef`].
+    /// [`ObjectRef`] ([`DataRef::Object`]).
     DataPut,
     /// Fetches a stored object back by its ref.
-    DataGet,
+    DataGet(ObjectRef),
     /// Marks a stored object immutable, which makes it cacheable on
     /// devices.
-    DataSeal,
+    DataSeal(ObjectRef),
     /// Protects a stored object from device eviction.
-    DataPin,
+    DataPin(ObjectRef),
     /// Verifies and registers a guest program, answering with its
     /// versioned `tenant/name@vN` identity.
-    CodeRegister,
+    CodeRegister {
+        /// The registering tenant's identity.
+        tenant: String,
+        /// The program to verify and register.
+        program: GuestProgram,
+    },
     /// Lists a tenant's live guest kernel versions.
-    CodeList,
-    /// Tombstones a guest kernel (one version or all).
-    CodeRemove,
+    CodeList(String),
+    /// Tombstones a guest kernel: one version (`tenant/name@vN`) or
+    /// every live one (`tenant/name`).
+    CodeRemove(String),
     /// Registers a workflow DAG, answering with its id.
-    FlowRegister,
-    /// Triggers one server-side run of a registered workflow.
-    FlowRun,
+    FlowRegister(Workflow),
+    /// Triggers one server-side run of a registered workflow, fed the
+    /// request's payload.
+    FlowRun {
+        /// The id the flow's registration answered.
+        flow: u64,
+        /// Answer with the final output's [`ObjectRef`] instead of the
+        /// value ([`FlowBuilder::send_ref`](crate::FlowBuilder::send_ref)).
+        reply_ref: bool,
+    },
 }
 
 impl Control {
     /// The op's stable label: the reserved name it travelled under
-    /// before requests were typed. Its length is the op's wire cost
-    /// (see [`Request::wire_bytes`]), and it names the op in spans and
-    /// reports.
-    pub fn name(self) -> &'static str {
+    /// before requests were typed. Its length is part of the op's wire
+    /// cost (see [`Request::wire_bytes`]), and it names the op in spans
+    /// and reports.
+    pub fn name(&self) -> &'static str {
         match self {
             Control::DataPut => "_kaas/data/put",
-            Control::DataGet => "_kaas/data/get",
-            Control::DataSeal => "_kaas/data/seal",
-            Control::DataPin => "_kaas/data/pin",
-            Control::CodeRegister => "_kaas/code/register",
-            Control::CodeList => "_kaas/code/list",
-            Control::CodeRemove => "_kaas/code/remove",
-            Control::FlowRegister => "_kaas/flow/register",
-            Control::FlowRun => "_kaas/flow/run",
+            Control::DataGet(_) => "_kaas/data/get",
+            Control::DataSeal(_) => "_kaas/data/seal",
+            Control::DataPin(_) => "_kaas/data/pin",
+            Control::CodeRegister { .. } => "_kaas/code/register",
+            Control::CodeList(_) => "_kaas/code/list",
+            Control::CodeRemove(_) => "_kaas/code/remove",
+            Control::FlowRegister(_) => "_kaas/flow/register",
+            Control::FlowRun { .. } => "_kaas/flow/run",
+        }
+    }
+
+    /// On-wire size of the op's typed arguments. A ref is 24 bytes (as
+    /// a [`DataRef::Object`] input is), text its length, and a flow
+    /// trigger's id and reply mode a word each. A program is its name, a
+    /// 64-byte header (a word each for the device class, fuel limit,
+    /// both work figures, output hint, globals with the snapshot flag,
+    /// and the two sequence lengths) and 16 bytes per instruction
+    /// (opcode and argument words). A workflow is its name plus, per
+    /// step, a length word, the kernel name and 16 bytes per edge
+    /// (producer index and transfer mode).
+    pub(crate) fn arg_bytes(&self) -> u64 {
+        match self {
+            Control::DataPut => 0,
+            Control::DataGet(_) | Control::DataSeal(_) | Control::DataPin(_) => {
+                OBJECT_REF_WIRE_BYTES
+            }
+            Control::CodeRegister { tenant, program } => {
+                let ops = (program.init.len() + program.body.len()) as u64;
+                (tenant.len() + program.name.len()) as u64 + 64 + 16 * ops
+            }
+            Control::CodeList(text) | Control::CodeRemove(text) => text.len() as u64,
+            Control::FlowRegister(wf) => {
+                let steps = wf
+                    .steps()
+                    .iter()
+                    .map(|s| 8 + s.kernel().len() as u64 + 16 * s.inputs().len() as u64);
+                wf.name().len() as u64 + steps.sum::<u64>()
+            }
+            Control::FlowRun { .. } => 16,
         }
     }
 }
 
 /// What a [`Request`] asks the server to run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Target {
     /// A registered kernel (compiled-in, or a guest `tenant/name[@vN]`).
     /// Shared: a client interns each name once, and every request and
     /// report naming the kernel holds the same string.
     Kernel(Rc<str>),
-    /// A control operation.
-    Control(Control),
+    /// A control operation, boxed so its arguments keep the request
+    /// small.
+    Control(Box<Control>),
 }
 
 impl Target {
@@ -111,6 +179,16 @@ impl Target {
             Target::Control(op) => op.name(),
         }
     }
+
+    /// On-wire size of the target: the name, plus a control op's
+    /// typed arguments.
+    pub(crate) fn wire_bytes(&self) -> u64 {
+        let args = match self {
+            Target::Kernel(_) => 0,
+            Target::Control(op) => op.arg_bytes(),
+        };
+        self.name().len() as u64 + args
+    }
 }
 
 /// A kernel invocation or control request.
@@ -120,7 +198,8 @@ pub struct Request {
     pub id: u64,
     /// The kernel or control operation to run.
     pub target: Target,
-    /// Input payload.
+    /// Input payload: a kernel's input, a stored value or a flow's
+    /// trigger input ([`Value::Unit`] for other control ops).
     pub data: DataRef,
     /// Absolute virtual-time deadline for *starting* device work: the
     /// server sheds the request with [`InvokeError::DeadlineExceeded`]
@@ -144,9 +223,11 @@ pub struct Request {
 }
 
 impl Request {
-    /// Total on-wire size.
+    /// Total on-wire size: the frame, the target's name, a control op's
+    /// typed arguments (a ref 24 bytes, text its length, a flow trigger
+    /// 16 bytes, a program or workflow a per-field sum) and the payload.
     pub fn wire_bytes(&self) -> u64 {
-        FRAME_BYTES + self.target.name().len() as u64 + self.data.wire_bytes()
+        FRAME_BYTES + self.target.wire_bytes() + self.data.wire_bytes()
     }
 
     /// The tenant identity, if the request carries one.
@@ -428,52 +509,83 @@ mod tests {
 
     #[test]
     fn in_band_wire_size_includes_payload() {
-        let req = Request {
+        let req = request(
+            Target::Kernel("matmul".into()),
+            DataRef::InBand(Value::F64s(vec![0.0; 1000])),
+        );
+        assert!(req.wire_bytes() > 8000);
+    }
+
+    fn request(target: Target, data: DataRef) -> Request {
+        Request {
             id: 1,
-            target: Target::Kernel("matmul".into()),
-            data: DataRef::InBand(Value::F64s(vec![0.0; 1000])),
+            target,
+            data,
             deadline: None,
             context: None,
             reply_out_of_band: false,
             reply_to_store: false,
-        };
-        assert!(req.wire_bytes() > 8000);
+        }
     }
 
     #[test]
     fn control_ops_cost_their_historical_name_on_the_wire() {
-        // Byte lengths of the reserved kernel names each op travelled
-        // under before requests were typed: virtual time depends on
-        // them, so they must not move.
-        let ops = [
-            (Control::DataPut, 14),
-            (Control::DataGet, 14),
-            (Control::DataSeal, 15),
-            (Control::DataPin, 14),
-            (Control::CodeRegister, 19),
-            (Control::CodeList, 15),
-            (Control::CodeRemove, 17),
-            (Control::FlowRegister, 19),
-            (Control::FlowRun, 14),
+        // Each op's request bytes before its arguments were typed (a
+        // tagged `Value` list, serialized in-band) and now: frame, the
+        // op's historical reserved name, its typed arguments, and the
+        // payload (`Value::Unit`, 8 B, when the op has none). Virtual
+        // time depends on these, so they are pinned, and typing must
+        // never have made a request larger.
+        use crate::workflow::Workflow;
+        use kaas_accel::DeviceClass;
+        use kaas_guest::Op;
+
+        let r = ObjectRef { hash: 1, bytes: 2 };
+        let program = GuestProgram::new("echo", DeviceClass::Cpu)
+            .with_fuel(100)
+            .with_body(vec![Op::Input, Op::Return]);
+        let mut b = Workflow::builder("diamond");
+        let src = b.step("pre");
+        let left = b.then("ga", src);
+        let right = b.then("ga", src.inline());
+        b.join("blend", [left.into(), right.into()]);
+        let diamond = b.build().unwrap();
+        let unit = || DataRef::InBand(Value::Unit);
+        let run = Control::FlowRun {
+            flow: 1,
+            reply_ref: false,
+        };
+        #[rustfmt::skip]
+        let table: [(Control, DataRef, u64, u64); 10] = [
+            // (op, payload, parent bytes, bytes now)
+            (Control::DataPut, DataRef::InBand(Value::F64s(vec![0.0; 4])), 190, 190),
+            (Control::DataGet(r), unit(), 214, 128 + 14 + 24 + 8),
+            (Control::DataSeal(r), unit(), 215, 128 + 15 + 24 + 8),
+            (Control::DataPin(r), unit(), 214, 128 + 14 + 24 + 8),
+            // Tenant 4 B, program 64 + name 4 + 2 ops × 16.
+            (Control::CodeRegister { tenant: "acme".into(), program }, unit(), 509, 128 + 19 + 4 + 100 + 8),
+            (Control::CodeList("acme".into()), unit(), 163, 128 + 15 + 4 + 8),
+            (Control::CodeRemove("acme/echo@v1".into()), unit(), 173, 128 + 17 + 12 + 8),
+            // Name 7 B, steps 8 + kernel + 16 per edge: 11 + 26 + 26 + 45.
+            (Control::FlowRegister(diamond), unit(), 639, 128 + 19 + 115 + 8),
+            (run.clone(), DataRef::InBand(Value::U64(8)), 235, 128 + 14 + 16 + 16),
+            (run, DataRef::Object(r), 291, 128 + 14 + 16 + 24),
         ];
-        for (op, name_len) in ops {
-            let data = DataRef::InBand(Value::F64s(vec![0.0; 4]));
-            let data_bytes = data.wire_bytes();
-            let req = Request {
-                id: 1,
-                target: Target::Control(op),
-                data,
-                deadline: None,
-                context: None,
-                reply_out_of_band: false,
-                reply_to_store: false,
-            };
-            assert_eq!(
-                req.wire_bytes(),
-                FRAME_BYTES + name_len + data_bytes,
-                "{op:?}"
-            );
+        for (op, data, parent, now) in table {
+            let label = format!("{op:?}");
+            let req = request(Target::Control(Box::new(op)), data);
+            assert_eq!(req.wire_bytes(), now, "{label}");
+            assert!(now <= parent, "{label}: {now} B > {parent} B");
         }
+        // A put answers with the ref itself, not its 72-byte tagged
+        // encoding: 200 B before, 152 B now.
+        let reply = Response {
+            id: 1,
+            result: Ok(DataRef::Object(r)),
+            report: None,
+            flow: None,
+        };
+        assert_eq!(reply.wire_bytes(), 128 + 24);
     }
 
     /// Frames move by value from the client through the wire to the

@@ -26,9 +26,6 @@ use kaas_kernels::Value;
 use crate::metrics::InvocationReport;
 use crate::protocol::InvokeError;
 
-/// Tag marking a [`Value`]-encoded workflow definition on the wire.
-pub(crate) const FLOW_TAG: &str = "kaas.flow";
-
 /// A step's position inside the workflow being built. Returned by the
 /// [`WorkflowBuilder`] step methods and consumed by later edges; ids
 /// are only meaningful within the builder that issued them.
@@ -66,23 +63,6 @@ pub enum EdgeTransfer {
     /// The consumer receives the bytes in-band and pays deserialization
     /// — the per-edge analogue of the old `TransferMode::InBand`.
     Inline,
-}
-
-impl EdgeTransfer {
-    fn code(self) -> u64 {
-        match self {
-            EdgeTransfer::Resident => 0,
-            EdgeTransfer::Inline => 1,
-        }
-    }
-
-    fn from_code(code: u64) -> Option<Self> {
-        match code {
-            0 => Some(EdgeTransfer::Resident),
-            1 => Some(EdgeTransfer::Inline),
-            _ => None,
-        }
-    }
 }
 
 /// One dataflow edge: which earlier step feeds this one, and how.
@@ -347,93 +327,13 @@ impl Workflow {
     }
 
     /// The sink step's index (the step whose output the flow returns).
-    /// Validated workflows have exactly one; ties (unvalidated graphs)
-    /// resolve to the last.
+    /// Every workflow has exactly one: its only constructor,
+    /// [`WorkflowBuilder::build`], validates the DAG.
     pub(crate) fn sink(&self) -> usize {
         self.consumer_counts()
             .iter()
             .rposition(|&c| c == 0)
-            .unwrap_or(self.steps.len().saturating_sub(1))
-    }
-
-    /// Encodes the workflow for transport through the request payload
-    /// channel (the registration frame).
-    pub fn to_value(&self) -> Value {
-        let steps = self
-            .steps
-            .iter()
-            .map(|s| {
-                let edges = s
-                    .inputs
-                    .iter()
-                    .map(|e| {
-                        Value::List(vec![
-                            Value::U64(e.from.0 as u64),
-                            Value::U64(e.transfer.code()),
-                        ])
-                    })
-                    .collect();
-                Value::List(vec![Value::Text(s.kernel.clone()), Value::List(edges)])
-            })
-            .collect();
-        Value::List(vec![
-            Value::Text(FLOW_TAG.to_owned()),
-            Value::Text(self.name.clone()),
-            // A retired per-step attempts field, kept so registration
-            // frames keep their size; decoding ignores it.
-            Value::U64(1),
-            Value::List(steps),
-        ])
-    }
-
-    /// Decodes a workflow previously encoded with
-    /// [`to_value`](Workflow::to_value), re-validating the DAG.
-    pub fn from_value(v: &Value) -> Option<Workflow> {
-        let items = match v.payload() {
-            Value::List(items) => items,
-            _ => return None,
-        };
-        let (name, steps) = match items.as_slice() {
-            [Value::Text(tag), Value::Text(name), Value::U64(_), Value::List(steps)]
-                if tag == FLOW_TAG =>
-            {
-                (name, steps)
-            }
-            _ => return None,
-        };
-        let mut parsed = Vec::with_capacity(steps.len());
-        for step in steps {
-            let (kernel, edges) = match step {
-                Value::List(parts) => match parts.as_slice() {
-                    [Value::Text(kernel), Value::List(edges)] => (kernel, edges),
-                    _ => return None,
-                },
-                _ => return None,
-            };
-            let mut inputs = Vec::with_capacity(edges.len());
-            for edge in edges {
-                match edge {
-                    Value::List(parts) => match parts.as_slice() {
-                        [Value::U64(from), Value::U64(code)] => inputs.push(Edge {
-                            from: StepId(*from as usize),
-                            transfer: EdgeTransfer::from_code(*code)?,
-                        }),
-                        _ => return None,
-                    },
-                    _ => return None,
-                }
-            }
-            parsed.push(WorkflowStep {
-                kernel: kernel.clone(),
-                inputs,
-            });
-        }
-        let wf = Workflow {
-            name: name.clone(),
-            steps: parsed,
-        };
-        wf.validate().ok()?;
-        Some(wf)
+            .expect("a validated workflow has a sink")
     }
 }
 
@@ -663,38 +563,6 @@ mod tests {
             b.build().unwrap_err(),
             WorkflowError::ForwardEdge { step: 0, from: 1 }
         );
-    }
-
-    #[test]
-    fn wire_roundtrip_preserves_the_dag() {
-        let mut b = Workflow::builder("d");
-        let src = b.step("pre");
-        let l = b.then("ga", src);
-        let r = b.then("ga", src.inline());
-        b.join("blend", [l.into(), r.into()]);
-        let wf = b.build().unwrap();
-        let encoded = wf.to_value();
-        // The registration frame's size, and so its virtual transfer
-        // time, is pinned.
-        assert_eq!(encoded.wire_bytes(), 486);
-        let decoded = Workflow::from_value(&encoded).unwrap();
-        assert_eq!(decoded, wf);
-        assert!(Workflow::from_value(&Value::U64(1)).is_none());
-    }
-
-    #[test]
-    fn invalid_encodings_are_rejected() {
-        // A forward edge survives encoding but not decoding.
-        let v = Value::List(vec![
-            Value::Text(FLOW_TAG.to_owned()),
-            Value::Text("bad".into()),
-            Value::U64(1),
-            Value::List(vec![Value::List(vec![
-                Value::Text("a".into()),
-                Value::List(vec![Value::List(vec![Value::U64(5), Value::U64(0)])]),
-            ])]),
-        ]);
-        assert!(Workflow::from_value(&v).is_none());
     }
 
     #[test]

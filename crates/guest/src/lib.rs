@@ -53,7 +53,7 @@ mod verify;
 
 pub use interp::{full_instantiate_cost, restore_cost, Instance, RestoreError, RunStats, Trap};
 pub use kernel::{GuestKernel, GuestMeter};
-pub use program::{GuestProgram, Op, ProgramError, MAX_VEC_LEN, PROGRAM_TAG};
+pub use program::{GuestProgram, Op, ProgramError, MAX_VEC_LEN};
 pub use verify::{
     verify, AbsTy, ClassVerdict, FuelBound, InputClass, SeqFacts, SeqName, Verified, VerifyDiag,
     VerifyError,

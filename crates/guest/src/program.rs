@@ -1,13 +1,8 @@
 //! Guest-kernel bytecode: the [`Op`] instruction set, the [`GuestProgram`]
-//! container tenants register, static validation, and the tagged
-//! [`Value`] wire encoding a guest registration request carries.
+//! container tenants register, static validation and the content hash.
 
 use kaas_accel::DeviceClass;
 use kaas_kernels::Value;
-
-/// Wire tag identifying an encoded [`GuestProgram`] (first element of the
-/// tagged list produced by [`GuestProgram::to_value`]).
-pub const PROGRAM_TAG: &str = "kaas.guest.program";
 
 /// Hard cap on vector lengths a guest may materialize (per value).
 pub const MAX_VEC_LEN: u64 = 1 << 22;
@@ -83,7 +78,7 @@ pub enum Op {
 }
 
 impl Op {
-    /// Wire mnemonic (the name used in encodings and in verifier
+    /// Mnemonic (the name used in the content hash and in verifier
     /// diagnostics).
     pub fn mnemonic(&self) -> &'static str {
         match self {
@@ -151,7 +146,7 @@ pub struct GuestProgram {
     pub body: Vec<Op>,
 }
 
-/// Why a program failed validation or decoding.
+/// Why a program failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramError {
     /// The kernel name is empty or contains reserved characters.
@@ -178,8 +173,6 @@ pub enum ProgramError {
     },
     /// `SetGlobal` appeared in the body (instances must stay immutable).
     SetGlobalInBody(usize),
-    /// The wire encoding could not be decoded.
-    Malformed(String),
 }
 
 impl std::fmt::Display for ProgramError {
@@ -198,7 +191,6 @@ impl std::fmt::Display for ProgramError {
             ProgramError::SetGlobalInBody(at) => {
                 write!(f, "op {at}: set_global is init-only")
             }
-            ProgramError::Malformed(msg) => write!(f, "malformed program encoding: {msg}"),
         }
     }
 }
@@ -331,103 +323,6 @@ impl GuestProgram {
         }
         h.finish()
     }
-
-    /// Encodes the program as a tagged [`Value::List`] for the wire.
-    pub fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::Text(PROGRAM_TAG.to_string()),
-            Value::Text(self.name.clone()),
-            Value::Text(self.device_class.to_string()),
-            Value::U64(self.fuel_limit),
-            Value::F64(self.base_flops),
-            Value::F64(self.flops_per_byte),
-            Value::U64(self.bytes_out_hint),
-            Value::U64(self.globals as u64),
-            Value::U64(self.snapshot as u64),
-            Value::List(
-                self.init
-                    .iter()
-                    .map(|op| Value::List(encode_op(op)))
-                    .collect(),
-            ),
-            Value::List(
-                self.body
-                    .iter()
-                    .map(|op| Value::List(encode_op(op)))
-                    .collect(),
-            ),
-        ])
-    }
-
-    /// Decodes a program from its tagged wire encoding. Does **not**
-    /// validate — call [`GuestProgram::validate`] afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProgramError::Malformed`] on any structural mismatch.
-    pub fn from_value(v: &Value) -> Result<GuestProgram, ProgramError> {
-        let bad = |msg: &str| ProgramError::Malformed(msg.to_string());
-        let items = match v {
-            Value::List(items) if items.len() == 11 => items,
-            _ => return Err(bad("expected an 11-element tagged list")),
-        };
-        match &items[0] {
-            Value::Text(t) if t == PROGRAM_TAG => {}
-            _ => return Err(bad("missing program tag")),
-        }
-        let text = |i: usize| match &items[i] {
-            Value::Text(t) => Ok(t.clone()),
-            _ => Err(bad("expected text field")),
-        };
-        let u64f = |i: usize| match &items[i] {
-            Value::U64(n) => Ok(*n),
-            _ => Err(bad("expected u64 field")),
-        };
-        let f64f = |i: usize| match &items[i] {
-            Value::F64(x) => Ok(*x),
-            _ => Err(bad("expected f64 field")),
-        };
-        let device_class = match text(2)?.as_str() {
-            "CPU" => DeviceClass::Cpu,
-            "GPU" => DeviceClass::Gpu,
-            "FPGA" => DeviceClass::Fpga,
-            "TPU" => DeviceClass::Tpu,
-            "QPU" => DeviceClass::Qpu,
-            other => {
-                return Err(ProgramError::Malformed(format!(
-                    "unknown device class {other:?}"
-                )))
-            }
-        };
-        let ops = |i: usize| -> Result<Vec<Op>, ProgramError> {
-            let list = match &items[i] {
-                Value::List(l) => l,
-                _ => return Err(bad("expected op list")),
-            };
-            list.iter()
-                .map(|item| match item {
-                    Value::List(parts) => decode_op(parts),
-                    _ => Err(bad("expected op encoding list")),
-                })
-                .collect()
-        };
-        let globals = u64f(7)?;
-        if globals > u8::MAX as u64 {
-            return Err(bad("too many globals"));
-        }
-        Ok(GuestProgram {
-            name: text(1)?,
-            device_class,
-            fuel_limit: u64f(3)?,
-            base_flops: f64f(4)?,
-            flops_per_byte: f64f(5)?,
-            bytes_out_hint: u64f(6)?,
-            globals: globals as u8,
-            snapshot: u64f(8)? != 0,
-            init: ops(9)?,
-            body: ops(10)?,
-        })
-    }
 }
 
 fn encode_op(op: &Op) -> Vec<Value> {
@@ -440,63 +335,6 @@ fn encode_op(op: &Op) -> Vec<Value> {
         _ => {}
     }
     parts
-}
-
-fn decode_op(parts: &[Value]) -> Result<Op, ProgramError> {
-    let bad = |msg: String| ProgramError::Malformed(msg);
-    let name = match parts.first() {
-        Some(Value::Text(t)) => t.as_str(),
-        _ => return Err(bad("op missing mnemonic".to_string())),
-    };
-    let arg_u64 = || match parts.get(1) {
-        Some(Value::U64(n)) => Ok(*n),
-        _ => Err(bad(format!("op {name} missing u64 argument"))),
-    };
-    let arg_u8 = || {
-        arg_u64().and_then(|n| {
-            u8::try_from(n).map_err(|_| bad(format!("op {name} argument {n} exceeds u8")))
-        })
-    };
-    let arg_u16 = || {
-        arg_u64().and_then(|n| {
-            u16::try_from(n).map_err(|_| bad(format!("op {name} argument {n} exceeds u16")))
-        })
-    };
-    Ok(match name {
-        "push.u" => Op::PushU(arg_u64()?),
-        "push.f" => match parts.get(1) {
-            Some(Value::F64(x)) => Op::PushF(*x),
-            _ => return Err(bad("op push.f missing f64 argument".to_string())),
-        },
-        "input" => Op::Input,
-        "global" => Op::Global(arg_u8()?),
-        "set_global" => Op::SetGlobal(arg_u8()?),
-        "dup" => Op::Dup,
-        "pop" => Op::Pop,
-        "swap" => Op::Swap,
-        "add" => Op::Add,
-        "sub" => Op::Sub,
-        "mul" => Op::Mul,
-        "div" => Op::Div,
-        "rem" => Op::Rem,
-        "neg" => Op::Neg,
-        "sqrt" => Op::Sqrt,
-        "min" => Op::Min,
-        "max" => Op::Max,
-        "lt" => Op::Lt,
-        "eq" => Op::Eq,
-        "len" => Op::Len,
-        "get" => Op::Get,
-        "vec.fill" => Op::VecFill,
-        "vec.scale" => Op::VecScale,
-        "vec.add" => Op::VecAdd,
-        "vec.sum" => Op::VecSum,
-        "vec.dot" => Op::VecDot,
-        "jump" => Op::Jump(arg_u16()?),
-        "jump.ez" => Op::JumpIfZero(arg_u16()?),
-        "return" => Op::Return,
-        other => return Err(bad(format!("unknown op {other:?}"))),
-    })
 }
 
 /// Incremental FNV-1a (64-bit).
@@ -530,15 +368,6 @@ mod tests {
                 vec![Op::PushU(4), Op::PushF(2.5), Op::VecFill, Op::SetGlobal(0)],
             )
             .with_body(vec![Op::Input, Op::Global(0), Op::VecDot, Op::Return])
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let p = sample();
-        p.validate().unwrap();
-        let decoded = GuestProgram::from_value(&p.to_value()).unwrap();
-        assert_eq!(decoded, p);
-        assert_eq!(decoded.hash(), p.hash());
     }
 
     #[test]
@@ -578,17 +407,5 @@ mod tests {
         let mut p = sample();
         p.body = vec![Op::PushU(1), Op::SetGlobal(0), Op::Return];
         assert_eq!(p.validate(), Err(ProgramError::SetGlobalInBody(1)));
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(GuestProgram::from_value(&Value::U64(1)).is_err());
-        assert!(GuestProgram::from_value(&Value::List(vec![])).is_err());
-        let mut items = match sample().to_value() {
-            Value::List(items) => items,
-            _ => unreachable!(),
-        };
-        items[0] = Value::Text("wrong.tag".to_string());
-        assert!(GuestProgram::from_value(&Value::List(items)).is_err());
     }
 }

@@ -152,6 +152,18 @@ matches_archive fig17.csv fig17
 matches_archive overload.json overload
 matches_archive trace.csv trace
 matches_archive verify.json verify
+# The traced quickstart's span dump, written by the built example from a
+# scratch directory.
+cargo build -q --release --features trace --example quickstart
+quickstart="$(cd "${CARGO_TARGET_DIR:-target}/release/examples" && pwd)/quickstart"
+dir="$(mktemp -d)"
+mkdir "$dir/results"
+(cd "$dir" && "$quickstart" >/dev/null)
+if ! diff "$dir/results/trace_quickstart.json" results/trace_quickstart.json >&2; then
+    echo "results/trace_quickstart.json no longer matches the traced quickstart example" >&2
+    exit 1
+fi
+rm -rf "$dir"
 
 echo "==> perfbench stage: benchmark same-seed and correctness tests"
 # The benchmark is its own Cargo workspace; its tests check that outputs

@@ -453,7 +453,7 @@ fn mixed_batch_replies_in_order_with_every_outcome() {
             ..mci_request(101, None)
         };
         let put = Request {
-            target: Target::Control(Control::DataPut),
+            target: Target::Control(Box::new(Control::DataPut)),
             ..mci_request(102, None)
         };
         let reqs = vec![

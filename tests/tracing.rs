@@ -136,11 +136,13 @@ fn span_durations_tile_client_latency() {
         assert_eq!(arg(&root, "flow"), Some(id.clone()));
         assert_children_tile(&tracer, &root, &["shm_put", "roundtrip", "shm_take"]);
 
+        // A ref input rides in the frame and a ref reply comes back as
+        // is: nothing to serialize either way.
         let r = client.put(Value::U64(64)).await.unwrap();
         client.flow(&handle).input_ref(r).send_ref().await.unwrap();
         let root = last_root(&tracer, "flow");
         assert_eq!(arg(&root, "flow"), Some(id));
-        assert_children_tile(&tracer, &root, &["serialize", "roundtrip"]);
+        assert_children_tile(&tracer, &root, &["roundtrip"]);
     });
 }
 

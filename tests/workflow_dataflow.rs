@@ -342,6 +342,49 @@ fn trigger_with_an_unknown_input_ref_fails_before_staging() {
     });
 }
 
+/// A trigger input is a plain value, even one shaped like the tagged
+/// `["kaas.ref", hash, bytes]` list refs once travelled as: the source
+/// step receives the list and rejects it exactly as a direct call does.
+/// Neither a made-up address nor a stored object's is dereferenced. A
+/// real ref, passed with `input_ref`, still chains.
+#[test]
+fn ref_shaped_trigger_values_stay_plain_values() {
+    let mut sim = Simulation::new();
+    sim.block_on(async {
+        let (server, net, shm) = boot_with(ga_dtw(), ServerConfig::default());
+        let mut c = KaasClient::connect(&net, "kaas", LinkProfile::loopback())
+            .await
+            .unwrap()
+            .with_shared_memory(shm);
+        let wf = Workflow::linear("ga-once", ["ga"]).unwrap();
+        let handle = c.register_workflow(&wf).await.unwrap();
+        let stored = c.put(Value::U64(8)).await.unwrap();
+        let ref_shaped = |hash: u64, bytes: u64| {
+            Value::List(vec![
+                Value::Text("kaas.ref".into()),
+                Value::U64(hash),
+                Value::U64(bytes),
+            ])
+        };
+
+        for input in [ref_shaped(1, 2), ref_shaped(stored.hash, stored.bytes)] {
+            let direct = c.call("ga").arg(input.clone()).send().await.unwrap_err();
+            assert!(matches!(direct, InvokeError::BadInput(_)), "{direct:?}");
+            let err = c.flow(&handle).input(input).send().await.unwrap_err();
+            assert_eq!(err.error, direct, "the step sees what a direct call sees");
+            assert_eq!(err.partial.len(), 1);
+            assert_eq!(err.partial[0].error.as_ref(), Some(&direct));
+        }
+        assert_eq!(server.metrics_registry().counter("workflow.failures"), 2);
+
+        let run = c.flow(&handle).input_ref(stored).send().await.unwrap();
+        match &run.output {
+            Value::F64s(pop) => assert_eq!(pop.len(), 8 * 100),
+            other => panic!("expected a population, got {other:?}"),
+        }
+    });
+}
+
 #[test]
 fn a_ref_handed_between_servers_chains_two_flows() {
     // Flow A leaves its output server-resident; the value is fetched
